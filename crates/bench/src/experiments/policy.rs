@@ -16,6 +16,7 @@ use ewc_core::{PowerStatesConfig, Runtime, RuntimeConfig, Template};
 use ewc_energy::{
     GpuSystemPower, PowerCoefficients, PowerStateModel, ThermalModel, TrainingBenchmark,
 };
+use ewc_exec::VirtualClock;
 use ewc_gpu::GpuConfig;
 use ewc_models::{choose_state, ConsolidationPlan, EnergyModel, PolicyKnob, PowerModel};
 use ewc_telemetry::{TelemetrySink, Verdict};
@@ -89,7 +90,9 @@ fn run_one(policy: &str, ps: Option<PowerStatesConfig>) -> Row {
         power_states: ps,
         ..RuntimeConfig::default()
     })
-    .telemetry(TelemetrySink::enabled())
+    // Virtual span mode: batch boundaries per message, not per OS
+    // scheduling burst, so the rows replay bit for bit.
+    .telemetry(TelemetrySink::enabled_virtual(VirtualClock::new()))
     .workload("encryption", Arc::clone(&aes) as Arc<dyn Workload>)
     .template(Template::homogeneous("encryption"))
     .build();

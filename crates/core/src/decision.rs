@@ -11,8 +11,7 @@
 //!   (the paper assumes CPU performance and energy profiles are known;
 //!   ours come from the per-workload [`ewc_cpu::CpuTask`] profiles).
 
-use ewc_cpu::{CpuEngine, CpuOutcome, CpuPowerModel, CpuTask};
-use ewc_exec::TaskPool;
+use ewc_cpu::{CpuEngine, CpuPowerModel, CpuTask};
 use ewc_models::{
     choose_state, ConsolidationPlan, EnergyModel, PolicyKnob, Prediction, StateChoice,
 };
@@ -105,8 +104,40 @@ pub struct DecisionEngine {
     cpu: CpuEngine,
     cpu_power: CpuPowerModel,
     margin: f64,
-    parallelism: usize,
-    power_states: Option<PowerStatesConfig>,
+    power_states: Option<PowerPolicy>,
+}
+
+/// A wired power-state stack.
+struct PowerPolicy {
+    cfg: PowerStatesConfig,
+    /// Per operating point, in ladder order: its level and the energy
+    /// model rebound to it — `None` at the P0 anchor (`f = V = 1`), whose
+    /// predictions are the flat ones every assessment already makes.
+    points: Vec<(usize, Option<EnergyModel>)>,
+}
+
+impl PowerPolicy {
+    /// One alternative at every operating point, ladder order: `p0` is
+    /// its flat prediction, `predict` evaluates it on a rebound model.
+    fn across(
+        &self,
+        p0: &Prediction,
+        predict: impl Fn(&EnergyModel) -> Prediction,
+    ) -> Vec<(usize, Prediction)> {
+        self.points
+            .iter()
+            .map(|(level, model)| {
+                let p = match model {
+                    Some(m) => predict(m),
+                    None => Prediction {
+                        state: Some(self.cfg.table.states[*level]),
+                        ..p0.clone()
+                    },
+                };
+                (*level, p)
+            })
+            .collect()
+    }
 }
 
 impl DecisionEngine {
@@ -121,9 +152,6 @@ impl DecisionEngine {
             cpu,
             cpu_power,
             margin: 0.02,
-            // `0` asks the shared [`TaskPool`] for its default width
-            // (one worker per available core).
-            parallelism: 0,
             power_states: None,
         }
     }
@@ -133,13 +161,21 @@ impl DecisionEngine {
     /// knob-chosen states' horizon energies. Without this the engine is
     /// bit-identical to the flat (P0-only) behaviour.
     pub fn with_power_policy(mut self, cfg: PowerStatesConfig) -> Self {
-        self.power_states = Some(cfg);
+        let points = cfg
+            .table
+            .operating_points()
+            .map(|(level, state)| {
+                let model = (!state.is_anchor()).then(|| self.energy.in_state(state));
+                (level, model)
+            })
+            .collect();
+        self.power_states = Some(PowerPolicy { cfg, points });
         self
     }
 
     /// The wired power-state stack, if any.
     pub fn power_policy(&self) -> Option<&PowerStatesConfig> {
-        self.power_states.as_ref()
+        self.power_states.as_ref().map(|pp| &pp.cfg)
     }
 
     /// Override the required consolidation benefit margin (fraction of
@@ -147,15 +183,6 @@ impl DecisionEngine {
     pub fn with_margin(mut self, margin: f64) -> Self {
         assert!(margin >= 0.0, "margin must be non-negative");
         self.margin = margin;
-        self
-    }
-
-    /// Override how many threads [`Self::assess`] may fan out across
-    /// (`1` = fully serial). Defaults to the available cores. The three
-    /// alternative predictions are pure functions merged in a fixed
-    /// order, so the verdict is identical at any setting.
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism.max(1);
         self
     }
 
@@ -167,48 +194,21 @@ impl DecisionEngine {
     /// Assess a candidate group: `plan` describes the GPU side (template
     /// layout order), `cpu_tasks` the same instances as CPU jobs.
     pub fn assess(&self, plan: &ConsolidationPlan, cpu_tasks: &[CpuTask]) -> Assessment {
-        // The three alternatives are independent pure predictions, so
-        // they fan out on the shared [`TaskPool`] and merge positionally
-        // — the same bits come back at any parallelism setting, and the
-        // pool's permit budget keeps a parallel caller (a soak matrix
-        // assessing many groups at once) from oversubscribing cores.
-        enum Part {
-            Gpu(Prediction),
-            Cpu(CpuOutcome, f64),
-        }
-        let mut parts = TaskPool::global().run(3, self.parallelism, |i| match i {
-            0 => Part::Gpu(self.energy.predict(plan)),
-            1 => Part::Gpu(self.energy.predict_serial(plan)),
-            _ => {
-                let out = self.cpu.run(cpu_tasks);
-                let energy = self.cpu_power.energy_j(&out);
-                Part::Cpu(out, energy)
-            }
-        });
-        let (
-            Some(Part::Cpu(cpu_out, cpu_energy)),
-            Some(Part::Gpu(serial)),
-            Some(Part::Gpu(consolidated)),
-        ) = (parts.pop(), parts.pop(), parts.pop())
-        else {
-            unreachable!("pool returns the three parts positionally");
-        };
+        // Three pure functions of about a microsecond each, evaluated
+        // inline: handing them to threads costs more than running them.
+        let consolidated = self.energy.predict(plan);
+        let serial = self.energy.predict_serial(plan);
+        let cpu_out = self.cpu.run(cpu_tasks);
+        let cpu_energy = self.cpu_power.energy_j(&cpu_out);
 
         // Power-state pass, gated on the config so the flat path stays
         // bit-identical: evaluate both GPU alternatives across the
         // ladder's operating points and let the knob pick; the verdict
         // below then compares the knob-chosen horizon energies.
-        let state = self.power_states.as_ref().map(|ps| {
-            let evals_c: Vec<(usize, Prediction)> = ps
-                .table
-                .operating_points()
-                .map(|(l, s)| (l, self.energy.predict_in_state(plan, s)))
-                .collect();
-            let evals_s: Vec<(usize, Prediction)> = ps
-                .table
-                .operating_points()
-                .map(|(l, s)| (l, self.energy.predict_serial_in_state(plan, s)))
-                .collect();
+        let state = self.power_states.as_ref().map(|pp| {
+            let ps = &pp.cfg;
+            let evals_c = pp.across(&consolidated, |m| m.predict(plan));
+            let evals_s = pp.across(&serial, |m| m.predict_serial(plan));
             let idle_w = self.energy.idle_w();
             StateDecision {
                 knob: ps.knob,
@@ -329,28 +329,146 @@ mod tests {
         assert_ne!(a.choice, Choice::Cpu, "assessment: {a:?}");
     }
 
-    #[test]
-    fn parallel_assessment_is_bitwise_serial() {
-        let plan = ConsolidationPlan::new()
-            .with(compute("a", 6.0, 4))
-            .with(compute("b", 3.0, 2));
-        let tasks = [
-            CpuTask::new("a", 12.0, 2, 4 << 20),
-            CpuTask::new("b", 7.0, 1, 2 << 20),
+    /// The serial alternative assembled from public single-member
+    /// calls: one prediction per member, sums in member order.
+    fn serial_by_member(
+        model: &EnergyModel,
+        plan: &ConsolidationPlan,
+        predict_one: impl Fn(&ConsolidationPlan) -> Prediction,
+    ) -> Prediction {
+        let (mut time_s, mut gpu_energy_j) = (0.0, 0.0);
+        let mut last = predict_one(&ConsolidationPlan::new());
+        for m in &plan.members {
+            last = predict_one(&ConsolidationPlan::new().with(m.clone()));
+            time_s += last.time_s;
+            gpu_energy_j += last.gpu_energy_j;
+        }
+        Prediction {
+            time_s,
+            gpu_energy_j,
+            system_energy_j: gpu_energy_j + model.idle_w() * time_s,
+            ..last
+        }
+    }
+
+    /// A state choice as exact bits: its labels, and the level, times
+    /// and energies of the pick and of every candidate.
+    fn state_choice_bits(c: &StateChoice) -> (Vec<&'static str>, Vec<u64>) {
+        let mut names = vec![c.state];
+        let mut bits = vec![
+            c.level as u64,
+            c.time_s.to_bits(),
+            c.horizon_energy_j.to_bits(),
         ];
-        let serial = engine().with_parallelism(1).assess(&plan, &tasks);
-        let fanned = engine().with_parallelism(4).assess(&plan, &tasks);
-        assert_eq!(serial.choice, fanned.choice);
-        assert_eq!(
-            serial.consolidated.system_energy_j.to_bits(),
-            fanned.consolidated.system_energy_j.to_bits()
-        );
-        assert_eq!(
-            serial.serial.system_energy_j.to_bits(),
-            fanned.serial.system_energy_j.to_bits()
-        );
-        assert_eq!(serial.cpu_time_s.to_bits(), fanned.cpu_time_s.to_bits());
-        assert_eq!(serial.cpu_energy_j.to_bits(), fanned.cpu_energy_j.to_bits());
+        for &(name, t, e) in &c.candidates {
+            names.push(name);
+            bits.extend([t.to_bits(), e.to_bits()]);
+        }
+        (names, bits)
+    }
+
+    #[test]
+    fn assessment_equals_the_per_member_assembly() {
+        let (a, b) = (compute("a", 6.0, 4), compute("b", 3.0, 2));
+        let plans = [
+            ConsolidationPlan::homogeneous(a.desc.clone(), 3, 9),
+            ConsolidationPlan::new().with(a.clone()).with(b.clone()),
+            ConsolidationPlan::new()
+                .with(a.clone())
+                .with(a.clone())
+                .with(b.clone())
+                .with(a.clone()),
+            ConsolidationPlan::new().with(b.clone()),
+        ];
+        let deadline_s = 3.0 * engine().assess(&plans[0], &[]).consolidated.time_s;
+        let policies = [
+            None,
+            Some(PowerStatesConfig::race()),
+            Some(PowerStatesConfig::pace(deadline_s)),
+            Some(PowerStatesConfig::cap(420.0)),
+        ];
+        let cpu = CpuEngine::new(CpuConfig::xeon_e5520_x2());
+        for plan in &plans {
+            let tasks: Vec<CpuTask> = plan
+                .members
+                .iter()
+                .map(|m| CpuTask::new(&m.desc.name, 12.0, 2, 4 << 20))
+                .collect();
+            for policy in &policies {
+                let e = match policy {
+                    Some(ps) => engine().with_power_policy(ps.clone()),
+                    None => engine(),
+                };
+                let got = e.assess(plan, &tasks);
+
+                let model = e.energy_model();
+                let consolidated = model.predict(plan);
+                let serial = serial_by_member(model, plan, |p| model.predict(p));
+                let cpu_out = cpu.run(&tasks);
+                let cpu_energy_j = CpuPowerModel::xeon_e5520_x2().energy_j(&cpu_out);
+                let state = policy.as_ref().map(|ps| {
+                    let points = || ps.table.operating_points();
+                    let evals_c: Vec<_> = points()
+                        .map(|(l, s)| (l, model.predict_in_state(plan, s)))
+                        .collect();
+                    let evals_s: Vec<_> = points()
+                        .map(|(l, s)| {
+                            let one = |p: &ConsolidationPlan| model.predict_in_state(p, s);
+                            (l, serial_by_member(model, plan, one))
+                        })
+                        .collect();
+                    (
+                        choose_state(&ps.table, &ps.knob, &evals_c, model.idle_w()),
+                        choose_state(&ps.table, &ps.knob, &evals_s, model.idle_w()),
+                    )
+                });
+                let (cons_e, serial_e) = match &state {
+                    Some((c, s)) => (c.horizon_energy_j, s.horizon_energy_j),
+                    None => (consolidated.system_energy_j, serial.system_energy_j),
+                };
+                let choice = [
+                    (Choice::Consolidate, cons_e * 1.02),
+                    (Choice::SerialGpu, serial_e),
+                    (Choice::Cpu, cpu_energy_j),
+                ]
+                .into_iter()
+                .min_by(|x, y| x.1.total_cmp(&y.1))
+                .map(|(c, _)| c);
+
+                assert_eq!(Some(got.choice), choice);
+                for (g, want) in [(&got.consolidated, &consolidated), (&got.serial, &serial)] {
+                    assert_eq!(g.time_s.to_bits(), want.time_s.to_bits());
+                    assert_eq!(g.gpu_energy_j.to_bits(), want.gpu_energy_j.to_bits());
+                    assert_eq!(g.system_energy_j.to_bits(), want.system_energy_j.to_bits());
+                }
+                assert_eq!(got.cpu_time_s.to_bits(), cpu_out.makespan_s.to_bits());
+                assert_eq!(got.cpu_energy_j.to_bits(), cpu_energy_j.to_bits());
+                assert_eq!(got.state.is_some(), state.is_some());
+                if let (Some(g), Some((c, s))) = (&got.state, &state) {
+                    assert_eq!(state_choice_bits(&g.consolidated), state_choice_bits(c));
+                    assert_eq!(state_choice_bits(&g.serial), state_choice_bits(s));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nan_descriptor_still_yields_a_verdict() {
+        let mut bad = compute("nan", 6.0, 4);
+        bad.desc.comp_insts = f64::NAN;
+        let plan = ConsolidationPlan::new()
+            .with(bad.clone())
+            .with(bad)
+            .with(compute("ok", 3.0, 2));
+        let tasks = [CpuTask::new("nan", 12.0, 2, 4 << 20)];
+        for e in [
+            engine(),
+            engine().with_power_policy(PowerStatesConfig::race()),
+            engine().with_power_policy(PowerStatesConfig::cap(420.0)),
+        ] {
+            let a = e.assess(&plan, &tasks);
+            assert!(a.cpu_energy_j.is_finite(), "assessment: {a:?}");
+        }
     }
 
     #[test]
@@ -379,14 +497,14 @@ mod tests {
             tasks.push(CpuTask::new("enc", 14.4, 2, 8 << 20));
         }
         let race = engine()
-            .with_power_policy(crate::config::PowerStatesConfig::race())
+            .with_power_policy(PowerStatesConfig::race())
             .assess(&plan, &tasks);
         let rd = race.state.as_ref().expect("policy wired");
         assert_eq!(rd.consolidated.state, "p0");
 
         let deadline = race.consolidated.time_s * 3.0;
         let pace = engine()
-            .with_power_policy(crate::config::PowerStatesConfig::pace(deadline))
+            .with_power_policy(PowerStatesConfig::pace(deadline))
             .assess(&plan, &tasks);
         let pd = pace.state.as_ref().expect("policy wired");
         assert_ne!(pd.consolidated.state, "p0", "pace throttles under slack");

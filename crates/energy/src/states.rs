@@ -106,6 +106,12 @@ impl PowerState {
         self.kind == StateKind::Active
     }
 
+    /// Whether this is the P0 anchor (`f = V = 1`), where every
+    /// state-scaled quantity is the flat one bit for bit.
+    pub fn is_anchor(&self) -> bool {
+        self.freq_scale == 1.0 && self.volt_scale == 1.0
+    }
+
     /// Dynamic-power scale relative to P0 *beyond* what the slower rates
     /// already account for: `V²`. (With rates ∝ f, total dynamic power
     /// scales as `f · V²`, the classic DVFS law.)
@@ -291,7 +297,7 @@ impl PowerStateModel {
     /// unchanged.
     pub fn truth_in_state(&self, level: usize) -> GpuPowerGroundTruth {
         let state = &self.table.states[level];
-        if state.freq_scale == 1.0 && state.volt_scale == 1.0 {
+        if state.is_anchor() {
             return self.system.truth.clone();
         }
         let v2 = state.volt_sq();
@@ -321,7 +327,7 @@ impl PowerStateModel {
         level: usize,
     ) -> SystemEnergy {
         let state = &self.table.states[level];
-        if state.freq_scale == 1.0 && state.volt_scale == 1.0 {
+        if state.is_anchor() {
             return self.system.integrate(intervals, t_end, seed);
         }
         let scaled = GpuSystemPower {

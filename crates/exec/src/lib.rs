@@ -20,12 +20,12 @@
 //!   tasks fire at their scheduled instant, may schedule more tasks, and
 //!   the clock only ever moves forward.
 //! * [`TaskPool`] — the shared worker pool behind every parallel fan-out
-//!   (decision assess, soak matrix, experiment ledger). No work
+//!   (soak matrix, experiment ledger). No work
 //!   stealing: workers pull indices from a shared counter and results
 //!   merge positionally, so any parallelism level produces the same
 //!   bytes as a serial run. A global permit budget keeps *nested*
-//!   fan-outs (a parallel soak matrix whose experiments themselves
-//!   assess in parallel) from oversubscribing the machine.
+//!   fan-outs (a ledger section that itself runs a soak matrix) from
+//!   oversubscribing the machine.
 //!
 //! The crate is dependency-free and knows nothing about GPUs, energy or
 //! telemetry — it is the seam the rest of the workspace plugs into.

@@ -5,10 +5,18 @@ use std::sync::OnceLock;
 
 /// Worker threads to use when the caller does not say: one per
 /// available core, or serial if the platform will not tell us.
+///
+/// Asked of the OS once per process and fixed at first use — the query
+/// is an affinity syscall plus cgroup file reads, microseconds a
+/// width-0 [`TaskPool::run`] must not pay per call. A process that pins
+/// itself must do so before its first fan-out.
 fn default_width() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static WIDTH: OnceLock<usize> = OnceLock::new();
+    *WIDTH.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// A deterministic fan-out pool with a global extra-thread budget.
@@ -24,9 +32,9 @@ fn default_width() -> usize {
 ///
 /// # Nesting and the permit budget
 ///
-/// Fan-outs nest in this workspace: a parallel soak matrix runs
-/// experiments that themselves call the decision engine's parallel
-/// assess. Multiplying thread counts per nesting level would
+/// Fan-outs may nest: a task inside one fan-out (an experiment section
+/// of `--bin all`, say) can start another (a soak matrix). Multiplying
+/// thread counts per nesting level would
 /// oversubscribe the machine, so extra workers are *permits* drawn from
 /// one shared budget (the pool's capacity). An outer fan-out holding
 /// every permit leaves none for the fan-outs inside it — those simply
@@ -120,7 +128,8 @@ impl TaskPool {
     /// threads and return the results in index order.
     ///
     /// `width` counts the calling thread: `1` is fully serial, `0` asks
-    /// for the platform default (one worker per available core). The
+    /// for the platform default (one worker per core available at the
+    /// process's first fan-out — the width is fixed at first use). The
     /// pool may grant fewer extras than requested — or none, in which
     /// case the call degrades to a serial loop — without changing the
     /// output bytes (see the type-level docs on determinism).

@@ -6,11 +6,11 @@
 //! system idle floor.
 
 use ewc_energy::PowerState;
-use ewc_gpu::GpuConfig;
+use ewc_gpu::{GpuConfig, KernelDesc};
 
 use crate::perf::{PerfModel, PerfPrediction};
 use crate::placement::analyze;
-use crate::plan::ConsolidationPlan;
+use crate::plan::{ConsolidationPlan, KernelSpec};
 use crate::power::PowerModel;
 
 /// A complete prediction for one consolidation plan.
@@ -57,6 +57,37 @@ pub struct EnergyModel {
     perf: PerfModel,
     power: PowerModel,
     idle_w: f64,
+    /// The DVFS state the models are bound to (`None` = the flat model,
+    /// which is the P0 anchor).
+    state: Option<PowerState>,
+}
+
+/// Whether two members get the same solo prediction: every descriptor
+/// field the models read has the same bits and the block counts match
+/// (the name is a label only).
+fn same_work(a: &KernelSpec, b: &KernelSpec) -> bool {
+    let key = |m: &KernelSpec| {
+        let KernelDesc {
+            name: _,
+            threads_per_block,
+            regs_per_thread,
+            shared_mem_per_block,
+            comp_insts,
+            coalesced_mem,
+            uncoalesced_mem,
+            sync_insts,
+        } = &m.desc;
+        (
+            [
+                m.blocks,
+                *threads_per_block,
+                *regs_per_thread,
+                *shared_mem_per_block,
+            ],
+            [comp_insts, coalesced_mem, uncoalesced_mem, sync_insts].map(|f| f.to_bits()),
+        )
+    };
+    key(a) == key(b)
 }
 
 impl EnergyModel {
@@ -66,6 +97,24 @@ impl EnergyModel {
             perf: PerfModel::new(cfg),
             power,
             idle_w,
+            state: None,
+        }
+    }
+
+    /// This (flat) model rebound to DVFS state `state`: the performance
+    /// model runs on a clock-scaled configuration (compute time ∝ `1/f`,
+    /// DRAM bandwidth unchanged) and the rate-derived dynamic power —
+    /// which already carries the `f` factor through the slower rates —
+    /// is scaled by `V²`, giving the classic `f·V²` dynamic law relative
+    /// to P0. Build it once per operating point and predict many plans.
+    pub fn in_state(&self, state: &PowerState) -> EnergyModel {
+        let mut cfg = self.perf.config().clone();
+        cfg.clock_hz *= state.freq_scale;
+        EnergyModel {
+            perf: PerfModel::new(cfg.clone()),
+            power: self.power.with_config(cfg),
+            idle_w: self.idle_w,
+            state: Some(*state),
         }
     }
 
@@ -91,7 +140,10 @@ impl EnergyModel {
         let rates = self
             .power
             .predicted_rates(plan, &placement, perf.time_s, &perf.per_sm_finish);
-        let dyn_power_w = self.power.predict_dyn_power_w(&rates);
+        let mut dyn_power_w = self.power.predict_dyn_power_w(&rates);
+        if let Some(state) = &self.state {
+            dyn_power_w *= state.volt_sq();
+        }
         let thermal_w = self.power.predict_thermal_w(dyn_power_w);
         let gpu_energy_j = (dyn_power_w + thermal_w) * perf.time_s;
         let system_energy_j = gpu_energy_j + self.idle_w * perf.time_s;
@@ -101,45 +153,18 @@ impl EnergyModel {
             thermal_w,
             gpu_energy_j,
             system_energy_j,
-            state: None,
+            state: self.state,
             perf,
         }
     }
 
     /// Predict a consolidated launch with the device held at DVFS state
-    /// `state`: the performance model runs on a clock-scaled
-    /// configuration (compute time ∝ `1/f`, DRAM bandwidth unchanged),
-    /// the rate-derived dynamic power — which already carries the `f`
-    /// factor through the slower rates — is then scaled by `V²`, giving
-    /// the classic `f·V²` dynamic law relative to P0. At the P0 anchor
-    /// (`f = V = 1`) this is bit-identical to [`EnergyModel::predict`].
+    /// `state` (see [`EnergyModel::in_state`], which callers predicting
+    /// many plans in one state should hold on to instead). At the P0
+    /// anchor (`f = V = 1`) the scalings multiply by one, so this is
+    /// bit-identical to [`EnergyModel::predict`].
     pub fn predict_in_state(&self, plan: &ConsolidationPlan, state: &PowerState) -> Prediction {
-        if state.freq_scale == 1.0 && state.volt_scale == 1.0 {
-            return Prediction {
-                state: Some(*state),
-                ..self.predict(plan)
-            };
-        }
-        let mut cfg = self.perf.config().clone();
-        cfg.clock_hz *= state.freq_scale;
-        let perf_model = PerfModel::new(cfg.clone());
-        let power_model = self.power.with_config(cfg.clone());
-        let placement = analyze(plan, &cfg);
-        let perf = perf_model.predict_placed(plan, &placement);
-        let rates = power_model.predicted_rates(plan, &placement, perf.time_s, &perf.per_sm_finish);
-        let dyn_power_w = power_model.predict_dyn_power_w(&rates) * state.volt_sq();
-        let thermal_w = power_model.predict_thermal_w(dyn_power_w);
-        let gpu_energy_j = (dyn_power_w + thermal_w) * perf.time_s;
-        let system_energy_j = gpu_energy_j + self.idle_w * perf.time_s;
-        Prediction {
-            time_s: perf.time_s,
-            dyn_power_w,
-            thermal_w,
-            gpu_energy_j,
-            system_energy_j,
-            state: Some(*state),
-            perf,
-        }
+        self.in_state(state).predict(plan)
     }
 
     /// The serial alternative evaluated at DVFS state `state` (mirrors
@@ -149,27 +174,7 @@ impl EnergyModel {
         plan: &ConsolidationPlan,
         state: &PowerState,
     ) -> Prediction {
-        let mut time = 0.0;
-        let mut gpu_energy = 0.0;
-        let mut last_perf = None;
-        for m in &plan.members {
-            let single = ConsolidationPlan::new()
-                .with(crate::plan::KernelSpec::new(m.desc.clone(), m.blocks));
-            let p = self.predict_in_state(&single, state);
-            time += p.time_s;
-            gpu_energy += p.gpu_energy_j;
-            last_perf = Some(p.perf);
-        }
-        let system = gpu_energy + self.idle_w * time;
-        Prediction {
-            time_s: time,
-            dyn_power_w: if time > 0.0 { gpu_energy / time } else { 0.0 },
-            thermal_w: 0.0,
-            gpu_energy_j: gpu_energy,
-            system_energy_j: system,
-            state: Some(*state),
-            perf: last_perf.unwrap_or_else(|| self.perf.predict(&ConsolidationPlan::new())),
-        }
+        self.in_state(state).predict_serial(plan)
     }
 
     /// Predict with a ±`eps` relative uncertainty on every member's
@@ -195,18 +200,22 @@ impl EnergyModel {
 
     /// Predict the serial (one launch after another) alternative: same
     /// total work, but each member runs alone — time sums, and each
-    /// launch's power reflects its own low utilisation.
+    /// launch's power reflects its own low utilisation. A run of
+    /// consecutive members with the same work is predicted once; the
+    /// sums still accumulate member by member, so they are the floats
+    /// the member-at-a-time loop gives.
     pub fn predict_serial(&self, plan: &ConsolidationPlan) -> Prediction {
         let mut time = 0.0;
         let mut gpu_energy = 0.0;
-        let mut last_perf = None;
+        let mut last: Option<(&KernelSpec, Prediction)> = None;
         for m in &plan.members {
-            let single = ConsolidationPlan::new()
-                .with(crate::plan::KernelSpec::new(m.desc.clone(), m.blocks));
-            let p = self.predict(&single);
+            let p = match last {
+                Some((prev, p)) if same_work(prev, m) => p,
+                _ => self.predict(&ConsolidationPlan::new().with(m.clone())),
+            };
             time += p.time_s;
             gpu_energy += p.gpu_energy_j;
-            last_perf = Some(p.perf);
+            last = Some((m, p));
         }
         let system = gpu_energy + self.idle_w * time;
         Prediction {
@@ -215,8 +224,11 @@ impl EnergyModel {
             thermal_w: 0.0,
             gpu_energy_j: gpu_energy,
             system_energy_j: system,
-            state: None,
-            perf: last_perf.unwrap_or_else(|| self.perf.predict(&ConsolidationPlan::new())),
+            state: self.state,
+            perf: match last {
+                Some((_, p)) => p.perf,
+                None => self.perf.predict(&ConsolidationPlan::new()),
+            },
         }
     }
 }
@@ -224,9 +236,7 @@ impl EnergyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::KernelSpec;
     use ewc_energy::{GpuPowerGroundTruth, PowerCoefficients, ThermalModel, TrainingBenchmark};
-    use ewc_gpu::KernelDesc;
 
     fn cfg() -> GpuConfig {
         GpuConfig::tesla_c1060()

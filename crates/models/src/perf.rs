@@ -73,7 +73,7 @@ impl PerfModel {
         // Static bandwidth demand: every placed block assumed streaming
         // concurrently at its issue-shared rate.
         let mut demand = 0.0;
-        for blocks in &placement.per_sm {
+        for blocks in placement.per_sm() {
             let sum_d: f64 = blocks.iter().map(|b| costs[b.member].issue_demand).sum();
             let share = if sum_d > 1.0 { 1.0 / sum_d } else { 1.0 };
             for b in blocks {
@@ -84,28 +84,27 @@ impl PerfModel {
 
         let mut per_sm_finish = vec![0.0_f64; n_sms];
         let mut member_finish = vec![0.0_f64; plan.members.len()];
-        for (sm, blocks) in placement.per_sm.iter().enumerate() {
+        for (sm, blocks) in placement.per_sm().enumerate() {
             if blocks.is_empty() {
                 continue;
             }
             let mut finish = 0.0;
-            for phase in [0u8, 1u8] {
-                let refs: Vec<&ewc_gpu::BlockCost> = blocks
-                    .iter()
-                    .filter(|b| b.phase == phase)
-                    .map(|b| &costs[b.member])
-                    .collect();
-                if refs.is_empty() {
+            // An SM's phase-0 blocks precede its phase-1 blocks.
+            let (initial, redistributed) =
+                blocks.split_at(blocks.partition_point(|b| b.phase == 0));
+            for phase in [initial, redistributed] {
+                if phase.is_empty() {
                     continue;
                 }
+                let phase_costs = phase.iter().map(|b| &costs[b.member]);
                 // Memory-bound weight of this phase for the bandwidth
                 // penalty.
-                let t_base = sm_phase_time(&refs);
-                let mem_weight: f64 = refs
-                    .iter()
+                let t_base = sm_phase_time(phase_costs.clone());
+                let mem_weight: f64 = phase_costs
+                    .clone()
                     .map(|c| c.mem_fraction * c.t_solo_s)
                     .sum::<f64>()
-                    / refs.iter().map(|c| c.t_solo_s).sum::<f64>();
+                    / phase_costs.map(|c| c.t_solo_s).sum::<f64>();
                 finish += t_base * ((1.0 - mem_weight) + mem_weight * bw_stretch);
             }
             per_sm_finish[sm] = finish;

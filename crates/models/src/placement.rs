@@ -30,8 +30,11 @@ pub struct PlacedBlock {
 /// The static placement of a plan.
 #[derive(Debug, Clone)]
 pub struct Placement {
-    /// Per-SM block lists.
-    pub per_sm: Vec<Vec<PlacedBlock>>,
+    /// Every placed block, grouped by SM (SM 0's first); within an SM in
+    /// placement order, so its phase-0 blocks precede its phase-1 blocks.
+    blocks: Vec<PlacedBlock>,
+    /// SM `sm` holds `blocks[sm_start[sm]..sm_start[sm + 1]]`.
+    sm_start: Vec<usize>,
     /// Per-member solo block costs, aligned with the plan.
     pub costs: Vec<BlockCost>,
     /// Whether a redistribution phase occurred.
@@ -39,14 +42,19 @@ pub struct Placement {
 }
 
 impl Placement {
+    /// Per-SM block lists, SM 0 first.
+    pub fn per_sm(&self) -> impl Iterator<Item = &[PlacedBlock]> {
+        self.sm_start.windows(2).map(|w| &self.blocks[w[0]..w[1]])
+    }
+
     /// SMs with at least one block.
     pub fn sms_used(&self) -> usize {
-        self.per_sm.iter().filter(|b| !b.is_empty()).count()
+        self.per_sm().filter(|b| !b.is_empty()).count()
     }
 
     /// Largest number of blocks any SM holds.
     pub fn max_blocks_per_sm(&self) -> usize {
-        self.per_sm.iter().map(Vec::len).max().unwrap_or(0)
+        self.per_sm().map(<[PlacedBlock]>::len).max().unwrap_or(0)
     }
 
     /// The paper's *type 1* consolidations: at most one block per SM.
@@ -58,9 +66,9 @@ impl Placement {
 /// Interleaving-aware elapsed-time estimate for a set of co-scheduled
 /// blocks on one SM: `max(Σ dᵢ·tᵢ, max tᵢ)` — treat them "as one single
 /// big workload" (Section V).
-pub fn sm_phase_time(blocks: &[&BlockCost]) -> f64 {
-    let issue: f64 = blocks.iter().map(|c| c.issue_demand * c.t_solo_s).sum();
-    let longest = blocks.iter().map(|c| c.t_solo_s).fold(0.0, f64::max);
+pub fn sm_phase_time<'a>(blocks: impl Iterator<Item = &'a BlockCost> + Clone) -> f64 {
+    let issue: f64 = blocks.clone().map(|c| c.issue_demand * c.t_solo_s).sum();
+    let longest = blocks.map(|c| c.t_solo_s).fold(0.0, f64::max);
     issue.max(longest)
 }
 
@@ -73,51 +81,55 @@ pub fn analyze(plan: &ConsolidationPlan, cfg: &GpuConfig) -> Placement {
         .map(|m| BlockCost::derive(&m.desc, cfg))
         .collect();
 
-    // Expand to the global block list in template order.
-    let order: Vec<usize> = plan
+    // The global block list in template order. It is only ever consumed
+    // from the front, so the lazy expansion stands in for a queue.
+    let mut pool = plan
         .members
         .iter()
         .enumerate()
         .flat_map(|(mi, m)| std::iter::repeat_n(mi, m.blocks as usize))
-        .collect();
+        .peekable();
+    let total: usize = plan.members.iter().map(|m| m.blocks as usize).sum();
 
-    let mut per_sm: Vec<Vec<PlacedBlock>> = vec![Vec::new(); n_sms];
+    // Blocks in dispatch order, each with the SM it landed on.
+    let mut placed: Vec<(usize, PlacedBlock)> = Vec::with_capacity(total);
     let mut res: Vec<SmResources> = (0..n_sms).map(|_| SmResources::new(cfg)).collect();
-    let mut pool = std::collections::VecDeque::from(order);
 
     // Round-robin waves: each pass admits at most one block per SM.
     loop {
         let mut progress = false;
-        for sm in 0..n_sms {
-            let Some(&mi) = pool.front() else { break };
-            if res[sm].admit(&plan.members[mi].desc) {
-                per_sm[sm].push(PlacedBlock {
-                    member: mi,
-                    phase: 0,
-                });
-                pool.pop_front();
+        for (sm, sm_res) in res.iter_mut().enumerate() {
+            let Some(&mi) = pool.peek() else { break };
+            if sm_res.admit(&plan.members[mi].desc) {
+                placed.push((
+                    sm,
+                    PlacedBlock {
+                        member: mi,
+                        phase: 0,
+                    },
+                ));
+                pool.next();
                 progress = true;
             }
         }
-        if !progress || pool.is_empty() {
+        if !progress || pool.peek().is_none() {
             break;
         }
     }
 
     let mut redistributed = false;
-    if !pool.is_empty() {
-        // Phase-1 finish estimate per busy SM.
-        let finish: Vec<f64> = per_sm
-            .iter()
-            .map(|blocks| {
-                let refs: Vec<&BlockCost> = blocks.iter().map(|b| &costs[b.member]).collect();
-                if refs.is_empty() {
-                    0.0
-                } else {
-                    sm_phase_time(&refs)
-                }
-            })
-            .collect();
+    if pool.peek().is_some() {
+        // Phase-1 finish estimate per busy SM: `sm_phase_time` of its
+        // blocks, folded in dispatch order (which is each SM's own
+        // placement order).
+        let mut issue = vec![0.0_f64; n_sms];
+        let mut longest = vec![0.0_f64; n_sms];
+        for &(sm, b) in &placed {
+            let c = &costs[b.member];
+            issue[sm] += c.issue_demand * c.t_solo_s;
+            longest[sm] = longest[sm].max(c.t_solo_s);
+        }
+        let finish: Vec<f64> = issue.iter().zip(&longest).map(|(i, l)| i.max(*l)).collect();
         let min_busy = finish
             .iter()
             .filter(|&&t| t > 0.0)
@@ -126,20 +138,43 @@ pub fn analyze(plan: &ConsolidationPlan, cfg: &GpuConfig) -> Placement {
             .filter(|&sm| finish[sm] > 0.0 && finish[sm] <= min_busy * (1.0 + 1e-9))
             .collect();
         if !idle.is_empty() {
-            let mut next = 0usize;
-            while let Some(mi) = pool.pop_front() {
-                per_sm[idle[next % idle.len()]].push(PlacedBlock {
-                    member: mi,
-                    phase: 1,
-                });
-                next += 1;
+            for (next, mi) in pool.enumerate() {
+                placed.push((
+                    idle[next % idle.len()],
+                    PlacedBlock {
+                        member: mi,
+                        phase: 1,
+                    },
+                ));
             }
             redistributed = true;
         }
     }
 
+    // Stable counting sort of the dispatch-order list by SM.
+    let mut sm_start = vec![0usize; n_sms + 1];
+    for &(sm, _) in &placed {
+        sm_start[sm + 1] += 1;
+    }
+    for sm in 0..n_sms {
+        sm_start[sm + 1] += sm_start[sm];
+    }
+    let mut cursor = sm_start.clone();
+    let mut blocks = vec![
+        PlacedBlock {
+            member: 0,
+            phase: 0
+        };
+        placed.len()
+    ];
+    for (sm, b) in placed {
+        blocks[cursor[sm]] = b;
+        cursor[sm] += 1;
+    }
+
     Placement {
-        per_sm,
+        blocks,
+        sm_start,
         costs,
         redistributed,
     }
@@ -186,14 +221,14 @@ mod tests {
         let p = analyze(&plan, &cfg());
         assert!(p.redistributed);
         assert!(!p.is_type1());
-        for sm in 0..15 {
-            let members: Vec<usize> = p.per_sm[sm].iter().map(|b| b.member).collect();
-            assert_eq!(members, vec![0, 1, 1], "SM{sm} should hold 1 enc + 2 mc");
-            assert_eq!(p.per_sm[sm][1].phase, 1);
-        }
-        for sm in 15..30 {
-            let members: Vec<usize> = p.per_sm[sm].iter().map(|b| b.member).collect();
-            assert_eq!(members, vec![1], "SM{sm} should hold a single mc block");
+        for (sm, blocks) in p.per_sm().enumerate() {
+            let members: Vec<usize> = blocks.iter().map(|b| b.member).collect();
+            if sm < 15 {
+                assert_eq!(members, vec![0, 1, 1], "SM{sm} should hold 1 enc + 2 mc");
+                assert_eq!(blocks[1].phase, 1);
+            } else {
+                assert_eq!(members, vec![1], "SM{sm} should hold a single mc block");
+            }
         }
     }
 
@@ -214,13 +249,13 @@ mod tests {
         // 60 blocks fill exactly two waves: SMs 0–14 hold 1 search + 1
         // BS (the paper's critical-SM placement), SMs 15–29 hold 2 BS.
         // Nothing is left untouched, so no redistribution occurs.
-        for sm in 0..15 {
-            let members: Vec<usize> = p.per_sm[sm].iter().map(|b| b.member).collect();
-            assert_eq!(members, vec![0, 1], "SM{sm} should hold search + BS");
-        }
-        for sm in 15..30 {
-            let members: Vec<usize> = p.per_sm[sm].iter().map(|b| b.member).collect();
-            assert_eq!(members, vec![1, 1], "SM{sm} should hold 2 BS");
+        for (sm, blocks) in p.per_sm().enumerate() {
+            let members: Vec<usize> = blocks.iter().map(|b| b.member).collect();
+            if sm < 15 {
+                assert_eq!(members, vec![0, 1], "SM{sm} should hold search + BS");
+            } else {
+                assert_eq!(members, vec![1, 1], "SM{sm} should hold 2 BS");
+            }
         }
         assert!(!p.redistributed);
     }
@@ -234,11 +269,11 @@ mod tests {
             BlockCost::derive(&d, &c)
         };
         let comp = BlockCost::derive(&compute("c", 64, 16, mem.t_solo_s * 0.4), &c);
-        let t = sm_phase_time(&[&mem, &comp]);
+        let t = sm_phase_time([&mem, &comp].into_iter());
         // Σd·t small; the long memory block dominates.
         assert!((t - mem.t_solo_s).abs() / mem.t_solo_s < 0.2);
         // Two compute blocks serialise.
-        let t2 = sm_phase_time(&[&comp, &comp]);
+        let t2 = sm_phase_time([&comp, &comp].into_iter());
         assert!((t2 - 2.0 * comp.t_solo_s).abs() < 1e-9);
     }
 

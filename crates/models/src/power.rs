@@ -108,7 +108,7 @@ impl PowerModel {
         per_sm_finish: &[f64],
     ) -> f64 {
         let mut total = 0.0;
-        for (sm, blocks) in placement.per_sm.iter().enumerate() {
+        for (sm, blocks) in placement.per_sm().enumerate() {
             if blocks.is_empty() {
                 continue;
             }
