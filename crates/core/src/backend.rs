@@ -1,4 +1,4 @@
-//! The backend daemon (Section IV).
+//! The backend (Section IV).
 //!
 //! "The backend is a daemon, launched before any workload execution...
 //! it is the backend that really conducts the CUDA API calls and kernel
@@ -8,6 +8,13 @@
 //! process boundaries through a **pre-allocated staging buffer**
 //! (process → buffer → device: two copies, the paper's main overhead),
 //! and every frontend message pays a channel round trip.
+//!
+//! The paper's daemon is a process behind an RPC channel; here it is a
+//! value behind a mutex ([`SharedBackend`]) that frontends call
+//! directly. What the channel *costs* — one round trip per message,
+//! staging copies, coordination — is charged to the virtual clock per
+//! message; the flush conditions are re-checked after every message, so
+//! batching depends only on the order calls arrive in.
 //!
 //! Kernel launches queue in the pending list. When the pending count
 //! reaches the threshold (10 × number of GPUs, Section VII) — or a
@@ -24,10 +31,8 @@
 //! are issued asynchronously — the device's clock runs ahead on its own,
 //! so groups dispatched to different GPUs genuinely overlap.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex};
 
 use ewc_cpu::CpuTask;
 use ewc_exec::VirtualClock;
@@ -43,25 +48,30 @@ use crate::config::RuntimeConfig;
 use crate::decision::{Choice, DecisionEngine};
 use crate::leader::LeaderCoordinator;
 use crate::optimize::ConstantCache;
-use crate::protocol::{CoreError, ExecConfig, KernelRequest, Request};
+use crate::protocol::{CoreError, ExecConfig, KernelRequest};
 use crate::resilience::RuntimeFaultInjector;
 use crate::stats::{BackendStats, ConsolidationRecord, KernelOutcome};
 use crate::template::TemplateRegistry;
 use ewc_models::PolicyKnob;
 
-/// Channel + thread handle for a running backend.
-pub struct BackendHandles {
-    /// Request channel into the daemon.
-    pub sender: Sender<Request>,
-    /// The daemon thread.
-    pub join: JoinHandle<()>,
-}
+/// The one backend a [`crate::Runtime`] and all its frontends share.
+/// `None` once the runtime has shut down: every later frontend call
+/// answers [`CoreError::Disconnected`].
+pub(crate) type SharedBackend = Arc<Mutex<Option<Backend>>>;
 
-/// Spawn the backend daemon thread over a pool of devices.
+/// What [`Backend::shutdown`] hands back: final statistics, each
+/// device's activity profile, and the final host clock.
+pub(crate) type ShutdownReport = (
+    BackendStats,
+    Vec<Vec<ewc_gpu::counters::ActivityInterval>>,
+    f64,
+);
+
+/// Start the backend over a pool of devices.
 ///
 /// `faults` is the optional runtime-boundary fault injector (channel
 /// drops/retransmits); pass `None` for a healthy channel.
-pub fn spawn(
+pub(crate) fn start(
     cfg: RuntimeConfig,
     gpus: Vec<GpuDevice>,
     registry: HashMap<String, Arc<dyn Workload>>,
@@ -69,9 +79,8 @@ pub fn spawn(
     decision: DecisionEngine,
     sink: TelemetrySink,
     faults: Option<Arc<dyn RuntimeFaultInjector>>,
-) -> BackendHandles {
+) -> SharedBackend {
     assert!(!gpus.is_empty(), "backend needs at least one GPU");
-    let (tx, rx) = std::sync::mpsc::channel();
     let coordinator = LeaderCoordinator::new(&cfg);
     let constants = gpus
         .iter()
@@ -90,9 +99,9 @@ pub fn spawn(
         "fleet spec must describe every device in the pool"
     );
     let fleet = FleetGovernor::new(&fleet_cfg, &cfg.resilience);
-    // Virtual span mode: the backend adopts the sink's executor clock
-    // as its host clock, so spans land on the exact timeline the caller
-    // is driving.
+    // A sink that carries an executor clock lends it to the backend as
+    // its host clock, so spans land on the exact timeline the caller is
+    // driving.
     let clock = sink.virtual_clock().cloned().unwrap_or_default();
     let admission = cfg.admission.clone().map(AdmissionState::new);
     let backend = Backend {
@@ -114,21 +123,15 @@ pub fn spawn(
         ctx_constants: HashMap::new(),
         remap: HashMap::new(),
         failures: HashMap::new(),
-        dead: HashSet::new(),
         admission,
         next_seq: 0,
-        deferred_replies: Vec::new(),
         clock,
         extract_scratch: Vec::new(),
         flush_scratch: Vec::new(),
         saturated_scratch: Vec::new(),
         fleet_throttles_seen: 0,
     };
-    let join = std::thread::Builder::new()
-        .name("ewc-backend".into())
-        .spawn(move || backend.run(rx))
-        .expect("spawn backend thread");
-    BackendHandles { sender: tx, join }
+    Arc::new(Mutex::new(Some(backend)))
 }
 
 #[derive(Default)]
@@ -146,7 +149,7 @@ enum MemberFate {
     Failed(GpuError),
 }
 
-struct Backend {
+pub(crate) struct Backend {
     cfg: RuntimeConfig,
     gpus: Vec<GpuDevice>,
     registry: HashMap<String, Arc<dyn Workload>>,
@@ -182,25 +185,15 @@ struct Backend {
     /// Permanently failed launches awaiting delivery: each context's
     /// next `sync` pops (and returns) one queued failure.
     failures: HashMap<u64, VecDeque<(u64, CoreError)>>,
-    /// Contexts already reaped (disconnected frontends), so a dead reply
-    /// channel and an explicit disconnect do not double-drain.
-    dead: HashSet<u64>,
     /// Admission controller + degradation ladder; `None` (the default)
     /// keeps queues unbounded and every path byte-identical with the
     /// pre-admission backend.
     admission: Option<AdmissionState>,
     next_seq: u64,
-    /// Replies parked by [`Backend::send_reply`] in virtual span mode
-    /// until the post-message flush has settled the shared clock — the
-    /// frontend must never resume while a clock advance is still
-    /// pending, or two same-seed runs would race. Each closure sends
-    /// one reply and reports whether the channel was still alive.
-    #[allow(clippy::type_complexity)]
-    deferred_replies: Vec<(u64, Box<dyn FnOnce() -> bool + Send>)>,
     /// Host-side clock: channel, staging and coordination costs. A
-    /// shared [`VirtualClock`] handle, so the telemetry sink (virtual
-    /// span mode) and the circuit breaker observe the same timeline the
-    /// backend advances.
+    /// shared [`VirtualClock`] handle, so a caller that lent its
+    /// executor clock through the sink and the circuit breaker observe
+    /// the same timeline the backend advances.
     clock: VirtualClock,
     /// Recycled storage for [`Backend::extract`]'s mark pass, kept
     /// (emptied, capacity intact) between groups so the per-flush
@@ -216,49 +209,24 @@ struct Backend {
 }
 
 impl Backend {
-    fn run(mut self, rx: Receiver<Request>) {
-        // In virtual span mode batch boundaries must not depend on OS
-        // thread timing, so the flush conditions are re-checked after
-        // *every* message: batching then depends only on the (caller-
-        // driven, deterministic) channel order. The default mode keeps
-        // the burst boundary of a live daemon.
-        let per_message = self.sink.virtual_clock().is_some();
-        'daemon: loop {
-            let Ok(req) = rx.recv() else { break };
-            if self.step(req, per_message) {
-                break;
-            }
-            // Drain whatever is already queued before considering
-            // consolidation, so a burst of requests from concurrent
-            // frontends lands in one pending set (the enterprise arrival
-            // pattern the paper assumes).
-            while let Ok(more) = rx.try_recv() {
-                if self.step(more, per_message) {
-                    break 'daemon;
-                }
-            }
-            if !per_message {
-                self.check_flush();
-            }
+    /// One intercepted API call from context `ctx`: charge the channel
+    /// hop, handle the call, emit one span over the interval the
+    /// frontend blocked on (round trip + backend-side handling), then
+    /// re-check the flush conditions — after *every* message, so batch
+    /// boundaries depend only on the order calls arrive in. The answer
+    /// is returned only once the flush has settled the clock.
+    fn rpc<T>(&mut self, kind: &'static str, ctx: u64, handle: impl FnOnce(&mut Self) -> T) -> T {
+        let rpc_start_s = self.clock.now_s();
+        self.charge_channel();
+        let answer = handle(self);
+        if self.sink.is_enabled() {
+            self.sink
+                .span("host", "backend", kind, rpc_start_s, self.clock.now_s())
+                .attr("ctx", ctx)
+                .emit();
         }
-    }
-
-    /// Handle one message, then (in virtual span mode) run the flush it
-    /// may have triggered and only *then* release any parked replies:
-    /// the flush advances the shared clock, and a frontend resumed
-    /// before the advance settles would race it (reading the clock for
-    /// its next arrival or backoff), making same-seed runs diverge.
-    fn step(&mut self, req: Request, per_message: bool) -> bool {
-        let shutdown = self.handle(req);
-        if per_message && !shutdown {
-            self.check_flush();
-        }
-        for (ctx, send) in std::mem::take(&mut self.deferred_replies) {
-            if !send() {
-                self.reap(ctx, "reply channel dead", true);
-            }
-        }
-        shutdown
+        self.check_flush();
+        answer
     }
 
     /// The batching conditions: flush on reaching the group-size
@@ -523,201 +491,209 @@ impl Backend {
         self.clock.advance_to(self.gpus[d].now_s());
     }
 
-    /// Handle one request; returns true on shutdown.
-    fn handle(&mut self, req: Request) -> bool {
-        if let Request::AdvanceClock { to_s } = req {
-            // Harness construct, not an API call: no channel cost.
-            self.clock.advance_to(to_s);
-            return false;
-        }
-        if let Request::AdvanceClockBy { by_s } = req {
-            // A client waiting out a backoff: no channel cost.
-            self.clock.advance_by(by_s.max(0.0));
-            return false;
-        }
-        if let Request::Disconnect { ctx } = req {
-            // A dying process pays nothing and can observe nothing: no
-            // channel cost, no RPC span. Its pending work is drained.
-            self.reap(ctx, "disconnect", false);
-            return false;
-        }
-        let kind = req.kind();
-        let ctx = req.ctx();
-        let rpc_start_s = self.clock.now_s();
-        self.charge_channel();
-        let shutdown = self.dispatch(req);
-        // One span per intercepted API call: the frontend blocked on this
-        // interval (channel round trip + backend-side handling).
-        if self.sink.is_enabled() {
-            let mut span = self
-                .sink
-                .span("host", "backend", kind, rpc_start_s, self.clock.now_s());
-            if let Some(ctx) = ctx {
-                span = span.attr("ctx", ctx);
-            }
-            span.emit();
-        }
-        shutdown
+    /// Advance the host clock to (at least) `to_s`. A harness
+    /// construct, not an API call: no channel cost, no span.
+    pub(crate) fn advance_clock(&mut self, to_s: f64) {
+        self.clock.advance_to(to_s);
+        self.check_flush();
     }
 
-    fn dispatch(&mut self, req: Request) -> bool {
-        match req {
-            Request::Malloc { ctx, len, reply } => {
-                let d = self.device_for(ctx);
-                let r = self.gpus[d].malloc(len).map_err(CoreError::from);
-                if let Ok(ptr) = &r {
-                    self.ctx_allocs.entry(ctx).or_default().push((*ptr, len));
-                }
-                self.send_reply(ctx, reply, r);
+    /// A client waiting out a backoff: no channel cost, no span.
+    pub(crate) fn advance_clock_by(&mut self, by_s: f64) {
+        self.clock.advance_by(by_s.max(0.0));
+        self.check_flush();
+    }
+
+    /// A frontend is gone. A dying process pays nothing and can observe
+    /// nothing: no channel cost, no span. Its pending work is drained.
+    pub(crate) fn disconnect(&mut self, ctx: u64) {
+        self.reap(ctx);
+        self.check_flush();
+    }
+
+    /// `cudaMalloc`.
+    pub(crate) fn malloc(&mut self, ctx: u64, len: u64) -> Result<DevicePtr, CoreError> {
+        self.rpc("malloc", ctx, |b| {
+            let d = b.device_for(ctx);
+            let ptr = b.gpus[d].malloc(len)?;
+            b.ctx_allocs.entry(ctx).or_default().push((ptr, len));
+            Ok(ptr)
+        })
+    }
+
+    /// `cudaFree`.
+    pub(crate) fn free(&mut self, ctx: u64, ptr: DevicePtr) -> Result<(), CoreError> {
+        self.rpc("free", ctx, |b| {
+            let d = b.device_for(ctx);
+            let actual = b.resolve(ctx, ptr);
+            b.gpus[d].free(actual)?;
+            if let Some(allocs) = b.ctx_allocs.get_mut(&ctx) {
+                allocs.retain(|(p, _)| *p != ptr);
             }
-            Request::Free { ctx, ptr, reply } => {
-                let d = self.device_for(ctx);
-                let actual = self.resolve(ctx, ptr);
-                let r = self.gpus[d].free(actual).map_err(CoreError::from);
-                if r.is_ok() {
-                    if let Some(allocs) = self.ctx_allocs.get_mut(&ctx) {
-                        allocs.retain(|(p, _)| *p != ptr);
+            if let Some(m) = b.remap.get_mut(&ctx) {
+                m.remove(&ptr);
+            }
+            Ok(())
+        })
+    }
+
+    /// `cudaMemcpy` host→device: the data crosses process boundaries
+    /// via the staging buffer.
+    pub(crate) fn memcpy_h2d(
+        &mut self,
+        ctx: u64,
+        dst: DevicePtr,
+        offset: u64,
+        data: &[u8],
+    ) -> Result<(), CoreError> {
+        self.rpc("memcpy_h2d", ctx, |b| {
+            b.charge_staging(data.len() as u64);
+            let d = b.device_for(ctx);
+            let dst = b.resolve(ctx, dst);
+            b.catch_up(d);
+            let r = b.gpus[d].memcpy_h2d(dst, offset, data);
+            b.host_joins(d);
+            r.map(|_| ()).map_err(CoreError::from)
+        })
+    }
+
+    /// `cudaMemcpy` device→host.
+    pub(crate) fn memcpy_d2h(
+        &mut self,
+        ctx: u64,
+        src: DevicePtr,
+        offset: u64,
+        len: u64,
+    ) -> Result<Vec<u8>, CoreError> {
+        self.rpc("memcpy_d2h", ctx, |b| {
+            let d = b.device_for(ctx);
+            let src = b.resolve(ctx, src);
+            b.catch_up(d);
+            let r = b.gpus[d].memcpy_d2h(src, offset, len);
+            b.host_joins(d);
+            b.charge_staging(len);
+            r.map(|(bytes, _)| bytes).map_err(CoreError::from)
+        })
+    }
+
+    /// `cudaConfigureCall`: capture the execution configuration.
+    pub(crate) fn configure_call(&mut self, ctx: u64, config: ExecConfig) {
+        self.rpc("configure_call", ctx, |b| {
+            b.ctx_state.entry(ctx).or_default().config = Some(config);
+        })
+    }
+
+    /// `cudaSetupArgument`, when argument batching is off.
+    pub(crate) fn setup_argument(&mut self, ctx: u64, arg: KernelArg) {
+        self.rpc("setup_argument", ctx, |b| {
+            b.ctx_state.entry(ctx).or_default().args.push(arg);
+        })
+    }
+
+    /// `cudaLaunch`: enqueue a kernel; the answer is its ticket. With
+    /// argument batching on, the accumulated arguments ride along as
+    /// `batched_args`; `attempt` counts prior `Busy` answers.
+    pub(crate) fn launch(
+        &mut self,
+        ctx: u64,
+        name: Arc<str>,
+        batched_args: Option<Vec<KernelArg>>,
+        priority: Priority,
+        attempt: u32,
+    ) -> Result<u64, CoreError> {
+        self.rpc("launch", ctx, |b| {
+            b.enqueue_launch(ctx, name, batched_args, priority, attempt)
+        })
+    }
+
+    /// Load-once constant data (the backend API of Section IV's
+    /// application-specific optimisation).
+    pub(crate) fn register_constant(
+        &mut self,
+        ctx: u64,
+        key: &str,
+        data: &[u8],
+    ) -> Result<DevicePtr, CoreError> {
+        self.rpc("register_constant", ctx, |b| {
+            b.charge_staging(data.len() as u64);
+            let d = b.device_for(ctx);
+            b.catch_up(d);
+            let r = b.constants[d].register(&mut b.gpus[d], key, data);
+            b.host_joins(d);
+            match &r {
+                Ok(up) => {
+                    if up.cache_hit {
+                        b.stats.constant_hits += 1;
+                    } else {
+                        b.stats.constant_misses += 1;
                     }
-                    if let Some(m) = self.remap.get_mut(&ctx) {
-                        m.remove(&ptr);
-                    }
-                }
-                self.send_reply(ctx, reply, r);
-            }
-            Request::MemcpyH2D {
-                ctx,
-                dst,
-                offset,
-                data,
-                reply,
-            } => {
-                self.charge_staging(data.len() as u64);
-                let d = self.device_for(ctx);
-                let dst = self.resolve(ctx, dst);
-                self.catch_up(d);
-                let r = self.gpus[d]
-                    .memcpy_h2d(dst, offset, &data)
-                    .map(|_| ())
-                    .map_err(CoreError::from);
-                self.host_joins(d);
-                self.send_reply(ctx, reply, r);
-            }
-            Request::MemcpyD2H {
-                ctx,
-                src,
-                offset,
-                len,
-                reply,
-            } => {
-                let d = self.device_for(ctx);
-                let src = self.resolve(ctx, src);
-                self.catch_up(d);
-                let r = self.gpus[d]
-                    .memcpy_d2h(src, offset, len)
-                    .map(|(bytes, _)| bytes)
-                    .map_err(CoreError::from);
-                self.host_joins(d);
-                self.charge_staging(len);
-                self.send_reply(ctx, reply, r);
-            }
-            Request::ConfigureCall { ctx, config } => {
-                self.ctx_state.entry(ctx).or_default().config = Some(config);
-            }
-            Request::SetupArgument { ctx, arg } => {
-                self.ctx_state.entry(ctx).or_default().args.push(arg);
-            }
-            Request::Launch {
-                ctx,
-                name,
-                batched_args,
-                priority,
-                attempt,
-                reply,
-            } => {
-                let r = self.enqueue_launch(ctx, name, batched_args, priority, attempt);
-                self.send_reply(ctx, reply, r);
-            }
-            Request::RegisterConstant {
-                ctx,
-                key,
-                data,
-                reply,
-            } => {
-                self.charge_staging(data.len() as u64);
-                let d = self.device_for(ctx);
-                self.catch_up(d);
-                let r = self.constants[d].register(&mut self.gpus[d], &key, &data);
-                self.host_joins(d);
-                match &r {
-                    Ok(up) if up.cache_hit => self.stats.constant_hits += 1,
-                    Ok(_) => self.stats.constant_misses += 1,
-                    Err(e) => {
-                        // The error reaches the frontend in the reply; it
-                        // must also be visible backend-side, not swallowed.
-                        self.stats.constant_errors += 1;
-                        if self.sink.is_enabled() {
-                            self.sink.counter_add("constant_errors", 1.0);
-                            self.sink
-                                .span(
-                                    "host",
-                                    "backend",
-                                    "constant_error",
-                                    self.clock.now_s(),
-                                    self.clock.now_s(),
-                                )
-                                .attr("error", e.to_string())
-                                .emit();
-                        }
-                    }
-                }
-                if let Ok(up) = &r {
                     // Remember the registration so drain/migrate can
                     // re-load the constant on a destination device.
-                    let entry = self.ctx_constants.entry(ctx).or_default();
-                    if !entry.iter().any(|(k, _, _)| *k == key) {
-                        entry.push((key, up.ptr, data));
+                    let entry = b.ctx_constants.entry(ctx).or_default();
+                    if !entry.iter().any(|(k, _, _)| k == key) {
+                        entry.push((key.to_string(), up.ptr, data.to_vec()));
                     }
                 }
-                self.send_reply(ctx, reply, r.map(|u| u.ptr).map_err(CoreError::from));
-            }
-            Request::AdvanceClock { .. }
-            | Request::AdvanceClockBy { .. }
-            | Request::Disconnect { .. } => {
-                unreachable!("handled above")
-            }
-            Request::Sync { ctx, reply } => {
-                self.flush(true);
-                // Sync waits for every device to drain.
-                for d in 0..self.gpus.len() {
-                    self.host_joins(d);
+                Err(e) => {
+                    // The error reaches the frontend in the answer; it
+                    // must also be visible backend-side, not swallowed.
+                    b.stats.constant_errors += 1;
+                    if b.sink.is_enabled() {
+                        b.sink.counter_add("constant_errors", 1.0);
+                        b.sink
+                            .span(
+                                "host",
+                                "backend",
+                                "constant_error",
+                                b.clock.now_s(),
+                                b.clock.now_s(),
+                            )
+                            .attr("error", e.to_string())
+                            .emit();
+                    }
                 }
-                // Deliver one queued permanent failure per sync: the
-                // launch already returned a ticket, so this is where the
-                // offending frontend learns its kernel died.
-                let r = match self.failures.get_mut(&ctx).and_then(VecDeque::pop_front) {
-                    Some((_seq, e)) => Err(e),
-                    None => Ok(()),
-                };
-                self.send_reply(ctx, reply, r);
             }
-            Request::Shutdown { reply } => {
-                self.flush(true);
-                for d in 0..self.gpus.len() {
-                    self.host_joins(d);
-                }
-                let activities: Vec<Vec<ewc_gpu::counters::ActivityInterval>> =
-                    self.gpus.iter().map(|g| g.activity().to_vec()).collect();
-                self.stats.placements = self.fleet.placements().to_vec();
-                self.stats.cap_redirects = self.fleet.cap_redirects();
-                let _ = reply.send((
-                    std::mem::take(&mut self.stats),
-                    activities,
-                    self.clock.now_s(),
-                ));
-                return true;
+            r.map(|u| u.ptr).map_err(CoreError::from)
+        })
+    }
+
+    /// Block until every pending kernel (from every frontend) has
+    /// executed.
+    pub(crate) fn sync(&mut self, ctx: u64) -> Result<(), CoreError> {
+        self.rpc("sync", ctx, |b| {
+            b.flush(true);
+            // Sync waits for every device to drain.
+            for d in 0..b.gpus.len() {
+                b.host_joins(d);
             }
+            // Deliver one queued permanent failure per sync: the
+            // launch already returned a ticket, so this is where the
+            // offending frontend learns its kernel died.
+            match b.failures.get_mut(&ctx).and_then(VecDeque::pop_front) {
+                Some((_seq, e)) => Err(e),
+                None => Ok(()),
+            }
+        })
+    }
+
+    /// Drain everything and stop: the last message a backend handles.
+    pub(crate) fn shutdown(mut self) -> ShutdownReport {
+        let rpc_start_s = self.clock.now_s();
+        self.charge_channel();
+        self.flush(true);
+        for d in 0..self.gpus.len() {
+            self.host_joins(d);
         }
-        false
+        let activities = self.gpus.iter().map(|g| g.activity().to_vec()).collect();
+        self.stats.placements = self.fleet.placements().to_vec();
+        self.stats.cap_redirects = self.fleet.cap_redirects();
+        let elapsed_s = self.clock.now_s();
+        if self.sink.is_enabled() {
+            self.sink
+                .span("host", "backend", "shutdown", rpc_start_s, elapsed_s)
+                .emit();
+        }
+        (self.stats, activities, elapsed_s)
     }
 
     fn charge_channel(&mut self) {
@@ -734,32 +710,11 @@ impl Backend {
         }
     }
 
-    /// Reply to a frontend; a dead reply channel means the frontend died
-    /// mid-request, so reap it instead of silently dropping the result.
-    /// In virtual span mode the send is parked until [`Backend::step`]
-    /// has run the post-message flush — see `deferred_replies`.
-    fn send_reply<T: Send + 'static>(
-        &mut self,
-        ctx: u64,
-        reply: Sender<Result<T, CoreError>>,
-        r: Result<T, CoreError>,
-    ) {
-        if self.sink.virtual_clock().is_some() {
-            self.deferred_replies
-                .push((ctx, Box::new(move || reply.send(r).is_ok())));
-        } else if reply.send(r).is_err() {
-            self.reap(ctx, "reply channel dead", true);
-        }
-    }
-
     /// Drain a departed frontend: drop its queued launches (group peers
     /// must not wait on a corpse), its call state and its undelivered
-    /// failures. `abnormal` marks deaths detected mid-request (dead reply
-    /// channel) rather than announced disconnects.
-    fn reap(&mut self, ctx: u64, why: &str, abnormal: bool) {
-        if !self.dead.insert(ctx) {
-            return;
-        }
+    /// failures. Runs once per context — `Frontend::drop` is the only
+    /// way a context leaves.
+    fn reap(&mut self, ctx: u64) {
         self.ctx_state.remove(&ctx);
         // Failure notices queued for a dead context can never be
         // delivered (delivery is pull-based, at sync): drop them here
@@ -793,16 +748,14 @@ impl Backend {
         self.stats.drained_requests += drained.len() as u64;
         // A clean disconnect with nothing pending is the normal end of a
         // process's life — not worth a log line or a stat.
-        if drained.is_empty() && !abnormal {
+        if drained.is_empty() {
             return;
         }
         self.stats.reaped_frontends += 1;
         if self.sink.is_enabled() {
             self.sink.counter_add("frontends_reaped", 1.0);
-            if !drained.is_empty() {
-                self.sink
-                    .counter_add("requests_drained", drained.len() as f64);
-            }
+            self.sink
+                .counter_add("requests_drained", drained.len() as f64);
             self.sink.audit(DecisionRecord {
                 time_s: self.clock.now_s(),
                 kernels: drained.iter().map(|r| r.name.clone()).collect(),
@@ -811,7 +764,7 @@ impl Backend {
                 serial: None,
                 cpu: None,
                 reason: format!(
-                    "frontend ctx {ctx} gone ({why}); drained {} pending launch(es)",
+                    "frontend ctx {ctx} gone (disconnect); drained {} pending launch(es)",
                     drained.len()
                 ),
             });
@@ -982,7 +935,7 @@ impl Backend {
                 // No template matches anywhere: run the oldest kernel on
                 // its own ("the backend lets the kernels run normally").
                 // The queue cannot be empty here (checked at loop top),
-                // but a daemon must never bet its life on an invariant.
+                // but the backend must never bet its life on an invariant.
                 let Some(oldest) = (0..self.pending.len()).min_by_key(|&i| self.pending[i].seq)
                 else {
                     return;
@@ -990,7 +943,7 @@ impl Backend {
                 let group = self.extract(vec![oldest]);
                 let Some(d) = self.fleet.binding(group[0].ctx) else {
                     // No device binding (cannot happen: enqueue binds):
-                    // drop rather than crash the daemon.
+                    // drop rather than panic under the shared lock.
                     return;
                 };
                 self.execute_group(d, "<individual>", group);
@@ -1512,21 +1465,13 @@ impl Backend {
     /// `sync`, and audit it.
     fn record_failure(&mut self, req: &KernelRequest, e: GpuError) {
         self.stats.failed_kernels += 1;
-        if self.dead.contains(&req.ctx) {
-            // The context was reaped mid-flush (dead reply channel):
-            // nobody will ever sync to collect this notice, and the
-            // idempotence guard means reap will not run again for this
-            // context — queueing it would leak across frontend churn.
-            self.stats.undelivered_failures += 1;
-        } else {
-            self.failures.entry(req.ctx).or_default().push_back((
-                req.seq,
-                CoreError::KernelFailed {
-                    seq: req.seq,
-                    gpu: e.clone(),
-                },
-            ));
-        }
+        self.failures.entry(req.ctx).or_default().push_back((
+            req.seq,
+            CoreError::KernelFailed {
+                seq: req.seq,
+                gpu: e.clone(),
+            },
+        ));
         if self.sink.is_enabled() {
             self.sink.counter_add("requests_failed", 1.0);
             self.sink.audit(DecisionRecord {

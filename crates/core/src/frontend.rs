@@ -2,27 +2,28 @@
 //!
 //! "The frontend is a shared library, loaded into applications to
 //! intercept specific CUDA Runtime API calls" — here, a handle each user
-//! "process" (thread) holds. Every call forwards to the backend daemon
-//! over the channel and blocks on the reply, matching the synchronous
+//! "process" (thread) holds. Every call is one message to the backend:
+//! it takes the shared backend's lock, pays the modelled channel round
+//! trip there, and returns the answer — blocking, like the synchronous
 //! CUDA runtime API. With **argument batching** on, `setup_argument`
 //! values accumulate locally and ride along with `launch`, cutting the
 //! per-call round trips that dominate small-workload consolidation
 //! overhead.
 
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 use ewc_gpu::kernel::KernelArg;
 use ewc_gpu::{DevicePtr, SimRng};
 
 use crate::admission::Priority;
-use crate::protocol::{CoreError, ExecConfig, Request};
+use crate::backend::{Backend, SharedBackend};
+use crate::protocol::{CoreError, ExecConfig};
 
 /// A per-process frontend handle. Cloning is intentionally not provided:
 /// one frontend = one process context, as in the paper.
 pub struct Frontend {
     ctx: u64,
-    tx: Sender<Request>,
+    backend: SharedBackend,
     batching: bool,
     held_args: Vec<KernelArg>,
     priority: Priority,
@@ -34,10 +35,10 @@ pub struct Frontend {
 }
 
 impl Frontend {
-    pub(crate) fn new(ctx: u64, tx: Sender<Request>, batching: bool) -> Self {
+    pub(crate) fn new(ctx: u64, backend: SharedBackend, batching: bool) -> Self {
         Frontend {
             ctx,
-            tx,
+            backend,
             batching,
             held_args: Vec::new(),
             priority: Priority::Normal,
@@ -63,59 +64,32 @@ impl Frontend {
         self.priority
     }
 
-    fn rpc<T>(
-        &self,
-        build: impl FnOnce(Sender<Result<T, CoreError>>) -> Request,
-    ) -> Result<T, CoreError>
-    where
-        T: Send,
-    {
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        self.tx
-            .send(build(reply_tx))
-            .map_err(|_| CoreError::Disconnected)?;
-        reply_rx.recv().map_err(|_| CoreError::Disconnected)?
+    /// Deliver one message: run `f` on the backend under the shared
+    /// lock. [`CoreError::Disconnected`] when the runtime has shut down
+    /// or a panic inside the backend poisoned the lock.
+    fn call<T>(&self, f: impl FnOnce(&mut Backend) -> T) -> Result<T, CoreError> {
+        let mut backend = self.backend.lock().map_err(|_| CoreError::Disconnected)?;
+        backend.as_mut().map(f).ok_or(CoreError::Disconnected)
     }
 
     /// `cudaMalloc`.
     pub fn malloc(&self, len: u64) -> Result<DevicePtr, CoreError> {
-        self.rpc(|reply| Request::Malloc {
-            ctx: self.ctx,
-            len,
-            reply,
-        })
+        self.call(|b| b.malloc(self.ctx, len))?
     }
 
     /// `cudaFree`.
     pub fn free(&self, ptr: DevicePtr) -> Result<(), CoreError> {
-        self.rpc(|reply| Request::Free {
-            ctx: self.ctx,
-            ptr,
-            reply,
-        })
+        self.call(|b| b.free(self.ctx, ptr))?
     }
 
     /// `cudaMemcpyHostToDevice`.
     pub fn memcpy_h2d(&self, dst: DevicePtr, offset: u64, data: &[u8]) -> Result<(), CoreError> {
-        let data = data.to_vec();
-        self.rpc(move |reply| Request::MemcpyH2D {
-            ctx: self.ctx,
-            dst,
-            offset,
-            data,
-            reply,
-        })
+        self.call(|b| b.memcpy_h2d(self.ctx, dst, offset, data))?
     }
 
     /// `cudaMemcpyDeviceToHost`.
     pub fn memcpy_d2h(&self, src: DevicePtr, offset: u64, len: u64) -> Result<Vec<u8>, CoreError> {
-        self.rpc(|reply| Request::MemcpyD2H {
-            ctx: self.ctx,
-            src,
-            offset,
-            len,
-            reply,
-        })
+        self.call(|b| b.memcpy_d2h(self.ctx, src, offset, len))?
     }
 
     /// `cudaConfigureCall`: capture the execution configuration.
@@ -124,15 +98,11 @@ impl Frontend {
         grid_blocks: u32,
         threads_per_block: u32,
     ) -> Result<(), CoreError> {
-        self.tx
-            .send(Request::ConfigureCall {
-                ctx: self.ctx,
-                config: ExecConfig {
-                    grid_blocks,
-                    threads_per_block,
-                },
-            })
-            .map_err(|_| CoreError::Disconnected)
+        let config = ExecConfig {
+            grid_blocks,
+            threads_per_block,
+        };
+        self.call(|b| b.configure_call(self.ctx, config))
     }
 
     /// `cudaSetupArgument`: with batching on, held locally until
@@ -142,9 +112,7 @@ impl Frontend {
             self.held_args.push(arg);
             Ok(())
         } else {
-            self.tx
-                .send(Request::SetupArgument { ctx: self.ctx, arg })
-                .map_err(|_| CoreError::Disconnected)
+            self.call(|b| b.setup_argument(self.ctx, arg))
         }
     }
 
@@ -159,22 +127,9 @@ impl Frontend {
     /// batching on, the held arguments survive a `Busy` answer so the
     /// retry can resend them without replaying `setup_argument`.
     pub fn launch_attempt(&mut self, kernel: &str, attempt: u32) -> Result<u64, CoreError> {
-        let batched = if self.batching {
-            Some(self.held_args.clone())
-        } else {
-            None
-        };
-        let name: Arc<str> = Arc::from(kernel);
-        let ctx = self.ctx;
-        let priority = self.priority;
-        let r = self.rpc(move |reply| Request::Launch {
-            ctx,
-            name,
-            batched_args: batched,
-            priority,
-            attempt,
-            reply,
-        });
+        let batched = self.batching.then(|| self.held_args.clone());
+        let r =
+            self.call(|b| b.launch(self.ctx, Arc::from(kernel), batched, self.priority, attempt))?;
         if self.batching && !matches!(r, Err(CoreError::Busy { .. })) {
             self.held_args.clear();
         }
@@ -191,16 +146,7 @@ impl Frontend {
         priority: Priority,
         attempt: u32,
     ) -> Result<u64, CoreError> {
-        let name: Arc<str> = Arc::from(kernel);
-        let ctx = self.ctx;
-        self.rpc(move |reply| Request::Launch {
-            ctx,
-            name,
-            batched_args: Some(args),
-            priority,
-            attempt,
-            reply,
-        })
+        self.call(|b| b.launch(self.ctx, Arc::from(kernel), Some(args), priority, attempt))?
     }
 
     /// Launch, retrying [`CoreError::Busy`] backpressure answers until
@@ -222,42 +168,27 @@ impl Frontend {
         }
     }
 
-    /// Advance the simulated clock by `delay_s` from now — the
-    /// closed-loop client's way of waiting out a backoff interval.
+    /// Advance the simulated clock by `delay_s` from now (clamped at
+    /// zero) — the closed-loop client's way of waiting out a backoff
+    /// interval.
     pub fn advance_clock_by(&self, delay_s: f64) -> Result<(), CoreError> {
-        self.tx
-            .send(Request::AdvanceClockBy {
-                by_s: delay_s.max(0.0),
-            })
-            .map_err(|_| CoreError::Disconnected)
+        self.call(|b| b.advance_clock_by(delay_s))
     }
 
     /// Register load-once constant data (the Section IV backend API).
     pub fn register_constant(&self, key: &str, data: &[u8]) -> Result<DevicePtr, CoreError> {
-        let key = key.to_string();
-        let data = data.to_vec();
-        self.rpc(move |reply| Request::RegisterConstant {
-            ctx: self.ctx,
-            key,
-            data,
-            reply,
-        })
+        self.call(|b| b.register_constant(self.ctx, key, data))?
     }
 
     /// Advance the simulated device clock to (at least) `to_s` — the
     /// trace-driven harness's way of modelling request arrival times.
     pub fn advance_clock(&self, to_s: f64) -> Result<(), CoreError> {
-        self.tx
-            .send(Request::AdvanceClock { to_s })
-            .map_err(|_| CoreError::Disconnected)
+        self.call(|b| b.advance_clock(to_s))
     }
 
     /// Block until all pending kernels (from every frontend) executed.
     pub fn sync(&self) -> Result<(), CoreError> {
-        self.rpc(|reply| Request::Sync {
-            ctx: self.ctx,
-            reply,
-        })
+        self.call(|b| b.sync(self.ctx))?
     }
 }
 
@@ -266,7 +197,7 @@ impl Drop for Frontend {
     /// launches it will never sync on. Best-effort: if the backend is
     /// already gone there is nobody left to care.
     fn drop(&mut self) {
-        let _ = self.tx.send(Request::Disconnect { ctx: self.ctx });
+        let _ = self.call(|b| b.disconnect(self.ctx));
     }
 }
 
@@ -294,5 +225,5 @@ fn core_to_gpu(e: CoreError) -> ewc_gpu::GpuError {
     }
 }
 
-// Further frontend tests live in `runtime.rs` and the crate's
-// integration tests, where a real backend answers the channel.
+// Frontend tests live in `runtime.rs` and the crate's integration
+// tests, where a real backend answers.

@@ -2,7 +2,7 @@
 //!
 //! The paper's main system (Section IV): a runtime that intercepts
 //! CUDA-style API calls from **multiple user processes**, funnels them to
-//! a backend daemon that owns the GPU, and — when enough kernel requests
+//! one backend that owns the GPU, and — when enough kernel requests
 //! are pending — consolidates them into one large kernel *if the
 //! performance and power models predict an energy win*; otherwise the
 //! kernels run individually on the GPU or on the CPU, whichever their
@@ -12,10 +12,14 @@
 //!
 //! * [`frontend::Frontend`] — the per-process shim. Each API call
 //!   (`malloc`, `memcpy_h2d`, `configure_call`, `setup_argument`,
-//!   `launch`, `memcpy_d2h`, `sync`) becomes a message over a channel to
-//!   the backend, with a per-message cost; `setup_argument` calls can be
-//!   **batched** until `launch` (Section IV's optimisation).
-//! * [`backend`] — the daemon thread (`Backend`). It owns the
+//!   `launch`, `memcpy_d2h`, `sync`) is one message to the backend, with
+//!   a per-message cost; `setup_argument` calls can be **batched** until
+//!   `launch` (Section IV's optimisation).
+//! * [`backend`] — the paper's daemon: one `Backend` behind a mutex that
+//!   every frontend calls directly. The round trips, staging copies and
+//!   coordination the paper's RPC pays are charged to a virtual clock
+//!   per message, and the backend runs only inside a frontend's call, so
+//!   a run is a function of the order calls arrive in. It owns the
 //!   [`ewc_gpu::GpuDevice`], executes every device operation in its own
 //!   context, and stages cross-context memcpys through a **pre-allocated
 //!   buffer** (two copies: process → buffer → device). Kernel launches
@@ -35,7 +39,7 @@
 //!   consolidated / serial-GPU / CPU energy predictions.
 //! * [`optimize`] — constant-data reuse: load-once lookup tables (the
 //!   AES T-tables) shared by all consolidated instances.
-//! * [`runtime::Runtime`] — owns the backend thread and hands out
+//! * [`runtime::Runtime`] — owns the backend and hands out
 //!   frontends; [`runtime::RuntimeReport`] carries the device activity
 //!   profile for energy integration.
 //!
@@ -74,7 +78,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// The daemon must never panic on a fault path: unwraps are banned in
+// The backend must never panic on a fault path: unwraps are banned in
 // shipping code (tests are free to use them).
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -92,7 +96,6 @@ pub mod stats;
 pub mod template;
 
 pub use admission::{AdmissionConfig, AdmissionDecision, DegradationConfig, Priority, ShedCause};
-pub use backend::BackendHandles;
 pub use config::{PowerStatesConfig, RuntimeConfig};
 pub use decision::{Choice, DecisionEngine, StateDecision};
 pub use frontend::Frontend;

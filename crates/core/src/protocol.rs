@@ -1,24 +1,20 @@
-//! Frontend↔backend wire protocol.
+//! Types shared by the frontend and the backend: the errors a frontend
+//! call can answer with, the captured execution configuration, and the
+//! queued kernel launch.
 //!
-//! Each intercepted API call becomes one [`Request`] over the backend's
-//! channel, mirroring the paper's interception of `cudaMalloc`,
-//! `cudaMemcpy`, `cudaConfigureCall`, `cudaSetupArgument` and
-//! `cudaLaunch`. Requests that need an answer carry a one-shot reply
-//! sender; fire-and-forget requests (configure/setup-argument) rely on
-//! channel FIFO ordering, exactly like the real shim relies on API call
-//! order.
+//! Each intercepted API call (`cudaMalloc`, `cudaMemcpy`,
+//! `cudaConfigureCall`, `cudaSetupArgument`, `cudaLaunch`, …) is one
+//! method on the backend and one charged message; the answer is the
+//! method's return value.
 
 use std::fmt;
 use std::sync::Arc;
 
-use std::sync::mpsc::Sender;
-
 use ewc_gpu::kernel::KernelArg;
-use ewc_gpu::{DevicePtr, GpuError};
+use ewc_gpu::GpuError;
 use ewc_workloads::Workload;
 
 use crate::admission::{Priority, ShedCause};
-use crate::stats::BackendStats;
 
 /// Errors surfaced to frontends.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,7 +28,8 @@ pub enum CoreError {
     NotConfigured,
     /// The execution configuration does not match the registered kernel.
     BadConfiguration(String),
-    /// The backend is gone (channel disconnected).
+    /// The backend is gone: the runtime was shut down or dropped, or a
+    /// panic inside the backend poisoned it.
     Disconnected,
     /// A previously enqueued kernel launch could not be completed by any
     /// rung of the degradation ladder (retry, serial re-dispatch, CPU
@@ -160,180 +157,6 @@ impl fmt::Debug for KernelRequest {
     }
 }
 
-/// Messages from frontends to the backend.
-pub enum Request {
-    /// `cudaMalloc`.
-    Malloc {
-        /// Context id.
-        ctx: u64,
-        /// Bytes requested.
-        len: u64,
-        /// Reply channel.
-        reply: Sender<Result<DevicePtr, CoreError>>,
-    },
-    /// `cudaFree`.
-    Free {
-        /// Context id.
-        ctx: u64,
-        /// Pointer to release.
-        ptr: DevicePtr,
-        /// Reply channel.
-        reply: Sender<Result<(), CoreError>>,
-    },
-    /// `cudaMemcpy` host→device: the data crosses process boundaries via
-    /// the backend's staging buffer.
-    MemcpyH2D {
-        /// Context id.
-        ctx: u64,
-        /// Destination device pointer.
-        dst: DevicePtr,
-        /// Byte offset within the allocation.
-        offset: u64,
-        /// Payload.
-        data: Vec<u8>,
-        /// Reply channel.
-        reply: Sender<Result<(), CoreError>>,
-    },
-    /// `cudaMemcpy` device→host.
-    MemcpyD2H {
-        /// Context id.
-        ctx: u64,
-        /// Source device pointer.
-        src: DevicePtr,
-        /// Byte offset within the allocation.
-        offset: u64,
-        /// Bytes to read.
-        len: u64,
-        /// Reply channel.
-        reply: Sender<Result<Vec<u8>, CoreError>>,
-    },
-    /// `cudaConfigureCall` (fire-and-forget; FIFO-ordered).
-    ConfigureCall {
-        /// Context id.
-        ctx: u64,
-        /// Captured configuration.
-        config: ExecConfig,
-    },
-    /// `cudaSetupArgument` (fire-and-forget; used when argument batching
-    /// is off).
-    SetupArgument {
-        /// Context id.
-        ctx: u64,
-        /// The argument value.
-        arg: KernelArg,
-    },
-    /// `cudaLaunch`: enqueue a kernel. With argument batching on, the
-    /// accumulated arguments ride along.
-    Launch {
-        /// Context id.
-        ctx: u64,
-        /// Registered kernel name.
-        name: Arc<str>,
-        /// Batched arguments (None when shipped via `SetupArgument`).
-        batched_args: Option<Vec<KernelArg>>,
-        /// Priority class for admission control.
-        priority: Priority,
-        /// How many times this launch has already been answered `Busy`
-        /// (the admission controller sheds permanently at the limit).
-        attempt: u32,
-        /// Reply channel: the assigned ticket (sequence number).
-        reply: Sender<Result<u64, CoreError>>,
-    },
-    /// Load-once constant data (the backend API of Section IV's
-    /// application-specific optimisation).
-    RegisterConstant {
-        /// Context id.
-        ctx: u64,
-        /// Cache key (e.g. `"aes_ttables"`).
-        key: String,
-        /// Constant bytes.
-        data: Vec<u8>,
-        /// Reply channel.
-        reply: Sender<Result<DevicePtr, CoreError>>,
-    },
-    /// Advance the simulated clock to (at least) `to_s` — used by
-    /// trace-driven harnesses to model request arrival times. Not an
-    /// intercepted API call, so it carries no channel cost.
-    AdvanceClock {
-        /// Target time in seconds (no-op if already past).
-        to_s: f64,
-    },
-    /// Advance the simulated clock by `by_s` from its current value —
-    /// how a closed-loop client waits out a `Busy` backoff interval
-    /// without knowing the backend's absolute time. Like
-    /// `AdvanceClock`, a harness construct with no channel cost.
-    AdvanceClockBy {
-        /// Seconds to advance by (clamped at zero).
-        by_s: f64,
-    },
-    /// The frontend is gone (process died or handle dropped). The
-    /// backend drains the context's pending launches — a dead process
-    /// cannot consume results, and its group peers must not wait for it.
-    /// Sent best-effort by [`crate::Frontend`]'s `Drop`; carries no
-    /// channel cost (a dying process pays nothing).
-    Disconnect {
-        /// Context id of the departed frontend.
-        ctx: u64,
-    },
-    /// Block until every pending kernel has executed.
-    Sync {
-        /// Context id.
-        ctx: u64,
-        /// Reply channel.
-        reply: Sender<Result<(), CoreError>>,
-    },
-    /// Drain, stop the daemon and return statistics plus each device's
-    /// activity profile and the final clock.
-    Shutdown {
-        /// Reply channel.
-        reply: Sender<(
-            BackendStats,
-            Vec<Vec<ewc_gpu::counters::ActivityInterval>>,
-            f64,
-        )>,
-    },
-}
-
-impl Request {
-    /// Context the request belongs to (None for shutdown).
-    pub fn ctx(&self) -> Option<u64> {
-        match self {
-            Request::Malloc { ctx, .. }
-            | Request::Free { ctx, .. }
-            | Request::MemcpyH2D { ctx, .. }
-            | Request::MemcpyD2H { ctx, .. }
-            | Request::ConfigureCall { ctx, .. }
-            | Request::SetupArgument { ctx, .. }
-            | Request::Launch { ctx, .. }
-            | Request::RegisterConstant { ctx, .. }
-            | Request::Disconnect { ctx }
-            | Request::Sync { ctx, .. } => Some(*ctx),
-            Request::AdvanceClock { .. }
-            | Request::AdvanceClockBy { .. }
-            | Request::Shutdown { .. } => None,
-        }
-    }
-
-    /// Short name for tracing.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Request::Malloc { .. } => "malloc",
-            Request::Free { .. } => "free",
-            Request::MemcpyH2D { .. } => "memcpy_h2d",
-            Request::MemcpyD2H { .. } => "memcpy_d2h",
-            Request::ConfigureCall { .. } => "configure_call",
-            Request::SetupArgument { .. } => "setup_argument",
-            Request::Launch { .. } => "launch",
-            Request::RegisterConstant { .. } => "register_constant",
-            Request::AdvanceClock { .. } => "advance_clock",
-            Request::AdvanceClockBy { .. } => "advance_clock_by",
-            Request::Disconnect { .. } => "disconnect",
-            Request::Sync { .. } => "sync",
-            Request::Shutdown { .. } => "shutdown",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,20 +169,5 @@ mod tests {
         assert!(CoreError::from(GpuError::EmptyGrid)
             .to_string()
             .contains("empty"));
-    }
-
-    #[test]
-    fn request_introspection() {
-        let (tx, _rx) = std::sync::mpsc::channel();
-        let r = Request::Malloc {
-            ctx: 3,
-            len: 10,
-            reply: tx,
-        };
-        assert_eq!(r.ctx(), Some(3));
-        assert_eq!(r.kind(), "malloc");
-        let (tx, _rx) = std::sync::mpsc::channel();
-        let r = Request::Shutdown { reply: tx };
-        assert_eq!(r.ctx(), None);
     }
 }

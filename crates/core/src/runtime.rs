@@ -12,11 +12,10 @@ use ewc_models::{EnergyModel, PowerModel};
 use ewc_telemetry::{TelemetrySink, TelemetrySnapshot};
 use ewc_workloads::Workload;
 
-use crate::backend::{self, BackendHandles};
+use crate::backend::{self, SharedBackend, ShutdownReport};
 use crate::config::RuntimeConfig;
 use crate::decision::DecisionEngine;
 use crate::frontend::Frontend;
-use crate::protocol::Request;
 use crate::resilience::RuntimeFaultInjector;
 use crate::stats::BackendStats;
 use crate::template::{Template, TemplateRegistry};
@@ -113,7 +112,7 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Build: trains the power model, spawns the backend, returns the
+    /// Build: trains the power model, starts the backend, returns the
     /// runtime.
     pub fn build(self) -> Runtime {
         let gpus: Vec<GpuDevice> = (0..self.cfg.num_devices())
@@ -162,7 +161,7 @@ impl RuntimeBuilder {
         let noise_seed = self.cfg.noise_seed;
         let batching = self.cfg.argument_batching;
         let sink = self.telemetry.clone();
-        let handles = backend::spawn(
+        let backend = backend::start(
             self.cfg,
             gpus,
             self.workloads,
@@ -172,7 +171,7 @@ impl RuntimeBuilder {
             self.runtime_faults,
         );
         Runtime {
-            handles: Some(handles),
+            backend,
             next_ctx: AtomicU64::new(1),
             batching,
             system,
@@ -197,7 +196,7 @@ pub struct RuntimeReport {
 
 /// A running consolidation runtime.
 pub struct Runtime {
-    handles: Option<BackendHandles>,
+    backend: SharedBackend,
     next_ctx: AtomicU64,
     batching: bool,
     system: GpuSystemPower,
@@ -214,13 +213,7 @@ impl Runtime {
     /// Connect a new user process; returns its frontend shim.
     pub fn connect(&self) -> Frontend {
         let ctx = self.next_ctx.fetch_add(1, Ordering::Relaxed);
-        let tx = self
-            .handles
-            .as_ref()
-            .expect("runtime is live")
-            .sender
-            .clone();
-        Frontend::new(ctx, tx, self.batching)
+        Frontend::new(ctx, Arc::clone(&self.backend), self.batching)
     }
 
     /// The system power composition used for energy integration.
@@ -233,16 +226,17 @@ impl Runtime {
         &self.sink
     }
 
+    /// Take the backend out of the shared slot (frontends answer
+    /// `Disconnected` from here on) and run its shutdown. `None` when it
+    /// is already gone or a panic inside it poisoned the lock.
+    fn stop(&self) -> Option<ShutdownReport> {
+        let backend = self.backend.lock().ok()?.take()?;
+        Some(backend.shutdown())
+    }
+
     /// Drain everything, stop the backend, and report.
-    pub fn shutdown(mut self) -> RuntimeReport {
-        let handles = self.handles.take().expect("runtime is live");
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        handles
-            .sender
-            .send(Request::Shutdown { reply: reply_tx })
-            .expect("backend alive at shutdown");
-        let (stats, activities, elapsed_s) = reply_rx.recv().expect("backend replies to shutdown");
-        handles.join.join().expect("backend thread exits cleanly");
+    pub fn shutdown(self) -> RuntimeReport {
+        let (stats, activities, elapsed_s) = self.stop().expect("backend alive at shutdown");
         let energy = self
             .system
             .integrate_many(&activities, elapsed_s, self.noise_seed);
@@ -270,17 +264,7 @@ impl Runtime {
 
 impl Drop for Runtime {
     fn drop(&mut self) {
-        if let Some(handles) = self.handles.take() {
-            let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-            if handles
-                .sender
-                .send(Request::Shutdown { reply: reply_tx })
-                .is_ok()
-            {
-                let _ = reply_rx.recv();
-            }
-            let _ = handles.join.join();
-        }
+        let _ = self.stop();
     }
 }
 

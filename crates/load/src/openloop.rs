@@ -419,10 +419,9 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
 
     let clock = VirtualClock::new();
     let mut exec: Executor<Harness, LoadTask> = Executor::with_clock(clock.clone());
-    // Either way the backend adopts the executor's exact clock and the
-    // deterministic per-message batch boundaries of virtual-span mode,
-    // so same-seed runs replay byte-identically; `telemetry` only
-    // decides whether spans and the audit log are collected.
+    // Either way the backend adopts the executor's exact clock;
+    // `telemetry` only decides whether spans and the audit log are
+    // collected.
     let sink = if cfg.telemetry {
         TelemetrySink::enabled_virtual(clock)
     } else {
@@ -463,14 +462,11 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
         });
     }
 
-    // Quiesce the backend before the schedule is laid down: the setup
-    // loop ends with a fire-and-forget `configure_call` per stream, and
-    // a straggler still in the channel would race the `t0` read below
-    // (its channel-hop charge landing before or after the read is an OS
-    // scheduling accident). One blocking sync drains the FIFO — every
-    // prior message is fully handled and the clock settled.
+    // One sync closes the setup phase before `t0` is read. It is a
+    // charged message: every recorded schedule starts one channel hop
+    // after the last `configure_call`.
     if let Some(stream) = streams.last() {
-        stream.fe.sync().expect("setup quiesce sync");
+        stream.fe.sync().expect("setup sync");
     }
 
     // Precompute every arrival instant upfront, one dedicated RNG per

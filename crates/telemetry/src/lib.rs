@@ -39,7 +39,7 @@
 //! assert_eq!(snap.spans.len(), 1);
 //! ```
 
-// Telemetry records from inside the backend daemon and the engine hot
+// Telemetry records from inside the backend and the engine hot
 // loop; an observability layer must never be what panics the process.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 

@@ -2,9 +2,8 @@
 //!
 //! A sink is either disabled (the default — every call returns after one
 //! `Option` check, no allocation, no locking) or enabled, in which case it
-//! wraps a mutex-protected collector shared by every clone.  Frontend
-//! threads, the backend thread and the GPU simulator all hold clones of
-//! the same sink; at shutdown a [`TelemetrySnapshot`] is taken and handed
+//! wraps a mutex-protected collector shared by every clone.  The backend,
+//! the GPU simulators and the runtime all hold clones of the same sink; at shutdown a [`TelemetrySnapshot`] is taken and handed
 //! to the exporters.
 
 use std::collections::BTreeMap;
@@ -29,8 +28,8 @@ struct Collector {
 #[derive(Debug, Clone, Default)]
 pub struct TelemetrySink {
     inner: Option<Arc<Mutex<Collector>>>,
-    /// Present in virtual-time span mode: the executor clock the
-    /// recording components align their timelines to.
+    /// The caller's executor clock, when it lent one: the recording
+    /// components align their timelines to it.
     clock: Option<VirtualClock>,
 }
 
@@ -51,14 +50,12 @@ impl TelemetrySink {
         }
     }
 
-    /// A sink in **virtual-time span mode**: collects everything, and
-    /// carries the executor clock recording components should drive
-    /// their timelines from. The backend daemon adopts this clock as
-    /// its host clock and switches to per-message batch boundaries
-    /// (instead of OS-timing-dependent burst boundaries), which makes
-    /// two identical runs produce byte-identical Chrome-trace exports.
-    /// The default [`TelemetrySink::enabled`] mode keeps the burst
-    /// behaviour of a live daemon.
+    /// A sink that collects everything and carries the caller's
+    /// executor clock: the backend adopts it as its host clock (instead
+    /// of a private one starting at zero), so spans land on the exact
+    /// timeline the caller's executor is driving. Which clock is the
+    /// only difference from [`TelemetrySink::enabled`]; batching and
+    /// determinism are the same either way.
     pub fn enabled_virtual(clock: VirtualClock) -> Self {
         Self {
             inner: Some(Arc::new(Mutex::new(Collector::default()))),
@@ -66,12 +63,11 @@ impl TelemetrySink {
         }
     }
 
-    /// A sink that records **nothing** but still carries the executor
-    /// clock: the backend daemon adopts the clock and the deterministic
-    /// per-message batch boundaries of virtual-time span mode, without
-    /// paying for collection. The open-loop load harness runs its
-    /// non-telemetry scenarios in this mode so same-seed storms replay
-    /// bit-identically.
+    /// A sink that records **nothing** but still carries the caller's
+    /// executor clock for the backend to adopt, without paying for
+    /// collection. The open-loop load harness runs its non-telemetry
+    /// scenarios on this, so arrivals it schedules and costs the backend
+    /// charges share one timeline.
     pub fn disabled_virtual(clock: VirtualClock) -> Self {
         Self {
             inner: None,
@@ -79,8 +75,7 @@ impl TelemetrySink {
         }
     }
 
-    /// The executor clock, in virtual-time span mode; `None` in the
-    /// default mode.
+    /// The executor clock the caller lent, if any.
     pub fn virtual_clock(&self) -> Option<&VirtualClock> {
         self.clock.as_ref()
     }

@@ -3,7 +3,7 @@
 //! the paper targets. Arrival order is nondeterministic; results and
 //! accounting must not be.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 use ewc_core::{Runtime, RuntimeConfig, Template};
@@ -27,7 +27,16 @@ fn runtime(threshold: u32) -> (Arc<Runtime>, Arc<dyn Workload>, Arc<dyn Workload
     (Arc::new(rt), aes, sort)
 }
 
-fn submit_and_verify(rt: &Runtime, name: &str, w: &Arc<dyn Workload>, seed: u64) {
+/// One user: submit a kernel, `sync`, read back and verify. With
+/// `submitted`, wait after `launch` until every user has launched, so
+/// no `sync` can flush a partial batch.
+fn submit_and_verify(
+    rt: &Runtime,
+    name: &str,
+    w: &Arc<dyn Workload>,
+    seed: u64,
+    submitted: Option<&Barrier>,
+) {
     let mut fe = rt.connect();
     let (args, bufs) = w.build_args(&mut fe, seed).expect("build");
     fe.configure_call(w.blocks(), w.desc().threads_per_block)
@@ -36,6 +45,9 @@ fn submit_and_verify(rt: &Runtime, name: &str, w: &Arc<dyn Workload>, seed: u64)
         fe.setup_argument(*a).unwrap();
     }
     fe.launch(name).expect("launch");
+    if let Some(barrier) = submitted {
+        barrier.wait();
+    }
     fe.sync().expect("sync");
     let out = fe
         .memcpy_d2h(bufs.output, 0, bufs.output_len)
@@ -55,7 +67,7 @@ fn sixteen_concurrent_users_all_verify() {
             ("sorting", Arc::clone(&sort))
         };
         threads.push(thread::spawn(move || {
-            submit_and_verify(&rt, name, &w, user)
+            submit_and_verify(&rt, name, &w, user, None)
         }));
     }
     for t in threads {
@@ -71,12 +83,16 @@ fn sixteen_concurrent_users_all_verify() {
 #[test]
 fn concurrent_submissions_hit_the_threshold_path() {
     let (rt, aes, _) = runtime(4);
+    // Every launch lands before any sync: the fourth and the eighth
+    // launch each reach the threshold, whatever order the threads run in.
+    let submitted = Arc::new(Barrier::new(8));
     let mut threads = Vec::new();
     for user in 0..8u64 {
         let rt = Arc::clone(&rt);
         let w = Arc::clone(&aes);
+        let submitted = Arc::clone(&submitted);
         threads.push(thread::spawn(move || {
-            submit_and_verify(&rt, "encryption", &w, user)
+            submit_and_verify(&rt, "encryption", &w, user, Some(&submitted))
         }));
     }
     for t in threads {
@@ -84,15 +100,14 @@ fn concurrent_submissions_hit_the_threshold_path() {
     }
     let rt = Arc::into_inner(rt).expect("all users joined");
     let report = rt.shutdown();
-    let total: usize = report.stats.records.iter().map(|r| r.kernels.len()).sum();
-    assert_eq!(total, 8);
-    // At least one group was consolidated (the exact grouping depends on
-    // arrival timing, which is the point of this test).
-    assert!(
-        report.stats.consolidated_launches >= 1,
-        "records: {:?}",
-        report.stats.records
-    );
+    let sizes: Vec<usize> = report
+        .stats
+        .records
+        .iter()
+        .map(|r| r.kernels.len())
+        .collect();
+    assert_eq!(sizes, [4, 4], "records: {:?}", report.stats.records);
+    assert_eq!(report.stats.consolidated_launches, 2);
 }
 
 #[test]
