@@ -602,7 +602,16 @@ impl Backend {
         attempt: u32,
     ) -> Result<u64, CoreError> {
         self.rpc("launch", ctx, |b| {
-            b.enqueue_launch(ctx, name, batched_args, priority, attempt)
+            let r = b.enqueue_launch(ctx, name, batched_args, priority, attempt);
+            // A rejected launch takes its forwarded `setup_argument`
+            // values with it, or the context's next launch would run on
+            // them. Only a `Busy` retry reuses them.
+            if !matches!(r, Ok(_) | Err(CoreError::Busy { .. })) {
+                if let Some(state) = b.ctx_state.get_mut(&ctx) {
+                    state.args.clear();
+                }
+            }
+            r
         })
     }
 

@@ -278,3 +278,40 @@ fn failed_launch_does_not_leave_stale_pending_state() {
     let total: usize = report.stats.records.iter().map(|r| r.kernels.len()).sum();
     assert_eq!(total, 1, "only the valid launch executed");
 }
+
+#[test]
+fn rejected_launch_without_batching_drops_its_arguments() {
+    // With argument batching off, `setup_argument` values accumulate in
+    // the backend. A launch it rejects must take them with it, or the
+    // context's next launch runs on the rejected one's buffers.
+    let cfg = GpuConfig::tesla_c1060();
+    let aes: Arc<dyn Workload> = Arc::new(AesWorkload::fig7(&cfg));
+    let rt = Runtime::builder(RuntimeConfig {
+        argument_batching: false,
+        force_gpu: true,
+        ..RuntimeConfig::default()
+    })
+    .workload("encryption", Arc::clone(&aes))
+    .template(Template::homogeneous("encryption"))
+    .build();
+    let mut fe = rt.connect();
+    let (stale, _) = aes.build_args(&mut fe, 8).unwrap();
+    fe.configure_call(1, 1).unwrap();
+    for a in &stale {
+        fe.setup_argument(*a).unwrap();
+    }
+    assert!(matches!(
+        fe.launch("encryption").unwrap_err(),
+        CoreError::BadConfiguration(_)
+    ));
+    let (args, bufs) = aes.build_args(&mut fe, 9).unwrap();
+    fe.configure_call(aes.blocks(), aes.desc().threads_per_block)
+        .unwrap();
+    for a in &args {
+        fe.setup_argument(*a).unwrap();
+    }
+    fe.launch("encryption").unwrap();
+    fe.sync().unwrap();
+    let out = fe.memcpy_d2h(bufs.output, 0, bufs.output_len).unwrap();
+    assert_eq!(out, aes.expected_output(9));
+}
