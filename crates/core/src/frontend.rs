@@ -192,6 +192,12 @@ impl Frontend {
     }
 }
 
+// User "processes" are threads: a frontend must be movable into one.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<Frontend>();
+};
+
 impl Drop for Frontend {
     /// Announce the process's departure so the backend can drain any
     /// launches it will never sync on. Best-effort: if the backend is

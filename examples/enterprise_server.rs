@@ -13,7 +13,7 @@
 //! cargo run -p ewc-bench --release --example enterprise_server
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 use ewc_core::{Runtime, RuntimeConfig, Template};
@@ -46,11 +46,14 @@ fn main() {
         .build(),
     );
 
-    // 24 users in three bursts; each burst's requests arrive while the
-    // previous ones are still pending, so the backend sees real groups.
+    // 24 users submit, and only then sync: every eighth launch reaches
+    // the threshold with the others still pending, so the backend sees
+    // real groups however the threads interleave.
+    let submitted = Arc::new(Barrier::new(24));
     let mut threads = Vec::new();
     for user in 0..24u64 {
         let rt = Arc::clone(&rt);
+        let submitted = Arc::clone(&submitted);
         let w: Arc<dyn Workload> = match user % 3 {
             0 => Arc::clone(&aes),
             1 => Arc::clone(&search),
@@ -70,6 +73,7 @@ fn main() {
                 fe.setup_argument(*a).unwrap();
             }
             fe.launch(name).expect("queue");
+            submitted.wait();
             fe.sync().expect("drain");
             let out = fe
                 .memcpy_d2h(bufs.output, 0, bufs.output_len)

@@ -3,10 +3,10 @@
 //! the paper targets. Arrival order is nondeterministic; results and
 //! accounting must not be.
 
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier};
 use std::thread;
 
-use ewc_core::{Runtime, RuntimeConfig, Template};
+use ewc_core::{CoreError, Runtime, RuntimeConfig, Template};
 use ewc_gpu::GpuConfig;
 use ewc_workloads::{AesWorkload, SortWorkload, Workload};
 
@@ -179,4 +179,33 @@ fn interleaving_without_batching_still_routes_arguments_correctly() {
         .unwrap();
     assert_eq!(out_a, aes.expected_output(10));
     assert_eq!(out_b, aes.expected_output(11));
+}
+
+#[test]
+fn calls_racing_shutdown_answer_ok_or_disconnected() {
+    let (rt, ..) = runtime(50);
+    let fe = rt.connect();
+    let (first_answer_tx, first_answer) = mpsc::channel();
+    let user = thread::spawn(move || {
+        let mut answered = 0u64;
+        loop {
+            match fe.sync() {
+                Ok(()) => answered += 1,
+                Err(CoreError::Disconnected) => return answered,
+                Err(e) => panic!("a call racing shutdown answered {e:?}"),
+            }
+            if answered == 1 {
+                first_answer_tx.send(()).expect("main thread waits");
+            }
+        }
+    });
+    // The user is mid-loop: shut down underneath it. It must see every
+    // call answered, then `Disconnected` — and stop, not hang.
+    first_answer.recv().expect("user thread runs");
+    let rt = Arc::into_inner(rt).expect("sole owner");
+    let report = rt.shutdown();
+    let answered = user.join().expect("user thread");
+    assert!(answered >= 1);
+    // Every answered sync was one charged message; shutdown is one more.
+    assert_eq!(report.stats.messages, answered + 1);
 }

@@ -148,20 +148,15 @@ fn single_gpu_remains_the_default_behaviour() {
 // ---------------------------------------------------------------------
 
 use ewc_core::ResiliencePolicy;
+use ewc_exec::VirtualClock;
 use ewc_faults::{FaultConfig, SharedFaultPlan};
 use ewc_fleet::{FleetConfig, PlacementReason, PolicyKind};
+use ewc_telemetry::TelemetrySink;
 
 /// Run 12 verified AES instances on a 4-device heterogeneous fleet
-/// under `fleet_cfg`; returns the shutdown report. Runs in virtual
-/// span mode: the replay assertions below compare whole
-/// [`ewc_core::BackendStats`] byte-for-byte, and only the virtual
-/// clock guarantees that — in wall-clock mode the flush timestamp can
-/// shift by one `channel_latency_s` charge depending on where the
-/// daemon's `try_recv` batch boundary lands under OS scheduling.
-fn fleet_session(fleet_cfg: FleetConfig) -> ewc_core::RuntimeReport {
-    use ewc_exec::VirtualClock;
-    use ewc_telemetry::TelemetrySink;
-
+/// under `fleet_cfg`, recording into `sink`; returns the shutdown
+/// report.
+fn fleet_session(fleet_cfg: FleetConfig, sink: TelemetrySink) -> ewc_core::RuntimeReport {
     let cfg = GpuConfig::tesla_c1060();
     let aes: Arc<dyn Workload> = Arc::new(AesWorkload::fig7(&cfg));
     let rt = Runtime::builder(RuntimeConfig {
@@ -171,7 +166,7 @@ fn fleet_session(fleet_cfg: FleetConfig) -> ewc_core::RuntimeReport {
         fleet: Some(fleet_cfg),
         ..RuntimeConfig::default()
     })
-    .telemetry(TelemetrySink::enabled_virtual(VirtualClock::new()))
+    .telemetry(sink)
     .workload("encryption", Arc::clone(&aes))
     .template(Template::homogeneous("encryption"))
     .build();
@@ -190,27 +185,35 @@ fn fleet_session(fleet_cfg: FleetConfig) -> ewc_core::RuntimeReport {
 
 #[test]
 fn every_policy_replays_an_identical_placement_audit() {
+    // Whether the backend runs on a clock the caller lent or on its own
+    // must not matter to the replay.
+    let sinks: [fn() -> TelemetrySink; 2] = [
+        || TelemetrySink::enabled_virtual(VirtualClock::new()),
+        TelemetrySink::enabled,
+    ];
     for kind in PolicyKind::ALL {
-        let fleet = FleetConfig::heterogeneous(4).with_policy(kind);
-        let a = fleet_session(fleet.clone());
-        let b = fleet_session(fleet);
-        assert!(
-            !a.stats.placements.is_empty(),
-            "{}: fleet runs must audit placements",
-            kind.label()
-        );
-        assert_eq!(
-            a.stats.placements,
-            b.stats.placements,
-            "{}: same seed must bind contexts identically",
-            kind.label()
-        );
-        assert_eq!(
-            a.stats,
-            b.stats,
-            "{}: whole backend must replay byte-identically",
-            kind.label()
-        );
+        for sink in sinks {
+            let fleet = FleetConfig::heterogeneous(4).with_policy(kind);
+            let a = fleet_session(fleet.clone(), sink());
+            let b = fleet_session(fleet, sink());
+            assert!(
+                !a.stats.placements.is_empty(),
+                "{}: fleet runs must audit placements",
+                kind.label()
+            );
+            assert_eq!(
+                a.stats.placements,
+                b.stats.placements,
+                "{}: same seed must bind contexts identically",
+                kind.label()
+            );
+            assert_eq!(
+                a.stats,
+                b.stats,
+                "{}: whole backend must replay byte-identically",
+                kind.label()
+            );
+        }
     }
 }
 
@@ -220,10 +223,12 @@ fn power_cap_redirects_placements_under_the_fleet_ceiling() {
     // placement proxy. A 180 W cap leaves no headroom for round robin's
     // first choice (c1060, +18.75 W marginal), so the governor must
     // redirect toward the low-power half-width card instead.
+    let virtual_sink = || TelemetrySink::enabled_virtual(VirtualClock::new());
     let capped = fleet_session(
         FleetConfig::heterogeneous(4)
             .with_policy(PolicyKind::RoundRobin)
             .with_power_cap(180.0),
+        virtual_sink(),
     );
     assert!(
         capped.stats.cap_redirects > 0,
@@ -239,7 +244,10 @@ fn power_cap_redirects_placements_under_the_fleet_ceiling() {
         "{:?}",
         capped.stats.placements
     );
-    let uncapped = fleet_session(FleetConfig::heterogeneous(4).with_policy(PolicyKind::RoundRobin));
+    let uncapped = fleet_session(
+        FleetConfig::heterogeneous(4).with_policy(PolicyKind::RoundRobin),
+        virtual_sink(),
+    );
     assert_eq!(uncapped.stats.cap_redirects, 0);
     assert_ne!(
         capped.stats.placements, uncapped.stats.placements,
