@@ -1,5 +1,5 @@
 //! Benches: time the regeneration of each table/figure.
-//! (`cargo run -p ewc-bench --release --bin <id>` prints the tables;
+//! (`cargo run -p ewc-cli --release -- run <id>` prints the tables;
 //! these benches measure how long each experiment's simulation pipeline
 //! takes, using the in-workspace `ewc_bench::harness`.)
 

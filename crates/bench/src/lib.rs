@@ -2,7 +2,8 @@
 //!
 //! One module per table/figure of the paper's evaluation, each exposing a
 //! `run()` that produces typed rows, plus formatters that print the same
-//! tables the paper reports. Binaries under `src/bin/` wrap the modules;
+//! tables the paper reports. [`experiments::EXPERIMENTS`] is the one list
+//! of them (`ewc run <id>` and `ewc run all` are driven from it);
 //! benches under `benches/` (driven by the in-workspace [`harness`])
 //! time the underlying simulations; the root `tests/` directory asserts
 //! the headline *shapes* (who wins, by roughly what factor, where the

@@ -13,45 +13,6 @@ use ewc_workloads::{
     SortWorkload, Workload,
 };
 
-/// Every runnable experiment id with a one-line description.
-pub const EXPERIMENTS: &[(&str, &str)] = &[
-    ("table1", "single-instance GPU speedup over CPU (Table 1)"),
-    (
-        "fig1",
-        "motivation sweep: N encryption instances (Figure 1)",
-    ),
-    (
-        "scenarios",
-        "the good and bad consolidation scenarios (Tables 2-3)",
-    ),
-    ("fig3", "type-1 performance-model validation (Figure 3)"),
-    ("fig4", "type-2 performance-model validation (Figure 4)"),
-    ("fig5", "power-model validation, 14 variants (Figure 5)"),
-    ("fig7", "encryption sweep, four setups (Figure 7)"),
-    ("fig8", "sorting sweep, four setups (Figure 8)"),
-    ("tables56", "Search+BlackScholes mixes (Tables 5-6)"),
-    ("tables78", "Encryption+MonteCarlo mixes (Tables 7-8)"),
-    ("ablations", "mechanism on/off studies"),
-    (
-        "fermi",
-        "Fermi concurrent kernels vs consolidation (extension)",
-    ),
-    ("multigpu", "multi-GPU scaling (extension)"),
-    ("trace", "Poisson-trace threshold sweep (extension)"),
-    (
-        "overload",
-        "open-loop overload: goodput vs offered load (extension)",
-    ),
-    (
-        "future-hw",
-        "consolidation on Fermi-class silicon (extension)",
-    ),
-    (
-        "policy",
-        "race-to-idle vs pace vs cap power policies (extension)",
-    ),
-];
-
 /// Usage text.
 pub fn usage() -> String {
     let mut s = String::from(
@@ -60,6 +21,8 @@ pub fn usage() -> String {
          commands:\n\
          \x20 experiments            list reproducible tables and figures\n\
          \x20 run <id>               regenerate one experiment (see `ewc experiments`)\n\
+         \x20 run all [parallelism]  regenerate the whole EXPERIMENTS.md ledger across\n\
+         \x20                        parallelism workers (default one per core)\n\
          \x20 predict <w> <n>        predict consolidating n instances of workload w\n\
          \x20                        (w: enc | sort | search | bs | mc | matmul)\n\
          \x20 devices                show the simulated GPU presets\n\
@@ -98,9 +61,9 @@ pub fn usage() -> String {
     );
     s.push_str("\nexperiment ids: ");
     s.push_str(
-        &EXPERIMENTS
+        &ex::EXPERIMENTS
             .iter()
-            .map(|(id, _)| *id)
+            .map(|e| e.id)
             .collect::<Vec<_>>()
             .join(", "),
     );
@@ -113,7 +76,7 @@ pub fn dispatch(args: &[String]) -> Result<String, String> {
         Some("experiments") => Ok(list_experiments()),
         Some("run") => {
             let id = args.get(1).ok_or("run: missing experiment id")?;
-            run_experiment(id)
+            run_experiment(id, args.get(2).map(String::as_str))
         }
         Some("predict") => {
             let w = args.get(2).is_none();
@@ -158,36 +121,27 @@ pub fn dispatch(args: &[String]) -> Result<String, String> {
 
 fn list_experiments() -> String {
     let mut out = String::from("reproducible experiments:\n");
-    for (id, desc) in EXPERIMENTS {
-        out.push_str(&format!("  {id:<10} {desc}\n"));
+    for e in ex::EXPERIMENTS {
+        out.push_str(&format!("  {:<10} {}\n", e.id, e.description));
     }
     out
 }
 
-fn run_experiment(id: &str) -> Result<String, String> {
-    Ok(match id {
-        "table1" => ex::table1::render(&ex::table1::run()),
-        "fig1" => ex::fig1::render(&ex::fig1::run(9)),
-        "scenarios" => {
-            let (t2, t3) = ex::scenarios::run();
-            ex::scenarios::render(&t2, &t3)
-        }
-        "fig3" => ex::fig3::render(&ex::fig3::run()),
-        "fig4" => ex::fig4::render(&ex::fig4::run()),
-        "fig5" => ex::fig5::render(&ex::fig5::run()),
-        "fig7" => ex::fig7::render(&ex::fig7::run(12)),
-        "fig8" => ex::fig8::render(&ex::fig8::run(9)),
-        "tables56" => ex::tables56::render(&ex::tables56::run()),
-        "tables78" => ex::tables78::render(&ex::tables78::run()),
-        "ablations" => ex::ablations::render(&ex::ablations::run()),
-        "fermi" => ex::fermi::render(&ex::fermi::run()),
-        "multigpu" => ex::multigpu::render(&ex::multigpu::run(40)),
-        "trace" => ex::trace::render(&ex::trace::run()),
-        "overload" => ex::overload::render(&ex::overload::run()),
-        "future-hw" => ex::future_hw::render(&ex::future_hw::run(9)),
-        "policy" => ex::policy::render(&ex::policy::run()),
-        other => return Err(format!("unknown experiment '{other}'")),
-    })
+fn run_experiment(id: &str, parallelism: Option<&str>) -> Result<String, String> {
+    if id == "all" {
+        let parallelism = match parallelism {
+            Some(p) => p
+                .parse()
+                .map_err(|_| "run all: parallelism must be a number")?,
+            None => 0,
+        };
+        return Ok(ex::render_all(parallelism));
+    }
+    ex::EXPERIMENTS
+        .iter()
+        .find(|e| e.id == id)
+        .map(|e| (e.render)())
+        .ok_or_else(|| format!("unknown experiment '{id}'"))
 }
 
 /// Look up a workload by short name.
@@ -870,8 +824,8 @@ mod tests {
         assert!(dispatch(&args(&["help"])).unwrap().contains("usage"));
         assert!(dispatch(&[]).unwrap().contains("usage"));
         let listing = dispatch(&args(&["experiments"])).unwrap();
-        for (id, _) in EXPERIMENTS {
-            assert!(listing.contains(id), "missing {id}");
+        for e in ex::EXPERIMENTS {
+            assert!(listing.contains(e.id), "missing {}", e.id);
         }
     }
 
@@ -880,6 +834,7 @@ mod tests {
         assert!(dispatch(&args(&["bogus"])).is_err());
         assert!(dispatch(&args(&["run", "nope"])).is_err());
         assert!(dispatch(&args(&["run"])).is_err());
+        assert!(dispatch(&args(&["run", "all", "many"])).is_err());
         assert!(dispatch(&args(&["predict", "enc"])).is_err());
         assert!(dispatch(&args(&["predict", "nope", "3"])).is_err());
         assert!(dispatch(&args(&["gantt", "9"])).is_err());

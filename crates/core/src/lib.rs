@@ -15,7 +15,7 @@
 //!   `launch`, `memcpy_d2h`, `sync`) is one message to the backend, with
 //!   a per-message cost; `setup_argument` calls can be **batched** until
 //!   `launch` (Section IV's optimisation).
-//! * [`backend`] — the paper's daemon: one `Backend` behind a mutex that
+//! * `backend` — the paper's daemon: one `Backend` behind a mutex that
 //!   every frontend calls directly. The round trips, staging copies and
 //!   coordination the paper's RPC pays are charged to a virtual clock
 //!   per message, and the backend runs only inside a frontend's call, so
@@ -83,7 +83,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod admission;
-pub mod backend;
+mod backend;
 pub mod config;
 pub mod decision;
 pub mod frontend;

@@ -33,7 +33,7 @@ fn default_width() -> usize {
 /// # Nesting and the permit budget
 ///
 /// Fan-outs may nest: a task inside one fan-out (an experiment section
-/// of `--bin all`, say) can start another (a soak matrix). Multiplying
+/// of `ewc run all`, say) can start another (a soak matrix). Multiplying
 /// thread counts per nesting level would
 /// oversubscribe the machine, so extra workers are *permits* drawn from
 /// one shared budget (the pool's capacity). An outer fan-out holding
