@@ -31,28 +31,30 @@
 //! are issued asynchronously — the device's clock runs ahead on its own,
 //! so groups dispatched to different GPUs genuinely overlap.
 
+mod flush;
+mod ladder;
+mod migrate;
+mod power;
+
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
-use ewc_cpu::CpuTask;
 use ewc_exec::VirtualClock;
 use ewc_fleet::{FleetConfig, FleetGovernor};
-use ewc_gpu::grid::GridSegment;
-use ewc_gpu::kernel::{BlockCtx, KernelArg, LaunchConfig};
-use ewc_gpu::{DevicePtr, GpuDevice, GpuError, Grid};
+use ewc_gpu::kernel::KernelArg;
+use ewc_gpu::{DevicePtr, GpuDevice};
 use ewc_telemetry::{DecisionRecord, TelemetrySink, Verdict};
 use ewc_workloads::Workload;
 
 use crate::admission::{AdmissionDecision, AdmissionState, Priority, ShedCause};
 use crate::config::RuntimeConfig;
-use crate::decision::{Choice, DecisionEngine};
+use crate::decision::DecisionEngine;
 use crate::leader::LeaderCoordinator;
 use crate::optimize::ConstantCache;
 use crate::protocol::{CoreError, ExecConfig, KernelRequest};
 use crate::resilience::RuntimeFaultInjector;
-use crate::stats::{BackendStats, ConsolidationRecord, KernelOutcome};
+use crate::stats::BackendStats;
 use crate::template::TemplateRegistry;
-use ewc_models::PolicyKnob;
 
 /// The one backend a [`crate::Runtime`] and all its frontends share.
 /// `None` once the runtime has shut down: every later frontend call
@@ -140,15 +142,6 @@ struct CtxState {
     args: Vec<ewc_gpu::kernel::KernelArg>,
 }
 
-/// How one member of a dispatched group ended up.
-enum MemberFate {
-    /// Completed, on the given rung (consolidated, serial GPU, or CPU).
-    Done(Choice),
-    /// Failed permanently; the error is queued for the frontend's next
-    /// `sync`.
-    Failed(GpuError),
-}
-
 pub(crate) struct Backend {
     cfg: RuntimeConfig,
     gpus: Vec<GpuDevice>,
@@ -229,156 +222,12 @@ impl Backend {
         answer
     }
 
-    /// The batching conditions: flush on reaching the group-size
-    /// threshold, or when the oldest pending request has waited past
-    /// the staleness bound (trace-driven runs may never reach the
-    /// threshold). With admission control on, the CoDel-style age shed
-    /// runs first (blown requests are dropped before more work is
-    /// dispatched) and the queue-age watchdog **after** the flush:
-    /// flushing always empties pending work onto the device, so any age
-    /// the flush could clear is batching delay, not overload — what the
-    /// watchdog must react to is the pressure that *survives* a flush
-    /// (device backlog, or a queue the flush could not move).
-    fn check_flush(&mut self) {
-        if self.admission.is_some() {
-            self.shed_stale();
-        }
-        if self.pending.len() >= self.effective_threshold() {
-            self.flush(false);
-        } else if !self.pending.is_empty() {
-            let oldest = self
-                .pending
-                .iter()
-                .map(|r| r.submitted_at_s)
-                .fold(f64::INFINITY, f64::min);
-            if self.clock.now_s() - oldest > self.cfg.max_pending_wait_s {
-                self.flush(true);
-            }
-        }
-        if self.admission.is_some() {
-            self.watchdog();
-        }
-    }
-
-    /// The consolidation threshold adjusted by the degradation ladder:
-    /// level ≥ 3 widens batching to 2× so each coordination round moves
-    /// more work per unit of overhead.
-    fn effective_threshold(&self) -> usize {
-        let base = self.cfg.threshold();
-        match &self.admission {
-            Some(a) if a.level() >= 3 => base * 2,
-            _ => base,
-        }
-    }
-
     /// Queued launches currently bound to device `d`.
     fn device_depth(&self, d: usize) -> usize {
         self.pending
             .iter()
             .filter(|r| self.fleet.binding(r.ctx) == Some(d))
             .count()
-    }
-
-    /// The queue-age watchdog driving the degradation ladder: sustained
-    /// pressure (oldest pending request older than the configured age)
-    /// steps the ladder down one level at a time; a full quiet period
-    /// steps it back up. Audited as `Verdict::Degraded`.
-    ///
-    /// Launches are asynchronous, so sustained overload mostly shows up
-    /// as a device clock running *ahead* of the host clock (queued work
-    /// on the device) rather than as pending-queue depth — the watchdog
-    /// treats that backlog lead as pressure too: it is exactly the extra
-    /// queueing delay a newly admitted request would face.
-    fn watchdog(&mut self) {
-        let now = self.clock.now_s();
-        let age = self
-            .pending
-            .iter()
-            .map(|r| (now - r.submitted_at_s).max(0.0))
-            .fold(0.0, f64::max);
-        let backlog = self
-            .gpus
-            .iter()
-            .map(|g| (g.now_s() - now).max(0.0))
-            .fold(0.0, f64::max);
-        let age = age.max(backlog);
-        let moved = match &mut self.admission {
-            Some(a) => {
-                let before = a.level();
-                a.observe(now, age).map(|level| (before, level))
-            }
-            None => return,
-        };
-        let Some((before, level)) = moved else { return };
-        self.stats.degradation_steps += 1;
-        self.stats.max_degradation_level = self.stats.max_degradation_level.max(level);
-        if self.sink.is_enabled() {
-            self.sink.gauge_set("degradation_level", f64::from(level));
-            self.sink.audit(DecisionRecord {
-                time_s: now,
-                kernels: Vec::new(),
-                verdict: Verdict::Degraded,
-                consolidated: None,
-                serial: None,
-                cpu: None,
-                reason: format!(
-                    "degradation ladder {} {before} -> {level} (oldest pending age {age:.4} s, {} pending)",
-                    if level > before {
-                        "stepped down under pressure:"
-                    } else {
-                        "recovered after quiet period:"
-                    },
-                    self.pending.len()
-                ),
-            });
-        }
-    }
-
-    /// CoDel-style age shed: queued requests older than `shed_age_s`
-    /// have already blown their latency budget — executing them would
-    /// only burn energy, so they are dropped with a `Shed` notice
-    /// queued for the owner's next `sync` and a `Verdict::Shed` audit.
-    fn shed_stale(&mut self) {
-        let shed_age_s = match &self.admission {
-            Some(a) => a.cfg.shed_age_s,
-            None => return,
-        };
-        if !shed_age_s.is_finite() || self.pending.is_empty() {
-            return;
-        }
-        let now = self.clock.now_s();
-        // This runs per message; almost always nothing has aged out.
-        // Settle that with a read-only scan before touching the queue,
-        // so the common case neither allocates nor moves a request.
-        if !self
-            .pending
-            .iter()
-            .any(|r| now - r.submitted_at_s > shed_age_s)
-        {
-            return;
-        }
-        let mut kept = Vec::with_capacity(self.pending.len());
-        let mut stale: Vec<KernelRequest> = Vec::new();
-        for r in self.pending.drain(..) {
-            if now - r.submitted_at_s > shed_age_s {
-                stale.push(r);
-            } else {
-                kept.push(r);
-            }
-        }
-        self.pending = kept;
-        for req in stale {
-            self.stats.shed_requests += 1;
-            self.stats.shed_queue_age += 1;
-            self.failures.entry(req.ctx).or_default().push_back((
-                req.seq,
-                CoreError::Shed {
-                    seq: Some(req.seq),
-                    cause: ShedCause::QueueAge,
-                },
-            ));
-            self.audit_shed(&req.name, req.ctx, Some(req.seq), ShedCause::QueueAge);
-        }
     }
 
     /// Audit one permanent shed (admission-final or queue-age).
@@ -892,762 +741,5 @@ impl Backend {
         });
         self.stats.max_pending_depth = self.stats.max_pending_depth.max(self.pending.len() as u64);
         Ok(seq)
-    }
-
-    /// Drain the pending queue. With `force`, everything executes now;
-    /// otherwise only while the threshold is met. Groups form per device
-    /// (a context's data lives on its bound GPU).
-    fn flush(&mut self, force: bool) {
-        loop {
-            if self.pending.is_empty() {
-                return;
-            }
-            if !force && self.pending.len() < self.effective_threshold() {
-                return;
-            }
-            // Degradation level ≥ 2 coarsens the consolidation search:
-            // only the oldest `threshold` requests per device are
-            // template-matched, bounding matcher cost under a deep
-            // backlog (the rest wait their turn).
-            let window = match &self.admission {
-                Some(a) if a.level() >= 2 => self.cfg.threshold().max(1),
-                _ => usize::MAX,
-            };
-            let mut grouped = false;
-            for d in 0..self.gpus.len() {
-                // The per-device index list is rebuilt every iteration of
-                // a hot loop; recycle its storage across flushes.
-                let mut local = std::mem::take(&mut self.flush_scratch);
-                local.clear();
-                local.extend(
-                    (0..self.pending.len())
-                        .filter(|&i| self.fleet.binding(self.pending[i].ctx) == Some(d)),
-                );
-                local.truncate(window);
-                if local.is_empty() {
-                    self.flush_scratch = local;
-                    continue;
-                }
-                let refs: Vec<&KernelRequest> = local.iter().map(|&i| &self.pending[i]).collect();
-                if let Some((t, sel)) = self.templates.best_match(&refs) {
-                    let tname = t.name.clone();
-                    let global: Vec<usize> = sel.into_iter().map(|i| local[i]).collect();
-                    self.flush_scratch = local;
-                    let group = self.extract(global);
-                    self.execute_group(d, &tname, group);
-                    grouped = true;
-                    break;
-                }
-                self.flush_scratch = local;
-            }
-            if !grouped {
-                // No template matches anywhere: run the oldest kernel on
-                // its own ("the backend lets the kernels run normally").
-                // The queue cannot be empty here (checked at loop top),
-                // but the backend must never bet its life on an invariant.
-                let Some(oldest) = (0..self.pending.len()).min_by_key(|&i| self.pending[i].seq)
-                else {
-                    return;
-                };
-                let group = self.extract(vec![oldest]);
-                let Some(d) = self.fleet.binding(group[0].ctx) else {
-                    // No device binding (cannot happen: enqueue binds):
-                    // drop rather than panic under the shared lock.
-                    return;
-                };
-                self.execute_group(d, "<individual>", group);
-            }
-        }
-    }
-
-    /// Remove the given indices from pending, preserving the order the
-    /// indices are listed in (the template's layout order).
-    fn extract(&mut self, idx: Vec<usize>) -> Vec<KernelRequest> {
-        // Mark-and-sweep through recycled scratch: requests move (no
-        // clones), and neither the mark vector nor the rebuilt queue
-        // allocates once the scratch has warmed up.
-        self.extract_scratch.clear();
-        self.extract_scratch
-            .extend(self.pending.drain(..).map(Some));
-        let group: Vec<KernelRequest> = idx
-            .iter()
-            .map(|&i| self.extract_scratch[i].take().expect("duplicate index"))
-            .collect();
-        self.pending
-            .extend(self.extract_scratch.drain(..).flatten());
-        group
-    }
-
-    fn execute_group(&mut self, device: usize, template: &str, group: Vec<KernelRequest>) {
-        // Coordination between the participating frontends (host side).
-        let coord_start_s = self.clock.now_s();
-        let refs: Vec<&KernelRequest> = group.iter().collect();
-        let coord = self.coordinator.plan(&refs);
-        self.stats.messages += coord.messages;
-        self.stats.coordination_s += coord.cost_s;
-        self.clock.advance_by(coord.cost_s);
-
-        // Model the alternatives.
-        let mut plan = ewc_models::ConsolidationPlan::new();
-        let mut cpu_tasks = Vec::with_capacity(group.len());
-        for req in &group {
-            plan.push(ewc_models::KernelSpec::new(
-                req.workload.desc(),
-                req.workload.blocks(),
-            ));
-            cpu_tasks.push(req.workload.cpu_task());
-        }
-        let mut assessment = self.decision.assess(&plan, &cpu_tasks);
-        let mut forced = false;
-        if self.cfg.force_gpu && assessment.choice == Choice::Cpu {
-            forced = true;
-            assessment.choice =
-                if assessment.consolidated.system_energy_j <= assessment.serial.system_energy_j {
-                    Choice::Consolidate
-                } else {
-                    Choice::SerialGpu
-                };
-        }
-        // The device's circuit breaker outranks everything, force_gpu
-        // included — but a trip is per-device now: the group's contexts
-        // drain to a healthy card when one exists, and only a fully sick
-        // fleet sends the group to the CPU until a cooldown expires and
-        // a probe group half-opens a breaker.
-        let mut tripped = false;
-        let mut device = device;
-        if assessment.choice != Choice::Cpu && !self.fleet.gpu_allowed(device, &self.clock) {
-            let target = self.fleet.healthy_target(device, &self.clock);
-            match target {
-                Some(to) if self.migrate_group(&group, device, to) => device = to,
-                _ => {
-                    tripped = true;
-                    assessment.choice = Choice::Cpu;
-                }
-            }
-        }
-        // Degradation level 4: the CPU lifeboat. Whole groups without a
-        // High-priority member spill to the host so the device queue can
-        // drain — force_gpu does not outrank a ladder at its last rung.
-        let mut spilled = false;
-        if assessment.choice != Choice::Cpu
-            && matches!(&self.admission, Some(a) if a.level() >= 4)
-            && group.iter().all(|r| r.priority < Priority::High)
-        {
-            spilled = true;
-            assessment.choice = Choice::Cpu;
-        }
-        if self.sink.is_enabled() {
-            self.sink
-                .span(
-                    "host",
-                    "backend",
-                    "coordinate",
-                    coord_start_s,
-                    self.clock.now_s(),
-                )
-                .attr("template", template)
-                .attr("group_size", group.len())
-                .emit();
-            self.audit_decision(&assessment, &group, device, forced, tripped, spilled);
-        }
-
-        // Kernel launches are asynchronous: the device clock runs ahead
-        // of the host clock, so other devices' groups can overlap.
-        self.catch_up(device);
-        // Apply the knob-chosen operating point before the launch; the
-        // wake latency lands on the device clock. Race-to-idle parks the
-        // device in the deepest state once the group completes.
-        let mut park_after = None;
-        if let Some(sd) = &assessment.state {
-            if assessment.choice != Choice::Cpu {
-                if let Some(choice) = sd.chosen(assessment.choice) {
-                    let level = choice.level;
-                    if matches!(sd.knob, PolicyKnob::RaceToIdle) {
-                        park_after = self.decision.power_policy().and_then(|ps| ps.table.park());
-                    }
-                    self.apply_power_state(device, level);
-                }
-            }
-        }
-        let t0 = self.gpus[device].now_s();
-        let fates = match assessment.choice {
-            Choice::Consolidate => self.run_ladder(device, &group, true),
-            Choice::SerialGpu => self.run_ladder(device, &group, false),
-            Choice::Cpu => {
-                self.run_cpu(device, &group, &cpu_tasks);
-                group
-                    .iter()
-                    .map(|_| MemberFate::Done(Choice::Cpu))
-                    .collect()
-            }
-        };
-
-        let completed_at_s = self.gpus[device].now_s();
-        if let Some(park) = park_after {
-            self.apply_power_state(device, park);
-        }
-        for (req, fate) in group.iter().zip(&fates) {
-            // Failed members never completed; they get no outcome record
-            // — their story is told by `failed_kernels` and the audit log.
-            if let MemberFate::Done(choice) = fate {
-                self.stats.kernel_outcomes.push(KernelOutcome {
-                    ctx: req.ctx,
-                    seq: req.seq,
-                    name: req.name.clone(),
-                    submitted_at_s: req.submitted_at_s,
-                    completed_at_s,
-                    choice: *choice,
-                });
-            }
-        }
-        self.stats.records.push(ConsolidationRecord {
-            template: template.to_string(),
-            kernels: group.iter().map(|r| r.name.clone()).collect(),
-            choice: assessment.choice,
-            predicted_time_s: assessment.chosen_time_s(),
-            predicted_energy_j: assessment.chosen_energy_j(),
-            actual_time_s: completed_at_s - t0,
-        });
-
-        if self.sink.is_enabled() {
-            for (req, fate) in group.iter().zip(&fates) {
-                let label = match fate {
-                    MemberFate::Done(c) => verdict_of(*c).label(),
-                    MemberFate::Failed(_) => Verdict::Failed.label(),
-                };
-                // Full request lifecycle on the submitting context's lane:
-                // queued behind the threshold, then executing on the device
-                // (or host, for CPU verdicts).
-                let lane = format!("ctx{}", req.ctx);
-                let mut span = self
-                    .sink
-                    .span("host", &lane, "request", req.submitted_at_s, completed_at_s)
-                    .attr("kernel", &req.name)
-                    .attr("seq", req.seq)
-                    .attr("choice", label);
-                if let MemberFate::Failed(e) = fate {
-                    span = span.attr("error", e.to_string());
-                }
-                let parent = span.emit();
-                self.sink
-                    .span("host", &lane, "queued", req.submitted_at_s, coord_start_s)
-                    .parent(parent)
-                    .emit();
-                self.sink
-                    .span("host", &lane, "execute", t0, completed_at_s)
-                    .parent(parent)
-                    .attr("device", device)
-                    .emit();
-                self.sink
-                    .histogram_record("request_latency_s", completed_at_s - req.submitted_at_s);
-            }
-            let label = verdict_of(assessment.choice).label();
-            self.sink.counter_add("groups", 1.0);
-            self.sink.counter_add(&format!("verdict_{label}"), 1.0);
-        }
-    }
-
-    /// Drain every context of a dispatching group off tripped device
-    /// `from` onto healthy device `to`. All-or-nothing per context;
-    /// returns `false` (and leaves bindings untouched) when any context
-    /// could not move, in which case the caller falls back to the CPU.
-    fn migrate_group(&mut self, group: &[KernelRequest], from: usize, to: usize) -> bool {
-        let mut ctxs: Vec<u64> = group.iter().map(|r| r.ctx).collect();
-        ctxs.sort_unstable();
-        ctxs.dedup();
-        for ctx in ctxs {
-            if !self.migrate_ctx(ctx, from, to) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Move one context's device state from `from` to `to`: copy every
-    /// allocation across (raw memory ops — the staging happens inside
-    /// the backend, not through the injected-fault transfer path),
-    /// re-load its constants, install frontend-pointer remaps, charge
-    /// deterministic PCIe time for both legs on the host clock, and
-    /// rebind the context in the governor. All-or-nothing: a failure
-    /// (e.g. the destination card is full) rolls back and returns
-    /// `false` with the context still bound to `from`.
-    fn migrate_ctx(&mut self, ctx: u64, from: usize, to: usize) -> bool {
-        let allocs = self.ctx_allocs.get(&ctx).cloned().unwrap_or_default();
-        let consts = self.ctx_constants.get(&ctx).cloned().unwrap_or_default();
-        // Stage every buffer onto the destination first.
-        let mut staged: Vec<(DevicePtr, DevicePtr)> = Vec::new();
-        let mut moved = 0u64;
-        let mut ok = true;
-        for (fe_ptr, len) in &allocs {
-            let actual = self.resolve(ctx, *fe_ptr);
-            let bytes = match self.gpus[from].memory().read(actual, 0, *len) {
-                Ok(b) => b.to_vec(),
-                Err(_) => {
-                    ok = false;
-                    break;
-                }
-            };
-            let new_ptr = match self.gpus[to].memory_mut().alloc(*len) {
-                Ok(p) => p,
-                Err(_) => {
-                    ok = false;
-                    break;
-                }
-            };
-            if self.gpus[to]
-                .memory_mut()
-                .write(new_ptr, 0, &bytes)
-                .is_err()
-            {
-                let _ = self.gpus[to].memory_mut().free(new_ptr);
-                ok = false;
-                break;
-            }
-            staged.push((*fe_ptr, new_ptr));
-            moved += len;
-        }
-        // Constants: hit the destination's cache or re-load the data
-        // kept from registration (`load_constant` stores the bytes).
-        let mut const_remaps: Vec<(DevicePtr, DevicePtr)> = Vec::new();
-        if ok {
-            for (key, fe_ptr, data) in &consts {
-                let ptr = match self.constants[to].lookup(key) {
-                    Some(p) => p,
-                    None => match self.gpus[to].load_constant(data) {
-                        Ok(p) => {
-                            self.constants[to].seed(key, p);
-                            moved += data.len() as u64;
-                            p
-                        }
-                        Err(_) => {
-                            ok = false;
-                            break;
-                        }
-                    },
-                };
-                const_remaps.push((*fe_ptr, ptr));
-            }
-        }
-        if !ok {
-            for (_, new_ptr) in staged {
-                let _ = self.gpus[to].memory_mut().free(new_ptr);
-            }
-            return false;
-        }
-        // Commit: free the source copies and install the remaps.
-        for (fe_ptr, new_ptr) in &staged {
-            let actual = self.resolve(ctx, *fe_ptr);
-            let _ = self.gpus[from].memory_mut().free(actual);
-            self.remap.entry(ctx).or_default().insert(*fe_ptr, *new_ptr);
-        }
-        for (fe_ptr, ptr) in const_remaps {
-            self.remap.entry(ctx).or_default().insert(fe_ptr, ptr);
-        }
-        // The bytes cross PCIe twice (device→host staging, host→device):
-        // one latency + bandwidth charge per leg, on the host clock —
-        // the backend orchestrates the drain synchronously.
-        let leg = |bw: f64, lat: f64| moved as f64 / bw + lat;
-        let out_cfg = self.gpus[from].config();
-        let t_out = leg(out_cfg.pcie_bandwidth, out_cfg.pcie_latency_s);
-        let in_cfg = self.gpus[to].config();
-        let t_in = leg(in_cfg.pcie_bandwidth, in_cfg.pcie_latency_s);
-        self.clock.advance_by(t_out + t_in);
-        self.fleet.rebind(ctx, to);
-        self.stats.migrations += 1;
-        self.stats.migrated_bytes += moved;
-        if self.sink.is_enabled() {
-            self.sink.counter_add("migrations", 1.0);
-            self.sink.counter_add(&format!("migrations_gpu{to}"), 1.0);
-            self.sink.audit(DecisionRecord {
-                time_s: self.clock.now_s(),
-                kernels: Vec::new(),
-                verdict: Verdict::Placed,
-                consolidated: None,
-                serial: None,
-                cpu: None,
-                reason: format!(
-                    "ctx {ctx} drained off gpu{from} (breaker open) to gpu{to}: \
-                     {} buffer(s), {} constant(s), {moved} bytes",
-                    staged.len(),
-                    consts.len()
-                ),
-            });
-        }
-        true
-    }
-
-    /// Rungs 1–3 of the degradation ladder for a group headed to the GPU.
-    ///
-    /// * Rung 1: the planned dispatch — one consolidated grid
-    ///   (`consolidate`) or per-member grids — with retry + backoff.
-    /// * Rung 2: a failing consolidated launch is aborted and its members
-    ///   re-dispatched serially, isolating a poisoned merge.
-    /// * Rung 3: members the GPU persistently refuses (transient faults
-    ///   exhausting retries/deadline) run on the CPU lifeboat.
-    /// * Permanent errors exit the ladder: the request is failed back to
-    ///   its frontend, and the rest of the group still completes.
-    fn run_ladder(
-        &mut self,
-        device: usize,
-        group: &[KernelRequest],
-        consolidate: bool,
-    ) -> Vec<MemberFate> {
-        if consolidate {
-            match self.launch_with_retries(device, group) {
-                Ok(()) => {
-                    self.stats.launches += 1;
-                    if group.len() >= 2 {
-                        self.stats.consolidated_launches += 1;
-                    }
-                    return group
-                        .iter()
-                        .map(|_| MemberFate::Done(Choice::Consolidate))
-                        .collect();
-                }
-                Err(e) => {
-                    self.stats.serial_fallbacks += 1;
-                    self.note_recovery(
-                        group,
-                        Verdict::SerialGpu,
-                        &format!(
-                            "consolidated launch failed on gpu{device} ({e}); re-dispatching {} member(s) serially",
-                            group.len()
-                        ),
-                    );
-                }
-            }
-        }
-        let mut fates = Vec::with_capacity(group.len());
-        for req in group {
-            let member = std::slice::from_ref(req);
-            let fate = match self.launch_with_retries(device, member) {
-                Ok(()) => {
-                    self.stats.launches += 1;
-                    MemberFate::Done(Choice::SerialGpu)
-                }
-                Err(e) if e.is_transient() => {
-                    self.stats.cpu_fallbacks += 1;
-                    self.note_recovery(
-                        member,
-                        Verdict::Cpu,
-                        &format!(
-                            "serial launch of '{}' (seq {}) on gpu{device} still failing ({e}); falling back to CPU",
-                            req.name, req.seq
-                        ),
-                    );
-                    self.run_cpu(device, member, &[req.workload.cpu_task()]);
-                    MemberFate::Done(Choice::Cpu)
-                }
-                Err(e) => {
-                    self.record_failure(req, e.clone());
-                    MemberFate::Failed(e)
-                }
-            };
-            fates.push(fate);
-        }
-        fates
-    }
-
-    /// Launch `members` as one grid, retrying transient faults with
-    /// exponential backoff on the device clock (retries are not
-    /// energetically free — the device burns idle power while waiting).
-    /// Gives up early when a member's deadline would blow or the circuit
-    /// breaker opens mid-retry; the caller escalates down the ladder.
-    fn launch_with_retries(
-        &mut self,
-        device: usize,
-        members: &[KernelRequest],
-    ) -> Result<(), GpuError> {
-        let pol = self.cfg.resilience.clone();
-        let deadline_s = members
-            .iter()
-            .map(|r| r.submitted_at_s)
-            .fold(f64::INFINITY, f64::min)
-            + pol.request_deadline_s;
-        let mut backoff = pol.retry_backoff_s.max(0.0);
-        let mut attempts = 0u32;
-        loop {
-            let mut grid = Grid::new();
-            for req in members {
-                grid.push(
-                    GridSegment::bare(req.workload.desc(), req.workload.blocks())
-                        .with_args(self.resolved_args(req.ctx, &req.args))
-                        .with_body(req.workload.body())
-                        .with_tag(req.ctx),
-                );
-            }
-            let err = match self.gpus[device].launch(&LaunchConfig::from_grid(grid)) {
-                Ok(_) => {
-                    self.fleet.record_success(device);
-                    return Ok(());
-                }
-                Err(e) => e,
-            };
-            self.stats.faults_observed += 1;
-            if self.sink.is_enabled() {
-                self.sink.counter_add("gpu_faults", 1.0);
-                self.sink
-                    .counter_add(&format!("gpu_faults_gpu{device}"), 1.0);
-            }
-            if self.fleet.record_fault(device, self.gpus[device].clock()) {
-                self.stats.breaker_trips += 1;
-                if self.sink.is_enabled() {
-                    self.sink.counter_add("breaker_trips", 1.0);
-                    self.sink
-                        .counter_add(&format!("breaker_trips_gpu{device}"), 1.0);
-                }
-                self.note_recovery(
-                    members,
-                    Verdict::Cpu,
-                    &format!(
-                        "circuit breaker on gpu{device} tripped at {:.6} s ({err}); device closed for {:.3} s",
-                        self.gpus[device].now_s(),
-                        pol.breaker_cooldown_s
-                    ),
-                );
-            }
-            if !err.is_transient() || attempts >= pol.max_gpu_retries {
-                return Err(err);
-            }
-            if self.fleet.is_open(device, self.gpus[device].clock()) {
-                // The breaker just closed the GPU path: stop burning
-                // retries on a device declared sick.
-                return Err(err);
-            }
-            if self.gpus[device].now_s() + backoff > deadline_s {
-                self.stats.deadline_escalations += 1;
-                if self.sink.is_enabled() {
-                    self.sink.counter_add("deadline_escalations", 1.0);
-                }
-                self.note_recovery(
-                    members,
-                    Verdict::Cpu,
-                    &format!(
-                        "deadline {:.6} s would blow before retry {} ({err}); escalating",
-                        deadline_s,
-                        attempts + 1
-                    ),
-                );
-                return Err(err);
-            }
-            self.gpus[device].idle(backoff);
-            self.stats.gpu_retries += 1;
-            self.stats.backoff_s += backoff;
-            if self.sink.is_enabled() {
-                self.sink.counter_add("gpu_retries", 1.0);
-            }
-            backoff *= 2.0;
-            attempts += 1;
-        }
-    }
-
-    /// The CPU rung: run the members' functional bodies host-side into
-    /// the backend-owned device buffers (frontends read back as usual)
-    /// and charge CPU time and energy.
-    fn run_cpu(&mut self, device: usize, group: &[KernelRequest], tasks: &[CpuTask]) {
-        // The instances run on the host; results must still materialise
-        // in the (backend-owned) device buffers the frontends will read.
-        let (makespan, energy) = self.decision.run_on_cpu(tasks);
-        for req in group {
-            let body = req.workload.body();
-            let args = self.resolved_args(req.ctx, &req.args);
-            for b in 0..req.workload.blocks() {
-                let ctx = BlockCtx {
-                    block_idx: b,
-                    num_blocks: req.workload.blocks(),
-                    threads_per_block: req.workload.desc().threads_per_block,
-                    args: &args,
-                };
-                body(&ctx, self.gpus[device].memory_mut());
-            }
-        }
-        // CPU work occupies the host timeline; the device just waits for
-        // the results to land.
-        self.clock.advance_by(makespan.max(0.0));
-        self.gpus[device].idle(makespan.max(0.0));
-        self.stats.cpu_executions += group.len() as u64;
-        self.stats.cpu_time_s += makespan;
-        self.stats.cpu_energy_j += energy;
-    }
-
-    /// Queue a permanent failure for delivery at the context's next
-    /// `sync`, and audit it.
-    fn record_failure(&mut self, req: &KernelRequest, e: GpuError) {
-        self.stats.failed_kernels += 1;
-        self.failures.entry(req.ctx).or_default().push_back((
-            req.seq,
-            CoreError::KernelFailed {
-                seq: req.seq,
-                gpu: e.clone(),
-            },
-        ));
-        if self.sink.is_enabled() {
-            self.sink.counter_add("requests_failed", 1.0);
-            self.sink.audit(DecisionRecord {
-                time_s: self.clock.now_s(),
-                kernels: vec![req.name.clone()],
-                verdict: Verdict::Failed,
-                consolidated: None,
-                serial: None,
-                cpu: None,
-                reason: format!(
-                    "kernel '{}' (ctx {}, seq {}) failed permanently: {e}",
-                    req.name, req.ctx, req.seq
-                ),
-            });
-        }
-    }
-
-    /// Audit one recovery decision (a hop down the degradation ladder).
-    fn note_recovery(&mut self, members: &[KernelRequest], verdict: Verdict, reason: &str) {
-        if !self.sink.is_enabled() {
-            return;
-        }
-        self.sink.counter_add("recoveries", 1.0);
-        self.sink.audit(DecisionRecord {
-            time_s: self.clock.now_s(),
-            kernels: members.iter().map(|r| r.name.clone()).collect(),
-            verdict,
-            consolidated: None,
-            serial: None,
-            cpu: None,
-            reason: reason.to_string(),
-        });
-    }
-
-    /// Move `device` to state `level` of the configured ladder. No-op
-    /// without a power-state stack or when already there. Audited as
-    /// [`Verdict::StateChanged`]; the device itself emits the
-    /// `dvfs_level_gpu{d}` gauge and transition counter.
-    fn apply_power_state(&mut self, device: usize, level: usize) -> bool {
-        let Some((name, freq, latency)) = self.decision.power_policy().and_then(|ps| {
-            ps.table.get(level).map(|s| {
-                // Park states cannot run work; the engine clock scale is
-                // irrelevant there, so leave it at the base clock.
-                let freq = if s.can_run() { s.freq_scale } else { 1.0 };
-                (s.name, freq, s.wake_latency_s)
-            })
-        }) else {
-            return false;
-        };
-        let from = self.gpus[device].power_level();
-        let changed = self.gpus[device].set_power_state(level as u32, freq, latency);
-        if changed {
-            self.stats.state_changes += 1;
-            if self.sink.is_enabled() {
-                self.sink.audit(DecisionRecord {
-                    time_s: self.gpus[device].now_s(),
-                    kernels: Vec::new(),
-                    verdict: Verdict::StateChanged,
-                    consolidated: None,
-                    serial: None,
-                    cpu: None,
-                    reason: format!(
-                        "gpu{device}: power state {} -> {name} (level {level})",
-                        from.map_or_else(|| "p0".to_string(), |l| format!("level {l}")),
-                    ),
-                });
-            }
-        }
-        changed
-    }
-
-    /// Replay power-cap throttles the governor recorded onto the
-    /// actual devices so projections and simulated timing agree, and
-    /// audit each as a state change driven by the fleet cap.
-    fn sync_fleet_throttles(&mut self) {
-        while self.fleet_throttles_seen < self.fleet.state_changes().len() {
-            let rec = self.fleet.state_changes()[self.fleet_throttles_seen];
-            self.fleet_throttles_seen += 1;
-            let d = rec.device as usize;
-            let Some(state) = self.fleet.spec(d).states.get(rec.to).copied() else {
-                continue;
-            };
-            let freq = if state.can_run() {
-                state.freq_scale
-            } else {
-                1.0
-            };
-            let changed = self.gpus[d].set_power_state(rec.to as u32, freq, state.wake_latency_s);
-            if changed {
-                self.stats.state_changes += 1;
-                if self.sink.is_enabled() {
-                    self.sink.audit(DecisionRecord {
-                        time_s: self.gpus[d].now_s(),
-                        kernels: Vec::new(),
-                        verdict: Verdict::StateChanged,
-                        consolidated: None,
-                        serial: None,
-                        cpu: None,
-                        reason: format!(
-                            "gpu{d}: power cap throttled level {} -> {} (level {})",
-                            rec.from, state.name, rec.to
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
-    /// Record the verdict and the predictions that justified it.
-    fn audit_decision(
-        &self,
-        assessment: &crate::decision::Assessment,
-        group: &[KernelRequest],
-        device: usize,
-        forced: bool,
-        tripped: bool,
-        spilled: bool,
-    ) {
-        let state_note = match &assessment.state {
-            Some(sd) => match sd.chosen(assessment.choice) {
-                Some(c) => format!(
-                    "; {} policy chose state {} ({:.3} J over horizon)",
-                    sd.knob.label(),
-                    c.state,
-                    c.horizon_energy_j
-                ),
-                None => String::new(),
-            },
-            None => String::new(),
-        };
-        let reason = format!(
-            "predicted energy: consolidated {:.3} J (margin-adjusted), serial {:.3} J, cpu {:.3} J{}{}{}{state_note}",
-            assessment.consolidated.system_energy_j,
-            assessment.serial.system_energy_j,
-            assessment.cpu_energy_j,
-            if forced { "; force_gpu overrode a CPU verdict" } else { "" },
-            if tripped {
-                format!("; circuit breaker open on gpu{device}, no healthy device: group tripped to CPU")
-            } else {
-                String::new()
-            },
-            if spilled {
-                "; overload level 4: group spilled to the CPU lifeboat"
-            } else {
-                ""
-            }
-        );
-        self.sink.audit(DecisionRecord {
-            time_s: self.clock.now_s(),
-            kernels: group.iter().map(|r| r.name.clone()).collect(),
-            verdict: verdict_of(assessment.choice),
-            consolidated: Some((
-                assessment.consolidated.time_s,
-                assessment.consolidated.system_energy_j,
-            )),
-            serial: Some((assessment.serial.time_s, assessment.serial.system_energy_j)),
-            cpu: Some((assessment.cpu_time_s, assessment.cpu_energy_j)),
-            reason,
-        });
-    }
-}
-
-/// Map the decision engine's [`Choice`] onto the telemetry [`Verdict`].
-fn verdict_of(choice: Choice) -> Verdict {
-    match choice {
-        Choice::Consolidate => Verdict::Consolidate,
-        Choice::SerialGpu => Verdict::SerialGpu,
-        Choice::Cpu => Verdict::Cpu,
     }
 }

@@ -1,0 +1,476 @@
+//! When pending launches leave the queue, and what happens to a group
+//! that does: the batching conditions re-checked after every message
+//! (threshold, staleness, age shed, the degradation watchdog), template
+//! matching per device, and the dispatch of one group — coordination,
+//! the decision engine's verdict and its overrides, execution, records.
+
+use ewc_models::PolicyKnob;
+use ewc_telemetry::{DecisionRecord, Verdict};
+
+use super::ladder::MemberFate;
+use super::Backend;
+use crate::admission::{Priority, ShedCause};
+use crate::decision::Choice;
+use crate::protocol::{CoreError, KernelRequest};
+use crate::stats::{ConsolidationRecord, KernelOutcome};
+
+impl Backend {
+    /// The batching conditions: flush on reaching the group-size
+    /// threshold, or when the oldest pending request has waited past
+    /// the staleness bound (trace-driven runs may never reach the
+    /// threshold). With admission control on, the CoDel-style age shed
+    /// runs first (blown requests are dropped before more work is
+    /// dispatched) and the queue-age watchdog **after** the flush:
+    /// flushing always empties pending work onto the device, so any age
+    /// the flush could clear is batching delay, not overload — what the
+    /// watchdog must react to is the pressure that *survives* a flush
+    /// (device backlog, or a queue the flush could not move).
+    pub(super) fn check_flush(&mut self) {
+        if self.admission.is_some() {
+            self.shed_stale();
+        }
+        if self.pending.len() >= self.effective_threshold() {
+            self.flush(false);
+        } else if !self.pending.is_empty() {
+            let oldest = self
+                .pending
+                .iter()
+                .map(|r| r.submitted_at_s)
+                .fold(f64::INFINITY, f64::min);
+            if self.clock.now_s() - oldest > self.cfg.max_pending_wait_s {
+                self.flush(true);
+            }
+        }
+        if self.admission.is_some() {
+            self.watchdog();
+        }
+    }
+
+    /// The consolidation threshold adjusted by the degradation ladder:
+    /// level ≥ 3 widens batching to 2× so each coordination round moves
+    /// more work per unit of overhead.
+    fn effective_threshold(&self) -> usize {
+        let base = self.cfg.threshold();
+        match &self.admission {
+            Some(a) if a.level() >= 3 => base * 2,
+            _ => base,
+        }
+    }
+
+    /// The queue-age watchdog driving the degradation ladder: sustained
+    /// pressure (oldest pending request older than the configured age)
+    /// steps the ladder down one level at a time; a full quiet period
+    /// steps it back up. Audited as `Verdict::Degraded`.
+    ///
+    /// Launches are asynchronous, so sustained overload mostly shows up
+    /// as a device clock running *ahead* of the host clock (queued work
+    /// on the device) rather than as pending-queue depth — the watchdog
+    /// treats that backlog lead as pressure too: it is exactly the extra
+    /// queueing delay a newly admitted request would face.
+    fn watchdog(&mut self) {
+        let now = self.clock.now_s();
+        let age = self
+            .pending
+            .iter()
+            .map(|r| (now - r.submitted_at_s).max(0.0))
+            .fold(0.0, f64::max);
+        let backlog = self
+            .gpus
+            .iter()
+            .map(|g| (g.now_s() - now).max(0.0))
+            .fold(0.0, f64::max);
+        let age = age.max(backlog);
+        let moved = match &mut self.admission {
+            Some(a) => {
+                let before = a.level();
+                a.observe(now, age).map(|level| (before, level))
+            }
+            None => return,
+        };
+        let Some((before, level)) = moved else { return };
+        self.stats.degradation_steps += 1;
+        self.stats.max_degradation_level = self.stats.max_degradation_level.max(level);
+        if self.sink.is_enabled() {
+            self.sink.gauge_set("degradation_level", f64::from(level));
+            self.sink.audit(DecisionRecord {
+                time_s: now,
+                kernels: Vec::new(),
+                verdict: Verdict::Degraded,
+                consolidated: None,
+                serial: None,
+                cpu: None,
+                reason: format!(
+                    "degradation ladder {} {before} -> {level} (oldest pending age {age:.4} s, {} pending)",
+                    if level > before {
+                        "stepped down under pressure:"
+                    } else {
+                        "recovered after quiet period:"
+                    },
+                    self.pending.len()
+                ),
+            });
+        }
+    }
+
+    /// CoDel-style age shed: queued requests older than `shed_age_s`
+    /// have already blown their latency budget — executing them would
+    /// only burn energy, so they are dropped with a `Shed` notice
+    /// queued for the owner's next `sync` and a `Verdict::Shed` audit.
+    fn shed_stale(&mut self) {
+        let shed_age_s = match &self.admission {
+            Some(a) => a.cfg.shed_age_s,
+            None => return,
+        };
+        if !shed_age_s.is_finite() || self.pending.is_empty() {
+            return;
+        }
+        let now = self.clock.now_s();
+        // This runs per message; almost always nothing has aged out.
+        // Settle that with a read-only scan before touching the queue,
+        // so the common case neither allocates nor moves a request.
+        if !self
+            .pending
+            .iter()
+            .any(|r| now - r.submitted_at_s > shed_age_s)
+        {
+            return;
+        }
+        let mut kept = Vec::with_capacity(self.pending.len());
+        let mut stale: Vec<KernelRequest> = Vec::new();
+        for r in self.pending.drain(..) {
+            if now - r.submitted_at_s > shed_age_s {
+                stale.push(r);
+            } else {
+                kept.push(r);
+            }
+        }
+        self.pending = kept;
+        for req in stale {
+            self.stats.shed_requests += 1;
+            self.stats.shed_queue_age += 1;
+            self.failures.entry(req.ctx).or_default().push_back((
+                req.seq,
+                CoreError::Shed {
+                    seq: Some(req.seq),
+                    cause: ShedCause::QueueAge,
+                },
+            ));
+            self.audit_shed(&req.name, req.ctx, Some(req.seq), ShedCause::QueueAge);
+        }
+    }
+
+    /// Drain the pending queue. With `force`, everything executes now;
+    /// otherwise only while the threshold is met. Groups form per device
+    /// (a context's data lives on its bound GPU).
+    pub(super) fn flush(&mut self, force: bool) {
+        loop {
+            if self.pending.is_empty() {
+                return;
+            }
+            if !force && self.pending.len() < self.effective_threshold() {
+                return;
+            }
+            // Degradation level ≥ 2 coarsens the consolidation search:
+            // only the oldest `threshold` requests per device are
+            // template-matched, bounding matcher cost under a deep
+            // backlog (the rest wait their turn).
+            let window = match &self.admission {
+                Some(a) if a.level() >= 2 => self.cfg.threshold().max(1),
+                _ => usize::MAX,
+            };
+            let mut grouped = false;
+            for d in 0..self.gpus.len() {
+                // The per-device index list is rebuilt every iteration of
+                // a hot loop; recycle its storage across flushes.
+                let mut local = std::mem::take(&mut self.flush_scratch);
+                local.clear();
+                local.extend(
+                    (0..self.pending.len())
+                        .filter(|&i| self.fleet.binding(self.pending[i].ctx) == Some(d)),
+                );
+                local.truncate(window);
+                if local.is_empty() {
+                    self.flush_scratch = local;
+                    continue;
+                }
+                let refs: Vec<&KernelRequest> = local.iter().map(|&i| &self.pending[i]).collect();
+                if let Some((t, sel)) = self.templates.best_match(&refs) {
+                    let tname = t.name.clone();
+                    let global: Vec<usize> = sel.into_iter().map(|i| local[i]).collect();
+                    self.flush_scratch = local;
+                    let group = self.extract(global);
+                    self.execute_group(d, &tname, group);
+                    grouped = true;
+                    break;
+                }
+                self.flush_scratch = local;
+            }
+            if !grouped {
+                // No template matches anywhere: run the oldest kernel on
+                // its own ("the backend lets the kernels run normally").
+                // The queue cannot be empty here (checked at loop top),
+                // but the backend must never bet its life on an invariant.
+                let Some(oldest) = (0..self.pending.len()).min_by_key(|&i| self.pending[i].seq)
+                else {
+                    return;
+                };
+                let group = self.extract(vec![oldest]);
+                let Some(d) = self.fleet.binding(group[0].ctx) else {
+                    // No device binding (cannot happen: enqueue binds):
+                    // drop rather than panic under the shared lock.
+                    return;
+                };
+                self.execute_group(d, "<individual>", group);
+            }
+        }
+    }
+
+    /// Remove the given indices from pending, preserving the order the
+    /// indices are listed in (the template's layout order).
+    fn extract(&mut self, idx: Vec<usize>) -> Vec<KernelRequest> {
+        // Mark-and-sweep through recycled scratch: requests move (no
+        // clones), and neither the mark vector nor the rebuilt queue
+        // allocates once the scratch has warmed up.
+        self.extract_scratch.clear();
+        self.extract_scratch
+            .extend(self.pending.drain(..).map(Some));
+        let group: Vec<KernelRequest> = idx
+            .iter()
+            .map(|&i| self.extract_scratch[i].take().expect("duplicate index"))
+            .collect();
+        self.pending
+            .extend(self.extract_scratch.drain(..).flatten());
+        group
+    }
+
+    fn execute_group(&mut self, device: usize, template: &str, group: Vec<KernelRequest>) {
+        // Coordination between the participating frontends (host side).
+        let coord_start_s = self.clock.now_s();
+        let refs: Vec<&KernelRequest> = group.iter().collect();
+        let coord = self.coordinator.plan(&refs);
+        self.stats.messages += coord.messages;
+        self.stats.coordination_s += coord.cost_s;
+        self.clock.advance_by(coord.cost_s);
+
+        // Model the alternatives.
+        let mut plan = ewc_models::ConsolidationPlan::new();
+        let mut cpu_tasks = Vec::with_capacity(group.len());
+        for req in &group {
+            plan.push(ewc_models::KernelSpec::new(
+                req.workload.desc(),
+                req.workload.blocks(),
+            ));
+            cpu_tasks.push(req.workload.cpu_task());
+        }
+        let mut assessment = self.decision.assess(&plan, &cpu_tasks);
+        let mut forced = false;
+        if self.cfg.force_gpu && assessment.choice == Choice::Cpu {
+            forced = true;
+            assessment.choice =
+                if assessment.consolidated.system_energy_j <= assessment.serial.system_energy_j {
+                    Choice::Consolidate
+                } else {
+                    Choice::SerialGpu
+                };
+        }
+        // The device's circuit breaker outranks everything, force_gpu
+        // included — but a trip is per-device now: the group's contexts
+        // drain to a healthy card when one exists, and only a fully sick
+        // fleet sends the group to the CPU until a cooldown expires and
+        // a probe group half-opens a breaker.
+        let mut tripped = false;
+        let mut device = device;
+        if assessment.choice != Choice::Cpu && !self.fleet.gpu_allowed(device, &self.clock) {
+            let target = self.fleet.healthy_target(device, &self.clock);
+            match target {
+                Some(to) if self.migrate_group(&group, device, to) => device = to,
+                _ => {
+                    tripped = true;
+                    assessment.choice = Choice::Cpu;
+                }
+            }
+        }
+        // Degradation level 4: the CPU lifeboat. Whole groups without a
+        // High-priority member spill to the host so the device queue can
+        // drain — force_gpu does not outrank a ladder at its last rung.
+        let mut spilled = false;
+        if assessment.choice != Choice::Cpu
+            && matches!(&self.admission, Some(a) if a.level() >= 4)
+            && group.iter().all(|r| r.priority < Priority::High)
+        {
+            spilled = true;
+            assessment.choice = Choice::Cpu;
+        }
+        if self.sink.is_enabled() {
+            self.sink
+                .span(
+                    "host",
+                    "backend",
+                    "coordinate",
+                    coord_start_s,
+                    self.clock.now_s(),
+                )
+                .attr("template", template)
+                .attr("group_size", group.len())
+                .emit();
+            self.audit_decision(&assessment, &group, device, forced, tripped, spilled);
+        }
+
+        // Kernel launches are asynchronous: the device clock runs ahead
+        // of the host clock, so other devices' groups can overlap.
+        self.catch_up(device);
+        // Apply the knob-chosen operating point before the launch; the
+        // wake latency lands on the device clock. Race-to-idle parks the
+        // device in the deepest state once the group completes.
+        let mut park_after = None;
+        if let Some(sd) = &assessment.state {
+            if assessment.choice != Choice::Cpu {
+                if let Some(choice) = sd.chosen(assessment.choice) {
+                    let level = choice.level;
+                    if matches!(sd.knob, PolicyKnob::RaceToIdle) {
+                        park_after = self.decision.power_policy().and_then(|ps| ps.table.park());
+                    }
+                    self.apply_power_state(device, level);
+                }
+            }
+        }
+        let t0 = self.gpus[device].now_s();
+        let fates = match assessment.choice {
+            Choice::Consolidate => self.run_ladder(device, &group, true),
+            Choice::SerialGpu => self.run_ladder(device, &group, false),
+            Choice::Cpu => {
+                self.run_cpu(device, &group, &cpu_tasks);
+                group
+                    .iter()
+                    .map(|_| MemberFate::Done(Choice::Cpu))
+                    .collect()
+            }
+        };
+
+        let completed_at_s = self.gpus[device].now_s();
+        if let Some(park) = park_after {
+            self.apply_power_state(device, park);
+        }
+        for (req, fate) in group.iter().zip(&fates) {
+            // Failed members never completed; they get no outcome record
+            // — their story is told by `failed_kernels` and the audit log.
+            if let MemberFate::Done(choice) = fate {
+                self.stats.kernel_outcomes.push(KernelOutcome {
+                    ctx: req.ctx,
+                    seq: req.seq,
+                    name: req.name.clone(),
+                    submitted_at_s: req.submitted_at_s,
+                    completed_at_s,
+                    choice: *choice,
+                });
+            }
+        }
+        self.stats.records.push(ConsolidationRecord {
+            template: template.to_string(),
+            kernels: group.iter().map(|r| r.name.clone()).collect(),
+            choice: assessment.choice,
+            predicted_time_s: assessment.chosen_time_s(),
+            predicted_energy_j: assessment.chosen_energy_j(),
+            actual_time_s: completed_at_s - t0,
+        });
+
+        if self.sink.is_enabled() {
+            for (req, fate) in group.iter().zip(&fates) {
+                let label = match fate {
+                    MemberFate::Done(c) => verdict_of(*c).label(),
+                    MemberFate::Failed(_) => Verdict::Failed.label(),
+                };
+                // Full request lifecycle on the submitting context's lane:
+                // queued behind the threshold, then executing on the device
+                // (or host, for CPU verdicts).
+                let lane = format!("ctx{}", req.ctx);
+                let mut span = self
+                    .sink
+                    .span("host", &lane, "request", req.submitted_at_s, completed_at_s)
+                    .attr("kernel", &req.name)
+                    .attr("seq", req.seq)
+                    .attr("choice", label);
+                if let MemberFate::Failed(e) = fate {
+                    span = span.attr("error", e.to_string());
+                }
+                let parent = span.emit();
+                self.sink
+                    .span("host", &lane, "queued", req.submitted_at_s, coord_start_s)
+                    .parent(parent)
+                    .emit();
+                self.sink
+                    .span("host", &lane, "execute", t0, completed_at_s)
+                    .parent(parent)
+                    .attr("device", device)
+                    .emit();
+                self.sink
+                    .histogram_record("request_latency_s", completed_at_s - req.submitted_at_s);
+            }
+            let label = verdict_of(assessment.choice).label();
+            self.sink.counter_add("groups", 1.0);
+            self.sink.counter_add(&format!("verdict_{label}"), 1.0);
+        }
+    }
+
+    /// Record the verdict and the predictions that justified it.
+    fn audit_decision(
+        &self,
+        assessment: &crate::decision::Assessment,
+        group: &[KernelRequest],
+        device: usize,
+        forced: bool,
+        tripped: bool,
+        spilled: bool,
+    ) {
+        let state_note = match &assessment.state {
+            Some(sd) => match sd.chosen(assessment.choice) {
+                Some(c) => format!(
+                    "; {} policy chose state {} ({:.3} J over horizon)",
+                    sd.knob.label(),
+                    c.state,
+                    c.horizon_energy_j
+                ),
+                None => String::new(),
+            },
+            None => String::new(),
+        };
+        let reason = format!(
+            "predicted energy: consolidated {:.3} J (margin-adjusted), serial {:.3} J, cpu {:.3} J{}{}{}{state_note}",
+            assessment.consolidated.system_energy_j,
+            assessment.serial.system_energy_j,
+            assessment.cpu_energy_j,
+            if forced { "; force_gpu overrode a CPU verdict" } else { "" },
+            if tripped {
+                format!("; circuit breaker open on gpu{device}, no healthy device: group tripped to CPU")
+            } else {
+                String::new()
+            },
+            if spilled {
+                "; overload level 4: group spilled to the CPU lifeboat"
+            } else {
+                ""
+            }
+        );
+        self.sink.audit(DecisionRecord {
+            time_s: self.clock.now_s(),
+            kernels: group.iter().map(|r| r.name.clone()).collect(),
+            verdict: verdict_of(assessment.choice),
+            consolidated: Some((
+                assessment.consolidated.time_s,
+                assessment.consolidated.system_energy_j,
+            )),
+            serial: Some((assessment.serial.time_s, assessment.serial.system_energy_j)),
+            cpu: Some((assessment.cpu_time_s, assessment.cpu_energy_j)),
+            reason,
+        });
+    }
+}
+
+/// Map the decision engine's [`Choice`] onto the telemetry [`Verdict`].
+fn verdict_of(choice: Choice) -> Verdict {
+    match choice {
+        Choice::Consolidate => Verdict::Consolidate,
+        Choice::SerialGpu => Verdict::SerialGpu,
+        Choice::Cpu => Verdict::Cpu,
+    }
+}

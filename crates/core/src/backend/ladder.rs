@@ -1,0 +1,263 @@
+//! The recovery ladder for a dispatched group: retry with backoff,
+//! consolidated → serial re-dispatch, the CPU lifeboat, and the
+//! permanent failure delivered at the owner's next `sync`.
+
+use ewc_cpu::CpuTask;
+use ewc_gpu::grid::GridSegment;
+use ewc_gpu::kernel::{BlockCtx, LaunchConfig};
+use ewc_gpu::{GpuError, Grid};
+use ewc_telemetry::{DecisionRecord, Verdict};
+
+use super::Backend;
+use crate::decision::Choice;
+use crate::protocol::{CoreError, KernelRequest};
+
+/// How one member of a dispatched group ended up.
+pub(super) enum MemberFate {
+    /// Completed, on the given rung (consolidated, serial GPU, or CPU).
+    Done(Choice),
+    /// Failed permanently; the error is queued for the frontend's next
+    /// `sync`.
+    Failed(GpuError),
+}
+
+impl Backend {
+    /// Rungs 1–3 of the degradation ladder for a group headed to the GPU.
+    ///
+    /// * Rung 1: the planned dispatch — one consolidated grid
+    ///   (`consolidate`) or per-member grids — with retry + backoff.
+    /// * Rung 2: a failing consolidated launch is aborted and its members
+    ///   re-dispatched serially, isolating a poisoned merge.
+    /// * Rung 3: members the GPU persistently refuses (transient faults
+    ///   exhausting retries/deadline) run on the CPU lifeboat.
+    /// * Permanent errors exit the ladder: the request is failed back to
+    ///   its frontend, and the rest of the group still completes.
+    pub(super) fn run_ladder(
+        &mut self,
+        device: usize,
+        group: &[KernelRequest],
+        consolidate: bool,
+    ) -> Vec<MemberFate> {
+        if consolidate {
+            match self.launch_with_retries(device, group) {
+                Ok(()) => {
+                    self.stats.launches += 1;
+                    if group.len() >= 2 {
+                        self.stats.consolidated_launches += 1;
+                    }
+                    return group
+                        .iter()
+                        .map(|_| MemberFate::Done(Choice::Consolidate))
+                        .collect();
+                }
+                Err(e) => {
+                    self.stats.serial_fallbacks += 1;
+                    self.note_recovery(
+                        group,
+                        Verdict::SerialGpu,
+                        &format!(
+                            "consolidated launch failed on gpu{device} ({e}); re-dispatching {} member(s) serially",
+                            group.len()
+                        ),
+                    );
+                }
+            }
+        }
+        let mut fates = Vec::with_capacity(group.len());
+        for req in group {
+            let member = std::slice::from_ref(req);
+            let fate = match self.launch_with_retries(device, member) {
+                Ok(()) => {
+                    self.stats.launches += 1;
+                    MemberFate::Done(Choice::SerialGpu)
+                }
+                Err(e) if e.is_transient() => {
+                    self.stats.cpu_fallbacks += 1;
+                    self.note_recovery(
+                        member,
+                        Verdict::Cpu,
+                        &format!(
+                            "serial launch of '{}' (seq {}) on gpu{device} still failing ({e}); falling back to CPU",
+                            req.name, req.seq
+                        ),
+                    );
+                    self.run_cpu(device, member, &[req.workload.cpu_task()]);
+                    MemberFate::Done(Choice::Cpu)
+                }
+                Err(e) => {
+                    self.record_failure(req, e.clone());
+                    MemberFate::Failed(e)
+                }
+            };
+            fates.push(fate);
+        }
+        fates
+    }
+
+    /// Launch `members` as one grid, retrying transient faults with
+    /// exponential backoff on the device clock (retries are not
+    /// energetically free — the device burns idle power while waiting).
+    /// Gives up early when a member's deadline would blow or the circuit
+    /// breaker opens mid-retry; the caller escalates down the ladder.
+    fn launch_with_retries(
+        &mut self,
+        device: usize,
+        members: &[KernelRequest],
+    ) -> Result<(), GpuError> {
+        let pol = self.cfg.resilience.clone();
+        let deadline_s = members
+            .iter()
+            .map(|r| r.submitted_at_s)
+            .fold(f64::INFINITY, f64::min)
+            + pol.request_deadline_s;
+        let mut backoff = pol.retry_backoff_s.max(0.0);
+        let mut attempts = 0u32;
+        loop {
+            let mut grid = Grid::new();
+            for req in members {
+                grid.push(
+                    GridSegment::bare(req.workload.desc(), req.workload.blocks())
+                        .with_args(self.resolved_args(req.ctx, &req.args))
+                        .with_body(req.workload.body())
+                        .with_tag(req.ctx),
+                );
+            }
+            let err = match self.gpus[device].launch(&LaunchConfig::from_grid(grid)) {
+                Ok(_) => {
+                    self.fleet.record_success(device);
+                    return Ok(());
+                }
+                Err(e) => e,
+            };
+            self.stats.faults_observed += 1;
+            if self.sink.is_enabled() {
+                self.sink.counter_add("gpu_faults", 1.0);
+                self.sink
+                    .counter_add(&format!("gpu_faults_gpu{device}"), 1.0);
+            }
+            if self.fleet.record_fault(device, self.gpus[device].clock()) {
+                self.stats.breaker_trips += 1;
+                if self.sink.is_enabled() {
+                    self.sink.counter_add("breaker_trips", 1.0);
+                    self.sink
+                        .counter_add(&format!("breaker_trips_gpu{device}"), 1.0);
+                }
+                self.note_recovery(
+                    members,
+                    Verdict::Cpu,
+                    &format!(
+                        "circuit breaker on gpu{device} tripped at {:.6} s ({err}); device closed for {:.3} s",
+                        self.gpus[device].now_s(),
+                        pol.breaker_cooldown_s
+                    ),
+                );
+            }
+            if !err.is_transient() || attempts >= pol.max_gpu_retries {
+                return Err(err);
+            }
+            if self.fleet.is_open(device, self.gpus[device].clock()) {
+                // The breaker just closed the GPU path: stop burning
+                // retries on a device declared sick.
+                return Err(err);
+            }
+            if self.gpus[device].now_s() + backoff > deadline_s {
+                self.stats.deadline_escalations += 1;
+                if self.sink.is_enabled() {
+                    self.sink.counter_add("deadline_escalations", 1.0);
+                }
+                self.note_recovery(
+                    members,
+                    Verdict::Cpu,
+                    &format!(
+                        "deadline {:.6} s would blow before retry {} ({err}); escalating",
+                        deadline_s,
+                        attempts + 1
+                    ),
+                );
+                return Err(err);
+            }
+            self.gpus[device].idle(backoff);
+            self.stats.gpu_retries += 1;
+            self.stats.backoff_s += backoff;
+            if self.sink.is_enabled() {
+                self.sink.counter_add("gpu_retries", 1.0);
+            }
+            backoff *= 2.0;
+            attempts += 1;
+        }
+    }
+
+    /// The CPU rung: run the members' functional bodies host-side into
+    /// the backend-owned device buffers (frontends read back as usual)
+    /// and charge CPU time and energy.
+    pub(super) fn run_cpu(&mut self, device: usize, group: &[KernelRequest], tasks: &[CpuTask]) {
+        // The instances run on the host; results must still materialise
+        // in the (backend-owned) device buffers the frontends will read.
+        let (makespan, energy) = self.decision.run_on_cpu(tasks);
+        for req in group {
+            let body = req.workload.body();
+            let args = self.resolved_args(req.ctx, &req.args);
+            for b in 0..req.workload.blocks() {
+                let ctx = BlockCtx {
+                    block_idx: b,
+                    num_blocks: req.workload.blocks(),
+                    threads_per_block: req.workload.desc().threads_per_block,
+                    args: &args,
+                };
+                body(&ctx, self.gpus[device].memory_mut());
+            }
+        }
+        // CPU work occupies the host timeline; the device just waits for
+        // the results to land.
+        self.clock.advance_by(makespan.max(0.0));
+        self.gpus[device].idle(makespan.max(0.0));
+        self.stats.cpu_executions += group.len() as u64;
+        self.stats.cpu_time_s += makespan;
+        self.stats.cpu_energy_j += energy;
+    }
+
+    /// Queue a permanent failure for delivery at the context's next
+    /// `sync`, and audit it.
+    fn record_failure(&mut self, req: &KernelRequest, e: GpuError) {
+        self.stats.failed_kernels += 1;
+        self.failures.entry(req.ctx).or_default().push_back((
+            req.seq,
+            CoreError::KernelFailed {
+                seq: req.seq,
+                gpu: e.clone(),
+            },
+        ));
+        if self.sink.is_enabled() {
+            self.sink.counter_add("requests_failed", 1.0);
+            self.sink.audit(DecisionRecord {
+                time_s: self.clock.now_s(),
+                kernels: vec![req.name.clone()],
+                verdict: Verdict::Failed,
+                consolidated: None,
+                serial: None,
+                cpu: None,
+                reason: format!(
+                    "kernel '{}' (ctx {}, seq {}) failed permanently: {e}",
+                    req.name, req.ctx, req.seq
+                ),
+            });
+        }
+    }
+
+    /// Audit one recovery decision (a hop down the degradation ladder).
+    fn note_recovery(&mut self, members: &[KernelRequest], verdict: Verdict, reason: &str) {
+        if !self.sink.is_enabled() {
+            return;
+        }
+        self.sink.counter_add("recoveries", 1.0);
+        self.sink.audit(DecisionRecord {
+            time_s: self.clock.now_s(),
+            kernels: members.iter().map(|r| r.name.clone()).collect(),
+            verdict,
+            consolidated: None,
+            serial: None,
+            cpu: None,
+            reason: reason.to_string(),
+        });
+    }
+}
