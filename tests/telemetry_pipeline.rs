@@ -84,6 +84,25 @@ fn runtime_run_emits_host_and_gpu_spans() {
                 && s.name != "coordinate"
         })
         .count();
+    // One span name per kind of API call, as the Chrome trace shows it.
+    let kinds: std::collections::BTreeSet<&str> = snap
+        .spans
+        .iter()
+        .filter(|s| s.lane == "backend" && s.name != "staging" && s.name != "coordinate")
+        .map(|s| s.name.as_str())
+        .collect();
+    assert_eq!(
+        kinds.into_iter().collect::<Vec<_>>(),
+        [
+            "configure_call",
+            "launch",
+            "malloc",
+            "memcpy_d2h",
+            "memcpy_h2d",
+            "shutdown",
+            "sync"
+        ]
+    );
     // stats.messages additionally counts intra-group coordination
     // messages (leader election), which are not frontend API calls.
     assert!(
