@@ -340,6 +340,14 @@ impl Backend {
         self.clock.advance_to(self.gpus[d].now_s());
     }
 
+    /// Execute everything pending and wait for every device to finish.
+    fn drain(&mut self) {
+        self.flush(true);
+        for d in 0..self.gpus.len() {
+            self.host_joins(d);
+        }
+    }
+
     /// Advance the host clock to (at least) `to_s`. A harness
     /// construct, not an API call: no channel cost, no span.
     pub(crate) fn advance_clock(&mut self, to_s: f64) {
@@ -519,11 +527,7 @@ impl Backend {
     /// executed.
     pub(crate) fn sync(&mut self, ctx: u64) -> Result<(), CoreError> {
         self.rpc("sync", ctx, |b| {
-            b.flush(true);
-            // Sync waits for every device to drain.
-            for d in 0..b.gpus.len() {
-                b.host_joins(d);
-            }
+            b.drain();
             // Deliver one queued permanent failure per sync: the
             // launch already returned a ticket, so this is where the
             // offending frontend learns its kernel died.
@@ -538,10 +542,7 @@ impl Backend {
     pub(crate) fn shutdown(mut self) -> ShutdownReport {
         let rpc_start_s = self.clock.now_s();
         self.charge_channel();
-        self.flush(true);
-        for d in 0..self.gpus.len() {
-            self.host_joins(d);
-        }
+        self.drain();
         let activities = self.gpus.iter().map(|g| g.activity().to_vec()).collect();
         self.stats.placements = self.fleet.placements().to_vec();
         self.stats.cap_redirects = self.fleet.cap_redirects();

@@ -153,6 +153,11 @@ use ewc_faults::{FaultConfig, SharedFaultPlan};
 use ewc_fleet::{FleetConfig, PlacementReason, PolicyKind};
 use ewc_telemetry::TelemetrySink;
 
+/// A collecting sink that lends the backend a fresh executor clock.
+fn virtual_sink() -> TelemetrySink {
+    TelemetrySink::enabled_virtual(VirtualClock::new())
+}
+
 /// Run 12 verified AES instances on a 4-device heterogeneous fleet
 /// under `fleet_cfg`, recording into `sink`; returns the shutdown
 /// report.
@@ -187,10 +192,7 @@ fn fleet_session(fleet_cfg: FleetConfig, sink: TelemetrySink) -> ewc_core::Runti
 fn every_policy_replays_an_identical_placement_audit() {
     // Whether the backend runs on a clock the caller lent or on its own
     // must not matter to the replay.
-    let sinks: [fn() -> TelemetrySink; 2] = [
-        || TelemetrySink::enabled_virtual(VirtualClock::new()),
-        TelemetrySink::enabled,
-    ];
+    let sinks: [fn() -> TelemetrySink; 2] = [virtual_sink, TelemetrySink::enabled];
     for kind in PolicyKind::ALL {
         for sink in sinks {
             let fleet = FleetConfig::heterogeneous(4).with_policy(kind);
@@ -223,7 +225,6 @@ fn power_cap_redirects_placements_under_the_fleet_ceiling() {
     // placement proxy. A 180 W cap leaves no headroom for round robin's
     // first choice (c1060, +18.75 W marginal), so the governor must
     // redirect toward the low-power half-width card instead.
-    let virtual_sink = || TelemetrySink::enabled_virtual(VirtualClock::new());
     let capped = fleet_session(
         FleetConfig::heterogeneous(4)
             .with_policy(PolicyKind::RoundRobin)
