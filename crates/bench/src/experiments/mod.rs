@@ -7,7 +7,7 @@
 //! 2011 testbed; the *shape* (who wins, by what factor, where crossovers
 //! fall) is the reproduction target and is what `tests/` asserts.
 
-use ewc_exec::TaskPool;
+use ewc_exec::fan_out;
 
 pub mod ablations;
 pub mod fermi;
@@ -136,13 +136,13 @@ pub const EXTENSIONS_FROM: usize = 11;
 /// The whole ledger (what EXPERIMENTS.md records): every experiment's
 /// section, paper sections first.
 ///
-/// The experiments are independent, so they fan out over the shared
-/// [`TaskPool`] (`parallelism` workers; `0` = one per core, `1` = fully
-/// serial). Sections are joined strictly in table order once everything
-/// has finished, and every section is a function of its seeds alone, so
-/// the output is the same at any setting.
+/// The experiments are independent, so they [`fan_out`] over
+/// `parallelism` workers (`0` = one per core, `1` = fully serial).
+/// Sections are joined strictly in table order once everything has
+/// finished, and every section is a function of its seeds alone, so the
+/// output is the same at any setting.
 pub fn render_all(parallelism: usize) -> String {
-    let sections = TaskPool::global().run(EXPERIMENTS.len(), parallelism, |i| {
+    let sections = fan_out(EXPERIMENTS.len(), parallelism, |i| {
         (EXPERIMENTS[i].render)()
     });
     let mut lines = vec![

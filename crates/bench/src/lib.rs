@@ -3,19 +3,16 @@
 //! One module per table/figure of the paper's evaluation, each exposing a
 //! `run()` that produces typed rows, plus formatters that print the same
 //! tables the paper reports. [`experiments::EXPERIMENTS`] is the one list
-//! of them (`ewc run <id>` and `ewc run all` are driven from it);
-//! benches under `benches/` (driven by the in-workspace [`harness`])
-//! time the underlying simulations; the root `tests/` directory asserts
-//! the headline *shapes* (who wins, by roughly what factor, where the
-//! crossovers fall).
+//! of them (`ewc run <id>` and `ewc run all` are driven from it); the
+//! root `tests/` directory asserts the headline *shapes* (who wins, by
+//! roughly what factor, where the crossovers fall). Host time is
+//! measured in one place only, the standalone `benchmark/` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod experiments;
-pub mod harness;
-pub mod microbench;
 pub mod mix;
 pub mod report;
 pub mod setups;

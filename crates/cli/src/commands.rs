@@ -50,14 +50,7 @@ pub fn usage() -> String {
          \x20                        encryption batch and compare the knob's chosen\n\
          \x20                        operating points and measured energy against the\n\
          \x20                        flat baseline (watts overrides the cap budget;\n\
-         \x20                        default all, budget just under the P0 draw)\n\
-         \x20 bench [--quick] [--json PATH] [--baseline [PATH]]\n\
-         \x20                        run the engine microbench group (optimized cohort\n\
-         \x20                        engine vs full-rescan reference), optionally\n\
-         \x20                        write the BENCH json payload, and with --baseline\n\
-         \x20                        gate against a committed payload (default\n\
-         \x20                        BENCH_3.json; fails if any tracked grid\n\
-         \x20                        regresses more than 15%)\n",
+         \x20                        default all, budget just under the P0 draw)\n",
     );
     s.push_str("\nexperiment ids: ");
     s.push_str(
@@ -113,7 +106,6 @@ pub fn dispatch(args: &[String]) -> Result<String, String> {
             args.get(1).map(String::as_str),
             args.get(2).map(String::as_str),
         ),
-        Some("bench") => bench(&args[1..]),
         Some("help") | None => Ok(usage()),
         Some(other) => Err(format!("unknown command '{other}'")),
     }
@@ -599,83 +591,6 @@ fn policy(which: Option<&str>, watts: Option<&str>) -> Result<String, String> {
     Ok(ex::policy::render(&rows))
 }
 
-/// Regression-gate threshold for `bench --baseline`: a tracked grid may
-/// be at most 15% slower than its committed `optimized_min_ms`.
-const BENCH_REGRESSION_THRESHOLD: f64 = 0.15;
-
-fn bench(args: &[String]) -> Result<String, String> {
-    let mut quick = false;
-    let mut json_path: Option<&str> = None;
-    let mut baseline_path: Option<&str> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--json" => {
-                i += 1;
-                json_path = Some(
-                    args.get(i)
-                        .map(String::as_str)
-                        .ok_or("bench: --json needs a path")?,
-                );
-            }
-            "--baseline" => {
-                // The path is optional: the committed trajectory file is
-                // the baseline anyone means by default.
-                match args.get(i + 1).map(String::as_str) {
-                    Some(p) if !p.starts_with("--") => {
-                        i += 1;
-                        baseline_path = Some(p);
-                    }
-                    _ => baseline_path = Some("BENCH_3.json"),
-                }
-            }
-            other => return Err(format!("bench: unknown argument '{other}'")),
-        }
-        i += 1;
-    }
-    // Read and parse the baseline before spending time benchmarking, so
-    // a bad path fails fast.
-    let baseline = baseline_path
-        .map(|p| {
-            let text =
-                std::fs::read_to_string(p).map_err(|e| format!("bench: reading {p}: {e}"))?;
-            ewc_bench::microbench::parse_baseline(&text).map_err(|e| format!("bench: {p}: {e}"))
-        })
-        .transpose()?;
-    let results = ewc_bench::microbench::run(quick);
-    let mut out = ewc_bench::microbench::render(&results);
-    if let Some(p) = json_path {
-        let json =
-            ewc_bench::microbench::to_json(&results, ewc_bench::microbench::RECORDED_BASELINE);
-        std::fs::write(p, &json).map_err(|e| format!("bench: writing {p}: {e}"))?;
-        out.push_str(&format!("\nwrote {p}\n"));
-    }
-    if let Some(baseline) = baseline {
-        let rows = ewc_bench::microbench::compare_to_baseline(&results, &baseline)
-            .map_err(|e| format!("bench: {e}"))?;
-        out.push_str(&ewc_bench::microbench::render_baseline(
-            &rows,
-            BENCH_REGRESSION_THRESHOLD,
-        ));
-        let regressed: Vec<&str> = rows
-            .iter()
-            .filter(|r| r.ratio() > 1.0 + BENCH_REGRESSION_THRESHOLD)
-            .map(|r| r.name.as_str())
-            .collect();
-        if !regressed.is_empty() {
-            return Err(format!(
-                "bench: {} grid(s) regressed more than {:.0}% vs {}: {}\n{out}",
-                regressed.len(),
-                BENCH_REGRESSION_THRESHOLD * 100.0,
-                baseline_path.unwrap_or("BENCH_3.json"),
-                regressed.join(", "),
-            ));
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -741,74 +656,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_quick_renders_all_cases() {
-        let out = dispatch(&args(&["bench", "--quick"])).unwrap();
-        for case in [
-            "single_large",
-            "scenario1",
-            "scenario2",
-            "storm64",
-            "storm1024",
-            "openloop64k",
-            "policy_storm",
-        ] {
-            assert!(out.contains(case), "missing {case}: {out}");
-        }
-        assert!(dispatch(&args(&["bench", "--bogus"])).is_err());
-        assert!(dispatch(&args(&["bench", "--json"])).is_err());
-    }
-
-    #[test]
-    fn bench_baseline_gates_on_regression() {
-        // A baseline no machine can miss: the comparison table renders
-        // and the gate passes.
-        let dir = std::env::temp_dir();
-        let generous = dir.join("ewc_bench_baseline_generous.json");
-        std::fs::write(
-            &generous,
-            "{\"cases\": [{\"name\": \"storm64\", \"optimized_min_ms\": 1e9}]}",
-        )
-        .unwrap();
-        let out = dispatch(&args(&[
-            "bench",
-            "--quick",
-            "--baseline",
-            generous.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(out.contains("vs committed baseline"), "{out}");
-        assert!(!out.contains("REGRESSED"), "{out}");
-
-        // A baseline no machine can meet: the gate fails and names the grid.
-        let strict = dir.join("ewc_bench_baseline_strict.json");
-        std::fs::write(
-            &strict,
-            "{\"cases\": [{\"name\": \"storm64\", \"optimized_min_ms\": 1e-9}]}",
-        )
-        .unwrap();
-        let err = dispatch(&args(&[
-            "bench",
-            "--quick",
-            "--baseline",
-            strict.to_str().unwrap(),
-        ]))
-        .unwrap_err();
-        assert!(err.contains("regressed more than 15%"), "{err}");
-        assert!(err.contains("storm64"), "{err}");
-    }
-
-    #[test]
-    fn bench_baseline_rejects_bad_files_before_benchmarking() {
-        // Fails fast (the microbench never runs, so these stay cheap).
-        let err = dispatch(&args(&["bench", "--baseline", "/nonexistent/b.json"])).unwrap_err();
-        assert!(err.contains("reading"), "{err}");
-        let bad = std::env::temp_dir().join("ewc_bench_baseline_bad.json");
-        std::fs::write(&bad, "not json").unwrap();
-        let err = dispatch(&args(&["bench", "--baseline", bad.to_str().unwrap()])).unwrap_err();
-        assert!(err.contains("baseline json"), "{err}");
-    }
-
-    #[test]
     fn policy_compares_knobs_against_the_flat_baseline() {
         let out = dispatch(&args(&["policy", "race"])).unwrap();
         assert!(out.contains("flat"), "{out}");
@@ -832,6 +679,7 @@ mod tests {
     #[test]
     fn unknown_commands_error() {
         assert!(dispatch(&args(&["bogus"])).is_err());
+        assert!(dispatch(&args(&["bench"])).is_err());
         assert!(dispatch(&args(&["run", "nope"])).is_err());
         assert!(dispatch(&args(&["run"])).is_err());
         assert!(dispatch(&args(&["run", "all", "many"])).is_err());

@@ -731,6 +731,13 @@ impl Backend {
         let seq = self.next_seq;
         self.next_seq += 1;
         let submitted_at_s = self.clock.now_s();
+        // Push-at-back with a monotonic `seq` and clock, and every removal
+        // (`extract`, disconnect reaping, `shed_stale`) keeps relative
+        // order: `pending` is always in submission order, oldest first.
+        debug_assert!(self
+            .pending
+            .last()
+            .is_none_or(|r| r.seq < seq && r.submitted_at_s <= submitted_at_s));
         self.pending.push(KernelRequest {
             ctx,
             seq,

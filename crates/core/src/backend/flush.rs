@@ -31,13 +31,9 @@ impl Backend {
         }
         if self.pending.len() >= self.effective_threshold() {
             self.flush(false);
-        } else if !self.pending.is_empty() {
-            let oldest = self
-                .pending
-                .iter()
-                .map(|r| r.submitted_at_s)
-                .fold(f64::INFINITY, f64::min);
-            if self.clock.now_s() - oldest > self.cfg.max_pending_wait_s {
+        } else if let Some(oldest) = self.pending.first() {
+            // `pending` is in submission order: the front is the oldest.
+            if self.clock.now_s() - oldest.submitted_at_s > self.cfg.max_pending_wait_s {
                 self.flush(true);
             }
         }
@@ -71,9 +67,8 @@ impl Backend {
         let now = self.clock.now_s();
         let age = self
             .pending
-            .iter()
-            .map(|r| (now - r.submitted_at_s).max(0.0))
-            .fold(0.0, f64::max);
+            .first()
+            .map_or(0.0, |oldest| (now - oldest.submitted_at_s).max(0.0));
         let backlog = self
             .gpus
             .iter()
@@ -126,13 +121,9 @@ impl Backend {
         }
         let now = self.clock.now_s();
         // This runs per message; almost always nothing has aged out.
-        // Settle that with a read-only scan before touching the queue,
-        // so the common case neither allocates nor moves a request.
-        if !self
-            .pending
-            .iter()
-            .any(|r| now - r.submitted_at_s > shed_age_s)
-        {
+        // The front of the queue is the oldest request: if it is fresh,
+        // so is everything behind it.
+        if now - self.pending[0].submitted_at_s <= shed_age_s {
             return;
         }
         let mut kept = Vec::with_capacity(self.pending.len());
@@ -207,14 +198,9 @@ impl Backend {
             }
             if !grouped {
                 // No template matches anywhere: run the oldest kernel on
-                // its own ("the backend lets the kernels run normally").
-                // The queue cannot be empty here (checked at loop top),
-                // but the backend must never bet its life on an invariant.
-                let Some(oldest) = (0..self.pending.len()).min_by_key(|&i| self.pending[i].seq)
-                else {
-                    return;
-                };
-                let group = self.extract(vec![oldest]);
+                // its own ("the backend lets the kernels run normally") —
+                // the front of the submission-ordered queue.
+                let group = self.extract(vec![0]);
                 let Some(d) = self.fleet.binding(group[0].ctx) else {
                     // No device binding (cannot happen: enqueue binds):
                     // drop rather than panic under the shared lock.

@@ -49,8 +49,9 @@ impl PowerStatesConfig {
 /// benches can switch each off.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeConfig {
-    /// Number of GPUs behind the backend (the paper's threshold scales
-    /// with it). This reproduction drives one simulated device.
+    /// Number of identical simulated GPUs behind the backend when no
+    /// `fleet` is configured (the paper's threshold scales with the
+    /// device count); `0` still builds one device.
     pub num_gpus: u32,
     /// Pending-kernel threshold factor: consolidation is considered when
     /// pending ≥ `threshold_factor × num_gpus` (Section VII sets 10).
@@ -124,10 +125,7 @@ impl RuntimeConfig {
 
     /// The threshold at which the backend considers consolidation.
     pub fn threshold(&self) -> usize {
-        match &self.fleet {
-            Some(_) => self.threshold_factor as usize * self.num_devices(),
-            None => (self.threshold_factor * self.num_gpus) as usize,
-        }
+        self.threshold_factor as usize * self.num_devices()
     }
 
     /// All optimisations off — the naive runtime for ablations.
@@ -183,6 +181,24 @@ mod tests {
         };
         assert_eq!(c.num_devices(), 4);
         assert_eq!(c.threshold(), 40, "10 × 4 fleet devices");
+    }
+
+    #[test]
+    fn threshold_follows_the_device_count_the_builder_uses() {
+        // `num_gpus: 0` still builds one device: a threshold of 0 would
+        // flush every launch alone.
+        let zero = RuntimeConfig {
+            num_gpus: 0,
+            ..RuntimeConfig::default()
+        };
+        assert_eq!((zero.num_devices(), zero.threshold()), (1, 10));
+        // The product is taken in `usize`, not `u32` (where it wraps to 0).
+        let huge = RuntimeConfig {
+            num_gpus: 2,
+            threshold_factor: 1 << 31,
+            ..RuntimeConfig::default()
+        };
+        assert_eq!(huge.threshold() as u64, 1u64 << 32);
     }
 
     #[test]

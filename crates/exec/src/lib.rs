@@ -13,19 +13,14 @@
 //! * [`EventQueue`] — a discrete-event queue keyed by `(time, schedule
 //!   order)`: events at equal timestamps pop in the order they were
 //!   scheduled, pinned by test, so iteration order never depends on
-//!   backend internals. Small queues run on a binary heap; thousands of
-//!   pending events migrate to an amortized-O(1) calendar-bucket
-//!   backend with byte-identical pop order.
+//!   heap internals.
 //! * [`SimTask`] and [`Executor`] — the classic discrete-event driver:
 //!   tasks fire at their scheduled instant, may schedule more tasks, and
 //!   the clock only ever moves forward.
-//! * [`TaskPool`] — the shared worker pool behind every parallel fan-out
-//!   (soak matrix, experiment ledger). No work
-//!   stealing: workers pull indices from a shared counter and results
-//!   merge positionally, so any parallelism level produces the same
-//!   bytes as a serial run. A global permit budget keeps *nested*
-//!   fan-outs (a ledger section that itself runs a soak matrix) from
-//!   oversubscribing the machine.
+//! * [`fan_out`] — the one parallel fan-out (soak matrix, experiment
+//!   ledger). No work stealing: workers pull indices from a shared
+//!   counter and results merge positionally, so any parallelism level
+//!   produces the same bytes as a serial run.
 //!
 //! The crate is dependency-free and knows nothing about GPUs, energy or
 //! telemetry — it is the seam the rest of the workspace plugs into.
@@ -42,6 +37,6 @@ mod queue;
 mod task;
 
 pub use clock::VirtualClock;
-pub use pool::TaskPool;
+pub use pool::fan_out;
 pub use queue::{Event, EventQueue};
 pub use task::{Executor, SimTask};

@@ -1,23 +1,7 @@
-//! The discrete-event queue: deterministic `(time, seq)` order over an
-//! adaptive backend — a binary heap while small, a calendar queue once
-//! enough events are pending that `O(log n)` heap churn dominates.
-//!
-//! Both backends implement the exact same total order (earliest time
-//! first, ties in schedule order), so the backend in effect is
-//! unobservable from pop order: a queue that migrates back and forth
-//! pops byte-identical `(time, seq)` sequences to one that never did.
+//! The discrete-event queue: deterministic `(time, seq)` order over a
+//! binary heap.
 
-use std::collections::{BinaryHeap, VecDeque};
-
-/// Pending-event count at which the heap backend migrates to the
-/// calendar backend. Crossed only by growth, so the migration cost is
-/// amortized against the thousands of schedules that preceded it.
-const CALENDAR_UP: usize = 4096;
-
-/// Pending-event count at which the calendar backend migrates back to
-/// the heap. Far below [`CALENDAR_UP`], so a queue hovering around
-/// either threshold cannot thrash between backends.
-const CALENDAR_DOWN: usize = 1024;
+use std::collections::BinaryHeap;
 
 /// One scheduled event, as returned by [`EventQueue::pop`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,223 +64,15 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// A calendar queue: the timeline is divided into fixed-`width` "days",
-/// each hashed to one of a power-of-two ring of buckets. An event lands
-/// in the bucket of its day; popping walks the cursor day by day,
-/// draining each day's events in `(time, seq)` order before moving on.
-/// With the width tuned so a day holds O(1) events, schedule and pop
-/// are amortized O(1) — the structure of choice once thousands of
-/// events are pending and heap sift costs dominate.
-///
-/// Every bucket is kept sorted ascending by the pinned key, so the
-/// bucket front is its earliest event. Buckets are `VecDeque`s: the two
-/// hot cases — draining from the front, and appending an event that is
-/// the bucket's latest (every same-instant burst does this) — are both
-/// O(1), and a middle insert pays only the shorter-side shift.
-///
-/// The ring resizes (and re-derives `width` from the live span) when
-/// the population doubles past or shrinks far below the bucket count,
-/// re-inserting all pending events; hysteresis on both triggers keeps
-/// the amortized cost constant. All sizing decisions are functions of
-/// queue content only, so behaviour is deterministic.
-#[derive(Debug)]
-struct CalendarQueue<T> {
-    /// Power-of-two ring of day buckets, each ascending by `(time, seq)`.
-    buckets: Vec<VecDeque<Entry<T>>>,
-    /// Seconds per day. Positive and finite.
-    width: f64,
-    /// The earliest pending event's day (the cursor). Meaningless when
-    /// empty; re-seeded by the first insert.
-    cur_day: i64,
-    /// Pending events across all buckets.
-    len: usize,
-}
-
-impl<T> CalendarQueue<T> {
-    /// Build from an arbitrary bag of entries (used at migration and at
-    /// every resize).
-    fn build(entries: Vec<Entry<T>>) -> Self {
-        let len = entries.len();
-        let n_buckets = len.next_power_of_two().max(16);
-        let mut q = CalendarQueue {
-            buckets: Vec::new(),
-            width: Self::derive_width(&entries),
-            cur_day: 0,
-            len: 0,
-        };
-        q.buckets.resize_with(n_buckets, VecDeque::new);
-        for e in entries {
-            q.insert(e);
-        }
-        debug_assert_eq!(q.len, len);
-        q
-    }
-
-    /// The day width that spreads the current population roughly one
-    /// event per day: the live span divided by the population. Falls
-    /// back to one second when the span is degenerate (all ties, a
-    /// single event, or non-finite extremes).
-    fn derive_width(entries: &[Entry<T>]) -> f64 {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for e in entries {
-            if e.time_s.is_finite() {
-                lo = lo.min(e.time_s);
-                hi = hi.max(e.time_s);
-            }
-        }
-        let span = hi - lo;
-        if !span.is_finite() || span <= 0.0 {
-            return 1.0;
-        }
-        let w = span / entries.len() as f64;
-        if w.is_finite() && w > 0.0 {
-            w
-        } else {
-            1.0
-        }
-    }
-
-    /// The day an instant falls in. Saturates at the `i64` range so
-    /// extreme and infinite times land in the far first/last days —
-    /// still correctly ordered there by the in-bucket sort.
-    fn day_of(&self, time_s: f64) -> i64 {
-        let d = (time_s / self.width).floor();
-        if d >= i64::MAX as f64 {
-            i64::MAX
-        } else if d <= i64::MIN as f64 {
-            i64::MIN
-        } else {
-            d as i64
-        }
-    }
-
-    /// Ring index of a day.
-    fn bucket_of(&self, day: i64) -> usize {
-        day.rem_euclid(self.buckets.len() as i64) as usize
-    }
-
-    /// Insert, maintaining the cursor invariant (`cur_day` is the
-    /// earliest pending event's day). Does not resize — the caller
-    /// decides when to rebuild.
-    fn insert(&mut self, e: Entry<T>) {
-        let day = self.day_of(e.time_s);
-        if self.len == 0 || day < self.cur_day {
-            self.cur_day = day;
-        } else if day == self.cur_day {
-            // Same day as the head: the in-bucket sort resolves order.
-        }
-        let b = self.bucket_of(day);
-        let bucket = &mut self.buckets[b];
-        // Ascending insert position; the common append (new latest in
-        // its bucket) hits the O(1) push_back path.
-        if bucket.back().is_none_or(|last| last.key_cmp(&e).is_lt()) {
-            bucket.push_back(e);
-        } else {
-            let p = bucket.partition_point(|x| x.key_cmp(&e).is_lt());
-            bucket.insert(p, e);
-        }
-        self.len += 1;
-    }
-
-    /// The earliest pending event, if any: the front of the cursor
-    /// day's bucket (the cursor invariant makes this O(1)).
-    fn peek(&self) -> Option<&Entry<T>> {
-        if self.len == 0 {
-            return None;
-        }
-        let bucket = &self.buckets[self.bucket_of(self.cur_day)];
-        let front = bucket.front().expect("cursor bucket empty at head");
-        debug_assert_eq!(self.day_of(front.time_s), self.cur_day);
-        Some(front)
-    }
-
-    /// Pop the earliest pending event and re-establish the cursor.
-    fn pop(&mut self) -> Option<Entry<T>> {
-        if self.len == 0 {
-            return None;
-        }
-        let b = self.bucket_of(self.cur_day);
-        let e = self.buckets[b].pop_front().expect("cursor bucket empty");
-        self.len -= 1;
-        if self.len > 0 {
-            self.advance_cursor();
-        }
-        Some(e)
-    }
-
-    /// Walk the cursor forward to the next day holding an event. A walk
-    /// that would lap the ring falls back to a direct scan of every
-    /// bucket's front (each front is that bucket's minimum), so one pop
-    /// costs at most O(ring) even on a sparse, clamped, or degenerate
-    /// population — and O(1) amortized on a healthy one.
-    fn advance_cursor(&mut self) {
-        debug_assert!(self.len > 0);
-        let n = self.buckets.len();
-        let mut day = self.cur_day;
-        for _ in 0..n {
-            let bucket = &self.buckets[self.bucket_of(day)];
-            if let Some(front) = bucket.front() {
-                if self.day_of(front.time_s) == day {
-                    self.cur_day = day;
-                    return;
-                }
-            }
-            day = day.saturating_add(1);
-        }
-        let (mut best_b, mut best_key) = (usize::MAX, None::<(f64, u64)>);
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            if let Some(front) = bucket.front() {
-                let key = (front.time_s, front.seq);
-                let better = match best_key {
-                    None => true,
-                    Some((t, s)) => front
-                        .time_s
-                        .total_cmp(&t)
-                        .then_with(|| front.seq.cmp(&s))
-                        .is_lt(),
-                };
-                if better {
-                    best_b = b;
-                    best_key = Some(key);
-                }
-            }
-        }
-        let (t, _) = best_key.expect("non-empty queue with all buckets empty");
-        debug_assert_ne!(best_b, usize::MAX);
-        self.cur_day = self.day_of(t);
-    }
-
-    /// Dismantle into a bag of entries (for resize or migration).
-    fn into_entries(self) -> Vec<Entry<T>> {
-        let mut out = Vec::with_capacity(self.len);
-        for bucket in self.buckets {
-            out.extend(bucket);
-        }
-        out
-    }
-}
-
 /// A deterministic discrete-event queue.
 ///
 /// Events are scheduled at absolute simulated times and popped earliest
 /// first; equal timestamps resolve in schedule order via a monotonic
-/// sequence number. Small queues run on a binary heap (`O(log n)`,
-/// tiny constants); past a few thousand pending events the queue
-/// migrates to a calendar-bucket backend with amortized `O(1)`
-/// schedule and pop, and migrates back once it drains. The pinned
-/// `(time, seq)` pop order is identical on both backends, so the
-/// migration points are unobservable in simulation results.
+/// sequence number.
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    backend: Backend<T>,
+    heap: BinaryHeap<Entry<T>>,
     next_seq: u64,
-}
-
-#[derive(Debug)]
-enum Backend<T> {
-    Heap(BinaryHeap<Entry<T>>),
-    Calendar(CalendarQueue<T>),
 }
 
 impl<T> Default for EventQueue<T> {
@@ -308,16 +84,13 @@ impl<T> Default for EventQueue<T> {
 impl<T> EventQueue<T> {
     /// An empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            backend: Backend::Heap(BinaryHeap::new()),
-            next_seq: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// An empty queue with room for `cap` events before reallocating.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            backend: Backend::Heap(BinaryHeap::with_capacity(cap)),
+            heap: BinaryHeap::with_capacity(cap),
             next_seq: 0,
         }
     }
@@ -332,77 +105,22 @@ impl<T> EventQueue<T> {
         assert!(!time_s.is_nan(), "cannot schedule an event at NaN");
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Entry {
+        self.heap.push(Entry {
             time_s,
             seq,
             payload,
-        };
-        match &mut self.backend {
-            Backend::Heap(heap) => {
-                heap.push(entry);
-                if heap.len() >= CALENDAR_UP {
-                    let entries = std::mem::take(heap).into_vec();
-                    self.backend = Backend::Calendar(CalendarQueue::build(entries));
-                }
-            }
-            Backend::Calendar(cal) => {
-                cal.insert(entry);
-                if cal.len > cal.buckets.len() * 2 {
-                    let cal = match std::mem::replace(
-                        &mut self.backend,
-                        Backend::Heap(BinaryHeap::new()),
-                    ) {
-                        Backend::Calendar(cal) => cal,
-                        Backend::Heap(_) => unreachable!("backend changed underfoot"),
-                    };
-                    self.backend = Backend::Calendar(CalendarQueue::build(cal.into_entries()));
-                }
-            }
-        }
+        });
         seq
     }
 
     /// The firing time of the earliest pending event, if any.
     pub fn peek_time_s(&self) -> Option<f64> {
-        match &self.backend {
-            Backend::Heap(heap) => heap.peek().map(|e| e.time_s),
-            Backend::Calendar(cal) => cal.peek().map(|e| e.time_s),
-        }
+        self.heap.peek().map(|e| e.time_s)
     }
 
     /// Pop the earliest pending event (ties in schedule order).
     pub fn pop(&mut self) -> Option<Event<T>> {
-        let popped = match &mut self.backend {
-            Backend::Heap(heap) => heap.pop(),
-            Backend::Calendar(cal) => {
-                let e = cal.pop();
-                if cal.len <= CALENDAR_DOWN {
-                    // Drained: fold back onto the heap backend.
-                    let cal = match std::mem::replace(
-                        &mut self.backend,
-                        Backend::Heap(BinaryHeap::new()),
-                    ) {
-                        Backend::Calendar(cal) => cal,
-                        Backend::Heap(_) => unreachable!("backend changed underfoot"),
-                    };
-                    self.backend = Backend::Heap(BinaryHeap::from(cal.into_entries()));
-                } else if cal.len < cal.buckets.len() / 4 {
-                    // Still calendar-sized but the ring outgrew the
-                    // population: halve it so the cursor walk and the
-                    // fallback scan stay proportional to the load.
-                    let cal = match std::mem::replace(
-                        &mut self.backend,
-                        Backend::Heap(BinaryHeap::new()),
-                    ) {
-                        Backend::Calendar(cal) => cal,
-                        Backend::Heap(_) => unreachable!("backend changed underfoot"),
-                    };
-                    self.backend = Backend::Calendar(CalendarQueue::build(cal.into_entries()));
-                }
-                e
-            }
-        };
-        popped.map(Entry::into_event)
+        self.heap.pop().map(Entry::into_event)
     }
 
     /// Schedule `payload` at `time_s` and immediately pop the earliest
@@ -411,7 +129,7 @@ impl<T> EventQueue<T> {
     /// This is the heartbeat pattern of a tight event loop that predicts
     /// one completion at a time: when the queue is empty (or every
     /// pending event fires later) the new event round-trips without
-    /// touching the backend at all, while still consuming a sequence
+    /// touching the heap at all, while still consuming a sequence
     /// number. An already-pending event at or before `time_s` pops
     /// first, same as the unfused pair (the new event carries the
     /// largest sequence number, so it loses every tie).
@@ -438,15 +156,12 @@ impl<T> EventQueue<T> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(heap) => heap.len(),
-            Backend::Calendar(cal) => cal.len,
-        }
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// Total events ever scheduled on this queue (the next sequence
@@ -457,14 +172,7 @@ impl<T> EventQueue<T> {
 
     /// Drop all pending events (sequence numbers keep counting up).
     pub fn clear(&mut self) {
-        self.backend = Backend::Heap(BinaryHeap::new());
-    }
-
-    /// Whether the calendar backend is currently in effect (test
-    /// instrumentation for the migration thresholds).
-    #[cfg(test)]
-    fn on_calendar(&self) -> bool {
-        matches!(self.backend, Backend::Calendar(_))
+        self.heap.clear();
     }
 }
 
@@ -603,130 +311,5 @@ mod tests {
             }
             assert_eq!(popped, expected, "seed {seed}");
         }
-    }
-
-    /// A seed-dependent schedule time: mostly spread-out instants with
-    /// deliberate tie clusters and the occasional extreme value, so the
-    /// calendar's bucket hashing, tie ordering and saturation paths all
-    /// see traffic.
-    fn gen_time(rng: &mut XorShift) -> f64 {
-        match rng.next() % 16 {
-            0 => 1e-9 * (rng.next() % 1_000) as f64, // dense near zero
-            1 => 1e6 + (rng.next() % 8) as f64,      // far cluster, many ties
-            2 => -((rng.next() % 100) as f64),       // before the origin
-            _ => (rng.next() % 1_000_000) as f64 * 1e-3,
-        }
-    }
-
-    #[test]
-    fn calendar_pops_byte_identical_to_heap_at_a_million_events() {
-        // The pinned property of the adaptive backend: with a million
-        // events pending — deep in calendar territory — the popped
-        // `(time_bits, seq)` stream is byte-for-byte the stable-sorted
-        // schedule order, i.e. exactly what the binary heap produces.
-        let n = 1_000_000usize;
-        let mut rng = XorShift(0xDEAD_BEEF_0BAD_CAFE);
-        let mut q = EventQueue::new();
-        let mut scheduled: Vec<(u64, u64)> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let t = gen_time(&mut rng);
-            let seq = q.schedule(t, ());
-            scheduled.push((t.to_bits(), seq));
-        }
-        assert!(q.on_calendar(), "a million pending events must migrate");
-        let mut expected = scheduled;
-        expected.sort_by(|a, b| {
-            f64::from_bits(a.0)
-                .total_cmp(&f64::from_bits(b.0))
-                .then(a.1.cmp(&b.1))
-        });
-        let mut popped = Vec::with_capacity(n);
-        while let Some(ev) = q.pop() {
-            popped.push((ev.time_s.to_bits(), ev.seq));
-        }
-        assert_eq!(popped.len(), expected.len());
-        assert_eq!(popped, expected);
-        assert!(!q.on_calendar(), "a drained queue folds back to the heap");
-    }
-
-    #[test]
-    fn interleaved_ops_match_a_shadow_heap_across_migrations() {
-        // Differential test through both migration boundaries: a mixed
-        // schedule/pop/pulse workload runs against the adaptive queue
-        // and a shadow queue capped under the heap threshold is
-        // simulated by replaying the same ops against a plain sorted
-        // model. Grow past CALENDAR_UP, drain under CALENDAR_DOWN,
-        // grow again — the event streams must be identical throughout.
-        let mut rng = XorShift(0x5EED_0FCA_1E0D_A511);
-        let mut q = EventQueue::new();
-        let mut model: Vec<(u64, u64)> = Vec::new(); // (time_bits, seq) sorted
-        let mut next_seq = 0u64;
-        let mut saw_calendar = false;
-        let mut saw_return = false;
-        let mut phase_grow = true;
-        for step in 0..60_000usize {
-            let grow = if phase_grow {
-                if q.len() > 3 * CALENDAR_UP / 2 {
-                    phase_grow = false;
-                }
-                true
-            } else {
-                if q.len() < CALENDAR_DOWN / 2 {
-                    phase_grow = true;
-                }
-                false
-            };
-            let do_schedule = grow != rng.next().is_multiple_of(4);
-            if do_schedule && rng.next().is_multiple_of(8) {
-                // Fused schedule+pop.
-                let t = gen_time(&mut rng);
-                let ev = q.pulse(t, ());
-                let key = (t.to_bits(), next_seq);
-                next_seq += 1;
-                let expected = match model.first() {
-                    Some(&head)
-                        if f64::from_bits(head.0)
-                            .total_cmp(&t)
-                            .then(head.1.cmp(&key.1))
-                            .is_le() =>
-                    {
-                        let p = model.binary_search_by(|probe| {
-                            f64::from_bits(probe.0)
-                                .total_cmp(&f64::from_bits(key.0))
-                                .then(probe.1.cmp(&key.1))
-                        });
-                        model.insert(p.unwrap_err(), key);
-                        model.remove(0)
-                    }
-                    _ => key,
-                };
-                assert_eq!((ev.time_s.to_bits(), ev.seq), expected, "step {step}");
-            } else if do_schedule {
-                let t = gen_time(&mut rng);
-                let seq = q.schedule(t, ());
-                assert_eq!(seq, next_seq, "step {step}");
-                let key = (t.to_bits(), seq);
-                next_seq += 1;
-                let p = model.binary_search_by(|probe| {
-                    f64::from_bits(probe.0)
-                        .total_cmp(&f64::from_bits(key.0))
-                        .then(probe.1.cmp(&key.1))
-                });
-                model.insert(p.unwrap_err(), key);
-            } else {
-                let got = q.pop().map(|e| (e.time_s.to_bits(), e.seq));
-                let want = if model.is_empty() {
-                    None
-                } else {
-                    Some(model.remove(0))
-                };
-                assert_eq!(got, want, "step {step}");
-            }
-            assert_eq!(q.len(), model.len(), "step {step}");
-            saw_calendar |= q.on_calendar();
-            saw_return |= saw_calendar && !q.on_calendar();
-        }
-        assert!(saw_calendar, "workload never reached the calendar backend");
-        assert!(saw_return, "workload never migrated back to the heap");
     }
 }

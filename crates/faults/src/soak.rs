@@ -15,7 +15,7 @@
 use ewc_core::{
     AdmissionConfig, CoreError, Frontend, ResiliencePolicy, Runtime, RuntimeConfig, Template,
 };
-use ewc_exec::TaskPool;
+use ewc_exec::fan_out;
 use ewc_gpu::{DevicePtr, GpuConfig, GpuError};
 use ewc_telemetry::{DecisionRecord, TelemetrySink};
 use ewc_workloads::{AesWorkload, Workload};
@@ -259,13 +259,11 @@ pub fn matrix(seeds: &[u64]) -> Vec<SoakConfig> {
 
 /// Run a batch of soak configurations across `parallelism` worker
 /// threads (`1` = fully serial, `0` = one per available core). Each
-/// soak builds its own runtime, so runs are independent; the shared
-/// [`TaskPool`] merges reports positionally, so they come back in
-/// `cfgs` order no matter which worker ran which config — and its
-/// permit budget keeps this fan-out composed with the decision
-/// engine's own `assess` fan-out from oversubscribing cores.
+/// soak builds its own runtime, so runs are independent; [`fan_out`]
+/// merges reports positionally, so they come back in `cfgs` order no
+/// matter which worker ran which config.
 pub fn run_matrix(cfgs: &[SoakConfig], parallelism: usize) -> Vec<SoakReport> {
-    TaskPool::global().run(cfgs.len(), parallelism, |i| run(&cfgs[i]))
+    fan_out(cfgs.len(), parallelism, |i| run(&cfgs[i]))
 }
 
 /// Run the soak: returns a fully-accounted report. Panics never — every

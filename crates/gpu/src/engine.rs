@@ -364,8 +364,7 @@ impl ExecutionEngine {
     /// re-rated on every event and the next completion is found by a
     /// full scan. Shares every arithmetic statement with [`Self::run`],
     /// so its output is byte-identical — it exists as the differential
-    /// oracle for the incremental engine and as the perf baseline the
-    /// microbench compares against.
+    /// oracle for the incremental engine.
     #[cfg(any(test, feature = "reference-engine"))]
     pub fn run_reference(
         &self,
@@ -1386,7 +1385,7 @@ mod tests {
 
     /// A consolidated storm: `segments` kernels of mixed compute/memory
     /// intensity, block sizes and block counts — the same construction
-    /// the microbench's `storm64`/`storm1024` grids use. Here it pins
+    /// the benchmark's `engine_storm` grids use. Here it pins
     /// the differential contract at fleet scale: ~30k blocks across a
     /// thousand segments keep hundreds of cohorts live with the DRAM
     /// rescale moving on nearly every event.
