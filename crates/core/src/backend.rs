@@ -106,6 +106,11 @@ pub(crate) fn start(
     // driving.
     let clock = sink.virtual_clock().cloned().unwrap_or_default();
     let admission = cfg.admission.clone().map(AdmissionState::new);
+    let device_counters = if sink.is_enabled() {
+        (0..gpus.len()).map(DeviceCounters::new).collect()
+    } else {
+        Vec::new()
+    };
     let backend = Backend {
         cfg,
         gpus,
@@ -115,6 +120,7 @@ pub(crate) fn start(
         coordinator,
         constants,
         sink,
+        device_counters,
         faults,
         fleet,
         fleet_mode,
@@ -136,6 +142,25 @@ pub(crate) fn start(
     Arc::new(Mutex::new(Some(backend)))
 }
 
+/// The counters kept per device, named once for device `d`.
+struct DeviceCounters {
+    placements: String,
+    migrations: String,
+    gpu_faults: String,
+    breaker_trips: String,
+}
+
+impl DeviceCounters {
+    fn new(d: usize) -> Self {
+        DeviceCounters {
+            placements: format!("placements_gpu{d}"),
+            migrations: format!("migrations_gpu{d}"),
+            gpu_faults: format!("gpu_faults_gpu{d}"),
+            breaker_trips: format!("breaker_trips_gpu{d}"),
+        }
+    }
+}
+
 #[derive(Default)]
 struct CtxState {
     config: Option<ExecConfig>,
@@ -153,6 +178,9 @@ pub(crate) struct Backend {
     constants: Vec<ConstantCache>,
     /// Telemetry handle (no-op unless the runtime enabled it).
     sink: TelemetrySink,
+    /// Per-device counter names, one entry per GPU on an enabled sink
+    /// (empty otherwise): built once, not `format!`-ed per event.
+    device_counters: Vec<DeviceCounters>,
     /// Runtime-boundary fault injector (channel drops), when attached.
     faults: Option<Arc<dyn RuntimeFaultInjector>>,
     /// The fleet governor: context→device placement, live-load
@@ -232,10 +260,10 @@ impl Backend {
 
     /// Audit one permanent shed (admission-final or queue-age).
     fn audit_shed(&mut self, name: &Arc<str>, ctx: u64, seq: Option<u64>, cause: ShedCause) {
-        if !self.sink.is_enabled() {
+        let Some(mut rec) = self.sink.lock() else {
             return;
-        }
-        self.sink.counter_add("requests_shed", 1.0);
+        };
+        rec.counter_add("requests_shed", 1.0);
         let reason = match seq {
             Some(seq) => format!(
                 "request '{name}' (ctx {ctx}, seq {seq}) shed from the queue: {}",
@@ -246,7 +274,7 @@ impl Backend {
                 cause.label()
             ),
         };
-        self.sink.audit(DecisionRecord {
+        rec.audit(DecisionRecord {
             time_s: self.clock.now_s(),
             kernels: vec![name.clone()],
             verdict: Verdict::Shed,
@@ -285,7 +313,8 @@ impl Backend {
         let d = rec.device as usize;
         self.sync_fleet_throttles();
         if self.fleet_mode && self.sink.is_enabled() {
-            self.sink.counter_add(&format!("placements_gpu{d}"), 1.0);
+            self.sink
+                .counter_add(&self.device_counters[d].placements, 1.0);
             self.sink.audit(DecisionRecord {
                 time_s: self.clock.now_s(),
                 kernels: Vec::new(),
@@ -504,18 +533,17 @@ impl Backend {
                     // The error reaches the frontend in the answer; it
                     // must also be visible backend-side, not swallowed.
                     b.stats.constant_errors += 1;
-                    if b.sink.is_enabled() {
-                        b.sink.counter_add("constant_errors", 1.0);
-                        b.sink
-                            .span(
-                                "host",
-                                "backend",
-                                "constant_error",
-                                b.clock.now_s(),
-                                b.clock.now_s(),
-                            )
-                            .attr("error", e.to_string())
-                            .emit();
+                    if let Some(mut rec) = b.sink.lock() {
+                        rec.counter_add("constant_errors", 1.0);
+                        rec.span(
+                            "host",
+                            "backend",
+                            "constant_error",
+                            b.clock.now_s(),
+                            b.clock.now_s(),
+                        )
+                        .attr("error", &e.to_string())
+                        .emit();
                     }
                 }
             }
@@ -611,11 +639,10 @@ impl Backend {
             return;
         }
         self.stats.reaped_frontends += 1;
-        if self.sink.is_enabled() {
-            self.sink.counter_add("frontends_reaped", 1.0);
-            self.sink
-                .counter_add("requests_drained", drained.len() as f64);
-            self.sink.audit(DecisionRecord {
+        if let Some(mut rec) = self.sink.lock() {
+            rec.counter_add("frontends_reaped", 1.0);
+            rec.counter_add("requests_drained", drained.len() as f64);
+            rec.audit(DecisionRecord {
                 time_s: self.clock.now_s(),
                 kernels: drained.iter().map(|r| r.name.clone()).collect(),
                 verdict: Verdict::Drained,
@@ -641,12 +668,11 @@ impl Backend {
         self.stats.staged_bytes += bytes;
         self.stats.staging_s += copy_s + extra;
         self.clock.advance_by(copy_s + extra);
-        if self.sink.is_enabled() {
-            self.sink
-                .span("host", "backend", "staging", start_s, self.clock.now_s())
+        if let Some(mut rec) = self.sink.lock() {
+            rec.span("host", "backend", "staging", start_s, self.clock.now_s())
                 .attr("bytes", bytes)
                 .emit();
-            self.sink.counter_add("staged_bytes", bytes as f64);
+            rec.counter_add("staged_bytes", bytes as f64);
         }
     }
 

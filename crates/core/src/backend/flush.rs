@@ -4,6 +4,8 @@
 //! matching per device, and the dispatch of one group — coordination,
 //! the decision engine's verdict and its overrides, execution, records.
 
+use std::fmt::Write as _;
+
 use ewc_models::PolicyKnob;
 use ewc_telemetry::{DecisionRecord, Verdict};
 
@@ -360,41 +362,39 @@ impl Backend {
             actual_time_s: completed_at_s - t0,
         });
 
-        if self.sink.is_enabled() {
+        // One lock for the group's lifecycle spans and counters.
+        if let Some(mut rec) = self.sink.lock() {
+            let mut lane = String::new();
             for (req, fate) in group.iter().zip(&fates) {
-                let label = match fate {
-                    MemberFate::Done(c) => verdict_of(*c).label(),
-                    MemberFate::Failed(_) => Verdict::Failed.label(),
+                let (label, error) = match fate {
+                    MemberFate::Done(c) => (verdict_of(*c).label(), None),
+                    MemberFate::Failed(e) => (Verdict::Failed.label(), Some(e.to_string())),
                 };
                 // Full request lifecycle on the submitting context's lane:
                 // queued behind the threshold, then executing on the device
                 // (or host, for CPU verdicts).
-                let lane = format!("ctx{}", req.ctx);
-                let mut span = self
-                    .sink
+                lane.clear();
+                let _ = write!(lane, "ctx{}", req.ctx);
+                let mut span = rec
                     .span("host", &lane, "request", req.submitted_at_s, completed_at_s)
                     .attr("kernel", &req.name)
                     .attr("seq", req.seq)
                     .attr("choice", label);
-                if let MemberFate::Failed(e) = fate {
-                    span = span.attr("error", e.to_string());
+                if let Some(error) = &error {
+                    span = span.attr("error", error);
                 }
                 let parent = span.emit();
-                self.sink
-                    .span("host", &lane, "queued", req.submitted_at_s, coord_start_s)
+                rec.span("host", &lane, "queued", req.submitted_at_s, coord_start_s)
                     .parent(parent)
                     .emit();
-                self.sink
-                    .span("host", &lane, "execute", t0, completed_at_s)
+                rec.span("host", &lane, "execute", t0, completed_at_s)
                     .parent(parent)
                     .attr("device", device)
                     .emit();
-                self.sink
-                    .histogram_record("request_latency_s", completed_at_s - req.submitted_at_s);
+                rec.histogram_record("request_latency_s", completed_at_s - req.submitted_at_s);
             }
-            let label = verdict_of(assessment.choice).label();
-            self.sink.counter_add("groups", 1.0);
-            self.sink.counter_add(&format!("verdict_{label}"), 1.0);
+            rec.counter_add("groups", 1.0);
+            rec.counter_add(verdict_counter(assessment.choice), 1.0);
         }
     }
 
@@ -449,6 +449,15 @@ impl Backend {
             cpu: Some((assessment.cpu_time_s, assessment.cpu_energy_j)),
             reason,
         });
+    }
+}
+
+/// The counter of groups that ended in `choice`: `verdict_<label>`.
+fn verdict_counter(choice: Choice) -> &'static str {
+    match choice {
+        Choice::Consolidate => "verdict_consolidate",
+        Choice::SerialGpu => "verdict_serial_gpu",
+        Choice::Cpu => "verdict_cpu",
     }
 }
 

@@ -130,17 +130,15 @@ impl Backend {
                 Err(e) => e,
             };
             self.stats.faults_observed += 1;
-            if self.sink.is_enabled() {
-                self.sink.counter_add("gpu_faults", 1.0);
-                self.sink
-                    .counter_add(&format!("gpu_faults_gpu{device}"), 1.0);
+            if let Some(mut rec) = self.sink.lock() {
+                rec.counter_add("gpu_faults", 1.0);
+                rec.counter_add(&self.device_counters[device].gpu_faults, 1.0);
             }
             if self.fleet.record_fault(device, self.gpus[device].clock()) {
                 self.stats.breaker_trips += 1;
-                if self.sink.is_enabled() {
-                    self.sink.counter_add("breaker_trips", 1.0);
-                    self.sink
-                        .counter_add(&format!("breaker_trips_gpu{device}"), 1.0);
+                if let Some(mut rec) = self.sink.lock() {
+                    rec.counter_add("breaker_trips", 1.0);
+                    rec.counter_add(&self.device_counters[device].breaker_trips, 1.0);
                 }
                 self.note_recovery(
                     members,

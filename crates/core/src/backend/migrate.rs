@@ -121,10 +121,10 @@ impl Backend {
         self.fleet.rebind(ctx, to);
         self.stats.migrations += 1;
         self.stats.migrated_bytes += moved;
-        if self.sink.is_enabled() {
-            self.sink.counter_add("migrations", 1.0);
-            self.sink.counter_add(&format!("migrations_gpu{to}"), 1.0);
-            self.sink.audit(DecisionRecord {
+        if let Some(mut rec) = self.sink.lock() {
+            rec.counter_add("migrations", 1.0);
+            rec.counter_add(&self.device_counters[to].migrations, 1.0);
+            rec.audit(DecisionRecord {
                 time_s: self.clock.now_s(),
                 kernels: Vec::new(),
                 verdict: Verdict::Placed,

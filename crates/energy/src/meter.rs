@@ -83,7 +83,7 @@ impl PowerMeter {
         }
     }
 
-    /// Like [`PowerMeter::measure`], but also streams every sample into a
+    /// Like [`PowerMeter::measure`], but also appends the samples to a
     /// telemetry time series (exported as Chrome counter events), so the
     /// power trace lines up with the spans of the run that produced it.
     pub fn measure_into<S: PowerSource + ?Sized>(
@@ -95,10 +95,8 @@ impl PowerMeter {
         series: &str,
     ) -> Measurement {
         let m = self.measure(source, t0, t1);
-        if sink.is_enabled() {
-            for &(t, w) in &m.samples {
-                sink.series_sample(series, t, w);
-            }
+        if let Some(mut rec) = sink.lock() {
+            rec.series_extend(series, &m.samples);
         }
         m
     }

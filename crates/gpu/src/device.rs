@@ -60,6 +60,15 @@ pub struct LaunchReport {
     pub sim: SimOutcome,
 }
 
+/// What device `d` calls itself in the trace: process `gpu<d>`, one lane
+/// `sm<n>` per SM, gauge `dvfs_level_gpu<d>`. Empty on a disabled sink.
+#[derive(Default)]
+struct TraceNames {
+    process: String,
+    sm_lanes: Vec<String>,
+    dvfs_gauge: String,
+}
+
 /// The simulated GPU.
 pub struct GpuDevice {
     cfg: GpuConfig,
@@ -75,10 +84,10 @@ pub struct GpuDevice {
     /// Activity profile of the whole device lifetime, for power replay:
     /// launches contribute their intervals offset by their start time.
     activity: Vec<ActivityInterval>,
-    /// Telemetry handle (no-op unless attached) and this device's index
-    /// in its node, used to name the trace process (`gpu0`, `gpu1`, ...).
+    /// Telemetry handle (no-op unless attached) and the names this
+    /// device records under, built once when the sink is attached.
     sink: ewc_telemetry::TelemetrySink,
-    device_index: usize,
+    names: TraceNames,
     /// Optional fault injector consulted before mallocs, transfers and
     /// launches. `None` (the default) means a perfectly healthy device.
     injector: Option<FaultInjectorHandle>,
@@ -106,7 +115,7 @@ impl GpuDevice {
             launches: 0,
             activity: Vec::new(),
             sink: ewc_telemetry::TelemetrySink::disabled(),
-            device_index: 0,
+            names: TraceNames::default(),
             injector: None,
             faults_served: 0,
             dvfs: None,
@@ -116,8 +125,14 @@ impl GpuDevice {
     /// Attach a telemetry sink: every launch then emits a kernel span and
     /// per-SM block spans on the `gpu<index>` trace process.
     pub fn with_telemetry(mut self, sink: ewc_telemetry::TelemetrySink, index: usize) -> Self {
+        if sink.is_enabled() {
+            self.names = TraceNames {
+                process: format!("gpu{index}"),
+                sm_lanes: (0..self.cfg.num_sms).map(|n| format!("sm{n}")).collect(),
+                dvfs_gauge: format!("dvfs_level_gpu{index}"),
+            };
+        }
         self.sink = sink;
-        self.device_index = index;
         self
     }
 
@@ -189,12 +204,9 @@ impl GpuDevice {
         }
         ctl.level = level;
         ctl.freq_scale = freq_scale;
-        if self.sink.is_enabled() {
-            self.sink.counter_add("power_transitions", 1.0);
-            self.sink.gauge_set(
-                &format!("dvfs_level_gpu{}", self.device_index),
-                level.into(),
-            );
+        if let Some(mut rec) = self.sink.lock() {
+            rec.counter_add("power_transitions", 1.0);
+            rec.gauge_set(&self.names.dvfs_gauge, level.into());
         }
         self.dvfs = Some(ctl);
         true
@@ -265,13 +277,14 @@ impl GpuDevice {
         self.dma.stats()
     }
 
-    /// Record one served fault (count + telemetry). Emits nothing when no
-    /// fault fires, so fault-free runs produce byte-identical telemetry.
-    fn note_fault(&mut self, site: &str) {
+    /// Record one served fault (count + telemetry) under its site's
+    /// counter, `device_faults_<site>`. Emits nothing when no fault
+    /// fires, so fault-free runs produce byte-identical telemetry.
+    fn note_fault(&mut self, site_counter: &'static str) {
         self.faults_served += 1;
-        if self.sink.is_enabled() {
-            self.sink.counter_add("device_faults", 1.0);
-            self.sink.counter_add(&format!("device_faults_{site}"), 1.0);
+        if let Some(mut rec) = self.sink.lock() {
+            rec.counter_add("device_faults", 1.0);
+            rec.counter_add(site_counter, 1.0);
         }
     }
 
@@ -279,7 +292,7 @@ impl GpuDevice {
     pub fn malloc(&mut self, len: u64) -> Result<DevicePtr, GpuError> {
         if let Some(inj) = &self.injector {
             if let Some(DeviceFault::Oom) = inj.on_malloc(len) {
-                self.note_fault("malloc");
+                self.note_fault("device_faults_malloc");
                 return Err(GpuError::OutOfMemory {
                     requested: len,
                     free: self.mem.free_bytes(),
@@ -330,13 +343,13 @@ impl GpuDevice {
         };
         match inj.on_transfer(bytes) {
             Some(DeviceFault::TransferFail) => {
-                self.note_fault("transfer");
+                self.note_fault("device_faults_transfer");
                 let t = self.dma.transfer(bytes, dir);
                 self.clock.advance_by(t);
                 Err(GpuError::TransferFault)
             }
             Some(DeviceFault::TransferStall { extra_s }) => {
-                self.note_fault("transfer");
+                self.note_fault("device_faults_transfer");
                 Ok(Some(extra_s))
             }
             _ => Ok(None),
@@ -372,12 +385,12 @@ impl GpuDevice {
                     // The kernel never completes: the watchdog deadline is
                     // burned on the device clock, then the launch is killed.
                     // No functional bodies run, no activity is recorded.
-                    self.note_fault("launch");
+                    self.note_fault("device_faults_launch");
                     self.clock.advance_by(watchdog_s);
                     return Err(GpuError::LaunchTimeout);
                 }
                 Some(DeviceFault::DegradedSms { slowdown: s }) => {
-                    self.note_fault("launch");
+                    self.note_fault("device_faults_launch");
                     slowdown = s.max(1.0);
                 }
                 _ => {}
@@ -415,9 +428,7 @@ impl GpuDevice {
         }
         self.clock.advance_by(elapsed);
         self.launches += 1;
-        if self.sink.is_enabled() {
-            self.emit_launch_spans(&launch.grid, started_at_s, elapsed, &sim);
-        }
+        self.emit_launch_spans(&launch.grid, started_at_s, elapsed, &sim);
         Ok(LaunchReport {
             elapsed_s: elapsed,
             started_at_s,
@@ -426,7 +437,8 @@ impl GpuDevice {
     }
 
     /// Emit one kernel span plus a span per executed block, placed on the
-    /// SM lane the scheduler actually chose (the trace.rs data).
+    /// SM lane the scheduler actually chose (the trace.rs data). The
+    /// whole launch is recorded under one lock.
     fn emit_launch_spans(
         &self,
         grid: &crate::grid::Grid,
@@ -434,12 +446,14 @@ impl GpuDevice {
         elapsed_s: f64,
         sim: &SimOutcome,
     ) {
-        let process = format!("gpu{}", self.device_index);
+        let Some(mut rec) = self.sink.lock() else {
+            return;
+        };
+        let process = &self.names.process;
         let names: Vec<&str> = grid.segments().iter().map(|s| &*s.desc.name).collect();
-        let kernel = self
-            .sink
+        let kernel = rec
             .span(
-                &process,
+                process,
                 "stream",
                 &names.join("+"),
                 started_at_s,
@@ -450,19 +464,18 @@ impl GpuDevice {
             .emit();
         let t0 = started_at_s + self.cfg.launch_overhead_s;
         for ev in sim.trace.events() {
-            self.sink
-                .span(
-                    &process,
-                    &format!("sm{}", ev.sm),
-                    names.get(ev.coord.segment).unwrap_or(&"block"),
-                    t0 + ev.start_s,
-                    t0 + ev.end_s,
-                )
-                .parent(kernel)
-                .attr("block", ev.coord.within)
-                .emit();
+            rec.span(
+                process,
+                &self.names.sm_lanes[ev.sm as usize],
+                names.get(ev.coord.segment).unwrap_or(&"block"),
+                t0 + ev.start_s,
+                t0 + ev.end_s,
+            )
+            .parent(kernel)
+            .attr("block", ev.coord.within)
+            .emit();
         }
-        self.sink.counter_add("gpu_launches", 1.0);
+        rec.counter_add("gpu_launches", 1.0);
     }
 }
 

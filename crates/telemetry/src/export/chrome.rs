@@ -7,126 +7,171 @@
 //! metadata (`"ph":"M"`) events.  Time series become counter (`"ph":"C"`)
 //! events on pid 0.
 
-use std::collections::BTreeMap;
-
-use crate::json::{write_number, write_string};
+use super::{Escaped, FloatMemo};
+use crate::json::{write_escaped, write_number, write_string};
 use crate::sink::TelemetrySnapshot;
+use crate::store::{FastMap, SpanTable, Sym};
 
 const US_PER_S: f64 = 1e6;
 
+/// Trace pids and tids. Ids are handed out in order of first appearance
+/// in the (chronological) span list: a process's pid counts the
+/// processes seen before it, a lane's tid counts the lanes seen before
+/// it *in its process*. Only the metadata events that name them are
+/// sorted by name.
+struct Tracks {
+    /// Indexed by process symbol; 0 where the symbol is not a process.
+    pids: Vec<u64>,
+    tids: FastMap<(Sym, Sym), u64>,
+    /// The tid of each span, in span order.
+    tid_of_span: Vec<u64>,
+}
+
+impl Tracks {
+    /// One pass over the spans, one map probe per span — the id of a
+    /// track is decided the first time the track shows up.
+    fn assign(spans: &SpanTable) -> Self {
+        let mut pids = vec![0; spans.symbols().len()];
+        let mut lanes_in = vec![0; pids.len()];
+        let mut tids = FastMap::default();
+        let mut processes = 0;
+        let tid_of_span = spans
+            .rows()
+            .iter()
+            .map(|row| {
+                let process = row.process as usize;
+                if pids[process] == 0 {
+                    processes += 1;
+                    pids[process] = processes;
+                }
+                *tids.entry((row.process, row.lane)).or_insert_with(|| {
+                    lanes_in[process] += 1;
+                    lanes_in[process]
+                })
+            })
+            .collect();
+        Tracks {
+            pids,
+            tids,
+            tid_of_span,
+        }
+    }
+}
+
 /// Renders `snap` as a Chrome trace-event JSON document.
 pub fn render(snap: &TelemetrySnapshot) -> String {
-    // Deterministic pid/tid assignment: sorted by name.
-    let mut pids: BTreeMap<&str, u64> = BTreeMap::new();
-    let mut tids: BTreeMap<(&str, &str), u64> = BTreeMap::new();
-    for span in &snap.spans {
-        let next_pid = pids.len() as u64 + 1;
-        pids.entry(span.process.as_str()).or_insert(next_pid);
-        let next_tid = tids
-            .iter()
-            .filter(|((p, _), _)| *p == span.process.as_str())
-            .count() as u64
-            + 1;
-        tids.entry((span.process.as_str(), span.lane.as_str()))
-            .or_insert(next_tid);
-    }
+    let spans = &snap.spans;
+    let symbols = spans.symbols();
+    let escaped = Escaped::new(symbols);
+    let tracks = Tracks::assign(spans);
+    let mut floats = FloatMemo::new();
 
-    let mut out = String::with_capacity(4096 + snap.spans.len() * 160);
+    let mut out = String::with_capacity(escaped.capacity_for(snap));
     out.push_str("{\"traceEvents\":[");
     let mut first = true;
-    let mut push_event = |out: &mut String, body: &str| {
-        if !std::mem::take(&mut first) {
-            out.push(',');
-        }
-        out.push('\n');
-        out.push_str(body);
+    let mut next_event = |out: &mut String| {
+        out.push_str(if std::mem::take(&mut first) {
+            "\n"
+        } else {
+            ",\n"
+        });
     };
 
-    // Process / thread naming metadata.
-    for (process, pid) in &pids {
-        let mut ev = String::new();
-        ev.push_str("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":");
-        write_number(&mut ev, *pid as f64);
-        ev.push_str(",\"tid\":0,\"args\":{\"name\":");
-        write_string(&mut ev, process);
-        ev.push_str("}}");
-        push_event(&mut out, &ev);
+    // Process / thread naming metadata, sorted by name.
+    let mut processes: Vec<Sym> = (0..symbols.len() as Sym)
+        .filter(|&sym| tracks.pids[sym as usize] != 0)
+        .collect();
+    processes.sort_unstable_by_key(|&sym| &*symbols[sym as usize]);
+    for process in processes {
+        next_event(&mut out);
+        out.push_str("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":");
+        write_number(&mut out, tracks.pids[process as usize] as f64);
+        out.push_str(",\"tid\":0,\"args\":{\"name\":");
+        out.push_str(escaped.get(process));
+        out.push_str("}}");
     }
-    for ((process, lane), tid) in &tids {
-        let pid = pids[process];
-        let mut ev = String::new();
-        ev.push_str("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":");
-        write_number(&mut ev, pid as f64);
-        ev.push_str(",\"tid\":");
-        write_number(&mut ev, *tid as f64);
-        ev.push_str(",\"args\":{\"name\":");
-        write_string(&mut ev, lane);
-        ev.push_str("}}");
-        push_event(&mut out, &ev);
+    let mut lanes: Vec<(Sym, Sym, u64)> = tracks
+        .tids
+        .iter()
+        .map(|(&(process, lane), &tid)| (process, lane, tid))
+        .collect();
+    lanes.sort_unstable_by_key(|&(process, lane, _)| {
+        (&*symbols[process as usize], &*symbols[lane as usize])
+    });
+    for (process, lane, tid) in lanes {
+        next_event(&mut out);
+        out.push_str("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":");
+        write_number(&mut out, tracks.pids[process as usize] as f64);
+        out.push_str(",\"tid\":");
+        write_number(&mut out, tid as f64);
+        out.push_str(",\"args\":{\"name\":");
+        out.push_str(escaped.get(lane));
+        out.push_str("}}");
     }
 
     // Spans as complete events.
-    for span in &snap.spans {
-        let pid = pids[span.process.as_str()];
-        let tid = tids[&(span.process.as_str(), span.lane.as_str())];
-        let mut ev = String::new();
-        ev.push_str("{\"ph\":\"X\",\"name\":");
-        write_string(&mut ev, &span.name);
-        ev.push_str(",\"cat\":");
-        write_string(&mut ev, &span.process);
-        ev.push_str(",\"pid\":");
-        write_number(&mut ev, pid as f64);
-        ev.push_str(",\"tid\":");
-        write_number(&mut ev, tid as f64);
-        ev.push_str(",\"ts\":");
-        write_number(&mut ev, span.start_s * US_PER_S);
-        ev.push_str(",\"dur\":");
-        write_number(&mut ev, span.duration_s() * US_PER_S);
-        ev.push_str(",\"args\":{\"span_id\":");
-        write_number(&mut ev, span.id as f64);
-        if let Some(parent) = span.parent {
-            ev.push_str(",\"parent_id\":");
-            write_number(&mut ev, parent as f64);
+    for (row, &tid) in spans.rows().iter().zip(&tracks.tid_of_span) {
+        next_event(&mut out);
+        out.push_str("{\"ph\":\"X\",\"name\":");
+        out.push_str(escaped.get(row.name));
+        out.push_str(",\"cat\":");
+        out.push_str(escaped.get(row.process));
+        out.push_str(",\"pid\":");
+        write_number(&mut out, tracks.pids[row.process as usize] as f64);
+        out.push_str(",\"tid\":");
+        write_number(&mut out, tid as f64);
+        out.push_str(",\"ts\":");
+        floats.write(&mut out, row.start_s * US_PER_S);
+        out.push_str(",\"dur\":");
+        floats.write(&mut out, row.duration_s() * US_PER_S);
+        out.push_str(",\"args\":{\"span_id\":");
+        write_number(&mut out, row.id as f64);
+        if row.parent != 0 {
+            out.push_str(",\"parent_id\":");
+            write_number(&mut out, row.parent as f64);
         }
-        for (k, v) in &span.attrs {
-            ev.push(',');
-            write_string(&mut ev, k);
-            ev.push(':');
-            write_string(&mut ev, v);
+        for attr in spans.attrs_of(row) {
+            out.push(',');
+            escaped.write_attr(&mut out, attr);
         }
-        ev.push_str("}}");
-        push_event(&mut out, &ev);
+        out.push_str("}}");
     }
 
     // Time series as counter events on pid 0.
+    let mut head = String::new();
     for (name, samples) in &snap.series {
+        head.clear();
+        head.push_str("{\"ph\":\"C\",\"name\":");
+        write_string(&mut head, name);
+        head.push_str(",\"pid\":0,\"tid\":0,\"ts\":");
         for &(t, v) in samples {
-            let mut ev = String::new();
-            ev.push_str("{\"ph\":\"C\",\"name\":");
-            write_string(&mut ev, name);
-            ev.push_str(",\"pid\":0,\"tid\":0,\"ts\":");
-            write_number(&mut ev, t * US_PER_S);
-            ev.push_str(",\"args\":{\"value\":");
-            write_number(&mut ev, v);
-            ev.push_str("}}");
-            push_event(&mut out, &ev);
+            next_event(&mut out);
+            out.push_str(&head);
+            write_number(&mut out, t * US_PER_S);
+            out.push_str(",\"args\":{\"value\":");
+            write_number(&mut out, v);
+            out.push_str("}}");
         }
     }
 
     // Decision verdicts as instant events on pid 0, one lane for the
     // decision engine so verdicts line up with the spans around them.
     for rec in &snap.audit {
-        let mut ev = String::new();
-        ev.push_str("{\"ph\":\"i\",\"s\":\"g\",\"name\":");
-        write_string(&mut ev, &format!("decision:{}", rec.verdict.label()));
-        ev.push_str(",\"pid\":0,\"tid\":0,\"ts\":");
-        write_number(&mut ev, rec.time_s * US_PER_S);
-        ev.push_str(",\"args\":{\"kernels\":");
-        write_string(&mut ev, &rec.kernels.join("+"));
-        ev.push_str(",\"reason\":");
-        write_string(&mut ev, &rec.reason);
-        ev.push_str("}}");
-        push_event(&mut out, &ev);
+        next_event(&mut out);
+        out.push_str("{\"ph\":\"i\",\"s\":\"g\",\"name\":\"decision:");
+        write_escaped(&mut out, rec.verdict.label());
+        out.push_str("\",\"pid\":0,\"tid\":0,\"ts\":");
+        write_number(&mut out, rec.time_s * US_PER_S);
+        out.push_str(",\"args\":{\"kernels\":\"");
+        for (i, kernel) in rec.kernels.iter().enumerate() {
+            if i > 0 {
+                out.push('+');
+            }
+            write_escaped(&mut out, kernel);
+        }
+        out.push_str("\",\"reason\":");
+        write_string(&mut out, &rec.reason);
+        out.push_str("}}");
     }
 
     out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");

@@ -4,39 +4,41 @@
 //! (`span`, `counter`, `gauge`, `histogram`, `sample`, `decision`), which
 //! makes the output trivially filterable with line-oriented tools.
 
+use super::{Escaped, FloatMemo};
 use crate::json::{write_number, write_string};
 use crate::sink::TelemetrySnapshot;
 
 /// Renders `snap` as JSON-lines text.
 pub fn render(snap: &TelemetrySnapshot) -> String {
-    let mut out = String::new();
+    let spans = &snap.spans;
+    let escaped = Escaped::new(spans.symbols());
+    let mut floats = FloatMemo::new();
+    let mut out = String::with_capacity(escaped.capacity_for(snap));
 
-    for span in &snap.spans {
+    for row in spans.rows() {
         out.push_str("{\"type\":\"span\",\"id\":");
-        write_number(&mut out, span.id as f64);
+        write_number(&mut out, row.id as f64);
         out.push_str(",\"parent\":");
-        match span.parent {
-            Some(p) => write_number(&mut out, p as f64),
-            None => out.push_str("null"),
+        match row.parent {
+            0 => out.push_str("null"),
+            parent => write_number(&mut out, parent as f64),
         }
         out.push_str(",\"name\":");
-        write_string(&mut out, &span.name);
+        out.push_str(escaped.get(row.name));
         out.push_str(",\"process\":");
-        write_string(&mut out, &span.process);
+        out.push_str(escaped.get(row.process));
         out.push_str(",\"lane\":");
-        write_string(&mut out, &span.lane);
+        out.push_str(escaped.get(row.lane));
         out.push_str(",\"start_s\":");
-        write_number(&mut out, span.start_s);
+        floats.write(&mut out, row.start_s);
         out.push_str(",\"end_s\":");
-        write_number(&mut out, span.end_s);
+        floats.write(&mut out, row.end_s);
         out.push_str(",\"attrs\":{");
-        for (i, (k, v)) in span.attrs.iter().enumerate() {
+        for (i, attr) in spans.attrs_of(row).iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            write_string(&mut out, k);
-            out.push(':');
-            write_string(&mut out, v);
+            escaped.write_attr(&mut out, attr);
         }
         out.push_str("}}\n");
     }
@@ -77,11 +79,14 @@ pub fn render(snap: &TelemetrySnapshot) -> String {
         out.push_str("}\n");
     }
 
+    let mut head = String::new();
     for (name, samples) in &snap.series {
+        head.clear();
+        head.push_str("{\"type\":\"sample\",\"series\":");
+        write_string(&mut head, name);
+        head.push_str(",\"time_s\":");
         for &(t, v) in samples {
-            out.push_str("{\"type\":\"sample\",\"series\":");
-            write_string(&mut out, name);
-            out.push_str(",\"time_s\":");
+            out.push_str(&head);
             write_number(&mut out, t);
             out.push_str(",\"value\":");
             write_number(&mut out, v);

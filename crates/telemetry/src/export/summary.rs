@@ -8,6 +8,7 @@ use std::fmt::Write as _;
 
 use crate::audit::Verdict;
 use crate::sink::TelemetrySnapshot;
+use crate::store::{FastMap, Sym};
 
 fn rule(out: &mut String, title: &str) {
     let _ = writeln!(
@@ -19,7 +20,8 @@ fn rule(out: &mut String, title: &str) {
 
 /// Renders `snap` as a human-readable report.
 pub fn render(snap: &TelemetrySnapshot) -> String {
-    let mut out = String::new();
+    // A screenful: every section is a line per name or per track.
+    let mut out = String::with_capacity(16 * 1024);
 
     if snap.metrics.counters().next().is_some() {
         rule(&mut out, "counters");
@@ -59,20 +61,27 @@ pub fn render(snap: &TelemetrySnapshot) -> String {
 
     if !snap.spans.is_empty() {
         rule(&mut out, "spans");
-        let mut per_track: BTreeMap<(String, String), (usize, f64)> = BTreeMap::new();
-        for s in &snap.spans {
-            let e = per_track
-                .entry((s.process.clone(), s.lane.clone()))
-                .or_insert((0, 0.0));
+        let symbols = snap.spans.symbols();
+        let mut per_track: FastMap<(Sym, Sym), (usize, f64)> = FastMap::default();
+        for row in snap.spans.rows() {
+            let e = per_track.entry((row.process, row.lane)).or_insert((0, 0.0));
             e.0 += 1;
-            e.1 += s.duration_s();
+            e.1 += row.duration_s();
         }
+        let mut tracks: Vec<(&str, &str, usize, f64)> = per_track
+            .into_iter()
+            .map(|((process, lane), (count, busy))| {
+                let (process, lane) = (&*symbols[process as usize], &*symbols[lane as usize]);
+                (process, lane, count, busy)
+            })
+            .collect();
+        tracks.sort_unstable_by_key(|&(process, lane, ..)| (process, lane));
         let _ = writeln!(
             out,
             "{:<16} {:<16} {:>8} {:>14}",
             "process", "lane", "spans", "busy_s"
         );
-        for ((process, lane), (count, busy)) in per_track {
+        for (process, lane, count, busy) in tracks {
             let _ = writeln!(out, "{process:<16} {lane:<16} {count:>8} {busy:>14.6}");
         }
     }

@@ -12,34 +12,72 @@ use std::fmt::Write as _;
 /// Appends `s` to `out` as a JSON string literal (with quotes).
 pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    write_escaped(out, s);
+    out.push('"');
+}
+
+/// Appends the body of a JSON string literal (no quotes), so a caller
+/// can assemble one literal from several pieces. Escape-free runs are
+/// copied whole; only `"`, `\` and the C0 controls take the slow path.
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // `b` is ASCII, so `run..i` ends on a character boundary.
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
             }
-            c => out.push(c),
         }
     }
-    out.push('"');
+    out.push_str(&s[run..]);
 }
 
 /// Appends `v` to `out` as a JSON number.  Non-finite values (which JSON
 /// cannot represent) are written as `null`.
 pub fn write_number(out: &mut String, v: f64) {
-    if v.is_finite() {
-        if v == v.trunc() && v.abs() < 1e15 {
-            let _ = write!(out, "{}", v as i64);
-        } else {
-            let _ = write!(out, "{v}");
-        }
-    } else {
+    if !v.is_finite() {
         out.push_str("null");
+    } else if v == v.trunc() && v.abs() < 1e15 {
+        write_i64(out, v as i64);
+    } else {
+        let _ = write!(out, "{v}");
     }
+}
+
+/// Appends `v` in decimal without going through `fmt`.
+pub(crate) fn write_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    write_u64(out, v.unsigned_abs());
+}
+
+/// Appends `v` in decimal without going through `fmt`.
+pub(crate) fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 /// A parsed JSON value, used by validation tests to inspect exporter output.
@@ -212,11 +250,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
             }
             Some(&c) if c < 0x20 => return Err("raw control char in string".into()),
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe).
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|_| "bad utf8")?;
-                let ch = s.chars().next().ok_or("empty string tail")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Consume the run of plain characters up to the next
+                // quote, escape or control byte. Those are ASCII, so the
+                // run is whole characters of the `&str` we were given.
+                let tail = &b[*pos..];
+                let run = tail
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                    .unwrap_or(tail.len());
+                out.push_str(std::str::from_utf8(&tail[..run]).map_err(|_| "bad utf8")?);
+                *pos += run;
             }
         }
     }
@@ -301,6 +344,110 @@ mod tests {
         let mut out = String::new();
         write_number(&mut out, f64::NAN);
         assert_eq!(out, "null");
+    }
+
+    /// The escaper this module shipped before it copied escape-free runs
+    /// whole: one `char` at a time, `fmt` for the `\u` escapes.
+    fn charwise_write_string(out: &mut String, s: &str) {
+        out.push('"');
+        for ch in s.chars() {
+            match ch {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn write_string_matches_the_charwise_escaper() {
+        let mut cases: Vec<String> = Vec::new();
+        let specials: Vec<char> = (0u8..0x20).map(char::from).chain(['"', '\\']).collect();
+        for &c in &specials {
+            // Alone, first, last, in the middle, doubled.
+            cases.push(c.to_string());
+            cases.push(format!("{c}tail"));
+            cases.push(format!("head{c}"));
+            cases.push(format!("he{c}ad"));
+            cases.push(format!("{c}{c}"));
+            // Next to multi-byte characters on both sides.
+            cases.push(format!("é{c}€{c}😀"));
+        }
+        cases.extend(["", "plain", "é", "€", "😀", "aé€😀z", "\u{7f}", "\u{80}"].map(String::from));
+        // The consolidated-kernel names the bursty fleet workload emits.
+        let long = vec!["substring_search"; 32].join("+");
+        assert_eq!(long.len(), 543);
+        cases.push(format!("{long}\""));
+        cases.push(long);
+        for case in &cases {
+            let (mut got, mut want) = (String::new(), String::new());
+            write_string(&mut got, case);
+            charwise_write_string(&mut want, case);
+            assert_eq!(got, want, "escaping {case:?}");
+            assert_eq!(parse(&got), Ok(Value::String(case.clone())));
+        }
+    }
+
+    #[test]
+    fn write_number_matches_fmt() {
+        let reference = |v: f64| {
+            if !v.is_finite() {
+                "null".to_string()
+            } else if v == v.trunc() && v.abs() < 1e15 {
+                format!("{}", v as i64)
+            } else {
+                format!("{v}")
+            }
+        };
+        let two53 = 9_007_199_254_740_992.0_f64;
+        let mut values = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            9.0,
+            10.0,
+            -10.0,
+            0.1,
+            -2.5,
+            1e-7,
+            123_456.789,
+            999_999_999_999_999.0,
+            1e15,
+            1e15 + 2.0,
+            1e15 - 0.5,
+            two53,
+            two53 - 1.0,
+            two53 + 2.0,
+            u64::MAX as f64,
+            i64::MAX as f64,
+            1e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+            f64::EPSILON,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        values.extend((0..19).map(|p| 10f64.powi(p)));
+        for v in values.iter().flat_map(|&v| [v, -v]) {
+            let mut got = String::new();
+            write_number(&mut got, v);
+            assert_eq!(got, reference(v), "formatting {v:e}");
+            match parse(&got) {
+                Ok(Value::Number(back)) => assert_eq!(back, v),
+                Ok(Value::Null) => assert!(!v.is_finite()),
+                other => panic!("{got:?} parsed as {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //!   nesting and per-span key/value attributes, modeling the request
 //!   lifecycle `frontend call → RPC → backend queue → decision → staging
 //!   copy → launch → block completion`.
+//! * [`store`] — where recorded spans live: interned strings, fixed-size
+//!   rows and one attribute arena, copied out as a [`SpanTable`].
 //! * [`audit`] — a decision audit log: every consolidate/serial/CPU verdict
 //!   together with the model predictions that justified it.
 //! * [`export`] — exporters: JSON-lines, Chrome trace-event format (load the
@@ -25,7 +27,8 @@
 //! The entry point is [`TelemetrySink`], a cheaply clonable handle that
 //! every instrumented component holds.  A default-constructed sink is
 //! disabled and every recording call is a branch on an `Option` — the hot
-//! path of the simulator is unchanged when telemetry is off.
+//! path of the simulator is unchanged when telemetry is off, and building
+//! a span on it allocates nothing (span builders borrow their strings).
 //!
 //! ```
 //! use ewc_telemetry::TelemetrySink;
@@ -49,8 +52,10 @@ pub mod json;
 pub mod metrics;
 pub mod sink;
 pub mod span;
+pub mod store;
 
 pub use audit::{DecisionRecord, Verdict};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use sink::{TelemetrySink, TelemetrySnapshot};
-pub use span::{SpanBuilder, SpanRecord};
+pub use sink::{Recorder, TelemetrySink, TelemetrySnapshot};
+pub use span::{AttrValue, Span, SpanBuilder};
+pub use store::SpanTable;

@@ -206,22 +206,40 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    // The three recorders look the name up before they build a key:
+    // `entry(name.to_string())` would allocate and free a `String` on
+    // every hit, and nearly every call is a hit.
+
     /// Adds `delta` to the named counter, creating it at zero first.
     pub fn counter_add(&mut self, name: &str, delta: f64) {
-        *self.counters.entry(name.to_string()).or_insert(0.0) += delta;
+        match self.counters.get_mut(name) {
+            Some(value) => *value += delta,
+            None => {
+                self.counters.insert(name.to_string(), 0.0 + delta);
+            }
+        }
     }
 
     /// Sets the named gauge to `value`.
     pub fn gauge_set(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
+        match self.gauges.get_mut(name) {
+            Some(gauge) => *gauge = value,
+            None => {
+                self.gauges.insert(name.to_string(), value);
+            }
+        }
     }
 
     /// Records `value` into the named histogram (default bucket layout).
     pub fn histogram_record(&mut self, name: &str, value: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        match self.histograms.get_mut(name) {
+            Some(histogram) => histogram.record(value),
+            None => {
+                let mut histogram = Histogram::default();
+                histogram.record(value);
+                self.histograms.insert(name.to_string(), histogram);
+            }
+        }
     }
 
     pub fn counter(&self, name: &str) -> f64 {

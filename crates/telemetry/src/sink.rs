@@ -3,25 +3,37 @@
 //! A sink is either disabled (the default — every call returns after one
 //! `Option` check, no allocation, no locking) or enabled, in which case it
 //! wraps a mutex-protected collector shared by every clone.  The backend,
-//! the GPU simulators and the runtime all hold clones of the same sink; at shutdown a [`TelemetrySnapshot`] is taken and handed
-//! to the exporters.
+//! the GPU simulators and the runtime all hold clones of the same sink; at
+//! shutdown a [`TelemetrySnapshot`] is taken and handed to the exporters.
+//!
+//! Each recording method on the sink takes the lock for that one record.
+//! A component with a burst to record — a launch's block spans, a
+//! measurement's power samples — takes it once with
+//! [`TelemetrySink::lock`] and records through the [`Recorder`].
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ewc_exec::VirtualClock;
 
 use crate::audit::DecisionRecord;
 use crate::metrics::MetricsRegistry;
-use crate::span::{SpanBuilder, SpanRecord};
+use crate::span::{SpanBuilder, Target};
+use crate::store::{SpanStore, SpanTable};
 
 #[derive(Debug, Default)]
-struct Collector {
-    next_span_id: u64,
-    spans: Vec<SpanRecord>,
+pub(crate) struct Collector {
+    pub(crate) spans: SpanStore,
     metrics: MetricsRegistry,
     series: BTreeMap<String, Vec<(f64, f64)>>,
     audit: Vec<DecisionRecord>,
+}
+
+/// Takes the collector lock. Every update appends whole records, so the
+/// data a panicking holder leaves behind is still valid: recover it
+/// rather than make the observer the second thing that panics.
+pub(crate) fn lock(collector: &Mutex<Collector>) -> MutexGuard<'_, Collector> {
+    collector.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Cheaply clonable telemetry handle; see the module docs.
@@ -82,129 +94,90 @@ impl TelemetrySink {
 
     /// Whether this sink records anything.  Instrumented code may use this
     /// to skip building expensive attributes when telemetry is off.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
 
-    /// Starts building a completed span on track `(process, lane)` covering
-    /// simulated time `[start_s, end_s]`.  Call `.emit()` to record it.
-    pub fn span(
-        &self,
-        process: &str,
-        lane: &str,
-        name: &str,
-        start_s: f64,
-        end_s: f64,
-    ) -> SpanBuilder<'_> {
-        SpanBuilder {
-            sink: self,
-            record: SpanRecord {
-                id: 0,
-                parent: None,
-                name: name.to_string(),
-                process: process.to_string(),
-                lane: lane.to_string(),
-                start_s,
-                end_s,
-                attrs: Vec::new(),
-            },
-        }
+    /// Takes the collector lock once for a burst of records; `None` on a
+    /// disabled sink. Every other method of the sink blocks until the
+    /// recorder is dropped, so keep it to the burst.
+    #[inline]
+    pub fn lock(&self) -> Option<Recorder<'_>> {
+        self.inner.as_deref().map(|c| Recorder(lock(c)))
     }
 
-    pub(crate) fn commit_span(&self, mut record: SpanRecord) -> Option<u64> {
-        let inner = self.inner.as_ref()?;
-        let mut c = inner.lock().expect("telemetry sink lock poisoned");
-        c.next_span_id += 1;
-        record.id = c.next_span_id;
-        let id = record.id;
-        c.spans.push(record);
-        Some(id)
+    /// Starts building a completed span on track `(process, lane)` covering
+    /// simulated time `[start_s, end_s]`.  Call `.emit()` to record it.
+    /// The builder borrows its strings; nothing is copied before `emit`,
+    /// and nothing at all on a disabled sink.
+    #[inline]
+    pub fn span<'a>(
+        &'a self,
+        process: &'a str,
+        lane: &'a str,
+        name: &'a str,
+        start_s: f64,
+        end_s: f64,
+    ) -> SpanBuilder<'a> {
+        let target = match self.inner.as_deref() {
+            Some(collector) => Target::Sink(collector),
+            None => Target::Off,
+        };
+        SpanBuilder::new(target, (process, lane), name, (start_s, end_s))
     }
 
     /// Adds `delta` to a named counter.
     pub fn counter_add(&self, name: &str, delta: f64) {
-        if let Some(inner) = &self.inner {
-            inner
-                .lock()
-                .expect("telemetry sink lock poisoned")
-                .metrics
-                .counter_add(name, delta);
+        if let Some(mut rec) = self.lock() {
+            rec.counter_add(name, delta);
         }
     }
 
     /// Sets a named gauge.
     pub fn gauge_set(&self, name: &str, value: f64) {
-        if let Some(inner) = &self.inner {
-            inner
-                .lock()
-                .expect("telemetry sink lock poisoned")
-                .metrics
-                .gauge_set(name, value);
+        if let Some(mut rec) = self.lock() {
+            rec.gauge_set(name, value);
         }
     }
 
     /// Records a sample into a named histogram.
     pub fn histogram_record(&self, name: &str, value: f64) {
-        if let Some(inner) = &self.inner {
-            inner
-                .lock()
-                .expect("telemetry sink lock poisoned")
-                .metrics
-                .histogram_record(name, value);
+        if let Some(mut rec) = self.lock() {
+            rec.histogram_record(name, value);
         }
     }
 
     /// Appends a `(time_s, value)` sample to a named time series (exported
     /// as Chrome counter events — e.g. instantaneous power draw in watts).
     pub fn series_sample(&self, name: &str, time_s: f64, value: f64) {
-        if let Some(inner) = &self.inner {
-            inner
-                .lock()
-                .expect("telemetry sink lock poisoned")
-                .series
-                .entry(name.to_string())
-                .or_default()
-                .push((time_s, value));
+        if let Some(mut rec) = self.lock() {
+            rec.series_extend(name, &[(time_s, value)]);
         }
     }
 
     /// Records one decision-engine verdict.
     pub fn audit(&self, record: DecisionRecord) {
-        if let Some(inner) = &self.inner {
-            inner
-                .lock()
-                .expect("telemetry sink lock poisoned")
-                .audit
-                .push(record);
+        if let Some(mut rec) = self.lock() {
+            rec.audit(record);
         }
     }
 
     /// Folds a whole per-thread [`MetricsRegistry`] into the sink.
     pub fn merge_metrics(&self, registry: &MetricsRegistry) {
-        if let Some(inner) = &self.inner {
-            inner
-                .lock()
-                .expect("telemetry sink lock poisoned")
-                .metrics
-                .merge(registry);
+        if let Some(mut rec) = self.lock() {
+            rec.0.metrics.merge(registry);
         }
     }
 
     /// Copies out everything collected so far, or `None` if disabled.
+    /// The spans cost two `memcpy`s and a sort of the copied rows (see
+    /// [`SpanTable`]); the strings they name are shared, not cloned.
     pub fn snapshot(&self) -> Option<TelemetrySnapshot> {
-        let inner = self.inner.as_ref()?;
-        let c = inner.lock().expect("telemetry sink lock poisoned");
-        let mut spans = c.spans.clone();
-        // Stable order: by start time, then id — concurrent emitters may
-        // interleave arbitrarily, exporters want chronological output.
-        spans.sort_by(|a, b| {
-            a.start_s
-                .partial_cmp(&b.start_s)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.id.cmp(&b.id))
-        });
+        let rec = self.lock()?;
+        let c = &*rec.0;
         Some(TelemetrySnapshot {
-            spans,
+            spans: c.spans.table(),
             metrics: c.metrics.clone(),
             series: c.series.clone(),
             audit: c.audit.clone(),
@@ -212,11 +185,65 @@ impl TelemetrySink {
     }
 }
 
+/// The collector lock, held: what [`TelemetrySink::lock`] returns.
+pub struct Recorder<'a>(MutexGuard<'a, Collector>);
+
+impl Recorder<'_> {
+    /// Like [`TelemetrySink::span`], recording under the held lock.
+    #[inline]
+    pub fn span<'a>(
+        &'a mut self,
+        process: &'a str,
+        lane: &'a str,
+        name: &'a str,
+        start_s: f64,
+        end_s: f64,
+    ) -> SpanBuilder<'a> {
+        SpanBuilder::new(
+            Target::Locked(&mut self.0),
+            (process, lane),
+            name,
+            (start_s, end_s),
+        )
+    }
+
+    /// Adds `delta` to a named counter.
+    pub fn counter_add(&mut self, name: &str, delta: f64) {
+        self.0.metrics.counter_add(name, delta);
+    }
+
+    /// Sets a named gauge.
+    pub fn gauge_set(&mut self, name: &str, value: f64) {
+        self.0.metrics.gauge_set(name, value);
+    }
+
+    /// Records a sample into a named histogram.
+    pub fn histogram_record(&mut self, name: &str, value: f64) {
+        self.0.metrics.histogram_record(name, value);
+    }
+
+    /// Appends `(time_s, value)` samples to a named time series.
+    pub fn series_extend(&mut self, name: &str, samples: &[(f64, f64)]) {
+        let series = &mut self.0.series;
+        match series.get_mut(name) {
+            Some(points) => points.extend_from_slice(samples),
+            None => {
+                series.insert(name.to_string(), samples.to_vec());
+            }
+        }
+    }
+
+    /// Records one decision-engine verdict.
+    pub fn audit(&mut self, record: DecisionRecord) {
+        self.0.audit.push(record);
+    }
+}
+
 /// An owned copy of everything a sink collected.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetrySnapshot {
     /// All spans, sorted by simulated start time.
-    pub spans: Vec<SpanRecord>,
+    pub spans: SpanTable,
     /// Counters, gauges and histograms.
     pub metrics: MetricsRegistry,
     /// Named `(time_s, value)` series, e.g. power samples.
@@ -229,6 +256,7 @@ pub struct TelemetrySnapshot {
 mod tests {
     use super::*;
     use crate::audit::Verdict;
+    use crate::span::AttrValue;
 
     #[test]
     fn disabled_sink_records_nothing() {
@@ -265,19 +293,82 @@ mod tests {
         let late_id = late.emit().unwrap();
         let snap = sink.snapshot().unwrap();
         assert_eq!(snap.spans.len(), 3);
+        let spans: Vec<_> = snap.spans.iter().collect();
         // Chronological, ties broken by id.
-        assert_eq!(snap.spans[0].name, "request");
-        assert_eq!(snap.spans[1].name, "staging");
-        assert_eq!(snap.spans[2].name, "launch");
-        assert_eq!(snap.spans[1].id, early_id);
-        assert_eq!(snap.spans[2].id, late_id);
-        assert_eq!(snap.spans[1].parent, parent);
-        assert_eq!(snap.spans[2].parent, parent);
+        assert_eq!(spans[0].name, "request");
+        assert_eq!(spans[1].name, "staging");
+        assert_eq!(spans[2].name, "launch");
+        assert_eq!(spans[1].id, early_id);
+        assert_eq!(spans[2].id, late_id);
+        assert_eq!(spans[1].parent, parent);
+        assert_eq!(spans[2].parent, parent);
         assert_eq!(
-            snap.spans[0].attrs,
-            vec![("ctx".to_string(), "3".to_string())]
+            spans[0].attrs().collect::<Vec<_>>(),
+            [("ctx", AttrValue::I64(3))]
         );
-        assert!((snap.spans[0].duration_s() - 4.0).abs() < 1e-12);
+        assert!((spans[0].duration_s() - 4.0).abs() < 1e-12);
+        assert_eq!(snap.spans.get(2).map(|s| s.id), Some(late_id));
+        assert!(snap.spans.get(3).is_none());
+    }
+
+    #[test]
+    fn non_finite_starts_sort_totally_and_export_as_null() {
+        use crate::export::{chrome, jsonl, summary};
+        use crate::json;
+
+        // `partial_cmp().unwrap_or(Equal)` is not a total order once a
+        // start is NaN, and `sort_by` panics on such a comparator when
+        // it notices; enough spans that it would.
+        let sink = TelemetrySink::enabled();
+        let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, -f64::NAN];
+        let (mut nans, mut non_finite) = (0, 0);
+        for i in 0..20_000u32 {
+            let start_s = match i % 7 {
+                0 => odd[(i / 7) as usize % odd.len()],
+                // Ordinary starts, out of order and with ties.
+                _ => f64::from(i.wrapping_mul(2_654_435_761) % 1_000) * 0.25,
+            };
+            nans += usize::from(start_s.is_nan());
+            non_finite += usize::from(!start_s.is_finite());
+            sink.span("host", "backend", "op", start_s, 1_000.0)
+                .attr("i", i)
+                .emit();
+        }
+        assert!(nans > 1_000 && non_finite > 2 * nans - nans / 2);
+        let snap = sink.snapshot().expect("snapshot returns");
+        assert_eq!(snap.spans.len(), 20_000);
+
+        // Wherever the old comparator was an order at all — every start
+        // but NaN, so ±∞ and -0.0 included — the order is the old one.
+        let got: Vec<(f64, u64)> = snap
+            .spans
+            .iter()
+            .filter(|s| !s.start_s.is_nan())
+            .map(|s| (s.start_s, s.id))
+            .collect();
+        let mut want = got.clone();
+        want.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+        assert_eq!(got.len(), 20_000 - nans);
+        assert!(got
+            .iter()
+            .zip(&want)
+            .all(|(g, w)| g.0.to_bits() == w.0.to_bits() && g.1 == w.1));
+
+        let doc = json::parse(&chrome::render(&snap)).expect("chrome trace parses");
+        let events = doc.get("traceEvents").unwrap().as_array().unwrap();
+        let nulls = events
+            .iter()
+            .filter(|e| e.get("ts") == Some(&json::Value::Null))
+            .count();
+        assert_eq!(nulls, non_finite, "NaN and ±∞ timestamps are null");
+        let lines = jsonl::render(&snap);
+        let mut nulls = 0;
+        for line in lines.lines() {
+            let v = json::parse(line).expect("jsonl line parses");
+            nulls += usize::from(v.get("start_s") == Some(&json::Value::Null));
+        }
+        assert_eq!(nulls, non_finite);
+        assert!(summary::render(&snap).contains("20000"));
     }
 
     #[test]

@@ -12,33 +12,48 @@ use ewc_telemetry::export::{chrome, jsonl, summary};
 use ewc_telemetry::{json, TelemetrySink, TelemetrySnapshot};
 use ewc_workloads::{MonteCarloWorkload, Workload};
 
+/// One connected frontend and the buffers of the instance it submitted.
+type Session = (ewc_core::Frontend, ewc_workloads::registry::DeviceBuffers);
+
+/// Build the runtime, submit `n` instances of `workload` (registered as
+/// `name`), one frontend each, and drain them.
+fn submit_session(
+    builder: ewc_core::runtime::RuntimeBuilder,
+    name: &str,
+    workload: &Arc<dyn Workload>,
+    n: u64,
+) -> (Runtime, Vec<Session>) {
+    let rt = builder
+        .workload(name, Arc::clone(workload))
+        .template(Template::homogeneous(name))
+        .build();
+    let mut sessions = Vec::new();
+    for seed in 0..n {
+        let mut fe = rt.connect();
+        let (args, bufs) = workload.build_args(&mut fe, seed).expect("build");
+        fe.configure_call(workload.blocks(), workload.desc().threads_per_block)
+            .unwrap();
+        for a in &args {
+            fe.setup_argument(*a).unwrap();
+        }
+        fe.launch(name).expect("launch");
+        sessions.push((fe, bufs));
+    }
+    sessions[0].0.sync().expect("drain");
+    (rt, sessions)
+}
+
 /// Run `n` GPU-friendly Monte Carlo requests through a runtime wired to
 /// `sink`, and return the shutdown report.
 fn run_requests(n: u64, sink: TelemetrySink) -> ewc_core::RuntimeReport {
     let cfg = GpuConfig::tesla_c1060();
     let mc: Arc<dyn Workload> = Arc::new(MonteCarloWorkload::tables78(&cfg));
-    let rt = Runtime::builder(RuntimeConfig {
+    let builder = Runtime::builder(RuntimeConfig {
         threshold_factor: 2,
         ..RuntimeConfig::default()
     })
-    .workload("montecarlo", Arc::clone(&mc))
-    .template(Template::homogeneous("montecarlo"))
-    .telemetry(sink)
-    .build();
-
-    let mut sessions = Vec::new();
-    for seed in 0..n {
-        let mut fe = rt.connect();
-        let (args, bufs) = mc.build_args(&mut fe, seed).expect("build");
-        fe.configure_call(mc.blocks(), mc.desc().threads_per_block)
-            .unwrap();
-        for a in &args {
-            fe.setup_argument(*a).unwrap();
-        }
-        fe.launch("montecarlo").expect("launch");
-        sessions.push((fe, bufs));
-    }
-    sessions[0].0.sync().expect("drain");
+    .telemetry(sink);
+    let (rt, sessions) = submit_session(builder, "montecarlo", &mc, n);
     for (fe, bufs) in &sessions {
         let out = fe
             .memcpy_d2h(bufs.output, 0, bufs.output_len)
@@ -89,7 +104,7 @@ fn runtime_run_emits_host_and_gpu_spans() {
         .spans
         .iter()
         .filter(|s| s.lane == "backend" && s.name != "staging" && s.name != "coordinate")
-        .map(|s| s.name.as_str())
+        .map(|s| s.name)
         .collect();
     assert_eq!(
         kinds.into_iter().collect::<Vec<_>>(),
@@ -185,12 +200,13 @@ fn runtime_run_emits_host_and_gpu_spans() {
     assert!(sm_blocks > 0, "per-block SM spans expected");
 
     // All spans have sane intervals.
-    for s in &snap.spans {
+    for s in snap.spans.iter() {
         assert!(s.end_s >= s.start_s, "negative span {s:?}");
     }
     // Snapshot ordering is chronological.
-    for w in snap.spans.windows(2) {
-        assert!(w[0].start_s <= w[1].start_s);
+    let starts: Vec<f64> = snap.spans.iter().map(|s| s.start_s).collect();
+    for w in starts.windows(2) {
+        assert!(w[0] <= w[1]);
     }
 }
 
@@ -300,14 +316,10 @@ fn chrome_trace_export_is_valid_and_matched() {
     assert_eq!(complete, snap.spans.len());
     assert_eq!(counters, snap.series.values().map(Vec::len).sum::<usize>());
     assert_eq!(instants, snap.audit.len());
-    let mut procs: Vec<&str> = snap.spans.iter().map(|s| s.process.as_str()).collect();
+    let mut procs: Vec<&str> = snap.spans.iter().map(|s| s.process).collect();
     procs.sort_unstable();
     procs.dedup();
-    let mut tracks: Vec<(&str, &str)> = snap
-        .spans
-        .iter()
-        .map(|s| (s.process.as_str(), s.lane.as_str()))
-        .collect();
+    let mut tracks: Vec<(&str, &str)> = snap.spans.iter().map(|s| (s.process, s.lane)).collect();
     tracks.sort_unstable();
     tracks.dedup();
     assert_eq!(
@@ -358,44 +370,146 @@ fn jsonl_and_summary_exports_cover_the_snapshot() {
 
 #[test]
 fn chrome_trace_render_is_byte_deterministic() {
-    // Host-side span durations are wall-clock and request *grouping*
-    // depends on real arrival timing, so two runs cannot be compared
-    // byte for byte — but rendering one snapshot twice must be: any
-    // map-iteration-order leak in the exporters would show up here as
-    // flaky bytes. (Cross-run audit determinism is pinned by the
-    // seeded soak replay test, which drives the simulated clock.)
+    // The backend runs only inside its callers' calls and every span is
+    // stamped from simulated clocks, so two separate runs on default
+    // (non-virtual) sinks export the same bytes — not just two renders
+    // of one snapshot. A map-iteration-order leak in an exporter, or a
+    // wall-clock reading anywhere in the recording path, shows up here.
     let (_, a) = snapshot(3);
-    assert_eq!(chrome::render(&a), chrome::render(&a));
-    assert_eq!(jsonl::render(&a), jsonl::render(&a));
+    let (_, b) = snapshot(3);
+    assert_eq!(chrome::render(&a), chrome::render(&b));
+    assert_eq!(jsonl::render(&a), jsonl::render(&b));
+    assert_eq!(summary::render(&a), summary::render(&b));
 }
 
 #[test]
 fn virtual_time_trace_exports_are_byte_identical_across_runs() {
-    // Virtual span mode: the backend adopts the sink's executor clock
-    // and batches per message, so *two separate runs* — not just two
-    // renders of one snapshot — must export the same bytes. This is the
-    // reproducibility contract of `TelemetrySink::enabled_virtual`; the
-    // default wall-clock mode keeps the burst batching of a live daemon
-    // (pinned by `chrome_trace_render_is_byte_deterministic` above).
-    use ewc_bench::experiments::trace;
-    use ewc_exec::VirtualClock;
-
-    let arrivals = trace::generate(&trace::TraceSpec {
-        requests: 10,
-        mean_interarrival_s: 1.0,
-        seed: 5,
-    });
-    let run = || {
-        let sink = TelemetrySink::enabled_virtual(VirtualClock::new());
-        let (_row, snap) = trace::replay_with(&arrivals, 4, 60.0, sink);
-        snap.expect("virtual sink must snapshot")
-    };
-    let a = run();
-    let b = run();
+    // A sink that lends the backend its executor clock replays the same
+    // way as a default one (`chrome_trace_render_is_byte_deterministic`
+    // above): two separate runs export the same bytes.
+    let a = trace_replay_snapshot(virtual_sink());
+    let b = trace_replay_snapshot(virtual_sink());
     assert_eq!(
         chrome::render(&a),
         chrome::render(&b),
         "virtual-time Chrome traces must be byte-identical across runs"
     );
     assert_eq!(jsonl::render(&a), jsonl::render(&b));
+}
+
+/// FNV-1a 64 over the bytes of `s`.
+fn fnv1a64(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `(digest, byte length)` of the chrome / jsonl / summary renders,
+/// every document and line re-parsed on the way.
+fn export_digests(snap: &TelemetrySnapshot) -> [(u64, usize); 3] {
+    let chrome = chrome::render(snap);
+    json::parse(&chrome).expect("chrome trace parses");
+    let jsonl = jsonl::render(snap);
+    for line in jsonl.lines() {
+        json::parse(line).expect("jsonl line parses");
+    }
+    [chrome, jsonl, summary::render(snap)].map(|text| (fnv1a64(&text), text.len()))
+}
+
+fn virtual_sink() -> TelemetrySink {
+    TelemetrySink::enabled_virtual(ewc_exec::VirtualClock::new())
+}
+
+/// The seeded ten-request trace replay `ewc telemetry` exports.
+fn trace_replay_snapshot(sink: TelemetrySink) -> TelemetrySnapshot {
+    use ewc_bench::experiments::trace;
+    let arrivals = trace::generate(&trace::TraceSpec {
+        requests: 10,
+        mean_interarrival_s: 1.0,
+        seed: 5,
+    });
+    trace::replay_with(&arrivals, 4, 60.0, sink)
+        .1
+        .expect("enabled sink must snapshot")
+}
+
+/// A bursty 8× open-loop session on four devices under the race-to-idle
+/// policy with queue-bound admission: `fleet_policy_burst` in small,
+/// as far as `ewc_load::openloop::run` (which takes no fleet) goes.
+fn bursty_openloop_snapshot() -> TelemetrySnapshot {
+    use ewc_load::openloop::{self, LoadConfig};
+    let mut cfg = LoadConfig::scaled(42, LoadConfig::bursty(), 8.0);
+    (cfg.streams, cfg.arrivals_per_stream) = (16, 16);
+    cfg.num_gpus = 4;
+    cfg.kernel_target_s = 20e-3;
+    cfg.admission = Some(ewc_core::AdmissionConfig {
+        max_per_device: 256,
+        max_per_ctx: 32,
+        ..ewc_core::AdmissionConfig::default()
+    });
+    cfg.power_states = Some(ewc_core::PowerStatesConfig::race());
+    cfg.telemetry = true;
+    let report = openloop::run(&cfg);
+    assert!(report.conserved());
+    report.telemetry.expect("telemetry was on")
+}
+
+/// The rest of `fleet_policy_burst`'s configuration: a heterogeneous
+/// four-device `FragAware` fleet with the DVFS ladder, race-to-idle.
+fn dvfs_fleet_snapshot() -> TelemetrySnapshot {
+    use ewc_fleet::{FleetConfig, PolicyKind};
+    use ewc_workloads::AesWorkload;
+    let cfg = GpuConfig::tesla_c1060();
+    let aes: Arc<dyn Workload> = Arc::new(AesWorkload::fig7(&cfg));
+    let builder = Runtime::builder(RuntimeConfig {
+        threshold_factor: 3,
+        force_gpu: true,
+        noise_seed: Some(7),
+        power_states: Some(ewc_core::PowerStatesConfig::race()),
+        fleet: Some(
+            FleetConfig::heterogeneous(4)
+                .with_policy(PolicyKind::FragAware)
+                .with_dvfs(),
+        ),
+        ..RuntimeConfig::default()
+    })
+    .telemetry(virtual_sink());
+    let (rt, sessions) = submit_session(builder, "encryption", &aes, 12);
+    drop(sessions);
+    rt.shutdown().telemetry.expect("enabled sink must snapshot")
+}
+
+#[test]
+fn exports_match_the_digests_pinned_before_the_store_rewrite() {
+    // Recorded at the parent commit (String-per-field span records,
+    // char-wise escaper, per-event temporaries) and not since: the
+    // interned store and the single-pass renderers must produce the
+    // same bytes.
+    assert_eq!(
+        export_digests(&trace_replay_snapshot(virtual_sink())),
+        [
+            (0xd5b4_3b52_f817_ef5d, 130_912),
+            (0xfa2d_7cc2_1f7c_bfe8, 121_189),
+            (0xf202_0339_c878_9366, 3_544),
+        ],
+        "trace replay"
+    );
+    assert_eq!(
+        export_digests(&bursty_openloop_snapshot()),
+        [
+            (0x4c7c_796a_6dc9_4c86, 307_787),
+            (0xc7c7_546f_74f6_9c99, 339_137),
+            (0xcfc9_a8d1_c24a_4154, 10_046),
+        ],
+        "bursty open loop"
+    );
+    assert_eq!(
+        export_digests(&dvfs_fleet_snapshot()),
+        [
+            (0x5fdf_9d3f_b93f_0a6d, 64_296),
+            (0x7c03_87cb_b8c6_5a07, 60_937),
+            (0xc728_5b85_b7df_1d7e, 5_907),
+        ],
+        "DVFS fleet"
+    );
 }
