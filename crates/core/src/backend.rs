@@ -44,14 +44,13 @@ use ewc_fleet::{FleetConfig, FleetGovernor};
 use ewc_gpu::kernel::KernelArg;
 use ewc_gpu::{DevicePtr, GpuDevice};
 use ewc_telemetry::{DecisionRecord, TelemetrySink, Verdict};
-use ewc_workloads::Workload;
 
 use crate::admission::{AdmissionDecision, AdmissionState, Priority, ShedCause};
 use crate::config::RuntimeConfig;
 use crate::decision::DecisionEngine;
 use crate::leader::LeaderCoordinator;
 use crate::optimize::ConstantCache;
-use crate::protocol::{CoreError, ExecConfig, KernelRequest};
+use crate::protocol::{CoreError, ExecConfig, KernelRequest, RegisteredKernel};
 use crate::resilience::RuntimeFaultInjector;
 use crate::stats::BackendStats;
 use crate::template::TemplateRegistry;
@@ -76,7 +75,7 @@ pub(crate) type ShutdownReport = (
 pub(crate) fn start(
     cfg: RuntimeConfig,
     gpus: Vec<GpuDevice>,
-    registry: HashMap<String, Arc<dyn Workload>>,
+    registry: HashMap<String, Arc<RegisteredKernel>>,
     templates: TemplateRegistry,
     decision: DecisionEngine,
     sink: TelemetrySink,
@@ -164,13 +163,14 @@ impl DeviceCounters {
 #[derive(Default)]
 struct CtxState {
     config: Option<ExecConfig>,
-    args: Vec<ewc_gpu::kernel::KernelArg>,
+    args: Vec<KernelArg>,
 }
 
 pub(crate) struct Backend {
     cfg: RuntimeConfig,
     gpus: Vec<GpuDevice>,
-    registry: HashMap<String, Arc<dyn Workload>>,
+    /// Every registered kernel, resolved when it was registered.
+    registry: HashMap<String, Arc<RegisteredKernel>>,
     templates: TemplateRegistry,
     decision: DecisionEngine,
     coordinator: LeaderCoordinator,
@@ -482,7 +482,7 @@ impl Backend {
     pub(crate) fn launch(
         &mut self,
         ctx: u64,
-        name: Arc<str>,
+        name: &str,
         batched_args: Option<Vec<KernelArg>>,
         priority: Priority,
         attempt: u32,
@@ -644,7 +644,7 @@ impl Backend {
             rec.counter_add("requests_drained", drained.len() as f64);
             rec.audit(DecisionRecord {
                 time_s: self.clock.now_s(),
-                kernels: drained.iter().map(|r| r.name.clone()).collect(),
+                kernels: drained.iter().map(|r| r.kernel.name.clone()).collect(),
                 verdict: Verdict::Drained,
                 consolidated: None,
                 serial: None,
@@ -679,36 +679,35 @@ impl Backend {
     fn enqueue_launch(
         &mut self,
         ctx: u64,
-        name: Arc<str>,
-        batched_args: Option<Vec<ewc_gpu::kernel::KernelArg>>,
+        name: &str,
+        batched_args: Option<Vec<KernelArg>>,
         priority: Priority,
         attempt: u32,
     ) -> Result<u64, CoreError> {
-        let workload = self
+        let kernel = self
             .registry
-            .get(name.as_ref())
+            .get(name)
             .cloned()
             .ok_or_else(|| CoreError::UnknownKernel(name.to_string()))?;
         let d = self.device_for(ctx); // bind early so flush can partition
         let state = self.ctx_state.entry(ctx).or_default();
         let config = state.config.take().ok_or(CoreError::NotConfigured)?;
-        let desc = workload.desc();
-        if config.grid_blocks != workload.blocks()
-            || config.threads_per_block != desc.threads_per_block
+        if config.grid_blocks != kernel.blocks
+            || config.threads_per_block != kernel.desc.threads_per_block
         {
             return Err(CoreError::BadConfiguration(format!(
                 "configured {}x{}, registered {}x{}",
                 config.grid_blocks,
                 config.threads_per_block,
-                workload.blocks(),
-                desc.threads_per_block
+                kernel.blocks,
+                kernel.desc.threads_per_block
             )));
         }
         // Validate schedulability at enqueue time: a kernel that cannot
         // fit one block on an SM would fail every rung of the ladder, so
         // reject it here — synchronously, to the offending frontend —
         // instead of poisoning a consolidation group later.
-        ewc_gpu::Occupancy::of(&desc, self.gpus[d].config()).map_err(CoreError::from)?;
+        ewc_gpu::Occupancy::of(&kernel.desc, self.gpus[d].config()).map_err(CoreError::from)?;
         // Admission, after validation (a malformed launch keeps its
         // original error) and before the arguments are consumed (a
         // `Busy` retry resends them). The terminal shed-vs-retry call is
@@ -744,7 +743,7 @@ impl Backend {
                 }
                 AdmissionDecision::Shed { cause } => {
                     self.stats.shed_requests += 1;
-                    self.audit_shed(&name, ctx, None, cause);
+                    self.audit_shed(&kernel.name, ctx, None, cause);
                     return Err(CoreError::Shed { seq: None, cause });
                 }
             }
@@ -767,9 +766,8 @@ impl Backend {
         self.pending.push(KernelRequest {
             ctx,
             seq,
-            name,
+            kernel,
             args,
-            workload,
             submitted_at_s,
             priority,
         });

@@ -148,7 +148,12 @@ impl Backend {
                     cause: ShedCause::QueueAge,
                 },
             ));
-            self.audit_shed(&req.name, req.ctx, Some(req.seq), ShedCause::QueueAge);
+            self.audit_shed(
+                &req.kernel.name,
+                req.ctx,
+                Some(req.seq),
+                ShedCause::QueueAge,
+            );
         }
     }
 
@@ -245,10 +250,10 @@ impl Backend {
         let mut cpu_tasks = Vec::with_capacity(group.len());
         for req in &group {
             plan.push(ewc_models::KernelSpec::new(
-                req.workload.desc(),
-                req.workload.blocks(),
+                req.kernel.desc.clone(),
+                req.kernel.blocks,
             ));
-            cpu_tasks.push(req.workload.cpu_task());
+            cpu_tasks.push(req.kernel.cpu_task.clone());
         }
         let mut assessment = self.decision.assess(&plan, &cpu_tasks);
         let mut forced = false;
@@ -346,7 +351,7 @@ impl Backend {
                 self.stats.kernel_outcomes.push(KernelOutcome {
                     ctx: req.ctx,
                     seq: req.seq,
-                    name: req.name.clone(),
+                    name: req.kernel.name.clone(),
                     submitted_at_s: req.submitted_at_s,
                     completed_at_s,
                     choice: *choice,
@@ -355,7 +360,7 @@ impl Backend {
         }
         self.stats.records.push(ConsolidationRecord {
             template: template.to_string(),
-            kernels: group.iter().map(|r| r.name.clone()).collect(),
+            kernels: group.iter().map(|r| r.kernel.name.clone()).collect(),
             choice: assessment.choice,
             predicted_time_s: assessment.chosen_time_s(),
             predicted_energy_j: assessment.chosen_energy_j(),
@@ -377,7 +382,7 @@ impl Backend {
                 let _ = write!(lane, "ctx{}", req.ctx);
                 let mut span = rec
                     .span("host", &lane, "request", req.submitted_at_s, completed_at_s)
-                    .attr("kernel", &req.name)
+                    .attr("kernel", &req.kernel.name)
                     .attr("seq", req.seq)
                     .attr("choice", label);
                 if let Some(error) = &error {
@@ -439,7 +444,7 @@ impl Backend {
         );
         self.sink.audit(DecisionRecord {
             time_s: self.clock.now_s(),
-            kernels: group.iter().map(|r| r.name.clone()).collect(),
+            kernels: group.iter().map(|r| r.kernel.name.clone()).collect(),
             verdict: verdict_of(assessment.choice),
             consolidated: Some((
                 assessment.consolidated.time_s,

@@ -4,7 +4,7 @@
 
 use ewc_cpu::CpuTask;
 use ewc_gpu::grid::GridSegment;
-use ewc_gpu::kernel::{BlockCtx, LaunchConfig};
+use ewc_gpu::kernel::LaunchConfig;
 use ewc_gpu::{GpuError, Grid};
 use ewc_telemetry::{DecisionRecord, Verdict};
 
@@ -78,10 +78,10 @@ impl Backend {
                         Verdict::Cpu,
                         &format!(
                             "serial launch of '{}' (seq {}) on gpu{device} still failing ({e}); falling back to CPU",
-                            req.name, req.seq
+                            req.kernel.name, req.seq
                         ),
                     );
-                    self.run_cpu(device, member, &[req.workload.cpu_task()]);
+                    self.run_cpu(device, member, std::slice::from_ref(&req.kernel.cpu_task));
                     MemberFate::Done(Choice::Cpu)
                 }
                 Err(e) => {
@@ -112,17 +112,9 @@ impl Backend {
             + pol.request_deadline_s;
         let mut backoff = pol.retry_backoff_s.max(0.0);
         let mut attempts = 0u32;
+        let launch = LaunchConfig::from_grid(self.grid_of(members));
         loop {
-            let mut grid = Grid::new();
-            for req in members {
-                grid.push(
-                    GridSegment::bare(req.workload.desc(), req.workload.blocks())
-                        .with_args(self.resolved_args(req.ctx, &req.args))
-                        .with_body(req.workload.body())
-                        .with_tag(req.ctx),
-                );
-            }
-            let err = match self.gpus[device].launch(&LaunchConfig::from_grid(grid)) {
+            let err = match self.gpus[device].launch(&launch) {
                 Ok(_) => {
                     self.fleet.record_success(device);
                     return Ok(());
@@ -185,6 +177,23 @@ impl Backend {
         }
     }
 
+    /// `members` as one launchable grid: a segment each, in order, with
+    /// every pointer argument resolved through its context's migration
+    /// remap.
+    fn grid_of(&self, members: &[KernelRequest]) -> Grid {
+        let mut grid = Grid::new();
+        for req in members {
+            let kernel = &req.kernel;
+            grid.push(
+                GridSegment::bare(kernel.desc.clone(), kernel.blocks)
+                    .with_args(self.resolved_args(req.ctx, &req.args))
+                    .with_body(kernel.body.clone())
+                    .with_tag(req.ctx),
+            );
+        }
+        grid
+    }
+
     /// The CPU rung: run the members' functional bodies host-side into
     /// the backend-owned device buffers (frontends read back as usual)
     /// and charge CPU time and energy.
@@ -192,19 +201,8 @@ impl Backend {
         // The instances run on the host; results must still materialise
         // in the (backend-owned) device buffers the frontends will read.
         let (makespan, energy) = self.decision.run_on_cpu(tasks);
-        for req in group {
-            let body = req.workload.body();
-            let args = self.resolved_args(req.ctx, &req.args);
-            for b in 0..req.workload.blocks() {
-                let ctx = BlockCtx {
-                    block_idx: b,
-                    num_blocks: req.workload.blocks(),
-                    threads_per_block: req.workload.desc().threads_per_block,
-                    args: &args,
-                };
-                body(&ctx, self.gpus[device].memory_mut());
-            }
-        }
+        self.grid_of(group)
+            .run_bodies(self.gpus[device].memory_mut());
         // CPU work occupies the host timeline; the device just waits for
         // the results to land.
         self.clock.advance_by(makespan.max(0.0));
@@ -229,14 +227,14 @@ impl Backend {
             self.sink.counter_add("requests_failed", 1.0);
             self.sink.audit(DecisionRecord {
                 time_s: self.clock.now_s(),
-                kernels: vec![req.name.clone()],
+                kernels: vec![req.kernel.name.clone()],
                 verdict: Verdict::Failed,
                 consolidated: None,
                 serial: None,
                 cpu: None,
                 reason: format!(
                     "kernel '{}' (ctx {}, seq {}) failed permanently: {e}",
-                    req.name, req.ctx, req.seq
+                    req.kernel.name, req.ctx, req.seq
                 ),
             });
         }
@@ -250,7 +248,7 @@ impl Backend {
         self.sink.counter_add("recoveries", 1.0);
         self.sink.audit(DecisionRecord {
             time_s: self.clock.now_s(),
-            kernels: members.iter().map(|r| r.name.clone()).collect(),
+            kernels: members.iter().map(|r| r.kernel.name.clone()).collect(),
             verdict,
             consolidated: None,
             serial: None,

@@ -10,8 +10,6 @@
 //! per-call round trips that dominate small-workload consolidation
 //! overhead.
 
-use std::sync::Arc;
-
 use ewc_gpu::kernel::KernelArg;
 use ewc_gpu::{DevicePtr, SimRng};
 
@@ -128,8 +126,7 @@ impl Frontend {
     /// retry can resend them without replaying `setup_argument`.
     pub fn launch_attempt(&mut self, kernel: &str, attempt: u32) -> Result<u64, CoreError> {
         let batched = self.batching.then(|| self.held_args.clone());
-        let r =
-            self.call(|b| b.launch(self.ctx, Arc::from(kernel), batched, self.priority, attempt))?;
+        let r = self.call(|b| b.launch(self.ctx, kernel, batched, self.priority, attempt))?;
         if self.batching && !matches!(r, Err(CoreError::Busy { .. })) {
             self.held_args.clear();
         }
@@ -146,7 +143,7 @@ impl Frontend {
         priority: Priority,
         attempt: u32,
     ) -> Result<u64, CoreError> {
-        self.call(|b| b.launch(self.ctx, Arc::from(kernel), Some(args), priority, attempt))?
+        self.call(|b| b.launch(self.ctx, kernel, Some(args), priority, attempt))?
     }
 
     /// Launch, retrying [`CoreError::Busy`] backpressure answers until

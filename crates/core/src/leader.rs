@@ -42,7 +42,9 @@ impl LeaderCoordinator {
 
     /// Is the group homogeneous (all the same workload)?
     pub fn is_homogeneous(group: &[&KernelRequest]) -> bool {
-        group.windows(2).all(|w| w[0].name == w[1].name)
+        group
+            .windows(2)
+            .all(|w| w[0].kernel.name == w[1].kernel.name)
     }
 
     /// Plan the coordination of `group`.
@@ -84,6 +86,7 @@ impl LeaderCoordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::RegisteredKernel;
     use ewc_cpu::CpuTask;
     use ewc_gpu::kernel::{BlockFn, KernelArg};
     use ewc_gpu::{GpuError, KernelDesc};
@@ -130,9 +133,8 @@ mod tests {
         KernelRequest {
             ctx,
             seq: ctx,
-            name: name.into(),
+            kernel: Arc::new(RegisteredKernel::resolve(name, &Dummy(name))),
             args: Vec::new(),
-            workload: Arc::new(Dummy(name)),
             submitted_at_s: 0.0,
             priority: crate::admission::Priority::Normal,
         }

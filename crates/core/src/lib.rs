@@ -99,7 +99,7 @@ pub use admission::{AdmissionConfig, AdmissionDecision, DegradationConfig, Prior
 pub use config::{PowerStatesConfig, RuntimeConfig};
 pub use decision::{Choice, DecisionEngine, StateDecision};
 pub use frontend::Frontend;
-pub use protocol::{CoreError, KernelRequest};
+pub use protocol::{CoreError, KernelRequest, RegisteredKernel};
 pub use resilience::{CircuitBreaker, ResiliencePolicy, RuntimeFaultInjector};
 pub use runtime::{Runtime, RuntimeReport};
 pub use stats::{BackendStats, ConsolidationRecord};

@@ -10,8 +10,9 @@
 use std::fmt;
 use std::sync::Arc;
 
-use ewc_gpu::kernel::KernelArg;
-use ewc_gpu::GpuError;
+use ewc_cpu::CpuTask;
+use ewc_gpu::kernel::{BlockFn, KernelArg};
+use ewc_gpu::{GpuError, KernelDesc};
 use ewc_workloads::Workload;
 
 use crate::admission::{Priority, ShedCause};
@@ -125,20 +126,49 @@ pub struct ExecConfig {
     pub threads_per_block: u32,
 }
 
+/// A registered kernel: everything the launch path needs of a
+/// [`Workload`], resolved once at registration, so a queued request
+/// carries one shared pointer and enqueue, assessment and every launch
+/// attempt read fields.
+pub struct RegisteredKernel {
+    /// The name the kernel was registered (and is launched) under,
+    /// interned: requests, outcomes and audit records share it.
+    pub name: Arc<str>,
+    /// GPU cost descriptor of one kernel.
+    pub desc: KernelDesc,
+    /// Thread blocks per instance.
+    pub blocks: u32,
+    /// The functional kernel body.
+    pub body: BlockFn,
+    /// CPU-side profile of one instance.
+    pub cpu_task: CpuTask,
+}
+
+impl RegisteredKernel {
+    /// Resolve `workload` under its registry `name`.
+    pub fn resolve(name: &str, workload: &dyn Workload) -> Self {
+        RegisteredKernel {
+            name: Arc::from(name),
+            desc: workload.desc(),
+            blocks: workload.blocks(),
+            body: workload.body(),
+            cpu_task: workload.cpu_task(),
+        }
+    }
+}
+
 /// A kernel launch waiting in the backend's pending queue.
 pub struct KernelRequest {
     /// Submitting context (process) id.
     pub ctx: u64,
     /// Monotonic sequence number (arrival order).
     pub seq: u64,
-    /// Registered kernel/workload name (shared, not cloned, along
-    /// the submit path).
-    pub name: Arc<str>,
+    /// The registered kernel this launch names (shared, not cloned,
+    /// along the submit path).
+    pub kernel: Arc<RegisteredKernel>,
     /// Launch arguments (valid in the backend's context — all memory is
     /// backend-allocated).
     pub args: Vec<KernelArg>,
-    /// The registered workload implementation.
-    pub workload: Arc<dyn Workload>,
     /// Device-clock time at which the launch was enqueued (for latency
     /// accounting and staleness-triggered flushes).
     pub submitted_at_s: f64,
@@ -151,7 +181,7 @@ impl fmt::Debug for KernelRequest {
         f.debug_struct("KernelRequest")
             .field("ctx", &self.ctx)
             .field("seq", &self.seq)
-            .field("name", &self.name)
+            .field("name", &self.kernel.name)
             .field("args", &self.args.len())
             .finish()
     }

@@ -16,6 +16,7 @@ use crate::backend::{self, SharedBackend, ShutdownReport};
 use crate::config::RuntimeConfig;
 use crate::decision::DecisionEngine;
 use crate::frontend::Frontend;
+use crate::protocol::RegisteredKernel;
 use crate::resilience::RuntimeFaultInjector;
 use crate::stats::BackendStats;
 use crate::template::{Template, TemplateRegistry};
@@ -29,7 +30,7 @@ pub struct RuntimeBuilder {
     cpu_cfg: CpuConfig,
     idle_w: f64,
     training_seed: u64,
-    workloads: HashMap<String, Arc<dyn Workload>>,
+    kernels: HashMap<String, Arc<RegisteredKernel>>,
     templates: TemplateRegistry,
     telemetry: TelemetrySink,
     device_faults: Option<FaultInjectorHandle>,
@@ -46,7 +47,7 @@ impl RuntimeBuilder {
             cpu_cfg: CpuConfig::xeon_e5520_x2(),
             idle_w: 200.0,
             training_seed: 42,
-            workloads: HashMap::new(),
+            kernels: HashMap::new(),
             templates: TemplateRegistry::new(),
             telemetry: TelemetrySink::disabled(),
             device_faults: None,
@@ -100,9 +101,12 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Register a workload under its registry name.
+    /// Register a workload under its registry name. Its descriptor,
+    /// grid, body and CPU profile are resolved here, once; the launch
+    /// path never calls back into the workload.
     pub fn workload(mut self, name: &str, w: Arc<dyn Workload>) -> Self {
-        self.workloads.insert(name.to_string(), w);
+        let kernel = RegisteredKernel::resolve(name, w.as_ref());
+        self.kernels.insert(name.to_string(), Arc::new(kernel));
         self
     }
 
@@ -164,7 +168,7 @@ impl RuntimeBuilder {
         let backend = backend::start(
             self.cfg,
             gpus,
-            self.workloads,
+            self.kernels,
             self.templates,
             decision,
             self.telemetry,

@@ -62,7 +62,7 @@ impl Template {
         let mut seen: BTreeSet<&str> = BTreeSet::new();
         for member in &self.members {
             for (i, req) in pending.iter().enumerate() {
-                if req.name.as_ref() == member.as_str() {
+                if *req.kernel.name == **member {
                     picked.push(i);
                     seen.insert(member.as_str());
                 }
@@ -113,6 +113,7 @@ impl TemplateRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::RegisteredKernel;
     use ewc_cpu::CpuTask;
     use ewc_gpu::kernel::{BlockFn, KernelArg};
     use ewc_gpu::{GpuError, KernelDesc};
@@ -159,9 +160,8 @@ mod tests {
         KernelRequest {
             ctx: seq,
             seq,
-            name: Arc::from(name),
+            kernel: Arc::new(RegisteredKernel::resolve(name, &Dummy(name))),
             args: Vec::new(),
-            workload: Arc::new(Dummy(name)),
             submitted_at_s: 0.0,
             priority: crate::admission::Priority::Normal,
         }

@@ -1,0 +1,155 @@
+//! What one admitted request, and one functional block, cost in heap
+//! allocations — counted, not guessed. Its own test binary, so the
+//! counting allocator below is the global allocator of nothing else.
+//!
+//! Counts at the parent of the change that added this file, from this
+//! same harness (with the pass written out as the `BlockCtx` loop that
+//! `GpuDevice::launch` then held):
+//!
+//! | | parent | now |
+//! |---|---|---|
+//! | search functional pass, per block | 2 | 0 |
+//! | warmed-up `search` group of ten through `Runtime`, per admitted request | 14.5 | 6.5 |
+//!
+//! The eight a request no longer pays: an `Arc<str>` for the kernel
+//! name at the frontend, another inside `cpu_task()`, a body closure
+//! and its copy of the pattern, and a text copy plus a one-word `Vec`
+//! in each of this kernel's two blocks. Of the 6.5 that remain one is
+//! the request's own (its pointer-resolved arguments); the rest is the
+//! group's — matcher, plan, decision, engine run, records — over ten.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use ewc_core::{Frontend, Priority, Runtime, RuntimeConfig, Template};
+use ewc_gpu::kernel::KernelArg;
+use ewc_gpu::{GpuConfig, GpuDevice, KernelDesc};
+use ewc_workloads::{instance_grid, SearchWorkload, Workload};
+
+thread_local! {
+    /// Allocations and reallocations made by this thread (tests run on
+    /// one thread each, in parallel).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a plain thread-local cell
+// with no destructor and no lazy initialiser, so touching it allocates
+// nothing and cannot re-enter the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations (and reallocations) `work` makes on this thread.
+fn allocations<T>(work: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = work();
+    let count = ALLOCATIONS.with(Cell::get) - before;
+    println!("{count} allocations"); // shown by `-- --nocapture`
+    (count, out)
+}
+
+const KERNEL: &str = "search";
+
+/// The open-loop harness's kernel: 2 KiB of text in two blocks.
+fn tiny_search() -> SearchWorkload {
+    let desc = KernelDesc::builder("substring_search")
+        .threads_per_block(64)
+        .regs_per_thread(16)
+        .shared_mem_per_block(1024)
+        .comp_insts(1_000.0)
+        .uncoalesced_mem(100.0)
+        .build();
+    SearchWorkload::new(2048, b"gpu".to_vec(), desc, 2, 1.0, 2, 64 << 10)
+}
+
+#[test]
+fn the_search_functional_pass_allocates_nothing() {
+    let w = tiny_search();
+    let mut gpu = GpuDevice::new(GpuConfig::tesla_c1060());
+    let (args, bufs) = w.build_args(&mut gpu, 7).expect("instance build");
+    let grid = instance_grid(&w, args);
+    let (count, ()) = allocations(|| {
+        for _ in 0..1_000 {
+            grid.run_bodies(gpu.memory_mut());
+        }
+    });
+    assert_eq!(count, 0, "over 2000 blocks");
+    let (out, _) = gpu
+        .memcpy_d2h(bufs.output, 0, bufs.output_len)
+        .expect("readback");
+    assert_eq!(out, w.expected_output(7));
+}
+
+#[test]
+fn a_warmed_up_search_group_allocates_a_fixed_number_per_request() {
+    const GROUP: usize = 10; // the default threshold on one GPU
+    const GROUPS: usize = 64;
+    let w = tiny_search();
+    let rt = Runtime::builder(RuntimeConfig {
+        force_gpu: true,
+        ..RuntimeConfig::default()
+    })
+    .workload(KERNEL, Arc::new(w.clone()))
+    .template(Template::homogeneous(KERNEL))
+    .build();
+    let mut frontends: Vec<Frontend> = Vec::new();
+    let mut stream_args: Vec<Vec<KernelArg>> = Vec::new();
+    for seed in 0..GROUP as u64 {
+        let mut fe = rt.connect();
+        let (args, _) = w.build_args(&mut fe, seed).expect("stream build");
+        frontends.push(fe);
+        stream_args.push(args);
+    }
+    // The caller's argument vectors are its own cost: built up front,
+    // popped in reverse stream order.
+    let mut args: Vec<Vec<KernelArg>> = (0..GROUPS + 4)
+        .flat_map(|_| stream_args.iter().rev().cloned())
+        .collect();
+    // The tenth launch of a round trips the threshold and carries the
+    // whole group's decision, launch and records.
+    let mut round = || {
+        for fe in &mut frontends {
+            fe.configure_call(w.blocks(), w.desc().threads_per_block)
+                .expect("configure");
+            let args = args.pop().expect("one vector per launch");
+            fe.launch_with(KERNEL, args, Priority::Normal, 0)
+                .expect("launch");
+        }
+    };
+    for _ in 0..4 {
+        round(); // scratch vectors and maps reach their size
+    }
+    let (count, ()) = allocations(|| {
+        for _ in 0..GROUPS {
+            round();
+        }
+    });
+    let requests = (GROUP * GROUPS) as u64;
+    println!("{:.1} per request", count as f64 / requests as f64);
+    // 65 per group of ten measured; the slack is for the statistics
+    // vectors doubling.
+    assert!(
+        count <= 7 * requests,
+        "{count} allocations for {requests} admitted requests"
+    );
+    drop(frontends);
+    let report = rt.shutdown();
+    assert_eq!(report.stats.kernel_outcomes.len(), GROUP * (GROUPS + 4));
+}

@@ -15,7 +15,7 @@ use crate::counters::ActivityInterval;
 use crate::engine::{ExecutionEngine, SimOutcome};
 use crate::error::GpuError;
 use crate::fault::{DeviceFault, FaultInjectorHandle};
-use crate::kernel::{BlockCtx, LaunchConfig};
+use crate::kernel::LaunchConfig;
 use crate::memory::GlobalMemory;
 use ewc_exec::{EventQueue, VirtualClock};
 
@@ -399,19 +399,7 @@ impl GpuDevice {
         // Timing first (validates the grid), then functional execution.
         let sim = self.engine.run(&launch.grid, policy)?;
 
-        for seg in launch.grid.segments() {
-            if let Some(body) = &seg.body {
-                for b in 0..seg.blocks {
-                    let ctx = BlockCtx {
-                        block_idx: b,
-                        num_blocks: seg.blocks,
-                        threads_per_block: seg.desc.threads_per_block,
-                        args: &seg.args,
-                    };
-                    body(&ctx, &mut self.mem);
-                }
-            }
-        }
+        launch.grid.run_bodies(&mut self.mem);
 
         let started_at_s = self.clock.now_s();
         // Degraded SMs stretch wall time by `slowdown`; the activity
@@ -494,7 +482,7 @@ impl std::fmt::Debug for GpuDevice {
 mod tests {
     use super::*;
     use crate::grid::{Grid, GridSegment};
-    use crate::kernel::{KernelArg, KernelDesc};
+    use crate::kernel::{BlockCtx, KernelArg, KernelDesc};
     use std::sync::Arc;
 
     fn device() -> GpuDevice {

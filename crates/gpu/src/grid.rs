@@ -14,7 +14,8 @@
 
 use std::fmt;
 
-use crate::kernel::{BlockFn, KernelArg, KernelDesc};
+use crate::kernel::{BlockCtx, BlockFn, KernelArg, KernelDesc};
+use crate::memory::GlobalMemory;
 
 /// One member kernel of a (possibly consolidated) grid.
 #[derive(Clone)]
@@ -170,6 +171,25 @@ impl Grid {
             base += seg.blocks;
         }
         None
+    }
+
+    /// The functional pass: run every segment's body once per block, in
+    /// global block order, against `mem`. Both a device launch and the
+    /// backend's CPU lifeboat produce a grid's results through this one
+    /// routine, so they cannot disagree on what a block sees.
+    pub fn run_bodies(&self, mem: &mut GlobalMemory) {
+        for seg in &self.segments {
+            let Some(body) = &seg.body else { continue };
+            for block_idx in 0..seg.blocks {
+                let ctx = BlockCtx {
+                    block_idx,
+                    num_blocks: seg.blocks,
+                    threads_per_block: seg.desc.threads_per_block,
+                    args: &seg.args,
+                };
+                body(&ctx, mem);
+            }
+        }
     }
 
     /// Peak per-block resource requirements across segments; used for

@@ -37,6 +37,26 @@ struct Alloc {
     data: Vec<u8>,
 }
 
+impl Alloc {
+    /// The bounds check every access goes through: `len` bytes at
+    /// `offset` as an index range into `data`.
+    fn range(
+        &self,
+        ptr: DevicePtr,
+        offset: u64,
+        len: u64,
+    ) -> Result<std::ops::Range<usize>, GpuError> {
+        match offset.checked_add(len) {
+            Some(end) if end <= self.data.len() as u64 => Ok(offset as usize..end as usize),
+            _ => Err(GpuError::OutOfBounds {
+                addr: ptr.0.wrapping_add(offset),
+                len,
+                alloc: self.data.len() as u64,
+            }),
+        }
+    }
+}
+
 /// Device global memory: allocator + backing store.
 #[derive(Debug)]
 pub struct GlobalMemory {
@@ -174,47 +194,55 @@ impl GlobalMemory {
         Ok(self.alloc_of(ptr)?.data.len() as u64)
     }
 
+    /// The `len` bytes at `offset` within the allocation at `ptr`,
+    /// writable in place.
+    fn range_mut(&mut self, ptr: DevicePtr, offset: u64, len: u64) -> Result<&mut [u8], GpuError> {
+        let a = self.alloc_of_mut(ptr)?;
+        let range = a.range(ptr, offset, len)?;
+        Ok(&mut a.data[range])
+    }
+
     /// Write `data` at `offset` within the allocation at `ptr`.
     pub fn write(&mut self, ptr: DevicePtr, offset: u64, data: &[u8]) -> Result<(), GpuError> {
-        let a = self.alloc_of_mut(ptr)?;
-        let end = offset + data.len() as u64;
-        if end > a.data.len() as u64 {
-            return Err(GpuError::OutOfBounds {
-                addr: ptr.0 + offset,
-                len: data.len() as u64,
-                alloc: a.data.len() as u64,
-            });
-        }
-        a.data[offset as usize..end as usize].copy_from_slice(data);
+        self.range_mut(ptr, offset, data.len() as u64)?
+            .copy_from_slice(data);
         Ok(())
     }
 
     /// Read `len` bytes at `offset` within the allocation at `ptr`.
     pub fn read(&self, ptr: DevicePtr, offset: u64, len: u64) -> Result<&[u8], GpuError> {
         let a = self.alloc_of(ptr)?;
-        let end = offset + len;
-        if end > a.data.len() as u64 {
-            return Err(GpuError::OutOfBounds {
-                addr: ptr.0 + offset,
-                len,
-                alloc: a.data.len() as u64,
-            });
-        }
-        Ok(&a.data[offset as usize..end as usize])
+        Ok(&a.data[a.range(ptr, offset, len)?])
     }
 
-    /// Write a slice of `f32` starting at element `elem_offset`.
+    /// Write a slice of `f32` starting at element `elem_offset`,
+    /// encoded straight into the allocation.
     pub fn write_f32s(
         &mut self,
         ptr: DevicePtr,
         elem_offset: u64,
         vals: &[f32],
     ) -> Result<(), GpuError> {
-        let mut bytes = Vec::with_capacity(vals.len() * 4);
-        for v in vals {
-            bytes.extend_from_slice(&v.to_le_bytes());
+        let dst = self.range_mut(ptr, elem_offset * 4, vals.len() as u64 * 4)?;
+        for (d, v) in dst.chunks_exact_mut(4).zip(vals) {
+            d.copy_from_slice(&v.to_le_bytes());
         }
-        self.write(ptr, elem_offset * 4, &bytes)
+        Ok(())
+    }
+
+    /// The `n` `f32` values starting at element `elem_offset`, decoded
+    /// as they are read: the iterator borrows the allocation, so a
+    /// kernel body needs no temporary for its inputs.
+    pub fn iter_f32s(
+        &self,
+        ptr: DevicePtr,
+        elem_offset: u64,
+        n: usize,
+    ) -> Result<impl ExactSizeIterator<Item = f32> + '_, GpuError> {
+        let raw = self.read(ptr, elem_offset * 4, n as u64 * 4)?;
+        Ok(raw
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])))
     }
 
     /// Read `n` `f32` values starting at element `elem_offset`.
@@ -224,25 +252,36 @@ impl GlobalMemory {
         elem_offset: u64,
         n: usize,
     ) -> Result<Vec<f32>, GpuError> {
-        let raw = self.read(ptr, elem_offset * 4, n as u64 * 4)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
+        Ok(self.iter_f32s(ptr, elem_offset, n)?.collect())
     }
 
-    /// Write a slice of `u32` starting at element `elem_offset`.
+    /// Write a slice of `u32` starting at element `elem_offset`,
+    /// encoded straight into the allocation.
     pub fn write_u32s(
         &mut self,
         ptr: DevicePtr,
         elem_offset: u64,
         vals: &[u32],
     ) -> Result<(), GpuError> {
-        let mut bytes = Vec::with_capacity(vals.len() * 4);
-        for v in vals {
-            bytes.extend_from_slice(&v.to_le_bytes());
+        let dst = self.range_mut(ptr, elem_offset * 4, vals.len() as u64 * 4)?;
+        for (d, v) in dst.chunks_exact_mut(4).zip(vals) {
+            d.copy_from_slice(&v.to_le_bytes());
         }
-        self.write(ptr, elem_offset * 4, &bytes)
+        Ok(())
+    }
+
+    /// The `n` `u32` values starting at element `elem_offset`, decoded
+    /// as they are read (see [`GlobalMemory::iter_f32s`]).
+    pub fn iter_u32s(
+        &self,
+        ptr: DevicePtr,
+        elem_offset: u64,
+        n: usize,
+    ) -> Result<impl ExactSizeIterator<Item = u32> + '_, GpuError> {
+        let raw = self.read(ptr, elem_offset * 4, n as u64 * 4)?;
+        Ok(raw
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
     }
 
     /// Read `n` `u32` values starting at element `elem_offset`.
@@ -252,11 +291,7 @@ impl GlobalMemory {
         elem_offset: u64,
         n: usize,
     ) -> Result<Vec<u32>, GpuError> {
-        let raw = self.read(ptr, elem_offset * 4, n as u64 * 4)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
+        Ok(self.iter_u32s(ptr, elem_offset, n)?.collect())
     }
 }
 
@@ -298,6 +333,10 @@ mod tests {
             Err(GpuError::OutOfBounds { .. })
         ));
         assert!(matches!(m.read(p, 0, 9), Err(GpuError::OutOfBounds { .. })));
+        assert!(matches!(
+            m.read(p, u64::MAX, 2),
+            Err(GpuError::OutOfBounds { .. })
+        ));
     }
 
     #[test]
@@ -355,5 +394,24 @@ mod tests {
         assert_eq!(m.read_f32s(p, 2, 2).unwrap(), vec![1.5, -2.25]);
         m.write_u32s(p, 0, &[42, 7]).unwrap();
         assert_eq!(m.read_u32s(p, 0, 2).unwrap(), vec![42, 7]);
+        assert_eq!(m.iter_f32s(p, 2, 2).unwrap().sum::<f32>(), -0.75);
+        assert_eq!(m.iter_u32s(p, 0, 2).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn typed_helpers_are_bounds_checked() {
+        let mut m = mem();
+        let p = m.alloc(8).unwrap();
+        assert!(matches!(
+            m.write_u32s(p, 1, &[1, 2]),
+            Err(GpuError::OutOfBounds { .. })
+        ));
+        assert!(matches!(
+            m.write_f32s(p, 2, &[1.0]),
+            Err(GpuError::OutOfBounds { .. })
+        ));
+        assert!(m.iter_u32s(p, 1, 2).is_err());
+        assert!(m.iter_f32s(p, 0, 3).is_err());
+        assert_eq!(m.read(p, 0, 8).unwrap(), &[0u8; 8], "nothing written");
     }
 }

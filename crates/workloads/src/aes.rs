@@ -142,6 +142,10 @@ pub fn encrypt_ecb(data: &[u8], key: &[u8; 16]) -> Vec<u8> {
     out
 }
 
+/// Bytes one pass of the kernel body encrypts on the stack (a multiple
+/// of the 16-byte cipher block).
+const TILE_BYTES: usize = 1024;
+
 /// The fixed demo key used by all presets (inputs vary per seed).
 pub const DEMO_KEY: [u8; 16] = *b"ewc-paper-aes-k!";
 
@@ -149,6 +153,9 @@ pub const DEMO_KEY: [u8; 16] = *b"ewc-paper-aes-k!";
 #[derive(Debug, Clone)]
 pub struct AesWorkload {
     data_bytes: usize,
+    /// [`DEMO_KEY`]'s schedule, expanded once per instance rather than
+    /// on every [`Workload::body`] call.
+    round_keys: [[u8; 16]; 11],
     desc: KernelDesc,
     blocks: u32,
     cpu_work_core_s: f64,
@@ -173,6 +180,7 @@ impl AesWorkload {
         );
         AesWorkload {
             data_bytes,
+            round_keys: expand_key(&DEMO_KEY),
             desc,
             blocks,
             cpu_work_core_s,
@@ -260,30 +268,33 @@ impl Workload for AesWorkload {
 
     fn body(&self) -> BlockFn {
         let n = self.data_bytes;
-        let rk = expand_key(&DEMO_KEY);
+        let rk = self.round_keys;
         Arc::new(move |ctx, mem| {
             let input = ctx.args[0].as_ptr().expect("arg0: input ptr");
             let output = ctx.args[1].as_ptr().expect("arg1: output ptr");
             let blocks16 = n / 16;
             let per = blocks16.div_ceil(ctx.num_blocks as usize);
-            let lo = ctx.block_idx as usize * per;
-            let hi = (lo + per).min(blocks16);
-            if lo >= hi {
-                return;
+            let lo = ctx.block_idx as usize * per * 16;
+            let hi = ((ctx.block_idx as usize + 1) * per).min(blocks16) * 16;
+            // Input and output are separate allocations, so the cipher
+            // blocks cross through a stack tile: borrow, encrypt in the
+            // tile, write.
+            let mut tile = [0u8; TILE_BYTES];
+            let mut at = lo;
+            while at < hi {
+                let tile = &mut tile[..TILE_BYTES.min(hi - at)];
+                let raw = mem
+                    .read(input, at as u64, tile.len() as u64)
+                    .expect("arg0: AES input in bounds");
+                tile.copy_from_slice(raw);
+                for block in tile.chunks_exact_mut(16) {
+                    let block: &mut [u8; 16] = block.try_into().expect("16-byte chunk");
+                    encrypt_block(block, &rk);
+                }
+                mem.write(output, at as u64, tile)
+                    .expect("arg1: AES output in bounds");
+                at += tile.len();
             }
-            let raw = mem
-                .read(input, (lo * 16) as u64, ((hi - lo) * 16) as u64)
-                .expect("AES input in bounds")
-                .to_vec();
-            let mut out = Vec::with_capacity(raw.len());
-            for chunk in raw.chunks_exact(16) {
-                let mut b = [0u8; 16];
-                b.copy_from_slice(chunk);
-                encrypt_block(&mut b, &rk);
-                out.extend_from_slice(&b);
-            }
-            mem.write(output, (lo * 16) as u64, &out)
-                .expect("AES output in bounds");
         })
     }
 

@@ -70,6 +70,9 @@ pub fn price_batch(spots: &[f32], strikes: &[f32], times: &[f32]) -> Vec<f32> {
     out
 }
 
+/// Options one pass of the kernel body prices on the stack.
+const TILE_OPTIONS: usize = 128;
+
 /// A BlackScholes instance.
 #[derive(Debug, Clone)]
 pub struct BlackScholesWorkload {
@@ -173,15 +176,35 @@ impl Workload for BlackScholesWorkload {
             let chunk = n.div_ceil(nb);
             let lo = ctx.block_idx as usize * chunk;
             let hi = (lo + chunk).min(n);
-            if lo >= hi {
-                return;
+            // Input layout: spots[n] | strikes[n] | times[n]. Priced a
+            // stack tile at a time: the three input runs are decoded as
+            // they are read, and the borrow ends before the tile's
+            // prices are written.
+            let mut prices = [0.0f32; 2 * TILE_OPTIONS];
+            let mut at = lo;
+            while at < hi {
+                let width = TILE_OPTIONS.min(hi - at);
+                let spots = mem
+                    .iter_f32s(input, at as u64, width)
+                    .expect("arg0: spots in bounds");
+                let strikes = mem
+                    .iter_f32s(input, (n + at) as u64, width)
+                    .expect("arg0: strikes in bounds");
+                let times = mem
+                    .iter_f32s(input, (2 * n + at) as u64, width)
+                    .expect("arg0: times in bounds");
+                for (pair, ((s, k), t)) in prices
+                    .chunks_exact_mut(2)
+                    .zip(spots.zip(strikes).zip(times))
+                {
+                    let (call, put) = black_scholes(f64::from(s), f64::from(k), f64::from(t));
+                    pair[0] = call as f32;
+                    pair[1] = put as f32;
+                }
+                mem.write_f32s(output, (at * 2) as u64, &prices[..2 * width])
+                    .expect("arg1: call/put pairs in bounds");
+                at += width;
             }
-            // Input layout: spots[n] | strikes[n] | times[n].
-            let spots = mem.read_f32s(input, lo as u64, hi - lo).unwrap();
-            let strikes = mem.read_f32s(input, (n + lo) as u64, hi - lo).unwrap();
-            let times = mem.read_f32s(input, (2 * n + lo) as u64, hi - lo).unwrap();
-            let prices = price_batch(&spots, &strikes, &times);
-            mem.write_f32s(output, (lo * 2) as u64, &prices).unwrap();
         })
     }
 

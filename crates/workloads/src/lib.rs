@@ -20,6 +20,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Kernel bodies run under the backend's shared lock: every device access
+// carries an `expect` naming the argument and the bound it relies on
+// (same no-panic gate as ewc-core and ewc-gpu; enforced in CI).
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod aes;
 pub mod blackscholes;

@@ -54,6 +54,9 @@ pub fn matmul_band(a: &[f32], b: &[f32], c: &mut [f32], n: usize, row_lo: usize,
     }
 }
 
+/// Columns of one row of C the kernel body accumulates on the stack.
+const TILE_COLS: usize = 128;
+
 /// A GEMM instance.
 #[derive(Debug, Clone)]
 pub struct MatmulWorkload {
@@ -147,15 +150,33 @@ impl Workload for MatmulWorkload {
             let band = n.div_ceil(nb);
             let lo = ctx.block_idx as usize * band;
             let hi = (lo + band).min(n);
-            if lo >= hi {
-                return;
+            // One tile of one row of C at a time: `acc[j] += a[i][k] *
+            // b[k][j]` with `k` outermost, so each element still sums
+            // over `k` in ascending order from 0.0 — the order
+            // `matmul_band` fixes — while the inner pass runs along a
+            // row of B and vectorises. A and B are decoded where they
+            // lie; the borrow ends before the tile is written.
+            let mut acc = [0.0f32; TILE_COLS];
+            for i in lo..hi {
+                for j0 in (0..n).step_by(TILE_COLS) {
+                    let acc = &mut acc[..TILE_COLS.min(n - j0)];
+                    acc.fill(0.0);
+                    let ab = mem
+                        .read(input, 0, (2 * n * n * 4) as u64)
+                        .expect("arg0: A|B in bounds");
+                    let (a, b) = ab.split_at(n * n * 4);
+                    let a_row = a[i * n * 4..(i + 1) * n * 4].chunks_exact(4);
+                    for (a_ik, b_row) in a_row.zip(b.chunks_exact(n * 4)) {
+                        let a_ik = f32::from_le_bytes([a_ik[0], a_ik[1], a_ik[2], a_ik[3]]);
+                        let b_tile = b_row[j0 * 4..].chunks_exact(4);
+                        for (c, b_kj) in acc.iter_mut().zip(b_tile) {
+                            *c += a_ik * f32::from_le_bytes([b_kj[0], b_kj[1], b_kj[2], b_kj[3]]);
+                        }
+                    }
+                    mem.write_f32s(output, (i * n + j0) as u64, acc)
+                        .expect("arg1: C row tile in bounds");
+                }
             }
-            let a = mem.read_f32s(input, 0, n * n).unwrap();
-            let b = mem.read_f32s(input, (n * n) as u64, n * n).unwrap();
-            let mut c = vec![0.0f32; n * n];
-            matmul_band(&a, &b, &mut c, n, lo, hi);
-            mem.write_f32s(output, (lo * n) as u64, &c[lo * n..hi * n])
-                .unwrap();
         })
     }
 

@@ -162,19 +162,19 @@ impl Workload for MonteCarloWorkload {
             let sum = if lo < hi { partial_sum(lo, hi) } else { 0.0 };
             let off = u64::from(ctx.block_idx) * 8;
             mem.write(output, off, &sum.to_le_bytes())
-                .expect("partial in bounds");
+                .expect("arg1: partial in bounds");
             // Final block reduces the partials into the price (the real
             // sample issues a second reduction kernel; our device runs
             // bodies in block order, so all partials are present).
             if u64::from(ctx.block_idx) == nb - 1 {
                 let mut total = 0.0_f64;
                 for b in 0..nb {
-                    let raw = mem.read(output, b * 8, 8).unwrap();
-                    total += f64::from_le_bytes(raw.try_into().unwrap());
+                    let raw = mem.read(output, b * 8, 8).expect("arg1: partial in bounds");
+                    total += f64::from_le_bytes(raw.try_into().expect("read 8 bytes"));
                 }
                 let price = total / paths as f64;
                 mem.write(output, nb * 8, &price.to_le_bytes())
-                    .expect("price in bounds");
+                    .expect("arg1: price after the partials in bounds");
             }
         })
     }

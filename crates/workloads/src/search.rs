@@ -17,7 +17,8 @@ use crate::calibrate::latency_bound;
 use crate::registry::{DeviceBuffers, Workload};
 
 /// Count occurrences of `pattern` in `text`, overlapping matches
-/// included.
+/// included. The naive scan: the oracle [`count_matches_in_range`] is
+/// tested against.
 pub fn count_matches(text: &[u8], pattern: &[u8]) -> u32 {
     if pattern.is_empty() || text.len() < pattern.len() {
         return 0;
@@ -31,18 +32,48 @@ pub fn count_matches(text: &[u8], pattern: &[u8]) -> u32 {
     count
 }
 
+/// Start positions the scan decides per pass: one stack tile of match
+/// flags, a few vector registers wide.
+const TILE: usize = 128;
+
+/// Matches among the `width <= TILE` start positions from `base`:
+/// pattern byte `j` is compared against the text shifted by `j` across
+/// the whole tile and ANDed into the tile's flags, then the flags are
+/// summed. Every loop is a branch-free pass over bytes, which the
+/// compiler vectorises — where a position-at-a-time scan pays a slice
+/// compare per position.
+///
+/// Inlined so that the full-tile call site's constant `width` reaches
+/// the loops as a fixed trip count (worth 2x on a 1 KiB chunk).
+#[inline(always)]
+fn count_tile(text: &[u8], pattern: &[u8], base: usize, width: usize) -> u32 {
+    let mut hits = [1u8; TILE];
+    let hits = &mut hits[..width];
+    for (j, &p) in pattern.iter().enumerate() {
+        let shifted = &text[base + j..base + j + width];
+        for (hit, &c) in hits.iter_mut().zip(shifted) {
+            *hit &= u8::from(c == p);
+        }
+    }
+    hits.iter().map(|&h| u32::from(h)).sum()
+}
+
 /// Count matches whose *start* lies in `[lo, hi)`; reads may run past
 /// `hi` into the overlap region.
 pub fn count_matches_in_range(text: &[u8], pattern: &[u8], lo: usize, hi: usize) -> u32 {
-    if pattern.is_empty() {
+    if pattern.is_empty() || text.len() < pattern.len() {
         return 0;
     }
+    // One past the last position a match can start at.
+    let end = hi.min(text.len() - pattern.len() + 1);
     let mut count = 0;
-    let last_start = text.len().saturating_sub(pattern.len());
-    for i in lo..hi.min(last_start + 1) {
-        if &text[i..i + pattern.len()] == pattern {
-            count += 1;
-        }
+    let mut base = lo;
+    while base + TILE <= end {
+        count += count_tile(text, pattern, base, TILE);
+        base += TILE;
+    }
+    if base < end {
+        count += count_tile(text, pattern, base, end - base);
     }
     count
 }
@@ -170,17 +201,12 @@ impl Workload for SearchWorkload {
             let chunk = n.div_ceil(nb);
             let lo = ctx.block_idx as usize * chunk;
             let hi = (lo + chunk).min(n);
-            let text = mem
-                .read(input, 0, n as u64)
-                .expect("text in bounds")
-                .to_vec();
-            let count = if lo < hi {
-                count_matches_in_range(&text, &pattern, lo, hi)
-            } else {
-                0
-            };
+            // The text is scanned where it lies; the borrow ends before
+            // the count is written.
+            let text = mem.read(input, 0, n as u64).expect("arg0: text in bounds");
+            let count = count_matches_in_range(text, &pattern, lo, hi);
             mem.write_u32s(output, ctx.block_idx as u64, &[count])
-                .expect("count in bounds");
+                .expect("arg1: one count per block in bounds");
         })
     }
 
@@ -214,11 +240,7 @@ impl Workload for SearchWorkload {
         for b in 0..self.blocks as usize {
             let lo = b * chunk;
             let hi = ((b + 1) * chunk).min(self.text_bytes);
-            let c = if lo < hi {
-                count_matches_in_range(&text, &self.pattern, lo, hi)
-            } else {
-                0
-            };
+            let c = count_matches_in_range(&text, &self.pattern, lo, hi);
             out.extend_from_slice(&c.to_le_bytes());
         }
         out
@@ -264,6 +286,91 @@ mod tests {
     fn range_clamps_at_text_end() {
         assert_eq!(count_matches_in_range(b"ababab", b"ab", 4, 100), 1);
         assert_eq!(count_matches_in_range(b"ababab", b"ab", 5, 6), 0);
+        assert_eq!(
+            count_matches_in_range(b"ab", b"abc", 0, 2),
+            0,
+            "text shorter than the pattern"
+        );
+    }
+
+    /// Starts in `[lo, hi)` by the naive scan: the matches that lie
+    /// wholly inside the range plus its pattern-length overlap.
+    fn naive_in_range(text: &[u8], pattern: &[u8], lo: usize, hi: usize) -> u32 {
+        if lo >= hi || lo >= text.len() {
+            return 0;
+        }
+        let reach = (hi + pattern.len() - 1).min(text.len());
+        count_matches(&text[lo..reach], pattern)
+    }
+
+    #[test]
+    fn fast_matcher_agrees_with_the_naive_scan() {
+        let mut rng = ewc_gpu::SimRng::seed_from_u64(0x5ea2c4);
+        assert_eq!(count_matches_in_range(b"aaaa", b"aa", 0, 4), 3);
+        for case in 0..400u64 {
+            // Lowercase text over 2..=27 symbols, or raw bytes over 2 or
+            // 256 values: small alphabets make matches (and overlapping
+            // ones) common.
+            let len = rng.range_usize(0, 3 * TILE + 40);
+            let text: Vec<u8> = match case % 3 {
+                0 => crate::data::text(case, len),
+                1 => {
+                    let symbols = rng.range_u32(2, 5);
+                    (0..len)
+                        .map(|_| b'a' + rng.range_u32(0, symbols) as u8)
+                        .collect()
+                }
+                _ => {
+                    let values = if case % 2 == 0 { 2 } else { 256 };
+                    (0..len).map(|_| rng.range_u32(0, values) as u8).collect()
+                }
+            };
+            for m in 1..=8usize {
+                // A pattern cut from the text occurs at least once; one
+                // drawn blind usually does not. A text shorter than the
+                // pattern gets a blind one.
+                let pattern: Vec<u8> = if len >= m && rng.range_u32(0, 4) > 0 {
+                    let at = rng.range_usize(0, len - m + 1);
+                    text[at..at + m].to_vec()
+                } else {
+                    (0..m).map(|_| rng.range_u32(0, 256) as u8).collect()
+                };
+                let total = count_matches(&text, &pattern);
+                assert_eq!(
+                    count_matches_in_range(&text, &pattern, 0, len + 100),
+                    total,
+                    "case {case}, m {m}: whole text, hi past the end"
+                );
+                // Block seams: the per-block counts partition the total.
+                for blocks in 1..=16usize {
+                    let chunk = len.div_ceil(blocks);
+                    let sum: u32 = (0..blocks)
+                        .map(|b| {
+                            let lo = b * chunk;
+                            let hi = ((b + 1) * chunk).min(len);
+                            count_matches_in_range(&text, &pattern, lo, hi)
+                        })
+                        .sum();
+                    assert_eq!(sum, total, "case {case}, m {m}, {blocks} blocks");
+                }
+                // Ranges around tile boundaries, empty and inverted
+                // ranges, ranges past the end.
+                for _ in 0..8 {
+                    let edge = TILE * rng.range_usize(0, 4);
+                    let lo = (edge + rng.range_usize(0, 5)).saturating_sub(2);
+                    let hi = match rng.range_u32(0, 4) {
+                        0 => lo.saturating_sub(rng.range_usize(0, 3)),
+                        1 => lo + TILE + rng.range_usize(0, 5) - 2,
+                        _ => lo + rng.range_usize(0, 2 * TILE + 8),
+                    };
+                    assert_eq!(
+                        count_matches_in_range(&text, &pattern, lo, hi),
+                        naive_in_range(&text, &pattern, lo, hi),
+                        "case {case}, m {m}, len {len}, range {lo}..{hi}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

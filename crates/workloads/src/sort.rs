@@ -27,9 +27,18 @@ pub fn bitonic_sort(data: &mut [u32]) {
     if n <= 1 {
         return;
     }
-    let padded_len = n.next_power_of_two();
-    let mut buf = Vec::with_capacity(padded_len);
+    let mut buf = Vec::with_capacity(n.next_power_of_two());
     buf.extend_from_slice(data);
+    bitonic_sort_padded(&mut buf);
+    data.copy_from_slice(&buf[..n]);
+}
+
+/// Pad `buf` to the next power of two with `u32::MAX` sentinels and run
+/// the network over it: the first `n` elements are the sorted input.
+/// The kernel body decodes its chunk straight into `buf`, so the
+/// network's working copy is the only one.
+fn bitonic_sort_padded(buf: &mut Vec<u32>) {
+    let padded_len = buf.len().next_power_of_two();
     buf.resize(padded_len, u32::MAX);
 
     let mut k = 2;
@@ -49,7 +58,6 @@ pub fn bitonic_sort(data: &mut [u32]) {
         }
         k *= 2;
     }
-    data.copy_from_slice(&buf[..n]);
 }
 
 /// Merge `chunks` (each individually sorted) into one sorted vector.
@@ -168,18 +176,26 @@ impl Workload for SortWorkload {
                 // Phase 1: sort this block's chunk in place (input buffer
                 // doubles as scratch, as the real kernel's shared-memory
                 // staging would).
-                let mut vals = mem.read_u32s(input, lo as u64, hi - lo).unwrap();
-                bitonic_sort(&mut vals);
-                mem.write_u32s(input, lo as u64, &vals).unwrap();
+                let mut vals = Vec::with_capacity((hi - lo).next_power_of_two());
+                vals.extend(
+                    mem.iter_u32s(input, lo as u64, hi - lo)
+                        .expect("arg0: this block's chunk in bounds"),
+                );
+                bitonic_sort_padded(&mut vals);
+                mem.write_u32s(input, lo as u64, &vals[..hi - lo])
+                    .expect("arg0: this block's chunk in bounds");
             }
             // Phase 2 (merge kernel): the last block merges all chunks.
             // Our device executes bodies in block order, so every chunk
             // is sorted by the time this runs — standing in for the
             // separate merge launch of a real implementation.
             if ctx.block_idx as usize == nb - 1 {
-                let all = mem.read_u32s(input, 0, n).unwrap();
+                let all = mem
+                    .read_u32s(input, 0, n)
+                    .expect("arg0: all elements in bounds");
                 let merged = merge_sorted_chunks(&all, chunk);
-                mem.write_u32s(output, 0, &merged).unwrap();
+                mem.write_u32s(output, 0, &merged)
+                    .expect("arg1: all elements in bounds");
             }
         })
     }

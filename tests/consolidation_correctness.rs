@@ -2,8 +2,12 @@
 //! the full framework — must produce byte-identical results to serial
 //! execution for every workload family and mix shape.
 
-use ewc_bench::{run_dynamic, run_manual, run_serial, Mix};
+use std::sync::Arc;
+
+use ewc_bench::{run_dynamic, run_dynamic_with, run_manual, run_serial, Mix};
+use ewc_core::RuntimeConfig;
 use ewc_gpu::GpuConfig;
+use ewc_workloads::MatmulWorkload;
 
 fn assert_all_correct(mix: &Mix, label: &str) {
     let serial = run_serial(mix);
@@ -37,6 +41,43 @@ fn homogeneous_sorting() {
     for n in [1, 4, 9] {
         assert_all_correct(&Mix::sorting(&cfg, n), &format!("sort x{n}"));
     }
+}
+
+#[test]
+fn homogeneous_matmul() {
+    let cfg = GpuConfig::tesla_c1060();
+    let matmul = Arc::new(MatmulWorkload::scalability_limited(&cfg));
+    for n in [1, 3] {
+        let mix = Mix::new().add("matmul", matmul.clone(), n);
+        assert_all_correct(&mix, &format!("matmul x{n}"));
+    }
+}
+
+#[test]
+fn a_group_on_the_cpu_lifeboat_lands_in_the_same_buffers() {
+    // Without `force_gpu` the decision engine sends two CPU-friendly AES
+    // instances to the host: their bodies run through the same
+    // functional pass a launch uses, into the buffers the frontends
+    // read back.
+    let cfg = GpuConfig::tesla_c1060();
+    let mix = Mix::encryption(&cfg, 2);
+    let lifeboat = run_dynamic_with(
+        &mix,
+        RuntimeConfig {
+            threshold_factor: 30,
+            ..RuntimeConfig::default()
+        },
+    );
+    let stats = lifeboat
+        .stats
+        .as_ref()
+        .expect("dynamic setup reports stats");
+    assert_eq!(stats.cpu_executions, 2, "both instances ran host-side");
+    assert_eq!(stats.launches, 0);
+    assert!(
+        lifeboat.correct,
+        "CPU lifeboat outputs must match host references"
+    );
 }
 
 #[test]
