@@ -26,9 +26,10 @@
 //!   widen batching → CPU lifeboat) and back up only after a quiet
 //!   period.
 //!
-//! The whole layer is optional: `RuntimeConfig::admission = None` (the
-//! default) keeps every queue unbounded and every code path
-//! byte-identical with the pre-admission backend.
+//! The backend always runs this layer: `RuntimeConfig::admission = None`
+//! (the default) resolves to [`AdmissionConfig::unbounded`], limits that
+//! never bind, so every answer is `Admit`, nothing ages out and the
+//! ladder never leaves level 0.
 
 /// Request priority class, carried on every launch. The default is
 /// [`Priority::Normal`]; admission only consults it under pressure.
@@ -128,10 +129,9 @@ impl Default for DegradationConfig {
     }
 }
 
-/// Admission-control limits. Installing `Some(AdmissionConfig)` in
-/// [`crate::RuntimeConfig::admission`] turns the whole overload layer
-/// on; the field defaults to `None` (unbounded, byte-identical with the
-/// pre-admission backend).
+/// Admission-control limits. [`crate::RuntimeConfig::admission`]
+/// defaults to `None`, which the backend reads as
+/// [`AdmissionConfig::unbounded`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionConfig {
     /// Maximum pending launches per device queue.
@@ -169,6 +169,24 @@ impl Default for AdmissionConfig {
             retry_after_s: 2e-3,
             shed_age_s: 5.0,
             degradation: DegradationConfig::default(),
+        }
+    }
+}
+
+impl AdmissionConfig {
+    /// Limits that never bind: unbounded queues, an infinite token rate,
+    /// no age shed and a ladder no queue age can move.
+    pub fn unbounded() -> Self {
+        AdmissionConfig {
+            max_per_device: usize::MAX,
+            max_per_ctx: usize::MAX,
+            token_rate_hz: f64::INFINITY,
+            shed_age_s: f64::INFINITY,
+            degradation: DegradationConfig {
+                pressure_age_s: f64::INFINITY,
+                ..DegradationConfig::default()
+            },
+            ..AdmissionConfig::default()
         }
     }
 }
@@ -412,6 +430,19 @@ mod tests {
             AdmissionDecision::Admit,
             "high priority always passes the priority filter"
         );
+    }
+
+    #[test]
+    fn unbounded_limits_never_bind() {
+        let mut s = AdmissionState::new(AdmissionConfig::unbounded());
+        for attempt in [0, u32::MAX] {
+            assert_eq!(
+                s.admit(1e9, usize::MAX - 1, usize::MAX - 1, Priority::Low, attempt),
+                AdmissionDecision::Admit
+            );
+        }
+        assert_eq!(s.observe(1e9, f64::MAX), None, "no age is pressure");
+        assert_eq!(s.level(), 0);
     }
 
     #[test]

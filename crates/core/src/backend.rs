@@ -7,7 +7,9 @@
 //! arguments are always valid device pointers. Host→device copies cross
 //! process boundaries through a **pre-allocated staging buffer**
 //! (process → buffer → device: two copies, the paper's main overhead),
-//! and every frontend message pays a channel round trip.
+//! and every frontend message pays a channel round trip. What the
+//! backend knows of one frontend is one [`Context`] record, removed
+//! whole when the frontend leaves.
 //!
 //! The paper's daemon is a process behind an RPC channel; here it is a
 //! value behind a mutex ([`SharedBackend`]) that frontends call
@@ -33,19 +35,22 @@
 
 mod flush;
 mod ladder;
+#[cfg(test)]
+mod lifecycle_tests;
 mod migrate;
 mod power;
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex};
 
 use ewc_exec::VirtualClock;
 use ewc_fleet::{FleetConfig, FleetGovernor};
 use ewc_gpu::kernel::KernelArg;
-use ewc_gpu::{DevicePtr, GpuDevice};
+use ewc_gpu::{DevicePtr, GpuDevice, GpuError};
 use ewc_telemetry::{DecisionRecord, TelemetrySink, Verdict};
 
-use crate::admission::{AdmissionDecision, AdmissionState, Priority, ShedCause};
+use crate::admission::{AdmissionConfig, AdmissionDecision, AdmissionState, Priority, ShedCause};
 use crate::config::RuntimeConfig;
 use crate::decision::DecisionEngine;
 use crate::leader::LeaderCoordinator;
@@ -104,7 +109,10 @@ pub(crate) fn start(
     // its host clock, so spans land on the exact timeline the caller is
     // driving.
     let clock = sink.virtual_clock().cloned().unwrap_or_default();
-    let admission = cfg.admission.clone().map(AdmissionState::new);
+    // The one place the `Option` is read: no admission config means
+    // limits that never bind, not a second code path.
+    let limits = cfg.admission.clone();
+    let admission = AdmissionState::new(limits.unwrap_or_else(AdmissionConfig::unbounded));
     let device_counters = if sink.is_enabled() {
         (0..gpus.len()).map(DeviceCounters::new).collect()
     } else {
@@ -125,17 +133,12 @@ pub(crate) fn start(
         fleet_mode,
         stats: BackendStats::default(),
         pending: Vec::new(),
-        ctx_state: HashMap::new(),
-        ctx_allocs: HashMap::new(),
-        ctx_constants: HashMap::new(),
-        remap: HashMap::new(),
-        failures: HashMap::new(),
+        contexts: HashMap::default(),
         admission,
         next_seq: 0,
         clock,
         extract_scratch: Vec::new(),
         flush_scratch: Vec::new(),
-        saturated_scratch: Vec::new(),
         fleet_throttles_seen: 0,
     };
     Arc::new(Mutex::new(Some(backend)))
@@ -160,10 +163,59 @@ impl DeviceCounters {
     }
 }
 
+/// Everything the backend holds for one connected frontend — the
+/// paper's per-process GPU context. Created by the context's first
+/// message, removed whole by [`Backend::reap`].
 #[derive(Default)]
-struct CtxState {
+struct Context {
+    /// The device its buffers live on (the governor's binding): set by
+    /// the first call that needs one, moved by drain/migrate.
+    device: Option<usize>,
+    /// The captured `configure_call`, consumed by the next launch.
     config: Option<ExecConfig>,
+    /// Forwarded `setup_argument` values (argument batching off).
     args: Vec<KernelArg>,
+    /// Frontend-visible allocations (`(ptr, len)`), in allocation order
+    /// — the buffer manifest drain/migrate moves and `reap` frees.
+    allocs: Vec<(DevicePtr, u64)>,
+    /// Constants the context registered (`(key, ptr, data)`): migration
+    /// re-loads the data on the destination device.
+    constants: Vec<(String, DevicePtr, Vec<u8>)>,
+    /// Frontend pointer → actual device pointer after migration;
+    /// identity when absent. Resolved at every execution/access site so
+    /// frontends keep using the pointers malloc handed them.
+    remap: HashMap<DevicePtr, DevicePtr>,
+    /// Permanent failures awaiting delivery: each `sync` returns one.
+    failures: VecDeque<(u64, CoreError)>,
+}
+
+impl Context {
+    /// Actual device pointer behind a frontend-visible pointer.
+    fn resolve(&self, ptr: DevicePtr) -> DevicePtr {
+        self.remap.get(&ptr).copied().unwrap_or(ptr)
+    }
+}
+
+/// Hasher of the context map. Context ids are the runtime's own
+/// counter, never outside input, so one multiply spreads them over the
+/// table. The flush matcher and the admission depth counts look a
+/// context up once per queued launch; hashing each id with SipHash is
+/// what that costs otherwise.
+#[derive(Default)]
+struct CtxHasher(u64);
+
+impl Hasher for CtxHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
 }
 
 pub(crate) struct Backend {
@@ -192,24 +244,12 @@ pub(crate) struct Backend {
     fleet_mode: bool,
     stats: BackendStats,
     pending: Vec<KernelRequest>,
-    ctx_state: HashMap<u64, CtxState>,
-    /// Frontend-visible allocations per context (`(ptr, len)`), in
-    /// allocation order — the buffer manifest drain/migrate moves.
-    ctx_allocs: HashMap<u64, Vec<(DevicePtr, u64)>>,
-    /// Constants each context registered (`(key, ptr, data)`): migration
-    /// re-loads the data on the destination device.
-    ctx_constants: HashMap<u64, Vec<(String, DevicePtr, Vec<u8>)>>,
-    /// Frontend pointer → actual device pointer after migration;
-    /// identity when absent. Resolved at every execution/access site so
-    /// frontends keep using the pointers malloc handed them.
-    remap: HashMap<u64, HashMap<DevicePtr, DevicePtr>>,
-    /// Permanently failed launches awaiting delivery: each context's
-    /// next `sync` pops (and returns) one queued failure.
-    failures: HashMap<u64, VecDeque<(u64, CoreError)>>,
-    /// Admission controller + degradation ladder; `None` (the default)
-    /// keeps queues unbounded and every path byte-identical with the
-    /// pre-admission backend.
-    admission: Option<AdmissionState>,
+    /// One record per connected frontend — the only context-keyed state
+    /// the backend holds.
+    contexts: HashMap<u64, Context, BuildHasherDefault<CtxHasher>>,
+    /// Admission controller + degradation ladder: always present,
+    /// [`AdmissionConfig::unbounded`] when none was configured.
+    admission: AdmissionState,
     next_seq: u64,
     /// Host-side clock: channel, staging and coordination costs. A
     /// shared [`VirtualClock`] handle, so a caller that lent its
@@ -222,8 +262,6 @@ pub(crate) struct Backend {
     extract_scratch: Vec<Option<KernelRequest>>,
     /// Recycled per-device index list for the flush matcher window.
     flush_scratch: Vec<usize>,
-    /// Recycled per-device saturation flags for overload-aware placement.
-    saturated_scratch: Vec<bool>,
     /// High-water mark into the governor's power-cap throttle log:
     /// throttles past this index still need replaying onto the devices.
     fleet_throttles_seen: usize,
@@ -250,12 +288,36 @@ impl Backend {
         answer
     }
 
+    /// The record of `ctx`, created on first touch.
+    fn context(&mut self, ctx: u64) -> &mut Context {
+        self.contexts.entry(ctx).or_default()
+    }
+
+    /// The device `ctx` is bound to, once placed.
+    fn bound(&self, ctx: u64) -> Option<usize> {
+        self.contexts.get(&ctx).and_then(|c| c.device)
+    }
+
     /// Queued launches currently bound to device `d`.
     fn device_depth(&self, d: usize) -> usize {
         self.pending
             .iter()
-            .filter(|r| self.fleet.binding(r.ctx) == Some(d))
+            .filter(|r| self.bound(r.ctx) == Some(d))
             .count()
+    }
+
+    /// Remove every pending request `take` selects, in submission
+    /// order; the rest keep theirs.
+    fn take_pending(&mut self, take: impl Fn(&KernelRequest) -> bool) -> Vec<KernelRequest> {
+        // Almost every call takes nothing: look before rebuilding.
+        if !self.pending.iter().any(&take) {
+            return Vec::new();
+        }
+        let (taken, kept) = std::mem::take(&mut self.pending)
+            .into_iter()
+            .partition(take);
+        self.pending = kept;
+        taken
     }
 
     /// Audit one permanent shed (admission-final or queue-age).
@@ -274,61 +336,49 @@ impl Backend {
                 cause.label()
             ),
         };
-        rec.audit(DecisionRecord {
-            time_s: self.clock.now_s(),
-            kernels: vec![name.clone()],
-            verdict: Verdict::Shed,
-            consolidated: None,
-            serial: None,
-            cpu: None,
+        rec.audit(DecisionRecord::event(
+            self.clock.now_s(),
+            Verdict::Shed,
+            vec![name.clone()],
             reason,
-        });
+        ));
     }
 
     /// Device assigned to a context (placed by the fleet governor on
     /// first touch).
     fn device_for(&mut self, ctx: u64) -> usize {
-        if let Some(d) = self.fleet.binding(ctx) {
+        let bound = self.bound(ctx);
+        // The governor is the authority on placement; the record mirrors it.
+        debug_assert_eq!(bound, self.fleet.binding(ctx));
+        if let Some(d) = bound {
             return d;
         }
-        // Overload coordination with the governor: when admission
-        // bounds the queues, a device sitting at its bound is
-        // "overloaded but healthy" — steer new contexts elsewhere so it
-        // sheds load before its breaker ever trips.
-        let rec = match &self.admission {
-            Some(adm) if self.gpus.len() > 1 => {
-                let cap = adm.cfg.max_per_device;
-                // Swap the scratch flags out so the borrow checker lets
-                // us fill them from `device_depth` while the fleet call
-                // below borrows `self.fleet` and `self.clock`.
-                let mut saturated = std::mem::take(&mut self.saturated_scratch);
-                saturated.clear();
-                saturated.extend((0..self.gpus.len()).map(|d| self.device_depth(d) >= cap));
-                let rec = self.fleet.place_avoiding(ctx, &self.clock, &saturated);
-                self.saturated_scratch = saturated;
-                rec
-            }
-            _ => self.fleet.place(ctx, &self.clock),
-        };
+        // Overload coordination with the governor: a device sitting at
+        // its admission bound is "overloaded but healthy" — steer new
+        // contexts elsewhere so it sheds load before its breaker ever
+        // trips. No device saturated is exactly the governor's `place`.
+        let cap = self.admission.cfg.max_per_device;
+        let saturated: Vec<bool> = (0..self.gpus.len())
+            .map(|d| self.device_depth(d) >= cap)
+            .collect();
+        let rec = self.fleet.place_avoiding(ctx, &self.clock, &saturated);
         let d = rec.device as usize;
+        self.context(ctx).device = Some(d);
         self.sync_fleet_throttles();
         if self.fleet_mode && self.sink.is_enabled() {
             self.sink
                 .counter_add(&self.device_counters[d].placements, 1.0);
-            self.sink.audit(DecisionRecord {
-                time_s: self.clock.now_s(),
-                kernels: Vec::new(),
-                verdict: Verdict::Placed,
-                consolidated: None,
-                serial: None,
-                cpu: None,
-                reason: format!(
+            self.sink.audit(DecisionRecord::event(
+                self.clock.now_s(),
+                Verdict::Placed,
+                Vec::new(),
+                format!(
                     "ctx {ctx} placed on gpu{d} ({}) by {} policy ({})",
                     self.fleet.spec(d).name,
                     self.fleet.policy_label(),
                     rec.reason.label()
                 ),
-            });
+            ));
         }
         d
     }
@@ -336,11 +386,7 @@ impl Backend {
     /// Actual device pointer behind a frontend-visible pointer:
     /// identity until drain/migrate moved the context's buffers.
     fn resolve(&self, ctx: u64, ptr: DevicePtr) -> DevicePtr {
-        self.remap
-            .get(&ctx)
-            .and_then(|m| m.get(&ptr))
-            .copied()
-            .unwrap_or(ptr)
+        self.contexts.get(&ctx).map_or(ptr, |c| c.resolve(ptr))
     }
 
     /// Kernel arguments with every device pointer resolved through the
@@ -402,7 +448,7 @@ impl Backend {
         self.rpc("malloc", ctx, |b| {
             let d = b.device_for(ctx);
             let ptr = b.gpus[d].malloc(len)?;
-            b.ctx_allocs.entry(ctx).or_default().push((ptr, len));
+            b.context(ctx).allocs.push((ptr, len));
             Ok(ptr)
         })
     }
@@ -413,12 +459,9 @@ impl Backend {
             let d = b.device_for(ctx);
             let actual = b.resolve(ctx, ptr);
             b.gpus[d].free(actual)?;
-            if let Some(allocs) = b.ctx_allocs.get_mut(&ctx) {
-                allocs.retain(|(p, _)| *p != ptr);
-            }
-            if let Some(m) = b.remap.get_mut(&ctx) {
-                m.remove(&ptr);
-            }
+            let c = b.context(ctx);
+            c.allocs.retain(|(p, _)| *p != ptr);
+            c.remap.remove(&ptr);
             Ok(())
         })
     }
@@ -457,7 +500,12 @@ impl Backend {
             b.catch_up(d);
             let r = b.gpus[d].memcpy_d2h(src, offset, len);
             b.host_joins(d);
-            b.charge_staging(len);
+            // Staging is paid by bytes that moved, or by an injected
+            // fault that burned the link — not by a read the device
+            // refused (bad pointer, out of bounds).
+            if r.as_ref().err().is_none_or(GpuError::is_transient) {
+                b.charge_staging(len);
+            }
             r.map(|(bytes, _)| bytes).map_err(CoreError::from)
         })
     }
@@ -465,14 +513,14 @@ impl Backend {
     /// `cudaConfigureCall`: capture the execution configuration.
     pub(crate) fn configure_call(&mut self, ctx: u64, config: ExecConfig) {
         self.rpc("configure_call", ctx, |b| {
-            b.ctx_state.entry(ctx).or_default().config = Some(config);
+            b.context(ctx).config = Some(config);
         })
     }
 
     /// `cudaSetupArgument`, when argument batching is off.
     pub(crate) fn setup_argument(&mut self, ctx: u64, arg: KernelArg) {
         self.rpc("setup_argument", ctx, |b| {
-            b.ctx_state.entry(ctx).or_default().args.push(arg);
+            b.context(ctx).args.push(arg);
         })
     }
 
@@ -493,8 +541,8 @@ impl Backend {
             // values with it, or the context's next launch would run on
             // them. Only a `Busy` retry reuses them.
             if !matches!(r, Ok(_) | Err(CoreError::Busy { .. })) {
-                if let Some(state) = b.ctx_state.get_mut(&ctx) {
-                    state.args.clear();
+                if let Some(c) = b.contexts.get_mut(&ctx) {
+                    c.args.clear();
                 }
             }
             r
@@ -524,9 +572,9 @@ impl Backend {
                     }
                     // Remember the registration so drain/migrate can
                     // re-load the constant on a destination device.
-                    let entry = b.ctx_constants.entry(ctx).or_default();
-                    if !entry.iter().any(|(k, _, _)| k == key) {
-                        entry.push((key.to_string(), up.ptr, data.to_vec()));
+                    let held = &mut b.context(ctx).constants;
+                    if !held.iter().any(|(k, _, _)| k == key) {
+                        held.push((key.to_string(), up.ptr, data.to_vec()));
                     }
                 }
                 Err(e) => {
@@ -559,7 +607,8 @@ impl Backend {
             // Deliver one queued permanent failure per sync: the
             // launch already returned a ticket, so this is where the
             // offending frontend learns its kernel died.
-            match b.failures.get_mut(&ctx).and_then(VecDeque::pop_front) {
+            let record = b.contexts.get_mut(&ctx);
+            match record.and_then(|c| c.failures.pop_front()) {
                 Some((_seq, e)) => Err(e),
                 None => Ok(()),
             }
@@ -597,41 +646,32 @@ impl Backend {
         }
     }
 
-    /// Drain a departed frontend: drop its queued launches (group peers
-    /// must not wait on a corpse), its call state and its undelivered
-    /// failures. Runs once per context — `Frontend::drop` is the only
-    /// way a context leaves.
+    /// A departed frontend: remove its record, release what it owned,
+    /// account for it. Runs once per context — `Frontend::drop` is the
+    /// only way a context leaves.
     fn reap(&mut self, ctx: u64) {
-        self.ctx_state.remove(&ctx);
+        // A frontend that never sent a message left nothing behind.
+        let Some(gone) = self.contexts.remove(&ctx) else {
+            return;
+        };
         // Failure notices queued for a dead context can never be
-        // delivered (delivery is pull-based, at sync): drop them here
-        // and account for them, so the map cannot grow across frontend
-        // churn and no request silently vanishes from the books.
-        if let Some(q) = self.failures.remove(&ctx) {
-            self.stats.undelivered_failures += q.len() as u64;
-        }
-        self.ctx_allocs.remove(&ctx);
-        self.ctx_constants.remove(&ctx);
-        self.remap.remove(&ctx);
-        // Release the device binding so the governor's live-context
-        // counts track surviving frontends — a long-lived fleet no
-        // longer skews around reaped contexts.
-        self.fleet.release(ctx);
-        // Reaps vastly outnumber reaps-with-work: a frontend that
-        // synced before disconnecting leaves nothing queued. Check
-        // read-only before rebuilding the queue.
-        let mut drained: Vec<KernelRequest> = Vec::new();
-        if self.pending.iter().any(|r| r.ctx == ctx) {
-            let mut kept: Vec<KernelRequest> = Vec::with_capacity(self.pending.len());
-            for r in self.pending.drain(..) {
-                if r.ctx == ctx {
-                    drained.push(r);
-                } else {
-                    kept.push(r);
-                }
+        // delivered (delivery is pull-based, at sync): account for
+        // them, so no request silently vanishes from the books.
+        self.stats.undelivered_failures += gone.failures.len() as u64;
+        // Its device memory goes back to the card it ended on — raw
+        // frees, as in `migrate_ctx`: a dying process pays nothing.
+        // Constants stay: a device-lifetime cache shared across
+        // contexts.
+        if let Some(d) = gone.device {
+            for (ptr, _) in &gone.allocs {
+                let _ = self.gpus[d].memory_mut().free(gone.resolve(*ptr));
             }
-            self.pending = kept;
         }
+        // Release the device binding so the governor's live-context
+        // counts track surviving frontends.
+        self.fleet.release(ctx);
+        // Group peers must not wait on a corpse.
+        let drained = self.take_pending(|r| r.ctx == ctx);
         self.stats.drained_requests += drained.len() as u64;
         // A clean disconnect with nothing pending is the normal end of a
         // process's life — not worth a log line or a stat.
@@ -642,18 +682,15 @@ impl Backend {
         if let Some(mut rec) = self.sink.lock() {
             rec.counter_add("frontends_reaped", 1.0);
             rec.counter_add("requests_drained", drained.len() as f64);
-            rec.audit(DecisionRecord {
-                time_s: self.clock.now_s(),
-                kernels: drained.iter().map(|r| r.kernel.name.clone()).collect(),
-                verdict: Verdict::Drained,
-                consolidated: None,
-                serial: None,
-                cpu: None,
-                reason: format!(
+            rec.audit(DecisionRecord::event(
+                self.clock.now_s(),
+                Verdict::Drained,
+                drained.iter().map(|r| r.kernel.name.clone()).collect(),
+                format!(
                     "frontend ctx {ctx} gone (disconnect); drained {} pending launch(es)",
                     drained.len()
                 ),
-            });
+            ));
         }
     }
 
@@ -690,8 +727,8 @@ impl Backend {
             .cloned()
             .ok_or_else(|| CoreError::UnknownKernel(name.to_string()))?;
         let d = self.device_for(ctx); // bind early so flush can partition
-        let state = self.ctx_state.entry(ctx).or_default();
-        let config = state.config.take().ok_or(CoreError::NotConfigured)?;
+        let record = self.context(ctx);
+        let config = record.config.take().ok_or(CoreError::NotConfigured)?;
         if config.grid_blocks != kernel.blocks
             || config.threads_per_block != kernel.desc.threads_per_block
         {
@@ -713,45 +750,37 @@ impl Backend {
         // `Busy` retry resends them). The terminal shed-vs-retry call is
         // made here, in exactly one place, so the conservation invariant
         // is plain stats arithmetic.
-        if self.admission.is_some() {
-            let now = self.clock.now_s();
-            let device_depth = self.device_depth(d);
-            let ctx_depth = self.pending.iter().filter(|r| r.ctx == ctx).count();
-            let (decision, retry_after_s) = match &mut self.admission {
-                Some(adm) => (
-                    adm.admit(now, device_depth, ctx_depth, priority, attempt),
-                    adm.retry_after_s(),
-                ),
-                None => unreachable!("guarded above"),
-            };
-            match decision {
-                AdmissionDecision::Admit => {}
-                AdmissionDecision::Busy { cause } => {
-                    self.stats.busy_rejections += 1;
-                    if self.sink.is_enabled() {
-                        self.sink.counter_add("busy_rejections", 1.0);
-                    }
-                    // Restore the configuration so the retry does not
-                    // need to re-send configure_call.
-                    if let Some(st) = self.ctx_state.get_mut(&ctx) {
-                        st.config = Some(config);
-                    }
-                    return Err(CoreError::Busy {
-                        retry_after_us: (retry_after_s * 1e6).ceil().max(1.0) as u64,
-                        cause,
-                    });
+        let now = self.clock.now_s();
+        let device_depth = self.device_depth(d);
+        let ctx_depth = self.pending.iter().filter(|r| r.ctx == ctx).count();
+        let decision = self
+            .admission
+            .admit(now, device_depth, ctx_depth, priority, attempt);
+        match decision {
+            AdmissionDecision::Admit => {}
+            AdmissionDecision::Busy { cause } => {
+                self.stats.busy_rejections += 1;
+                if self.sink.is_enabled() {
+                    self.sink.counter_add("busy_rejections", 1.0);
                 }
-                AdmissionDecision::Shed { cause } => {
-                    self.stats.shed_requests += 1;
-                    self.audit_shed(&kernel.name, ctx, None, cause);
-                    return Err(CoreError::Shed { seq: None, cause });
-                }
+                // Restore the configuration so the retry does not need
+                // to re-send configure_call.
+                self.context(ctx).config = Some(config);
+                let retry_after_s = self.admission.retry_after_s();
+                return Err(CoreError::Busy {
+                    retry_after_us: (retry_after_s * 1e6).ceil().max(1.0) as u64,
+                    cause,
+                });
+            }
+            AdmissionDecision::Shed { cause } => {
+                self.stats.shed_requests += 1;
+                self.audit_shed(&kernel.name, ctx, None, cause);
+                return Err(CoreError::Shed { seq: None, cause });
             }
         }
-        let state = self.ctx_state.entry(ctx).or_default();
         let args = match batched_args {
             Some(a) => a,
-            None => std::mem::take(&mut state.args),
+            None => std::mem::take(&mut self.context(ctx).args),
         };
         let seq = self.next_seq;
         self.next_seq += 1;

@@ -20,17 +20,15 @@ impl Backend {
     /// The batching conditions: flush on reaching the group-size
     /// threshold, or when the oldest pending request has waited past
     /// the staleness bound (trace-driven runs may never reach the
-    /// threshold). With admission control on, the CoDel-style age shed
-    /// runs first (blown requests are dropped before more work is
-    /// dispatched) and the queue-age watchdog **after** the flush:
+    /// threshold). The CoDel-style age shed runs first (blown requests
+    /// are dropped before more work is dispatched) and the queue-age
+    /// watchdog **after** the flush:
     /// flushing always empties pending work onto the device, so any age
     /// the flush could clear is batching delay, not overload — what the
     /// watchdog must react to is the pressure that *survives* a flush
     /// (device backlog, or a queue the flush could not move).
     pub(super) fn check_flush(&mut self) {
-        if self.admission.is_some() {
-            self.shed_stale();
-        }
+        self.shed_stale();
         if self.pending.len() >= self.effective_threshold() {
             self.flush(false);
         } else if let Some(oldest) = self.pending.first() {
@@ -39,9 +37,7 @@ impl Backend {
                 self.flush(true);
             }
         }
-        if self.admission.is_some() {
-            self.watchdog();
-        }
+        self.watchdog();
     }
 
     /// The consolidation threshold adjusted by the degradation ladder:
@@ -49,9 +45,10 @@ impl Backend {
     /// more work per unit of overhead.
     fn effective_threshold(&self) -> usize {
         let base = self.cfg.threshold();
-        match &self.admission {
-            Some(a) if a.level() >= 3 => base * 2,
-            _ => base,
+        if self.admission.level() >= 3 {
+            base * 2
+        } else {
+            base
         }
     }
 
@@ -77,26 +74,19 @@ impl Backend {
             .map(|g| (g.now_s() - now).max(0.0))
             .fold(0.0, f64::max);
         let age = age.max(backlog);
-        let moved = match &mut self.admission {
-            Some(a) => {
-                let before = a.level();
-                a.observe(now, age).map(|level| (before, level))
-            }
-            None => return,
+        let before = self.admission.level();
+        let Some(level) = self.admission.observe(now, age) else {
+            return;
         };
-        let Some((before, level)) = moved else { return };
         self.stats.degradation_steps += 1;
         self.stats.max_degradation_level = self.stats.max_degradation_level.max(level);
         if self.sink.is_enabled() {
             self.sink.gauge_set("degradation_level", f64::from(level));
-            self.sink.audit(DecisionRecord {
-                time_s: now,
-                kernels: Vec::new(),
-                verdict: Verdict::Degraded,
-                consolidated: None,
-                serial: None,
-                cpu: None,
-                reason: format!(
+            self.sink.audit(DecisionRecord::event(
+                now,
+                Verdict::Degraded,
+                Vec::new(),
+                format!(
                     "degradation ladder {} {before} -> {level} (oldest pending age {age:.4} s, {} pending)",
                     if level > before {
                         "stepped down under pressure:"
@@ -105,7 +95,7 @@ impl Backend {
                     },
                     self.pending.len()
                 ),
-            });
+            ));
         }
     }
 
@@ -114,34 +104,22 @@ impl Backend {
     /// only burn energy, so they are dropped with a `Shed` notice
     /// queued for the owner's next `sync` and a `Verdict::Shed` audit.
     fn shed_stale(&mut self) {
-        let shed_age_s = match &self.admission {
-            Some(a) => a.cfg.shed_age_s,
-            None => return,
-        };
-        if !shed_age_s.is_finite() || self.pending.is_empty() {
-            return;
-        }
+        let shed_age_s = self.admission.cfg.shed_age_s;
         let now = self.clock.now_s();
         // This runs per message; almost always nothing has aged out.
-        // The front of the queue is the oldest request: if it is fresh,
-        // so is everything behind it.
-        if now - self.pending[0].submitted_at_s <= shed_age_s {
+        // The front of the queue is the oldest request: if it is fresh
+        // (or the bound is infinite), so is everything behind it.
+        if self
+            .pending
+            .first()
+            .is_none_or(|oldest| now - oldest.submitted_at_s <= shed_age_s)
+        {
             return;
         }
-        let mut kept = Vec::with_capacity(self.pending.len());
-        let mut stale: Vec<KernelRequest> = Vec::new();
-        for r in self.pending.drain(..) {
-            if now - r.submitted_at_s > shed_age_s {
-                stale.push(r);
-            } else {
-                kept.push(r);
-            }
-        }
-        self.pending = kept;
-        for req in stale {
+        for req in self.take_pending(|r| now - r.submitted_at_s > shed_age_s) {
             self.stats.shed_requests += 1;
             self.stats.shed_queue_age += 1;
-            self.failures.entry(req.ctx).or_default().push_back((
+            self.context(req.ctx).failures.push_back((
                 req.seq,
                 CoreError::Shed {
                     seq: Some(req.seq),
@@ -172,9 +150,10 @@ impl Backend {
             // only the oldest `threshold` requests per device are
             // template-matched, bounding matcher cost under a deep
             // backlog (the rest wait their turn).
-            let window = match &self.admission {
-                Some(a) if a.level() >= 2 => self.cfg.threshold().max(1),
-                _ => usize::MAX,
+            let window = if self.admission.level() >= 2 {
+                self.cfg.threshold().max(1)
+            } else {
+                usize::MAX
             };
             let mut grouped = false;
             for d in 0..self.gpus.len() {
@@ -183,8 +162,7 @@ impl Backend {
                 let mut local = std::mem::take(&mut self.flush_scratch);
                 local.clear();
                 local.extend(
-                    (0..self.pending.len())
-                        .filter(|&i| self.fleet.binding(self.pending[i].ctx) == Some(d)),
+                    (0..self.pending.len()).filter(|&i| self.bound(self.pending[i].ctx) == Some(d)),
                 );
                 local.truncate(window);
                 if local.is_empty() {
@@ -208,11 +186,7 @@ impl Backend {
                 // its own ("the backend lets the kernels run normally") —
                 // the front of the submission-ordered queue.
                 let group = self.extract(vec![0]);
-                let Some(d) = self.fleet.binding(group[0].ctx) else {
-                    // No device binding (cannot happen: enqueue binds):
-                    // drop rather than panic under the shared lock.
-                    return;
-                };
+                let d = self.device_for(group[0].ctx);
                 self.execute_group(d, "<individual>", group);
             }
         }
@@ -288,7 +262,7 @@ impl Backend {
         // drain — force_gpu does not outrank a ladder at its last rung.
         let mut spilled = false;
         if assessment.choice != Choice::Cpu
-            && matches!(&self.admission, Some(a) if a.level() >= 4)
+            && self.admission.level() >= 4
             && group.iter().all(|r| r.priority < Priority::High)
         {
             spilled = true;

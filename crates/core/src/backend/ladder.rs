@@ -216,7 +216,7 @@ impl Backend {
     /// `sync`, and audit it.
     fn record_failure(&mut self, req: &KernelRequest, e: GpuError) {
         self.stats.failed_kernels += 1;
-        self.failures.entry(req.ctx).or_default().push_back((
+        self.context(req.ctx).failures.push_back((
             req.seq,
             CoreError::KernelFailed {
                 seq: req.seq,
@@ -225,18 +225,15 @@ impl Backend {
         ));
         if self.sink.is_enabled() {
             self.sink.counter_add("requests_failed", 1.0);
-            self.sink.audit(DecisionRecord {
-                time_s: self.clock.now_s(),
-                kernels: vec![req.kernel.name.clone()],
-                verdict: Verdict::Failed,
-                consolidated: None,
-                serial: None,
-                cpu: None,
-                reason: format!(
+            self.sink.audit(DecisionRecord::event(
+                self.clock.now_s(),
+                Verdict::Failed,
+                vec![req.kernel.name.clone()],
+                format!(
                     "kernel '{}' (ctx {}, seq {}) failed permanently: {e}",
                     req.kernel.name, req.ctx, req.seq
                 ),
-            });
+            ));
         }
     }
 
@@ -246,14 +243,11 @@ impl Backend {
             return;
         }
         self.sink.counter_add("recoveries", 1.0);
-        self.sink.audit(DecisionRecord {
-            time_s: self.clock.now_s(),
-            kernels: members.iter().map(|r| r.kernel.name.clone()).collect(),
+        self.sink.audit(DecisionRecord::event(
+            self.clock.now_s(),
             verdict,
-            consolidated: None,
-            serial: None,
-            cpu: None,
-            reason: reason.to_string(),
-        });
+            members.iter().map(|r| r.kernel.name.clone()).collect(),
+            reason.to_string(),
+        ));
     }
 }

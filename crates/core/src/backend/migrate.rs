@@ -1,7 +1,8 @@
-//! Drain/migrate: moving a context's buffers and constants off a
-//! device whose breaker is open onto a healthy one.
+//! Drain/migrate: moving a context — the buffers and constants its
+//! record lists, and the record's device — off a card whose breaker is
+//! open onto a healthy one.
 
-use ewc_gpu::DevicePtr;
+use ewc_gpu::{DevicePtr, GpuError};
 use ewc_telemetry::{DecisionRecord, Verdict};
 
 use super::Backend;
@@ -38,77 +39,56 @@ impl Backend {
     /// (e.g. the destination card is full) rolls back and returns
     /// `false` with the context still bound to `from`.
     fn migrate_ctx(&mut self, ctx: u64, from: usize, to: usize) -> bool {
-        let allocs = self.ctx_allocs.get(&ctx).cloned().unwrap_or_default();
-        let consts = self.ctx_constants.get(&ctx).cloned().unwrap_or_default();
-        // Stage every buffer onto the destination first.
-        let mut staged: Vec<(DevicePtr, DevicePtr)> = Vec::new();
-        let mut moved = 0u64;
-        let mut ok = true;
-        for (fe_ptr, len) in &allocs {
-            let actual = self.resolve(ctx, *fe_ptr);
-            let bytes = match self.gpus[from].memory().read(actual, 0, *len) {
-                Ok(b) => b.to_vec(),
-                Err(_) => {
-                    ok = false;
-                    break;
-                }
-            };
-            let new_ptr = match self.gpus[to].memory_mut().alloc(*len) {
-                Ok(p) => p,
-                Err(_) => {
-                    ok = false;
-                    break;
-                }
-            };
-            if self.gpus[to]
-                .memory_mut()
-                .write(new_ptr, 0, &bytes)
-                .is_err()
-            {
-                let _ = self.gpus[to].memory_mut().free(new_ptr);
-                ok = false;
-                break;
-            }
-            staged.push((*fe_ptr, new_ptr));
-            moved += len;
-        }
-        // Constants: hit the destination's cache or re-load the data
+        // Every member of a dispatched group has a record (its launch
+        // made one); a context without one has nothing to move.
+        let Some(record) = self.contexts.get(&ctx) else {
+            return false;
+        };
+        // Stage every buffer onto the destination first, then the
+        // constants: hit the destination's cache or re-load the data
         // kept from registration (`load_constant` stores the bytes).
+        let mut staged: Vec<(DevicePtr, DevicePtr)> = Vec::new();
         let mut const_remaps: Vec<(DevicePtr, DevicePtr)> = Vec::new();
-        if ok {
-            for (key, fe_ptr, data) in &consts {
+        let mut moved = 0u64;
+        let mut stage = || -> Result<(), GpuError> {
+            for &(fe_ptr, len) in &record.allocs {
+                let actual = record.resolve(fe_ptr);
+                let bytes = self.gpus[from].memory().read(actual, 0, len)?.to_vec();
+                let new_ptr = self.gpus[to].memory_mut().alloc(len)?;
+                staged.push((fe_ptr, new_ptr));
+                self.gpus[to].memory_mut().write(new_ptr, 0, &bytes)?;
+                moved += len;
+            }
+            for (key, fe_ptr, data) in &record.constants {
                 let ptr = match self.constants[to].lookup(key) {
                     Some(p) => p,
-                    None => match self.gpus[to].load_constant(data) {
-                        Ok(p) => {
-                            self.constants[to].seed(key, p);
-                            moved += data.len() as u64;
-                            p
-                        }
-                        Err(_) => {
-                            ok = false;
-                            break;
-                        }
-                    },
+                    None => {
+                        let p = self.gpus[to].load_constant(data)?;
+                        self.constants[to].seed(key, p);
+                        moved += data.len() as u64;
+                        p
+                    }
                 };
                 const_remaps.push((*fe_ptr, ptr));
             }
-        }
-        if !ok {
+            Ok(())
+        };
+        if stage().is_err() {
             for (_, new_ptr) in staged {
                 let _ = self.gpus[to].memory_mut().free(new_ptr);
             }
             return false;
         }
-        // Commit: free the source copies and install the remaps.
-        for (fe_ptr, new_ptr) in &staged {
-            let actual = self.resolve(ctx, *fe_ptr);
-            let _ = self.gpus[from].memory_mut().free(actual);
-            self.remap.entry(ctx).or_default().insert(*fe_ptr, *new_ptr);
+        // Commit: free the source copies, install the remaps and move
+        // the record to its new device.
+        for (fe_ptr, _) in &staged {
+            let _ = self.gpus[from].memory_mut().free(record.resolve(*fe_ptr));
         }
-        for (fe_ptr, ptr) in const_remaps {
-            self.remap.entry(ctx).or_default().insert(fe_ptr, ptr);
-        }
+        let (buffers, constants) = (staged.len(), const_remaps.len());
+        let record = self.context(ctx);
+        record.remap.extend(staged);
+        record.remap.extend(const_remaps);
+        record.device = Some(to);
         // The bytes cross PCIe twice (device→host staging, host→device):
         // one latency + bandwidth charge per leg, on the host clock —
         // the backend orchestrates the drain synchronously.
@@ -124,20 +104,15 @@ impl Backend {
         if let Some(mut rec) = self.sink.lock() {
             rec.counter_add("migrations", 1.0);
             rec.counter_add(&self.device_counters[to].migrations, 1.0);
-            rec.audit(DecisionRecord {
-                time_s: self.clock.now_s(),
-                kernels: Vec::new(),
-                verdict: Verdict::Placed,
-                consolidated: None,
-                serial: None,
-                cpu: None,
-                reason: format!(
+            rec.audit(DecisionRecord::event(
+                self.clock.now_s(),
+                Verdict::Placed,
+                Vec::new(),
+                format!(
                     "ctx {ctx} drained off gpu{from} (breaker open) to gpu{to}: \
-                     {} buffer(s), {} constant(s), {moved} bytes",
-                    staged.len(),
-                    consts.len()
+                     {buffers} buffer(s), {constants} constant(s), {moved} bytes"
                 ),
-            });
+            ));
         }
         true
     }

@@ -26,18 +26,15 @@ impl Backend {
         if changed {
             self.stats.state_changes += 1;
             if self.sink.is_enabled() {
-                self.sink.audit(DecisionRecord {
-                    time_s: self.gpus[device].now_s(),
-                    kernels: Vec::new(),
-                    verdict: Verdict::StateChanged,
-                    consolidated: None,
-                    serial: None,
-                    cpu: None,
-                    reason: format!(
+                self.sink.audit(DecisionRecord::event(
+                    self.gpus[device].now_s(),
+                    Verdict::StateChanged,
+                    Vec::new(),
+                    format!(
                         "gpu{device}: power state {} -> {name} (level {level})",
                         from.map_or_else(|| "p0".to_string(), |l| format!("level {l}")),
                     ),
-                });
+                ));
             }
         }
         changed
@@ -63,18 +60,15 @@ impl Backend {
             if changed {
                 self.stats.state_changes += 1;
                 if self.sink.is_enabled() {
-                    self.sink.audit(DecisionRecord {
-                        time_s: self.gpus[d].now_s(),
-                        kernels: Vec::new(),
-                        verdict: Verdict::StateChanged,
-                        consolidated: None,
-                        serial: None,
-                        cpu: None,
-                        reason: format!(
+                    self.sink.audit(DecisionRecord::event(
+                        self.gpus[d].now_s(),
+                        Verdict::StateChanged,
+                        Vec::new(),
+                        format!(
                             "gpu{d}: power cap throttled level {} -> {} (level {})",
                             rec.from, state.name, rec.to
                         ),
-                    });
+                    ));
                 }
             }
         }

@@ -97,10 +97,10 @@ pub struct RuntimeConfig {
     /// device per [`ewc_fleet::DeviceSpec`], placed by the configured
     /// policy under the optional fleet power cap.
     pub fleet: Option<ewc_fleet::FleetConfig>,
-    /// Optional admission control + graceful degradation under
-    /// open-loop overload. `None` (the default) keeps every queue
-    /// unbounded — bit-compatible with the pre-admission backend.
-    /// `Some` bounds the per-device and per-context queues, answers
+    /// Admission control + graceful degradation under open-loop
+    /// overload. `None` (the default) is read once, when the backend
+    /// starts, as [`AdmissionConfig::unbounded`]: limits that never
+    /// bind. `Some` bounds the per-device and per-context queues, answers
     /// `Busy` backpressure, sheds aged requests CoDel-style, and runs
     /// the degradation ladder.
     pub admission: Option<AdmissionConfig>,

@@ -78,9 +78,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// The backend must never panic on a fault path: unwraps are banned in
-// shipping code (tests are free to use them).
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+// The backend must never panic on a fault path: unwraps, `panic!` and
+// `unreachable!` are banned in shipping code (tests are free to use
+// them).
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::unreachable, clippy::panic)
+)]
 
 pub mod admission;
 mod backend;

@@ -230,6 +230,12 @@ impl Runtime {
         &self.sink
     }
 
+    /// The shared backend, for in-crate tests that inspect its state.
+    #[cfg(test)]
+    pub(crate) fn backend(&self) -> &SharedBackend {
+        &self.backend
+    }
+
     /// Take the backend out of the shared slot (frontends answer
     /// `Disconnected` from here on) and run its shutdown. `None` when it
     /// is already gone or a panic inside it poisoned the lock.

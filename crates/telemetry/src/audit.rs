@@ -83,6 +83,21 @@ pub struct DecisionRecord {
 }
 
 impl DecisionRecord {
+    /// An audited event that weighed no candidates — a placement, a
+    /// shed, a drain, a recovery hop, a state change: every prediction
+    /// is `None`.
+    pub fn event(time_s: f64, verdict: Verdict, kernels: Vec<Arc<str>>, reason: String) -> Self {
+        DecisionRecord {
+            time_s,
+            kernels,
+            verdict,
+            consolidated: None,
+            serial: None,
+            cpu: None,
+            reason,
+        }
+    }
+
     /// Predicted (time, energy) of the chosen candidate, when evaluated.
     pub fn chosen(&self) -> Option<(f64, f64)> {
         match self.verdict {
