@@ -9,6 +9,10 @@
 //! ewc telemetry chrome trace.json replay a trace, export a Perfetto trace
 //! ```
 
+#![forbid(unsafe_code)]
+// A bad argument is an `error:` line and exit status 1, not a panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 mod commands;
 
 use std::io::Write;

@@ -28,6 +28,9 @@
 //!   flat model.
 
 #![forbid(unsafe_code)]
+// The meter integrates inside the runtime's shutdown: a panic there
+// loses the run's report.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![warn(missing_docs)]
 
 pub mod ground_truth;

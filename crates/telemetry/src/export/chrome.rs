@@ -7,10 +7,10 @@
 //! metadata (`"ph":"M"`) events.  Time series become counter (`"ph":"C"`)
 //! events on pid 0.
 
-use super::{Escaped, FloatMemo};
-use crate::json::{write_escaped, write_number, write_string};
+use super::{Escaped, FloatMemo, Templates};
+use crate::json::{write_escaped, write_literal, write_u64, Out, Text};
 use crate::sink::TelemetrySnapshot;
-use crate::store::{FastMap, SpanTable, Sym};
+use crate::store::{FastMap, SpanRow, Sym};
 
 const US_PER_S: f64 = 1e6;
 
@@ -23,38 +23,35 @@ struct Tracks {
     /// Indexed by process symbol; 0 where the symbol is not a process.
     pids: Vec<u64>,
     tids: FastMap<(Sym, Sym), u64>,
-    /// The tid of each span, in span order.
-    tid_of_span: Vec<u64>,
+    /// Indexed by process symbol: lanes seen so far.
+    lanes_in: Vec<u64>,
+    processes: u64,
 }
 
 impl Tracks {
-    /// One pass over the spans, one map probe per span — the id of a
-    /// track is decided the first time the track shows up.
-    fn assign(spans: &SpanTable) -> Self {
-        let mut pids = vec![0; spans.symbols().len()];
-        let mut lanes_in = vec![0; pids.len()];
-        let mut tids = FastMap::default();
-        let mut processes = 0;
-        let tid_of_span = spans
-            .rows()
-            .iter()
-            .map(|row| {
-                let process = row.process as usize;
-                if pids[process] == 0 {
-                    processes += 1;
-                    pids[process] = processes;
-                }
-                *tids.entry((row.process, row.lane)).or_insert_with(|| {
-                    lanes_in[process] += 1;
-                    lanes_in[process]
-                })
-            })
-            .collect();
+    fn new(symbols: usize) -> Self {
         Tracks {
-            pids,
-            tids,
-            tid_of_span,
+            pids: vec![0; symbols],
+            tids: FastMap::default(),
+            lanes_in: vec![0; symbols],
+            processes: 0,
         }
+    }
+
+    /// The pid and tid of `row`'s track, decided the first time the
+    /// track shows up. Called in chronological order, once per template.
+    fn ids(&mut self, row: &SpanRow) -> (u64, u64) {
+        let process = row.process as usize;
+        if self.pids[process] == 0 {
+            self.processes += 1;
+            self.pids[process] = self.processes;
+        }
+        let lanes_in = &mut self.lanes_in[process];
+        let tid = *self.tids.entry((row.process, row.lane)).or_insert_with(|| {
+            *lanes_in += 1;
+            *lanes_in
+        });
+        (self.pids[process], tid)
     }
 }
 
@@ -63,13 +60,27 @@ pub fn render(snap: &TelemetrySnapshot) -> String {
     let spans = &snap.spans;
     let symbols = spans.symbols();
     let escaped = Escaped::new(symbols);
-    let tracks = Tracks::assign(spans);
+    let mut tracks = Tracks::new(symbols.len());
+    // Every span event follows at least its process's metadata event,
+    // so its template starts with the separator.
+    let templates = Templates::new(spans, |text, row| {
+        let (pid, tid) = tracks.ids(row);
+        text.push_str(",\n{\"ph\":\"X\",\"name\":");
+        text.push_str(escaped.get(row.name));
+        text.push_str(",\"cat\":");
+        text.push_str(escaped.get(row.process));
+        text.push_str(",\"pid\":");
+        write_u64(text, pid);
+        text.push_str(",\"tid\":");
+        write_u64(text, tid);
+        text.push_str(",\"ts\":");
+    });
     let mut floats = FloatMemo::new();
 
-    let mut out = String::with_capacity(escaped.capacity_for(snap));
+    let mut out = Text::with_capacity(escaped.capacity_for(snap, &templates));
     out.push_str("{\"traceEvents\":[");
     let mut first = true;
-    let mut next_event = |out: &mut String| {
+    let mut next_event = |out: &mut Text| {
         out.push_str(if std::mem::take(&mut first) {
             "\n"
         } else {
@@ -85,7 +96,7 @@ pub fn render(snap: &TelemetrySnapshot) -> String {
     for process in processes {
         next_event(&mut out);
         out.push_str("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":");
-        write_number(&mut out, tracks.pids[process as usize] as f64);
+        write_u64(&mut out, tracks.pids[process as usize]);
         out.push_str(",\"tid\":0,\"args\":{\"name\":");
         out.push_str(escaped.get(process));
         out.push_str("}}");
@@ -101,34 +112,25 @@ pub fn render(snap: &TelemetrySnapshot) -> String {
     for (process, lane, tid) in lanes {
         next_event(&mut out);
         out.push_str("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":");
-        write_number(&mut out, tracks.pids[process as usize] as f64);
+        write_u64(&mut out, tracks.pids[process as usize]);
         out.push_str(",\"tid\":");
-        write_number(&mut out, tid as f64);
+        write_u64(&mut out, tid);
         out.push_str(",\"args\":{\"name\":");
         out.push_str(escaped.get(lane));
         out.push_str("}}");
     }
 
     // Spans as complete events.
-    for (row, &tid) in spans.rows().iter().zip(&tracks.tid_of_span) {
-        next_event(&mut out);
-        out.push_str("{\"ph\":\"X\",\"name\":");
-        out.push_str(escaped.get(row.name));
-        out.push_str(",\"cat\":");
-        out.push_str(escaped.get(row.process));
-        out.push_str(",\"pid\":");
-        write_number(&mut out, tracks.pids[row.process as usize] as f64);
-        out.push_str(",\"tid\":");
-        write_number(&mut out, tid as f64);
-        out.push_str(",\"ts\":");
+    for (row, template) in spans.rows().zip(templates.iter()) {
+        out.push_str(template);
         floats.write(&mut out, row.start_s * US_PER_S);
         out.push_str(",\"dur\":");
         floats.write(&mut out, row.duration_s() * US_PER_S);
         out.push_str(",\"args\":{\"span_id\":");
-        write_number(&mut out, row.id as f64);
+        write_u64(&mut out, row.id);
         if row.parent != 0 {
             out.push_str(",\"parent_id\":");
-            write_number(&mut out, row.parent as f64);
+            write_u64(&mut out, row.parent);
         }
         for attr in spans.attrs_of(row) {
             out.push(',');
@@ -142,14 +144,14 @@ pub fn render(snap: &TelemetrySnapshot) -> String {
     for (name, samples) in &snap.series {
         head.clear();
         head.push_str("{\"ph\":\"C\",\"name\":");
-        write_string(&mut head, name);
+        write_literal(&mut head, name);
         head.push_str(",\"pid\":0,\"tid\":0,\"ts\":");
         for &(t, v) in samples {
             next_event(&mut out);
             out.push_str(&head);
-            write_number(&mut out, t * US_PER_S);
+            floats.write(&mut out, t * US_PER_S);
             out.push_str(",\"args\":{\"value\":");
-            write_number(&mut out, v);
+            floats.write(&mut out, v);
             out.push_str("}}");
         }
     }
@@ -161,7 +163,7 @@ pub fn render(snap: &TelemetrySnapshot) -> String {
         out.push_str("{\"ph\":\"i\",\"s\":\"g\",\"name\":\"decision:");
         write_escaped(&mut out, rec.verdict.label());
         out.push_str("\",\"pid\":0,\"tid\":0,\"ts\":");
-        write_number(&mut out, rec.time_s * US_PER_S);
+        floats.write(&mut out, rec.time_s * US_PER_S);
         out.push_str(",\"args\":{\"kernels\":\"");
         for (i, kernel) in rec.kernels.iter().enumerate() {
             if i > 0 {
@@ -170,12 +172,12 @@ pub fn render(snap: &TelemetrySnapshot) -> String {
             write_escaped(&mut out, kernel);
         }
         out.push_str("\",\"reason\":");
-        write_string(&mut out, &rec.reason);
+        write_literal(&mut out, &rec.reason);
         out.push_str("}}");
     }
 
     out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    out
+    out.into_string()
 }
 
 #[cfg(test)]

@@ -4,32 +4,35 @@
 //! (`span`, `counter`, `gauge`, `histogram`, `sample`, `decision`), which
 //! makes the output trivially filterable with line-oriented tools.
 
-use super::{Escaped, FloatMemo};
-use crate::json::{write_number, write_string};
+use super::{Escaped, FloatMemo, Templates};
+use crate::json::{write_literal, write_u64, Out, Text};
 use crate::sink::TelemetrySnapshot;
 
 /// Renders `snap` as JSON-lines text.
 pub fn render(snap: &TelemetrySnapshot) -> String {
     let spans = &snap.spans;
     let escaped = Escaped::new(spans.symbols());
+    let templates = Templates::new(spans, |text, row| {
+        text.push_str(",\"name\":");
+        text.push_str(escaped.get(row.name));
+        text.push_str(",\"process\":");
+        text.push_str(escaped.get(row.process));
+        text.push_str(",\"lane\":");
+        text.push_str(escaped.get(row.lane));
+        text.push_str(",\"start_s\":");
+    });
     let mut floats = FloatMemo::new();
-    let mut out = String::with_capacity(escaped.capacity_for(snap));
+    let mut out = Text::with_capacity(escaped.capacity_for(snap, &templates));
 
-    for row in spans.rows() {
+    for (row, template) in spans.rows().zip(templates.iter()) {
         out.push_str("{\"type\":\"span\",\"id\":");
-        write_number(&mut out, row.id as f64);
+        write_u64(&mut out, row.id);
         out.push_str(",\"parent\":");
         match row.parent {
             0 => out.push_str("null"),
-            parent => write_number(&mut out, parent as f64),
+            parent => write_u64(&mut out, parent),
         }
-        out.push_str(",\"name\":");
-        out.push_str(escaped.get(row.name));
-        out.push_str(",\"process\":");
-        out.push_str(escaped.get(row.process));
-        out.push_str(",\"lane\":");
-        out.push_str(escaped.get(row.lane));
-        out.push_str(",\"start_s\":");
+        out.push_str(template);
         floats.write(&mut out, row.start_s);
         out.push_str(",\"end_s\":");
         floats.write(&mut out, row.end_s);
@@ -45,37 +48,37 @@ pub fn render(snap: &TelemetrySnapshot) -> String {
 
     for (name, value) in snap.metrics.counters() {
         out.push_str("{\"type\":\"counter\",\"name\":");
-        write_string(&mut out, name);
+        write_literal(&mut out, name);
         out.push_str(",\"value\":");
-        write_number(&mut out, value);
+        floats.write(&mut out, value);
         out.push_str("}\n");
     }
 
     for (name, value) in snap.metrics.gauges() {
         out.push_str("{\"type\":\"gauge\",\"name\":");
-        write_string(&mut out, name);
+        write_literal(&mut out, name);
         out.push_str(",\"value\":");
-        write_number(&mut out, value);
+        floats.write(&mut out, value);
         out.push_str("}\n");
     }
 
     for (name, hist) in snap.metrics.histograms() {
         out.push_str("{\"type\":\"histogram\",\"name\":");
-        write_string(&mut out, name);
+        write_literal(&mut out, name);
         out.push_str(",\"count\":");
-        write_number(&mut out, hist.count() as f64);
+        floats.write(&mut out, hist.count() as f64);
         out.push_str(",\"mean\":");
-        write_number(&mut out, hist.mean());
+        floats.write(&mut out, hist.mean());
         for (label, p) in [("p50", 50.0), ("p90", 90.0), ("p95", 95.0), ("p99", 99.0)] {
             out.push_str(",\"");
             out.push_str(label);
             out.push_str("\":");
-            write_number(&mut out, hist.percentile(p));
+            floats.write(&mut out, hist.percentile(p));
         }
         out.push_str(",\"min\":");
-        write_number(&mut out, hist.min());
+        floats.write(&mut out, hist.min());
         out.push_str(",\"max\":");
-        write_number(&mut out, hist.max());
+        floats.write(&mut out, hist.max());
         out.push_str("}\n");
     }
 
@@ -83,28 +86,28 @@ pub fn render(snap: &TelemetrySnapshot) -> String {
     for (name, samples) in &snap.series {
         head.clear();
         head.push_str("{\"type\":\"sample\",\"series\":");
-        write_string(&mut head, name);
+        write_literal(&mut head, name);
         head.push_str(",\"time_s\":");
         for &(t, v) in samples {
             out.push_str(&head);
-            write_number(&mut out, t);
+            floats.write(&mut out, t);
             out.push_str(",\"value\":");
-            write_number(&mut out, v);
+            floats.write(&mut out, v);
             out.push_str("}\n");
         }
     }
 
     for rec in &snap.audit {
         out.push_str("{\"type\":\"decision\",\"time_s\":");
-        write_number(&mut out, rec.time_s);
+        floats.write(&mut out, rec.time_s);
         out.push_str(",\"verdict\":");
-        write_string(&mut out, rec.verdict.label());
+        write_literal(&mut out, rec.verdict.label());
         out.push_str(",\"kernels\":[");
         for (i, k) in rec.kernels.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            write_string(&mut out, k);
+            write_literal(&mut out, k);
         }
         out.push(']');
         for (label, cand) in [
@@ -118,20 +121,20 @@ pub fn render(snap: &TelemetrySnapshot) -> String {
             match cand {
                 Some((t, e)) => {
                     out.push_str("{\"time_s\":");
-                    write_number(&mut out, t);
+                    floats.write(&mut out, t);
                     out.push_str(",\"energy_j\":");
-                    write_number(&mut out, e);
+                    floats.write(&mut out, e);
                     out.push('}');
                 }
                 None => out.push_str("null"),
             }
         }
         out.push_str(",\"reason\":");
-        write_string(&mut out, &rec.reason);
+        write_literal(&mut out, &rec.reason);
         out.push_str("}\n");
     }
 
-    out
+    out.into_string()
 }
 
 #[cfg(test)]

@@ -7,34 +7,39 @@
 //! * [`summary`] — a plain-text table for terminals and logs.
 //!
 //! Each renderer makes one pass over the snapshot and writes into one
-//! `String` sized up front; the bytes depend only on the snapshot, so a
-//! run that replays identically exports identically.
+//! buffer sized up front and checked for UTF-8 once, at the end; the
+//! bytes depend only on the snapshot, so a run that replays identically
+//! exports identically. What repeats is rendered once: every symbol as a
+//! JSON literal and as an object key, and every span's text that depends
+//! only on its `(name, process, lane)` as one template per distinct
+//! triple.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
-use crate::json::{write_i64, write_number, write_string, write_u64};
+use crate::json::{write_f64, write_i64, write_json_number, write_literal, write_u64, Out, Text};
 use crate::sink::TelemetrySnapshot;
-use crate::store::{AttrRow, Stored, Sym};
+use crate::store::{AttrRow, FastMap, SpanRow, SpanTable, Stored, Sym};
 
 pub mod chrome;
 pub mod jsonl;
 pub mod summary;
 
 // Size estimates for `Escaped::capacity_for`, each for one event or line
-// of either format without the strings it carries.
+// of either format without its template and the strings it carries, and
+// for `Templates::new`, one template with its strings.
 const SPAN_BYTES: usize = 160;
+const TEMPLATE_BYTES: usize = 128;
 const NUMBER_ATTR_BYTES: usize = 22;
 const SAMPLE_BYTES: usize = 128;
 const VERDICT_BYTES: usize = 256;
 const METRIC_BYTES: usize = 256;
 
-/// Remembers how recent non-integer numbers print. Shortest round-trip
-/// digits through `fmt` cost several times everything else in an event,
-/// and a trace repeats its times: the requests of a group share a start
-/// and a duration, the blocks of a wave a start and an end (two thirds
-/// of the floats in the pinned traces repeat a recent one). The text is
-/// whatever [`write_number`] wrote the first time, so the bytes cannot
+/// Remembers how recent non-integer numbers print: a remembered one is a
+/// copy, a new one a shortest-digits search and a layout, several times
+/// that. A trace repeats its times: the requests of a group share a
+/// start and a duration, the blocks of a wave a start and an end (seven
+/// in ten timestamps of `fleet_policy_burst` hit). The text is whatever
+/// [`write_json_number`] wrote the first time, so the bytes cannot
 /// differ; a slot is simply overwritten when another value maps to it.
 struct FloatMemo {
     slots: Box<[FloatSlot]>,
@@ -69,22 +74,20 @@ impl FloatMemo {
         }
     }
 
-    /// Appends `v` exactly as [`write_number`] does.
-    fn write(&mut self, out: &mut String, v: f64) {
+    /// Appends `v` exactly as [`write_json_number`] does.
+    fn write(&mut self, out: &mut Text, v: f64) {
         if !v.is_finite() || v == v.trunc() {
-            return write_number(out, v);
+            return write_json_number(out, v);
         }
         let bits = v.to_bits();
         let hash = bits.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (u64::BITS - Self::SLOT_BITS);
         let slot = &mut self.slots[hash as usize];
         if slot.bits == bits {
-            if let Ok(text) = std::str::from_utf8(&slot.text[..usize::from(slot.len)]) {
-                return out.push_str(text);
-            }
+            return out.push_ascii_head(&slot.text, usize::from(slot.len));
         }
         let start = out.len();
-        write_number(out, v);
-        let text = &out.as_bytes()[start..];
+        write_json_number(out, v);
+        let text = out.tail(start);
         if let Some(kept) = slot.text.get_mut(..text.len()) {
             kept.copy_from_slice(text);
             slot.len = text.len() as u8;
@@ -93,37 +96,71 @@ impl FloatMemo {
     }
 }
 
-/// Every symbol of a span table as a JSON string literal (quotes
-/// included): escaped once per render, copied once per use.
-struct Escaped {
+/// Strings rendered once and copied per use, in one buffer:
+/// `text[ends[i - 1]..ends[i]]` is piece `i`.
+struct Pieces {
     text: String,
-    /// `text[ends[sym - 1]..ends[sym]]` is symbol `sym`.
     ends: Vec<usize>,
 }
 
-impl Escaped {
-    fn new(symbols: &[Arc<str>]) -> Self {
-        let raw: usize = symbols.iter().map(|s| s.len() + 2).sum();
-        let mut text = String::with_capacity(raw + raw / 8);
-        let mut ends = Vec::with_capacity(symbols.len());
-        for symbol in symbols {
-            write_string(&mut text, symbol);
-            ends.push(text.len());
+impl Pieces {
+    fn with_capacity(pieces: usize, bytes: usize) -> Self {
+        Pieces {
+            text: String::with_capacity(bytes),
+            ends: Vec::with_capacity(pieces),
         }
-        Escaped { text, ends }
     }
 
+    /// Renders one more piece and returns its index.
+    fn push(&mut self, render: impl FnOnce(&mut String)) -> u32 {
+        render(&mut self.text);
+        self.ends.push(self.text.len());
+        (self.ends.len() - 1) as u32
+    }
+
+    fn get(&self, i: u32) -> &str {
+        &self.text[self.start(i)..self.ends[i as usize]]
+    }
+
+    fn len(&self, i: u32) -> usize {
+        self.ends[i as usize] - self.start(i)
+    }
+
+    fn start(&self, i: u32) -> usize {
+        match i {
+            0 => 0,
+            i => self.ends[i as usize - 1],
+        }
+    }
+}
+
+/// Every symbol of a span table as a JSON object key, `"symbol":`,
+/// escaped once per render; the literal is the key without its colon.
+struct Escaped(Pieces);
+
+impl Escaped {
+    fn new(symbols: &[Arc<str>]) -> Self {
+        let raw: usize = symbols.iter().map(|s| s.len() + 3).sum();
+        let mut pieces = Pieces::with_capacity(symbols.len(), raw + raw / 8);
+        for symbol in symbols {
+            pieces.push(|text| {
+                write_literal(text, symbol);
+                text.push(':');
+            });
+        }
+        Escaped(pieces)
+    }
+
+    /// `sym` as a JSON string literal, quotes included.
     fn get(&self, sym: Sym) -> &str {
-        let sym = sym as usize;
-        let start = if sym == 0 { 0 } else { self.ends[sym - 1] };
-        &self.text[start..self.ends[sym]]
+        let key = self.0.get(sym);
+        &key[..key.len() - 1]
     }
 
     /// Appends `"key":"value"`; every value is exported as a string, the
     /// numbers formatted as `to_string()` formats them.
-    fn write_attr(&self, out: &mut String, attr: &AttrRow) {
-        out.push_str(self.get(attr.key));
-        out.push(':');
+    fn write_attr(&self, out: &mut Text, attr: &AttrRow) {
+        out.push_str(self.0.get(attr.key));
         match attr.value {
             Stored::Sym(sym) => out.push_str(self.get(sym)),
             Stored::U64(v) => {
@@ -137,33 +174,29 @@ impl Escaped {
                 out.push('"');
             }
             Stored::F64(v) => {
-                let _ = write!(out, "\"{v}\"");
+                out.push('"');
+                write_f64(out, v);
+                out.push('"');
             }
         }
     }
 
-    /// Estimated size of a render of `snap` in either format. An
-    /// estimate on the generous side, not a bound: the output grows if
-    /// it falls short.
-    fn capacity_for(&self, snap: &TelemetrySnapshot) -> usize {
+    /// Estimated size of a render of `snap` whose span events start
+    /// with `templates`. An estimate on the generous side, not a bound:
+    /// the output grows if it falls short.
+    fn capacity_for(&self, snap: &TelemetrySnapshot, templates: &Templates) -> usize {
         let spans = &snap.spans;
-        let len = |sym| self.get(sym).len();
-        let span_text: usize = spans
-            .rows()
+        // A symbol's literal is its key without the colon.
+        let len = |sym| self.0.len(sym) - 1;
+        let attr_text: usize = spans
+            .attrs()
             .iter()
-            .map(|row| {
-                let attrs: usize = spans
-                    .attrs_of(row)
-                    .iter()
-                    .map(|attr| {
-                        2 + len(attr.key)
-                            + match attr.value {
-                                Stored::Sym(sym) => len(sym),
-                                _ => NUMBER_ATTR_BYTES,
-                            }
-                    })
-                    .sum();
-                len(row.name) + len(row.process) + len(row.lane) + attrs
+            .map(|attr| {
+                2 + len(attr.key)
+                    + match attr.value {
+                        Stored::Sym(sym) => len(sym),
+                        _ => NUMBER_ATTR_BYTES,
+                    }
             })
             .sum();
         let samples: usize = snap.series.values().map(Vec::len).sum();
@@ -176,12 +209,57 @@ impl Escaped {
         let metric_lines =
             metrics.counters().count() + metrics.gauges().count() + metrics.histograms().count();
         spans.len() * SPAN_BYTES
-            + span_text
+            + templates.text_bytes
+            + attr_text
             + samples * SAMPLE_BYTES
             + snap.audit.len() * VERDICT_BYTES
             + audit_text
             + metric_lines * METRIC_BYTES
             + 4096
+    }
+}
+
+/// The text of a span's event that depends only on its `(name, process,
+/// lane)`, rendered once per distinct triple, when the chronological
+/// pass first meets it.
+struct Templates {
+    pieces: Pieces,
+    /// The template of each span, in chronological order.
+    of_span: Vec<u32>,
+    /// Bytes of template text over all spans.
+    text_bytes: usize,
+}
+
+impl Templates {
+    /// `render` writes the template of the triple whose first span is
+    /// the row it is handed.
+    fn new(spans: &SpanTable, mut render: impl FnMut(&mut String, &SpanRow)) -> Self {
+        // As many templates as symbols, as a first guess.
+        let guess = spans.symbols().len();
+        let mut pieces = Pieces::with_capacity(guess, guess * TEMPLATE_BYTES);
+        let mut ids: FastMap<(Sym, Sym, Sym), u32> =
+            FastMap::with_capacity_and_hasher(guess, Default::default());
+        let mut text_bytes = 0;
+        let of_span = spans
+            .rows()
+            .map(|row| {
+                let id = *ids
+                    .entry((row.name, row.process, row.lane))
+                    .or_insert_with(|| pieces.push(|text| render(text, row)));
+                text_bytes += pieces.len(id);
+                id
+            })
+            .collect();
+        Templates {
+            pieces,
+            of_span,
+            text_bytes,
+        }
+    }
+
+    /// Each span's template, in chronological order.
+    fn iter(&self) -> impl Iterator<Item = &str> {
+        self.of_span.iter().map(|&t| self.pieces.get(t))
     }
 }
 
@@ -213,13 +291,13 @@ mod tests {
             f64::NEG_INFINITY,
         ]);
         let mut memo = FloatMemo::new();
-        let (mut got, mut want) = (String::new(), String::new());
+        let (mut got, mut want) = (Text::with_capacity(0), String::new());
         for &v in &values {
-            got.clear();
-            want.clear();
             memo.write(&mut got, v);
-            write_number(&mut want, v);
-            assert_eq!(got, want, "value {v:e}");
+            got.push(',');
+            crate::json::write_number(&mut want, v);
+            want.push(',');
         }
+        assert_eq!(got.into_string(), want);
     }
 }

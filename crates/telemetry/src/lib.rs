@@ -16,7 +16,8 @@
 //!   lifecycle `frontend call → RPC → backend queue → decision → staging
 //!   copy → launch → block completion`.
 //! * [`store`] — where recorded spans live: interned strings, fixed-size
-//!   rows and one attribute arena, copied out as a [`SpanTable`].
+//!   rows and one attribute arena, shared with each snapshot as a
+//!   [`SpanTable`].
 //! * [`audit`] — a decision audit log: every consolidate/serial/CPU verdict
 //!   together with the model predictions that justified it.
 //! * [`export`] — exporters: JSON-lines, Chrome trace-event format (load the
@@ -42,6 +43,7 @@
 //! assert_eq!(snap.spans.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 // Telemetry records from inside the backend and the engine hot
 // loop; an observability layer must never be what panics the process.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]

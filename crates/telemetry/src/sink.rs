@@ -171,11 +171,12 @@ impl TelemetrySink {
     }
 
     /// Copies out everything collected so far, or `None` if disabled.
-    /// The spans cost two `memcpy`s and a sort of the copied rows (see
-    /// [`SpanTable`]); the strings they name are shared, not cloned.
+    /// The spans are not copied: the snapshot shares their rows, arena
+    /// and strings with the sink and keeps their chronological order
+    /// (see [`SpanTable`]).
     pub fn snapshot(&self) -> Option<TelemetrySnapshot> {
-        let rec = self.lock()?;
-        let c = &*rec.0;
+        let mut rec = self.lock()?;
+        let c = &mut *rec.0;
         Some(TelemetrySnapshot {
             spans: c.spans.table(),
             metrics: c.metrics.clone(),
@@ -369,6 +370,44 @@ mod tests {
         }
         assert_eq!(nulls, non_finite);
         assert!(summary::render(&snap).contains("20000"));
+    }
+
+    #[test]
+    fn snapshots_share_rows_that_later_spans_do_not_change() {
+        let sink = TelemetrySink::enabled();
+        let record = |name: &str, at: f64, seq: u64| {
+            sink.span("host", "backend", name, at, at + 0.5)
+                .attr("seq", seq)
+                .emit()
+        };
+        let names = |snap: &TelemetrySnapshot| -> Vec<(String, u64)> {
+            snap.spans
+                .iter()
+                .map(|s| {
+                    let seq = match s.attrs().next() {
+                        Some((_, AttrValue::U64(seq))) => seq,
+                        other => panic!("{other:?}"),
+                    };
+                    (s.name.to_string(), seq)
+                })
+                .collect()
+        };
+        record("one", 2.0, 1);
+        let first = sink.snapshot().unwrap();
+        // Recorded while `first` holds the rows: joined onto a copy.
+        record("two", 1.0, 2);
+        let second = sink.snapshot().unwrap();
+        assert_eq!(names(&first), [("one".into(), 1)]);
+        assert_eq!(names(&second), [("two".into(), 2), ("one".into(), 1)]);
+        drop((first, second));
+        // Nothing holds them any more: joined in place.
+        record("three", 0.0, 3);
+        let third = sink.snapshot().unwrap();
+        assert_eq!(
+            names(&third),
+            [("three".into(), 3), ("two".into(), 2), ("one".into(), 1)]
+        );
+        assert_eq!(third.spans.get(0).map(|s| s.id), Some(3));
     }
 
     #[test]

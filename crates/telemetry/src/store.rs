@@ -7,8 +7,8 @@
 //! span itself is a plain-old-data [`SpanRow`] pointing at a run of
 //! [`AttrRow`]s in a shared arena. Recording a span on tracks that were
 //! seen before allocates nothing beyond amortised `Vec` growth, and a
-//! snapshot ([`SpanStore::table`]) is two `memcpy`s, one reference-count
-//! increment and a sort of the copied rows.
+//! snapshot ([`SpanStore::table`]) copies no row: it shares the rows, the
+//! arena and the strings, and keeps the rows' chronological order.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -141,12 +141,60 @@ pub(crate) struct PendingSpan<'a> {
     pub parent: Option<u64>,
 }
 
+/// An append-only column that snapshots share instead of copy. What the
+/// last snapshot took stays frozen behind an `Arc`, and pushes go to a
+/// plain `Vec` after it, so recording pays nothing for the sharing. The
+/// next snapshot joins the two: it appends the pushes to the frozen part
+/// itself once no snapshot holds it, to a copy while one still does.
+#[derive(Debug)]
+struct Column<T> {
+    frozen: Arc<Vec<T>>,
+    /// `frozen.len()`, where a push reads it without following the `Arc`.
+    frozen_len: usize,
+    pushed: Vec<T>,
+}
+
+impl<T> Default for Column<T> {
+    fn default() -> Self {
+        Column {
+            frozen: Arc::default(),
+            frozen_len: 0,
+            pushed: Vec::new(),
+        }
+    }
+}
+
+impl<T: Clone> Column<T> {
+    fn len(&self) -> usize {
+        self.frozen_len + self.pushed.len()
+    }
+
+    fn push(&mut self, value: T) {
+        self.pushed.push(value);
+    }
+
+    fn share(&mut self) -> Arc<Vec<T>> {
+        if !self.pushed.is_empty() {
+            let mut pushed = std::mem::take(&mut self.pushed);
+            if !self.frozen.is_empty() {
+                let frozen = std::mem::take(&mut self.frozen);
+                let mut all = Arc::try_unwrap(frozen).unwrap_or_else(|frozen| Vec::clone(&frozen));
+                all.append(&mut pushed);
+                pushed = all;
+            }
+            self.frozen_len = pushed.len();
+            self.frozen = Arc::new(pushed);
+        }
+        Arc::clone(&self.frozen)
+    }
+}
+
 /// The collector side: append-only, ids in emit order.
 #[derive(Debug, Default)]
 pub(crate) struct SpanStore {
     symbols: Symbols,
-    rows: Vec<SpanRow>,
-    attrs: Vec<AttrRow>,
+    rows: Column<SpanRow>,
+    attrs: Column<AttrRow>,
 }
 
 impl SpanStore {
@@ -184,28 +232,60 @@ impl SpanStore {
         id
     }
 
-    /// Copies the rows out in chronological order (start time, then id —
-    /// concurrent emitters interleave arbitrarily, exporters want time
-    /// order). What is sorted is one `(start, row index)` key per span,
-    /// and the rows are copied once, in key order.
-    pub fn table(&self) -> SpanTable {
-        let mut order: Vec<(u64, u32)> = self
-            .rows
-            .iter()
-            .zip(0..)
-            .map(|(row, at)| (start_key(row.start_s), at))
-            .collect();
-        // Rows sit in id order, so ties on the start fall back to the id.
-        order.sort_unstable();
+    /// Shares the rows, the arena and the strings with a table that reads
+    /// them in chronological order (start time, then id — concurrent
+    /// emitters interleave arbitrarily, exporters want time order): the
+    /// table keeps the row indices in that order.
+    pub fn table(&mut self) -> SpanTable {
+        let rows = self.rows.share();
         SpanTable {
-            rows: order
-                .iter()
-                .map(|&(_, at)| self.rows[at as usize])
-                .collect(),
-            attrs: self.attrs.clone(),
+            order: chronological(&rows),
+            rows,
+            attrs: self.attrs.share(),
             symbols: Arc::clone(&self.symbols.names),
         }
     }
+}
+
+/// The row indices in chronological order: by start, then by index —
+/// the rows sit in id order, so spans that start together keep it.
+/// Consecutive rows that start together are already in that order, so
+/// what is ordered is one `(start key, first row, rows)` entry per such
+/// run. The runs that start no earlier than every run before them are
+/// in order too; only the rest are sorted, then merged in.
+fn chronological(rows: &[SpanRow]) -> Vec<u32> {
+    let mut runs: Vec<(u64, u32, u32)> = Vec::with_capacity(rows.len());
+    for (row, at) in rows.iter().zip(0..) {
+        let key = start_key(row.start_s);
+        match runs.last_mut() {
+            Some((last, _, len)) if *last == key => *len += 1,
+            _ => runs.push((key, at, 1)),
+        }
+    }
+    let mut late = Vec::with_capacity(runs.len());
+    let mut latest = 0;
+    runs.retain(|&run| {
+        let in_order = run.0 >= latest;
+        if in_order {
+            latest = run.0;
+        } else {
+            late.push(run);
+        }
+        in_order
+    });
+    late.sort_unstable();
+
+    let mut order = Vec::with_capacity(rows.len());
+    let mut expand = |(_, first, len): (u64, u32, u32)| order.extend(first..first + len);
+    let mut late = late.into_iter().peekable();
+    for run in runs {
+        while let Some(earlier) = late.next_if(|&l| l < run) {
+            expand(earlier);
+        }
+        expand(run);
+    }
+    late.for_each(&mut expand);
+    order
 }
 
 /// Maps a start time onto a `u64` that sorts as `f64::total_cmp` does —
@@ -225,43 +305,53 @@ fn start_key(start_s: f64) -> u64 {
 /// The spans of a [`TelemetrySnapshot`](crate::TelemetrySnapshot), sorted
 /// by simulated start time (ties by id).
 ///
-/// A table owns a copy of the rows and shares the interned strings with
-/// the sink it came from; read it through [`SpanTable::iter`] /
+/// A table shares the rows, the attribute arena and the interned strings
+/// with the sink it came from, in emit order, and reads them through its
+/// own chronological permutation; read it through [`SpanTable::iter`] /
 /// [`SpanTable::get`], which hand out [`Span`] views.
 #[derive(Clone, Default)]
 pub struct SpanTable {
-    rows: Vec<SpanRow>,
-    attrs: Vec<AttrRow>,
+    rows: Arc<Vec<SpanRow>>,
+    attrs: Arc<Vec<AttrRow>>,
     symbols: Arc<Vec<Arc<str>>>,
+    /// `rows[order[i]]` is the `i`-th span in chronological order.
+    order: Vec<u32>,
 }
 
 impl SpanTable {
     /// Number of spans.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.order.len()
     }
 
     /// Whether no span was recorded.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.order.is_empty()
     }
 
     /// The `i`-th span in chronological order.
     pub fn get(&self, i: usize) -> Option<Span<'_>> {
-        self.rows.get(i).map(|row| self.view(row))
+        let at = *self.order.get(i)?;
+        Some(self.view(&self.rows[at as usize]))
     }
 
     /// All spans in chronological order.
     pub fn iter(&self) -> impl DoubleEndedIterator<Item = Span<'_>> + ExactSizeIterator {
-        self.rows.iter().map(|row| self.view(row))
+        self.rows().map(|row| self.view(row))
     }
 
     fn view<'a>(&'a self, row: &SpanRow) -> Span<'a> {
         Span::new(row, self.attrs_of(row), &self.symbols)
     }
 
-    pub(crate) fn rows(&self) -> &[SpanRow] {
-        &self.rows
+    /// The rows in chronological order.
+    pub(crate) fn rows(&self) -> impl DoubleEndedIterator<Item = &SpanRow> + ExactSizeIterator {
+        self.order.iter().map(|&at| &self.rows[at as usize])
+    }
+
+    /// Every span's attributes, in emit order.
+    pub(crate) fn attrs(&self) -> &[AttrRow] {
+        &self.attrs
     }
 
     pub(crate) fn attrs_of(&self, row: &SpanRow) -> &[AttrRow] {
@@ -276,5 +366,81 @@ impl SpanTable {
 impl std::fmt::Debug for SpanTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rows(starts: &[f64]) -> Vec<SpanRow> {
+        starts
+            .iter()
+            .zip(1..)
+            .map(|(&start_s, id)| SpanRow {
+                id,
+                parent: 0,
+                start_s,
+                end_s: start_s,
+                attr_start: 0,
+                attr_len: 0,
+                name: 0,
+                process: 0,
+                lane: 0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn chronological_is_the_sort_by_start_key_then_row() {
+        let mut state = 0x9e37_79b9_u64;
+        let mut next = move |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) % n
+        };
+        let odd = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+        ];
+        let mut cases: Vec<Vec<f64>> = vec![
+            vec![],
+            vec![1.0],
+            (0..500).map(f64::from).collect(),
+            (0..500).rev().map(f64::from).collect(),
+            vec![3.0; 500],
+            odd.repeat(40),
+        ];
+        for _ in 0..20 {
+            // Runs of equal starts, arriving up to 64 places late.
+            let mut starts = Vec::new();
+            let mut t = 0.0;
+            while starts.len() < 2_000 {
+                t += next(3) as f64 * 0.25;
+                let late = next(64) as f64 * 0.25;
+                let run = 1 + next(8) as usize;
+                starts.extend(std::iter::repeat_n(t - late, run));
+                if next(50) == 0 {
+                    starts.push(odd[next(odd.len() as u64) as usize]);
+                }
+            }
+            cases.push(starts);
+        }
+        for starts in cases {
+            let rows = rows(&starts);
+            let mut want: Vec<(u64, u32)> = rows
+                .iter()
+                .zip(0..)
+                .map(|(row, at)| (start_key(row.start_s), at))
+                .collect();
+            want.sort_unstable();
+            let want: Vec<u32> = want.into_iter().map(|(_, at)| at).collect();
+            assert_eq!(chronological(&rows), want, "starts {starts:?}");
+        }
     }
 }

@@ -413,7 +413,12 @@ fn export_digests(snap: &TelemetrySnapshot) -> [(u64, usize); 3] {
     for line in jsonl.lines() {
         json::parse(line).expect("jsonl line parses");
     }
-    [chrome, jsonl, summary::render(snap)].map(|text| (fnv1a64(&text), text.len()))
+    [chrome, jsonl, summary::render(snap)].map(|text| digest(&text))
+}
+
+/// `(digest, byte length)` of `text`.
+fn digest(text: &str) -> (u64, usize) {
+    (fnv1a64(text), text.len())
 }
 
 fn virtual_sink() -> TelemetrySink {
@@ -437,9 +442,15 @@ fn trace_replay_snapshot(sink: TelemetrySink) -> TelemetrySnapshot {
 /// policy with queue-bound admission: `fleet_policy_burst` in small,
 /// as far as `ewc_load::openloop::run` (which takes no fleet) goes.
 fn bursty_openloop_snapshot() -> TelemetrySnapshot {
+    bursty_openloop_session(16, 16)
+}
+
+/// [`bursty_openloop_snapshot`]'s session with `streams` streams of
+/// `arrivals` requests each.
+fn bursty_openloop_session(streams: usize, arrivals: usize) -> TelemetrySnapshot {
     use ewc_load::openloop::{self, LoadConfig};
     let mut cfg = LoadConfig::scaled(42, LoadConfig::bursty(), 8.0);
-    (cfg.streams, cfg.arrivals_per_stream) = (16, 16);
+    (cfg.streams, cfg.arrivals_per_stream) = (streams, arrivals);
     cfg.num_gpus = 4;
     cfg.kernel_target_s = 20e-3;
     cfg.admission = Some(ewc_core::AdmissionConfig {
@@ -512,4 +523,80 @@ fn exports_match_the_digests_pinned_before_the_store_rewrite() {
         ],
         "DVFS fleet"
     );
+}
+
+#[test]
+fn benchmark_scale_exports_match_the_digests_pinned_before_the_templates() {
+    // Recorded at the parent commit (fmt-printed floats, per-span
+    // skeleton, gathered snapshot rows) and not since: 107 904 spans,
+    // ids past 100 000, consolidated names of 31 kernels. Not re-parsed
+    // (39 MB would double the test's time in a debug build): the small
+    // sessions above parse the output of the same code.
+    let snap = bursty_openloop_session(64, 256);
+    assert_eq!(snap.spans.len(), 107_904);
+    assert_eq!(
+        [
+            chrome::render(&snap),
+            jsonl::render(&snap),
+            summary::render(&snap)
+        ]
+        .map(|t| digest(&t)),
+        [
+            (0x1316_46c5_0d47_7450, 18_562_857),
+            (0x32e5_55f3_d2a8_1754, 20_599_005),
+            (0xb3d9_c0d3_a4f5_5e6c, 14_019),
+        ],
+        "bursty open loop, benchmark scale"
+    );
+}
+
+#[test]
+fn every_float_of_the_pinned_sessions_prints_as_fmt_does() {
+    // What `json::write_number` wrote before it had its own float
+    // writer, byte for byte: the digests above pin the renders, this
+    // names the value when one differs.
+    let reference = |v: f64| {
+        if !v.is_finite() {
+            "null".to_string()
+        } else if v == v.trunc() && v.abs() < 1e15 {
+            format!("{}", v as i64)
+        } else {
+            format!("{v}")
+        }
+    };
+    let sessions = [
+        trace_replay_snapshot(virtual_sink()),
+        bursty_openloop_snapshot(),
+        dvfs_fleet_snapshot(),
+    ];
+    let mut checked = 0;
+    for snap in &sessions {
+        let mut floats = Vec::new();
+        for s in snap.spans.iter() {
+            floats.extend([s.start_s, s.end_s, s.start_s * 1e6, s.duration_s() * 1e6]);
+            floats.extend(s.attrs().filter_map(|(_, v)| match v {
+                ewc_telemetry::AttrValue::F64(v) => Some(v),
+                _ => None,
+            }));
+        }
+        for &(t, v) in snap.series.values().flatten() {
+            floats.extend([t, t * 1e6, v]);
+        }
+        for rec in &snap.audit {
+            floats.extend([rec.time_s, rec.time_s * 1e6]);
+            for (t, e) in [rec.consolidated, rec.serial, rec.cpu]
+                .into_iter()
+                .flatten()
+            {
+                floats.extend([t, e]);
+            }
+        }
+        for v in floats {
+            let mut got = String::new();
+            json::write_number(&mut got, v);
+            assert_eq!(got, reference(v), "{v:e} ({:#x})", v.to_bits());
+            checked += 1;
+        }
+    }
+    assert!(checked > 10_000, "{checked} floats");
 }
