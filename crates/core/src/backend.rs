@@ -41,10 +41,9 @@ mod migrate;
 mod power;
 
 use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex};
 
-use ewc_exec::VirtualClock;
+use ewc_exec::{FxBuildHasher, Memo, VirtualClock};
 use ewc_fleet::{FleetConfig, FleetGovernor};
 use ewc_gpu::kernel::KernelArg;
 use ewc_gpu::{DevicePtr, GpuDevice, GpuError};
@@ -52,7 +51,7 @@ use ewc_telemetry::{DecisionRecord, TelemetrySink, Verdict};
 
 use crate::admission::{AdmissionConfig, AdmissionDecision, AdmissionState, Priority, ShedCause};
 use crate::config::RuntimeConfig;
-use crate::decision::DecisionEngine;
+use crate::decision::{Assessment, DecisionEngine};
 use crate::leader::LeaderCoordinator;
 use crate::optimize::ConstantCache;
 use crate::protocol::{CoreError, ExecConfig, KernelRequest, RegisteredKernel};
@@ -118,6 +117,7 @@ pub(crate) fn start(
     } else {
         Vec::new()
     };
+    let queued_on = vec![0; gpus.len()];
     let backend = Backend {
         cfg,
         gpus,
@@ -133,12 +133,14 @@ pub(crate) fn start(
         fleet_mode,
         stats: BackendStats::default(),
         pending: Vec::new(),
+        queued_on,
         contexts: HashMap::default(),
         admission,
         next_seq: 0,
         clock,
         extract_scratch: Vec::new(),
         flush_scratch: Vec::new(),
+        assessments: Memo::default(),
         fleet_throttles_seen: 0,
     };
     Arc::new(Mutex::new(Some(backend)))
@@ -171,6 +173,8 @@ struct Context {
     /// The device its buffers live on (the governor's binding): set by
     /// the first call that needs one, moved by drain/migrate.
     device: Option<usize>,
+    /// Its launches in `pending`: the queue depth admission reads.
+    queued: usize,
     /// The captured `configure_call`, consumed by the next launch.
     config: Option<ExecConfig>,
     /// Forwarded `setup_argument` values (argument batching off).
@@ -193,28 +197,6 @@ impl Context {
     /// Actual device pointer behind a frontend-visible pointer.
     fn resolve(&self, ptr: DevicePtr) -> DevicePtr {
         self.remap.get(&ptr).copied().unwrap_or(ptr)
-    }
-}
-
-/// Hasher of the context map. Context ids are the runtime's own
-/// counter, never outside input, so one multiply spreads them over the
-/// table. The flush matcher and the admission depth counts look a
-/// context up once per queued launch; hashing each id with SipHash is
-/// what that costs otherwise.
-#[derive(Default)]
-struct CtxHasher(u64);
-
-impl Hasher for CtxHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(self.0 ^ u64::from(b));
-        }
-    }
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 }
 
@@ -244,9 +226,14 @@ pub(crate) struct Backend {
     fleet_mode: bool,
     stats: BackendStats,
     pending: Vec<KernelRequest>,
+    /// Launches in `pending` per device, by their context's binding;
+    /// with [`Context::queued`], the depths admission reads without
+    /// scanning the queue.
+    queued_on: Vec<usize>,
     /// One record per connected frontend — the only context-keyed state
-    /// the backend holds.
-    contexts: HashMap<u64, Context, BuildHasherDefault<CtxHasher>>,
+    /// the backend holds. Context ids are the runtime's own counter, so
+    /// the fast hasher is safe here.
+    contexts: HashMap<u64, Context, FxBuildHasher>,
     /// Admission controller + degradation ladder: always present,
     /// [`AdmissionConfig::unbounded`] when none was configured.
     admission: AdmissionState,
@@ -262,6 +249,9 @@ pub(crate) struct Backend {
     extract_scratch: Vec<Option<KernelRequest>>,
     /// Recycled per-device index list for the flush matcher window.
     flush_scratch: Vec<usize>,
+    /// Assessments by the group's kernel addresses in layout order (see
+    /// [`Backend::assess`]).
+    assessments: Memo<usize, Assessment>,
     /// High-water mark into the governor's power-cap throttle log:
     /// throttles past this index still need replaying onto the devices.
     fleet_throttles_seen: usize,
@@ -300,10 +290,45 @@ impl Backend {
 
     /// Queued launches currently bound to device `d`.
     fn device_depth(&self, d: usize) -> usize {
-        self.pending
-            .iter()
-            .filter(|r| self.bound(r.ctx) == Some(d))
-            .count()
+        debug_assert_eq!(
+            self.queued_on[d],
+            self.pending
+                .iter()
+                .filter(|r| self.bound(r.ctx) == Some(d))
+                .count(),
+            "gpu{d}'s queue depth drifted from the queue"
+        );
+        self.queued_on[d]
+    }
+
+    /// Queued launches of context `ctx`.
+    fn ctx_depth(&self, ctx: u64) -> usize {
+        let queued = self.contexts.get(&ctx).map_or(0, |c| c.queued);
+        debug_assert_eq!(
+            queued,
+            self.pending.iter().filter(|r| r.ctx == ctx).count(),
+            "ctx {ctx}'s queue depth drifted from the queue"
+        );
+        queued
+    }
+
+    /// Book one launch of `ctx` into (`joined`) or out of the queue
+    /// depths. Every queued launch's context has a record bound to a
+    /// device: its launch created and bound it, and the record outlives
+    /// the launch's stay in the queue.
+    fn book_queued(&mut self, ctx: u64, joined: bool) {
+        let step = |n: &mut usize| *n = if joined { *n + 1 } else { *n - 1 };
+        let record = self.contexts.get_mut(&ctx);
+        debug_assert!(
+            record.as_ref().is_some_and(|c| c.device.is_some()),
+            "queued launch of ctx {ctx} without a bound record"
+        );
+        if let Some(c) = record {
+            step(&mut c.queued);
+            if let Some(d) = c.device {
+                step(&mut self.queued_on[d]);
+            }
+        }
     }
 
     /// Remove every pending request `take` selects, in submission
@@ -313,10 +338,13 @@ impl Backend {
         if !self.pending.iter().any(&take) {
             return Vec::new();
         }
-        let (taken, kept) = std::mem::take(&mut self.pending)
+        let (taken, kept): (Vec<_>, _) = std::mem::take(&mut self.pending)
             .into_iter()
             .partition(take);
         self.pending = kept;
+        for r in &taken {
+            self.book_queued(r.ctx, false);
+        }
         taken
     }
 
@@ -363,7 +391,10 @@ impl Backend {
             .collect();
         let rec = self.fleet.place_avoiding(ctx, &self.clock, &saturated);
         let d = rec.device as usize;
-        self.context(ctx).device = Some(d);
+        let record = self.context(ctx);
+        // Launches bind before they queue: nothing to book over.
+        debug_assert_eq!(record.queued, 0, "ctx {ctx} queued while unbound");
+        record.device = Some(d);
         self.sync_fleet_throttles();
         if self.fleet_mode && self.sink.is_enabled() {
             self.sink
@@ -623,6 +654,8 @@ impl Backend {
         let activities = self.gpus.iter().map(|g| g.activity().to_vec()).collect();
         self.stats.placements = self.fleet.placements().to_vec();
         self.stats.cap_redirects = self.fleet.cap_redirects();
+        self.stats.decision_reuses = self.assessments.reuses();
+        self.stats.simulation_reuses = self.gpus.iter().map(GpuDevice::simulation_reuses).sum();
         let elapsed_s = self.clock.now_s();
         if self.sink.is_enabled() {
             self.sink
@@ -651,6 +684,12 @@ impl Backend {
     /// only way a context leaves.
     fn reap(&mut self, ctx: u64) {
         // A frontend that never sent a message left nothing behind.
+        if !self.contexts.contains_key(&ctx) {
+            return;
+        }
+        // Group peers must not wait on a corpse. Drained while the
+        // record still books their queue depth.
+        let drained = self.take_pending(|r| r.ctx == ctx);
         let Some(gone) = self.contexts.remove(&ctx) else {
             return;
         };
@@ -670,8 +709,6 @@ impl Backend {
         // Release the device binding so the governor's live-context
         // counts track surviving frontends.
         self.fleet.release(ctx);
-        // Group peers must not wait on a corpse.
-        let drained = self.take_pending(|r| r.ctx == ctx);
         self.stats.drained_requests += drained.len() as u64;
         // A clean disconnect with nothing pending is the normal end of a
         // process's life — not worth a log line or a stat.
@@ -752,7 +789,7 @@ impl Backend {
         // is plain stats arithmetic.
         let now = self.clock.now_s();
         let device_depth = self.device_depth(d);
-        let ctx_depth = self.pending.iter().filter(|r| r.ctx == ctx).count();
+        let ctx_depth = self.ctx_depth(ctx);
         let decision = self
             .admission
             .admit(now, device_depth, ctx_depth, priority, attempt);
@@ -800,6 +837,7 @@ impl Backend {
             submitted_at_s,
             priority,
         });
+        self.book_queued(ctx, true);
         self.stats.max_pending_depth = self.stats.max_pending_depth.max(self.pending.len() as u64);
         Ok(seq)
     }

@@ -4,15 +4,17 @@
 //! matching per device, and the dispatch of one group — coordination,
 //! the decision engine's verdict and its overrides, execution, records.
 
+use std::convert::Infallible;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
-use ewc_models::PolicyKnob;
+use ewc_models::{ConsolidationPlan, KernelSpec, PolicyKnob};
 use ewc_telemetry::{DecisionRecord, Verdict};
 
 use super::ladder::MemberFate;
 use super::Backend;
 use crate::admission::{Priority, ShedCause};
-use crate::decision::Choice;
+use crate::decision::{Assessment, Choice, DecisionEngine};
 use crate::protocol::{CoreError, KernelRequest};
 use crate::stats::{ConsolidationRecord, KernelOutcome};
 
@@ -207,6 +209,9 @@ impl Backend {
             .collect();
         self.pending
             .extend(self.extract_scratch.drain(..).flatten());
+        for r in &group {
+            self.book_queued(r.ctx, false);
+        }
         group
     }
 
@@ -219,17 +224,9 @@ impl Backend {
         self.stats.coordination_s += coord.cost_s;
         self.clock.advance_by(coord.cost_s);
 
-        // Model the alternatives.
-        let mut plan = ewc_models::ConsolidationPlan::new();
-        let mut cpu_tasks = Vec::with_capacity(group.len());
-        for req in &group {
-            plan.push(ewc_models::KernelSpec::new(
-                req.kernel.desc.clone(),
-                req.kernel.blocks,
-            ));
-            cpu_tasks.push(req.kernel.cpu_task.clone());
-        }
-        let mut assessment = self.decision.assess(&plan, &cpu_tasks);
+        // Model the alternatives. The overrides below change this local
+        // copy, never the remembered assessment.
+        let mut assessment = self.assess(&group);
         let mut forced = false;
         if self.cfg.force_gpu && assessment.choice == Choice::Cpu {
             forced = true;
@@ -306,7 +303,9 @@ impl Backend {
             Choice::Consolidate => self.run_ladder(device, &group, true),
             Choice::SerialGpu => self.run_ladder(device, &group, false),
             Choice::Cpu => {
-                self.run_cpu(device, &group, &cpu_tasks);
+                // The assessment already simulated these tasks on the CPU.
+                let (time_s, energy_j) = (assessment.cpu_time_s, assessment.cpu_energy_j);
+                self.run_cpu(device, &group, time_s, energy_j);
                 group
                     .iter()
                     .map(|_| MemberFate::Done(Choice::Cpu))
@@ -377,6 +376,22 @@ impl Backend {
         }
     }
 
+    /// The decision engine's assessment of `group`, made once per shape.
+    ///
+    /// [`DecisionEngine::assess`] is a pure function of the members'
+    /// registered kernels in layout order, and the registry is fixed when
+    /// the backend starts, so each kernel's address names it for the
+    /// backend's whole life: a group whose addresses match an earlier
+    /// group's, in order, reuses that group's assessment.
+    fn assess(&mut self, group: &[KernelRequest]) -> Assessment {
+        let decision = &self.decision;
+        let Ok(assessment) = self.assessments.get_or_try_insert(
+            group.iter().map(|r| Arc::as_ptr(&r.kernel) as usize),
+            || Ok::<_, Infallible>(assess_group(decision, group)),
+        );
+        assessment
+    }
+
     /// Record the verdict and the predictions that justified it.
     fn audit_decision(
         &self,
@@ -431,6 +446,19 @@ impl Backend {
     }
 }
 
+/// Assess `group` from scratch: the GPU plan and the CPU tasks of its
+/// members, in layout order.
+fn assess_group(decision: &DecisionEngine, group: &[KernelRequest]) -> Assessment {
+    let plan = ConsolidationPlan {
+        members: group
+            .iter()
+            .map(|r| KernelSpec::new(r.kernel.desc.clone(), r.kernel.blocks))
+            .collect(),
+    };
+    let cpu_tasks: Vec<_> = group.iter().map(|r| r.kernel.cpu_task.clone()).collect();
+    decision.assess(&plan, &cpu_tasks)
+}
+
 /// The counter of groups that ended in `choice`: `verdict_<label>`.
 fn verdict_counter(choice: Choice) -> &'static str {
     match choice {
@@ -446,5 +474,92 @@ fn verdict_of(choice: Choice) -> Verdict {
         Choice::Consolidate => Verdict::Consolidate,
         Choice::SerialGpu => Verdict::SerialGpu,
         Choice::Cpu => Verdict::Cpu,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use ewc_gpu::GpuConfig;
+    use ewc_workloads::{AesWorkload, BlackScholesWorkload, Workload};
+
+    use super::Backend;
+    use crate::admission::Priority;
+    use crate::protocol::KernelRequest;
+    use crate::{Runtime, RuntimeConfig, Template};
+
+    fn runtime() -> Runtime {
+        let cfg = GpuConfig::tesla_c1060();
+        Runtime::builder(RuntimeConfig {
+            threshold_factor: 1_000_000,
+            force_gpu: true,
+            ..RuntimeConfig::default()
+        })
+        .workload("encryption", Arc::new(AesWorkload::fig7(&cfg)))
+        .workload(
+            "blackscholes",
+            Arc::new(BlackScholesWorkload::tables56(&cfg)),
+        )
+        .template(Template::homogeneous("encryption"))
+        .build()
+    }
+
+    /// A group of the named registered kernels, in the order given.
+    fn group(b: &Backend, names: &[&str]) -> Vec<KernelRequest> {
+        names
+            .iter()
+            .enumerate()
+            .map(|(seq, name)| KernelRequest {
+                ctx: 1,
+                seq: seq as u64,
+                kernel: Arc::clone(&b.registry[*name]),
+                args: Vec::new(),
+                submitted_at_s: 0.0,
+                priority: Priority::Normal,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn repeated_shapes_reuse_and_layout_order_is_part_of_the_key() {
+        let rt = runtime();
+        let mut guard = rt.backend().lock().unwrap();
+        let b = guard.as_mut().unwrap();
+        let ab = group(b, &["encryption", "blackscholes"]);
+        let ba = group(b, &["blackscholes", "encryption"]);
+        let first = format!("{:?}", b.assess(&ab));
+        assert_eq!(b.assessments.reuses(), 0);
+        assert_eq!(format!("{:?}", b.assess(&ab)), first);
+        assert_eq!(b.assessments.reuses(), 1, "the same shape reuses");
+        b.assess(&ba);
+        assert_eq!(b.assessments.reuses(), 1, "another layout order misses");
+        b.assess(&group(b, &["encryption", "blackscholes", "encryption"]));
+        assert_eq!(b.assessments.reuses(), 1, "another member count misses");
+        b.assess(&ba);
+        assert_eq!(b.assessments.reuses(), 2);
+    }
+
+    #[test]
+    fn a_session_of_one_shape_decides_and_simulates_it_once() {
+        let rt = runtime();
+        let aes = AesWorkload::fig7(&GpuConfig::tesla_c1060());
+        let mut fe = rt.connect();
+        for _ in 0..3 {
+            for _ in 0..2 {
+                let (args, _) = aes.build_args(&mut fe, 1).unwrap();
+                fe.configure_call(aes.blocks(), aes.desc().threads_per_block)
+                    .unwrap();
+                for a in args {
+                    fe.setup_argument(a).unwrap();
+                }
+                fe.launch("encryption").unwrap();
+            }
+            fe.sync().unwrap();
+        }
+        drop(fe);
+        let stats = rt.shutdown().stats;
+        assert_eq!((stats.records.len(), stats.launches), (3, 3));
+        assert_eq!((stats.decision_reuses, stats.simulation_reuses), (2, 2));
     }
 }

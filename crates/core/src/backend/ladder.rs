@@ -2,7 +2,6 @@
 //! consolidated → serial re-dispatch, the CPU lifeboat, and the
 //! permanent failure delivered at the owner's next `sync`.
 
-use ewc_cpu::CpuTask;
 use ewc_gpu::grid::GridSegment;
 use ewc_gpu::kernel::LaunchConfig;
 use ewc_gpu::{GpuError, Grid};
@@ -81,7 +80,10 @@ impl Backend {
                             req.kernel.name, req.seq
                         ),
                     );
-                    self.run_cpu(device, member, std::slice::from_ref(&req.kernel.cpu_task));
+                    let (time_s, energy_j) = self
+                        .decision
+                        .run_on_cpu(std::slice::from_ref(&req.kernel.cpu_task));
+                    self.run_cpu(device, member, time_s, energy_j);
                     MemberFate::Done(Choice::Cpu)
                 }
                 Err(e) => {
@@ -196,11 +198,16 @@ impl Backend {
 
     /// The CPU rung: run the members' functional bodies host-side into
     /// the backend-owned device buffers (frontends read back as usual)
-    /// and charge CPU time and energy.
-    pub(super) fn run_cpu(&mut self, device: usize, group: &[KernelRequest], tasks: &[CpuTask]) {
+    /// and charge the CPU simulator's `makespan` and `energy` for them.
+    pub(super) fn run_cpu(
+        &mut self,
+        device: usize,
+        group: &[KernelRequest],
+        makespan: f64,
+        energy: f64,
+    ) {
         // The instances run on the host; results must still materialise
         // in the (backend-owned) device buffers the frontends will read.
-        let (makespan, energy) = self.decision.run_on_cpu(tasks);
         self.grid_of(group)
             .run_bodies(self.gpus[device].memory_mut());
         // CPU work occupies the host timeline; the device just waits for

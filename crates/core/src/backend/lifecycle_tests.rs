@@ -74,6 +74,7 @@ fn depart(rt: &Runtime, fe: Frontend) {
 fn assert_devices_clean(rt: &Runtime) {
     inspect(rt, |b| {
         assert!(b.contexts.is_empty() && b.pending.is_empty());
+        assert!(b.queued_on.iter().all(|&n| n == 0), "{:?}", b.queued_on);
         for (d, gpu) in b.gpus.iter().enumerate() {
             let capacity = gpu.config().global_mem_bytes;
             assert_eq!(gpu.memory().free_bytes(), capacity, "gpu{d} leaked");

@@ -89,6 +89,10 @@ impl Backend {
         record.remap.extend(staged);
         record.remap.extend(const_remaps);
         record.device = Some(to);
+        // Its launches still queued now wait on `to`.
+        let queued = record.queued;
+        self.queued_on[from] -= queued;
+        self.queued_on[to] += queued;
         // The bytes cross PCIe twice (device→host staging, host→device):
         // one latency + bandwidth charge per leg, on the host clock —
         // the backend orchestrates the drain synchronously.

@@ -131,6 +131,14 @@ pub struct BackendStats {
     /// Queued permanent-failure notices dropped because their context
     /// was already reaped (nobody left to sync and collect them).
     pub undelivered_failures: u64,
+    /// Groups whose assessment was reused from an earlier group of the
+    /// same shape (the same registered kernels in the same layout
+    /// order) instead of asking the decision engine again.
+    pub decision_reuses: u64,
+    /// Device launches whose timing simulation was reused from an
+    /// earlier launch of the same shape on that device, summed over the
+    /// devices at shutdown.
+    pub simulation_reuses: u64,
     /// Every context→device binding (and migration) the fleet governor
     /// made, in binding order — the placement audit trail the same-seed
     /// determinism tests replay.

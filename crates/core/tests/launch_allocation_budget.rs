@@ -6,17 +6,20 @@
 //! same harness (with the pass written out as the `BlockCtx` loop that
 //! `GpuDevice::launch` then held):
 //!
-//! | | parent | now |
-//! |---|---|---|
-//! | search functional pass, per block | 2 | 0 |
-//! | warmed-up `search` group of ten through `Runtime`, per admitted request | 14.5 | 6.5 |
+//! | | parent | then | with the shape memos |
+//! |---|---|---|---|
+//! | search functional pass, per block | 2 | 0 | 0 |
+//! | warmed-up `search` group of ten through `Runtime`, per admitted request | 14.5 | 6.5 | 3.0 |
 //!
 //! The eight a request no longer pays: an `Arc<str>` for the kernel
 //! name at the frontend, another inside `cpu_task()`, a body closure
 //! and its copy of the pattern, and a text copy plus a one-word `Vec`
-//! in each of this kernel's two blocks. Of the 6.5 that remain one is
+//! in each of this kernel's two blocks. Of the 3.0 that remain one is
 //! the request's own (its pointer-resolved arguments); the rest is the
-//! group's — matcher, plan, decision, engine run, records — over ten.
+//! group's — matcher, grid, records — over ten. The plan, the decision
+//! and the engine run are made once per group shape, not per group;
+//! debug builds still make them on every group, to check the reuse, and
+//! count 7.0.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -143,10 +146,12 @@ fn a_warmed_up_search_group_allocates_a_fixed_number_per_request() {
     });
     let requests = (GROUP * GROUPS) as u64;
     println!("{:.1} per request", count as f64 / requests as f64);
-    // 65 per group of ten measured; the slack is for the statistics
-    // vectors doubling.
+    // 30 per group of ten measured in release; the slack is for the
+    // statistics vectors doubling. Debug builds measure 70: they redo
+    // every reused assessment and simulation to check it.
+    let per_request = if cfg!(debug_assertions) { 8 } else { 4 };
     assert!(
-        count <= 7 * requests,
+        count <= per_request * requests,
         "{count} allocations for {requests} admitted requests"
     );
     drop(frontends);

@@ -21,6 +21,11 @@
 //!   ledger). No work stealing: workers pull indices from a shared
 //!   counter and results merge positionally, so any parallelism level
 //!   produces the same bytes as a serial run.
+//! * [`FxHasher`] — the one fast hasher, for map keys the runtime builds
+//!   itself (context ids, kernel addresses, launch shapes).
+//! * [`Memo`] — a bounded memo for a pure function called with the same
+//!   arguments over and over; debug builds check every hit against a
+//!   fresh call.
 //!
 //! The crate is dependency-free and knows nothing about GPUs, energy or
 //! telemetry — it is the seam the rest of the workspace plugs into.
@@ -32,11 +37,15 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod clock;
+mod hash;
+mod memo;
 mod pool;
 mod queue;
 mod task;
 
 pub use clock::VirtualClock;
+pub use hash::{FxBuildHasher, FxHasher};
+pub use memo::Memo;
 pub use pool::fan_out;
 pub use queue::{Event, EventQueue};
 pub use task::{Executor, SimTask};

@@ -7,6 +7,15 @@
 //! consistent with the engine's timing model. Launches execute functional
 //! kernel bodies against real device memory *and* simulate timing, so
 //! callers get both answers and durations.
+//!
+//! The timing simulation is a pure function of the launch's shape, and a
+//! consolidation backend launches the same few shapes all its life, so
+//! each device simulates a shape once and reuses the outcome
+//! ([`GpuDevice::simulation_reuses`] counts how often). Everything else —
+//! fault injection, the functional pass, activity, telemetry, the clock —
+//! runs on every launch.
+
+use std::sync::Arc;
 
 pub use crate::memory::DevicePtr;
 
@@ -15,9 +24,11 @@ use crate::counters::ActivityInterval;
 use crate::engine::{ExecutionEngine, SimOutcome};
 use crate::error::GpuError;
 use crate::fault::{DeviceFault, FaultInjectorHandle};
-use crate::kernel::LaunchConfig;
+use crate::grid::{Grid, GridSegment};
+use crate::kernel::{KernelDesc, LaunchConfig};
 use crate::memory::GlobalMemory;
-use ewc_exec::{EventQueue, VirtualClock};
+use crate::scheduler::DispatchPolicy;
+use ewc_exec::{EventQueue, Memo, VirtualClock};
 
 use crate::transfer::{Direction, DmaEngine, DmaStats};
 
@@ -56,8 +67,43 @@ pub struct LaunchReport {
     pub elapsed_s: f64,
     /// Device time at which the launch started.
     pub started_at_s: f64,
-    /// Detailed simulation outcome (trace, counters, activity profile).
-    pub sim: SimOutcome,
+    /// Detailed simulation outcome (trace, counters, activity profile),
+    /// shared with every other launch of the same shape.
+    pub sim: Arc<SimOutcome>,
+}
+
+/// Everything [`ExecutionEngine::run`] reads of a launch, as words: the
+/// engine's clock, the dispatch policy, then [`segment_words`] per
+/// segment.
+fn shape_key(clock_hz: f64, policy: DispatchPolicy, grid: &Grid) -> impl Iterator<Item = u64> + '_ {
+    [clock_hz.to_bits(), policy as u64]
+        .into_iter()
+        .chain(grid.segments().iter().flat_map(segment_words))
+}
+
+/// A segment's block count and every descriptor field the engine reads:
+/// all but the name, which its outcome never carries.
+fn segment_words(seg: &GridSegment) -> [u64; 6] {
+    // Exhaustive on purpose: a new descriptor field fails to compile
+    // here until the key covers it (or names it as unread).
+    let KernelDesc {
+        name: _,
+        threads_per_block,
+        regs_per_thread,
+        shared_mem_per_block,
+        comp_insts,
+        coalesced_mem,
+        uncoalesced_mem,
+        sync_insts,
+    } = &seg.desc;
+    [
+        u64::from(seg.blocks) << 32 | u64::from(*threads_per_block),
+        u64::from(*regs_per_thread) << 32 | u64::from(*shared_mem_per_block),
+        comp_insts.to_bits(),
+        coalesced_mem.to_bits(),
+        uncoalesced_mem.to_bits(),
+        sync_insts.to_bits(),
+    ]
 }
 
 /// What device `d` calls itself in the trace: process `gpu<d>`, one lane
@@ -96,6 +142,8 @@ pub struct GpuDevice {
     /// Power-state control; `None` until the power-state stack is
     /// enabled for this device (the byte-identical default).
     dvfs: Option<DvfsControl>,
+    /// Timing simulations by [`shape_key`].
+    sims: Memo<u64, Arc<SimOutcome>>,
 }
 
 impl GpuDevice {
@@ -119,6 +167,7 @@ impl GpuDevice {
             injector: None,
             faults_served: 0,
             dvfs: None,
+            sims: Memo::default(),
         }
     }
 
@@ -397,7 +446,7 @@ impl GpuDevice {
             }
         }
         // Timing first (validates the grid), then functional execution.
-        let sim = self.engine.run(&launch.grid, policy)?;
+        let sim = self.simulate(&launch.grid, policy)?;
 
         launch.grid.run_bodies(&mut self.mem);
 
@@ -422,6 +471,27 @@ impl GpuDevice {
             started_at_s,
             sim,
         })
+    }
+
+    /// The engine's outcome for `grid` under `policy`, simulated once per
+    /// [`shape_key`]. A shape that failed fails again, through the
+    /// engine, on every launch.
+    fn simulate(
+        &mut self,
+        grid: &Grid,
+        policy: DispatchPolicy,
+    ) -> Result<Arc<SimOutcome>, GpuError> {
+        let engine = &self.engine;
+        self.sims
+            .get_or_try_insert(shape_key(engine.config().clock_hz, policy, grid), || {
+                engine.run(grid, policy).map(Arc::new)
+            })
+    }
+
+    /// Launches whose timing simulation was reused from an earlier
+    /// launch of the same shape on this device.
+    pub fn simulation_reuses(&self) -> u64 {
+        self.sims.reuses()
     }
 
     /// Emit one kernel span plus a span per executed block, placed on the
@@ -636,6 +706,104 @@ mod tests {
         assert_eq!(gpu.power_level(), None);
         assert_eq!(gpu.freq_scale(), 1.0);
         assert!(gpu.state_transitions().is_empty());
+    }
+
+    fn mixed_grid(second: KernelDesc) -> Grid {
+        let first = KernelDesc::builder("a")
+            .threads_per_block(128)
+            .comp_insts(5e4)
+            .coalesced_mem(300.0)
+            .build();
+        crate::grid::ConsolidatedGrid::new()
+            .add(Grid::single(first, 7))
+            .add(Grid::single(second, 45))
+            .build()
+    }
+
+    fn second() -> KernelDesc {
+        KernelDesc::builder("b")
+            .threads_per_block(256)
+            .comp_insts(2e5)
+            .build()
+    }
+
+    #[test]
+    fn a_repeated_shape_reuses_its_simulation_with_identical_timing() {
+        let mut gpu = device();
+        let launch = LaunchConfig::from_grid(mixed_grid(second()));
+        let first = gpu.launch(&launch).unwrap();
+        let again = gpu.launch(&launch).unwrap();
+        assert_eq!(gpu.simulation_reuses(), 1);
+        assert!(Arc::ptr_eq(&first.sim, &again.sim), "the outcome is shared");
+        assert_eq!(first.elapsed_s.to_bits(), again.elapsed_s.to_bits());
+        assert!(again.started_at_s >= first.started_at_s + first.elapsed_s);
+        // Each launch recorded the shared profile at its own start.
+        let acts = gpu.activity();
+        let (a, b) = acts.split_at(acts.len() / 2);
+        let overhead = gpu.config().launch_overhead_s;
+        for (report, recorded) in [(&first, a), (&again, b)] {
+            assert_eq!(recorded.len(), report.sim.intervals.len());
+            for (iv, got) in report.sim.intervals.iter().zip(recorded) {
+                let want = report.started_at_s + overhead + iv.start_s;
+                assert_eq!(got.start_s.to_bits(), want.to_bits());
+                assert_eq!((got.dur_s, got.rates), (iv.dur_s, iv.rates));
+            }
+        }
+        // A fresh device that never saw the shape agrees bit for bit.
+        let cold = device().launch(&launch).unwrap();
+        assert_eq!(*cold.sim, *again.sim);
+    }
+
+    #[test]
+    fn clock_policy_and_descriptor_changes_each_miss() {
+        let mut gpu = device();
+        let base = LaunchConfig::from_grid(mixed_grid(second()));
+        gpu.launch(&base).unwrap();
+        // Another name, same numbers: the name is not part of the shape.
+        let mut renamed = second();
+        renamed.name = "b-renamed".into();
+        gpu.launch(&LaunchConfig::from_grid(mixed_grid(renamed)))
+            .unwrap();
+        assert_eq!(gpu.simulation_reuses(), 1);
+
+        let base_policy = base.clone().with_policy(DispatchPolicy::GreedyGlobal);
+        gpu.launch(&base_policy).unwrap();
+        assert_eq!(gpu.simulation_reuses(), 1, "a different policy misses");
+
+        let mut tweaked = second();
+        tweaked.comp_insts *= 1.5;
+        gpu.launch(&LaunchConfig::from_grid(mixed_grid(tweaked)))
+            .unwrap();
+        assert_eq!(gpu.simulation_reuses(), 1, "a changed field misses");
+
+        let fast = gpu.launch(&base).unwrap();
+        assert_eq!(gpu.simulation_reuses(), 2);
+        assert!(gpu.set_power_state(2, 0.5, 0.0));
+        let slow = gpu.launch(&base).unwrap();
+        assert_eq!(gpu.simulation_reuses(), 2, "a DVFS state change misses");
+        assert!(slow.sim.elapsed_s > fast.sim.elapsed_s);
+        // Back at the top clock the first simulation is still there.
+        assert!(gpu.set_power_state(0, 1.0, 0.0));
+        let back = gpu.launch(&base).unwrap();
+        assert_eq!(gpu.simulation_reuses(), 3);
+        assert!(Arc::ptr_eq(&back.sim, &fast.sim));
+    }
+
+    #[test]
+    fn failed_simulations_are_not_remembered() {
+        let mut gpu = device();
+        let huge = KernelDesc::builder("huge")
+            .threads_per_block(2048)
+            .comp_insts(1.0)
+            .build();
+        let launch = LaunchConfig::single(huge, 1);
+        for _ in 0..2 {
+            assert!(matches!(
+                gpu.launch(&launch),
+                Err(GpuError::Unschedulable(_))
+            ));
+        }
+        assert_eq!(gpu.simulation_reuses(), 0);
     }
 
     #[test]
