@@ -48,98 +48,113 @@ const SBOX: [u8; 256] = [
 
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
-/// Expanded AES-128 key schedule: 11 round keys of 16 bytes.
-pub fn expand_key(key: &[u8; 16]) -> [[u8; 16]; 11] {
-    let mut w = [[0u8; 4]; 44];
-    for i in 0..4 {
-        w[i].copy_from_slice(&key[4 * i..4 * i + 4]);
+/// An expanded AES-128 key schedule: 11 round keys of four big-endian
+/// column words each.
+pub type RoundKeys = [u32; 44];
+
+/// Multiply by `x` in GF(2^8).
+const fn xtime(b: u8) -> u8 {
+    (b << 1) ^ (if b & 0x80 != 0 { 0x1b } else { 0 })
+}
+
+/// SubBytes + MixColumns for one byte in row 0 of a column: entry `x` is
+/// the column `(2·S[x], S[x], S[x], 3·S[x])` as a big-endian word. A byte
+/// in row `r` contributes the same column rotated right by `8r` bits, so
+/// the other three tables are rotations of this one.
+const fn te_table() -> [u32; 256] {
+    let mut t = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let s = SBOX[i];
+        let s2 = xtime(s);
+        t[i] = u32::from_be_bytes([s2, s, s, s2 ^ s]);
+        i += 1;
+    }
+    t
+}
+
+const TE: [u32; 256] = te_table();
+
+/// Expand a key into its 11 round keys.
+pub fn expand_key(key: &[u8; 16]) -> RoundKeys {
+    let mut w = [0u32; 44];
+    for (i, word) in key.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes(word.try_into().expect("4-byte key word"));
     }
     for i in 4..44 {
         let mut t = w[i - 1];
         if i % 4 == 0 {
-            t.rotate_left(1);
-            for b in &mut t {
-                *b = SBOX[*b as usize];
-            }
-            t[0] ^= RCON[i / 4 - 1];
+            t = sub_word(t.rotate_left(8)) ^ (u32::from(RCON[i / 4 - 1]) << 24);
         }
-        for j in 0..4 {
-            w[i][j] = w[i - 4][j] ^ t[j];
-        }
+        w[i] = w[i - 4] ^ t;
     }
-    let mut rk = [[0u8; 16]; 11];
-    for (r, chunk) in w.chunks_exact(4).enumerate() {
-        for (c, word) in chunk.iter().enumerate() {
-            rk[r][4 * c..4 * c + 4].copy_from_slice(word);
-        }
-    }
-    rk
+    w
 }
 
+/// The S-box applied to each byte of a word.
 #[inline]
-fn xtime(b: u8) -> u8 {
-    (b << 1) ^ (if b & 0x80 != 0 { 0x1b } else { 0 })
+fn sub_word(w: u32) -> u32 {
+    u32::from_be_bytes(w.to_be_bytes().map(|b| SBOX[b as usize]))
+}
+
+/// Byte `r` (0 = most significant) of a column word, as a table index.
+#[inline(always)]
+fn byte(w: u32, r: u32) -> usize {
+    ((w >> (24 - 8 * r)) & 0xff) as usize
 }
 
 /// Encrypt one 16-byte block in place with an expanded key schedule.
-pub fn encrypt_block(state: &mut [u8; 16], rk: &[[u8; 16]; 11]) {
-    let add = |s: &mut [u8; 16], k: &[u8; 16]| {
-        for i in 0..16 {
-            s[i] ^= k[i];
-        }
-    };
-    let sub = |s: &mut [u8; 16]| {
-        for b in s.iter_mut() {
-            *b = SBOX[*b as usize];
-        }
-    };
-    // State is column-major: byte (row r, col c) lives at 4c + r.
-    let shift = |s: &mut [u8; 16]| {
-        let t = *s;
-        for r in 1..4 {
-            for c in 0..4 {
-                s[4 * c + r] = t[4 * ((c + r) % 4) + r];
-            }
-        }
-    };
-    let mix = |s: &mut [u8; 16]| {
-        for c in 0..4 {
-            let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
-            let all = col[0] ^ col[1] ^ col[2] ^ col[3];
-            for r in 0..4 {
-                s[4 * c + r] = col[r] ^ all ^ xtime(col[r] ^ col[(r + 1) % 4]);
-            }
-        }
-    };
-
-    add(state, &rk[0]);
-    for round_key in rk.iter().take(10).skip(1) {
-        sub(state);
-        shift(state);
-        mix(state);
-        add(state, round_key);
+///
+/// State is column-major (byte (row r, col c) lives at 4c + r), held as
+/// four column words. Each of rounds 1–9 is SubBytes, ShiftRows and
+/// MixColumns fused into four table lookups per output column: column
+/// `c` takes row `r` from input column `c + r`. The last round has no
+/// MixColumns and looks up the S-box directly.
+#[inline]
+pub fn encrypt_block(state: &mut [u8; 16], rk: &RoundKeys) {
+    let mut s = [0u32; 4];
+    for (c, word) in s.iter_mut().enumerate() {
+        let col = [
+            state[4 * c],
+            state[4 * c + 1],
+            state[4 * c + 2],
+            state[4 * c + 3],
+        ];
+        *word = u32::from_be_bytes(col) ^ rk[c];
     }
-    sub(state);
-    shift(state);
-    add(state, &rk[10]);
+    for round in rk[4..40].chunks_exact(4) {
+        s = core::array::from_fn(|c| {
+            TE[byte(s[c], 0)]
+                ^ TE[byte(s[(c + 1) % 4], 1)].rotate_right(8)
+                ^ TE[byte(s[(c + 2) % 4], 2)].rotate_right(16)
+                ^ TE[byte(s[(c + 3) % 4], 3)].rotate_right(24)
+                ^ round[c]
+        });
+    }
+    for c in 0..4 {
+        let col: [u8; 4] = core::array::from_fn(|r| SBOX[byte(s[(c + r) % 4], r as u32)]);
+        let word = u32::from_be_bytes(col) ^ rk[40 + c];
+        state[4 * c..4 * c + 4].copy_from_slice(&word.to_be_bytes());
+    }
 }
 
 /// Encrypt a buffer (length must be a multiple of 16) in ECB mode.
 pub fn encrypt_ecb(data: &[u8], key: &[u8; 16]) -> Vec<u8> {
+    let mut out = data.to_vec();
+    encrypt_blocks(&mut out, &expand_key(key));
+    out
+}
+
+/// Encrypt whole 16-byte blocks in place (length must be a multiple of 16).
+fn encrypt_blocks(buf: &mut [u8], rk: &RoundKeys) {
     assert_eq!(
-        data.len() % 16,
+        buf.len() % 16,
         0,
         "AES-ECB input must be a multiple of 16 bytes"
     );
-    let rk = expand_key(key);
-    let mut out = Vec::with_capacity(data.len());
-    for chunk in data.chunks_exact(16) {
-        let mut b = [0u8; 16];
-        b.copy_from_slice(chunk);
-        encrypt_block(&mut b, &rk);
-        out.extend_from_slice(&b);
+    for block in buf.chunks_exact_mut(16) {
+        encrypt_block(block.try_into().expect("16-byte chunk"), rk);
     }
-    out
 }
 
 /// Bytes one pass of the kernel body encrypts on the stack (a multiple
@@ -155,7 +170,7 @@ pub struct AesWorkload {
     data_bytes: usize,
     /// [`DEMO_KEY`]'s schedule, expanded once per instance rather than
     /// on every [`Workload::body`] call.
-    round_keys: [[u8; 16]; 11],
+    round_keys: RoundKeys,
     desc: KernelDesc,
     blocks: u32,
     cpu_work_core_s: f64,
@@ -287,10 +302,7 @@ impl Workload for AesWorkload {
                     .read(input, at as u64, tile.len() as u64)
                     .expect("arg0: AES input in bounds");
                 tile.copy_from_slice(raw);
-                for block in tile.chunks_exact_mut(16) {
-                    let block: &mut [u8; 16] = block.try_into().expect("16-byte chunk");
-                    encrypt_block(block, &rk);
-                }
+                encrypt_blocks(tile, &rk);
                 mem.write(output, at as u64, tile)
                     .expect("arg1: AES output in bounds");
                 at += tile.len();
@@ -322,7 +334,9 @@ impl Workload for AesWorkload {
     }
 
     fn expected_output(&self, seed: u64) -> Vec<u8> {
-        encrypt_ecb(&crate::data::bytes(seed, self.data_bytes), &DEMO_KEY)
+        let mut data = crate::data::bytes(seed, self.data_bytes);
+        encrypt_blocks(&mut data, &self.round_keys);
+        data
     }
 
     fn constant_data(&self) -> Option<(&'static str, Vec<u8>)> {
@@ -347,6 +361,66 @@ mod tests {
     use ewc_gpu::GpuDevice;
     use ewc_gpu::{BlockCost, GpuConfig};
 
+    /// The byte-oriented FIPS-197 cipher (SubBytes, ShiftRows,
+    /// MixColumns, AddRoundKey on a 16-byte state): the oracle the
+    /// T-table rounds are swept against.
+    fn encrypt_block_bytewise(state: &mut [u8; 16], rk: &RoundKeys) {
+        let add = |s: &mut [u8; 16], k: &[u32]| {
+            for (c, word) in k.iter().enumerate() {
+                for (r, b) in word.to_be_bytes().into_iter().enumerate() {
+                    s[4 * c + r] ^= b;
+                }
+            }
+        };
+        let sub = |s: &mut [u8; 16]| {
+            for b in s.iter_mut() {
+                *b = SBOX[*b as usize];
+            }
+        };
+        let shift = |s: &mut [u8; 16]| {
+            let t = *s;
+            for r in 1..4 {
+                for c in 0..4 {
+                    s[4 * c + r] = t[4 * ((c + r) % 4) + r];
+                }
+            }
+        };
+        let mix = |s: &mut [u8; 16]| {
+            for c in 0..4 {
+                let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
+                let all = col[0] ^ col[1] ^ col[2] ^ col[3];
+                for r in 0..4 {
+                    s[4 * c + r] = col[r] ^ all ^ xtime(col[r] ^ col[(r + 1) % 4]);
+                }
+            }
+        };
+        add(state, &rk[..4]);
+        for round_key in rk[4..40].chunks_exact(4) {
+            sub(state);
+            shift(state);
+            mix(state);
+            add(state, round_key);
+        }
+        sub(state);
+        shift(state);
+        add(state, &rk[40..]);
+    }
+
+    #[test]
+    fn ttable_rounds_match_the_bytewise_cipher() {
+        for seed in 0..256u64 {
+            let key: [u8; 16] = crate::data::bytes(seed, 16).try_into().unwrap();
+            let rk = expand_key(&key);
+            for block in crate::data::bytes(seed ^ 0x5eed, 16 * 16).chunks_exact(16) {
+                let mut fast: [u8; 16] = block.try_into().unwrap();
+                let mut oracle = fast;
+                encrypt_block(&mut fast, &rk);
+                encrypt_block_bytewise(&mut oracle, &rk);
+                assert_eq!(fast, oracle, "key seed {seed}");
+            }
+        }
+    }
+
     #[test]
     fn fips197_appendix_b_vector() {
         let key: [u8; 16] = [
@@ -362,9 +436,11 @@ mod tests {
             0x0b, 0x32,
         ];
         let rk = expand_key(&key);
-        let mut state = plain;
-        encrypt_block(&mut state, &rk);
-        assert_eq!(state, expect);
+        for cipher in [encrypt_block, encrypt_block_bytewise] {
+            let mut state = plain;
+            cipher(&mut state, &rk);
+            assert_eq!(state, expect);
+        }
     }
 
     #[test]
@@ -375,9 +451,11 @@ mod tests {
             0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
             0xc5, 0x5a,
         ];
-        let mut state = plain;
-        encrypt_block(&mut state, &expand_key(&key));
-        assert_eq!(state, expect);
+        for cipher in [encrypt_block, encrypt_block_bytewise] {
+            let mut state = plain;
+            cipher(&mut state, &expand_key(&key));
+            assert_eq!(state, expect);
+        }
     }
 
     #[test]

@@ -70,6 +70,10 @@ pub fn price_batch(spots: &[f32], strikes: &[f32], times: &[f32]) -> Vec<f32> {
     out
 }
 
+/// The three input runs, in device order: seed salt and `[lo, hi)` of
+/// the spots, the strikes and the times to maturity.
+const INPUT_RUNS: [(u64, f32, f32); 3] = [(0, 5.0, 30.0), (1, 1.0, 100.0), (2, 0.25, 10.0)];
+
 /// Options one pass of the kernel body prices on the stack.
 const TILE_OPTIONS: usize = 128;
 
@@ -216,14 +220,10 @@ impl Workload for BlackScholesWorkload {
         let n = self.options;
         let input = gpu.alloc_bytes((n * 4 * 3) as u64)?;
         let output = gpu.alloc_bytes((n * 4 * 2) as u64)?;
-        let spots = crate::data::f32s(seed, n, 5.0, 30.0);
-        let strikes = crate::data::f32s(seed ^ 1, n, 1.0, 100.0);
-        let times = crate::data::f32s(seed ^ 2, n, 0.25, 10.0);
-        let mut raw = Vec::with_capacity(n * 4 * 3);
-        for arr in [&spots, &strikes, &times] {
-            for v in arr.iter() {
-                raw.extend_from_slice(&v.to_le_bytes());
-            }
+        let mut raw = vec![0u8; n * 4 * 3];
+        for (i, (salt, lo, hi)) in INPUT_RUNS.into_iter().enumerate() {
+            let run = &mut raw[i * n * 4..(i + 1) * n * 4];
+            crate::data::f32s_le_into(seed ^ salt, lo, hi, run);
         }
         gpu.upload(input, 0, &raw)?;
         Ok((
@@ -242,9 +242,8 @@ impl Workload for BlackScholesWorkload {
 
     fn expected_output(&self, seed: u64) -> Vec<u8> {
         let n = self.options;
-        let spots = crate::data::f32s(seed, n, 5.0, 30.0);
-        let strikes = crate::data::f32s(seed ^ 1, n, 1.0, 100.0);
-        let times = crate::data::f32s(seed ^ 2, n, 0.25, 10.0);
+        let [spots, strikes, times] =
+            INPUT_RUNS.map(|(salt, lo, hi)| crate::data::f32s(seed ^ salt, n, lo, hi));
         let prices = price_batch(&spots, &strikes, &times);
         let mut out = Vec::with_capacity(prices.len() * 4);
         for p in prices {

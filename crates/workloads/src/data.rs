@@ -28,8 +28,23 @@ pub fn u32s(seed: u64, n: usize) -> Vec<u32> {
 
 /// `n` pseudo-random `f32`s uniform in `[lo, hi)`.
 pub fn f32s(seed: u64, n: usize, lo: f32, hi: f32) -> Vec<f32> {
+    f32_stream(seed, lo, hi).take(n).collect()
+}
+
+/// The values [`f32s`] returns, encoded little-endian straight into
+/// `out` (one per 4 bytes) with no intermediate vector.
+pub fn f32s_le_into(seed: u64, lo: f32, hi: f32, out: &mut [u8]) {
+    for (slot, v) in out.chunks_exact_mut(4).zip(f32_stream(seed, lo, hi)) {
+        slot.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// The draws of [`SimRng::range_f32`], with its bounds checked once
+/// rather than per element.
+fn f32_stream(seed: u64, lo: f32, hi: f32) -> impl Iterator<Item = f32> {
+    assert!(hi > lo, "empty range [{lo}, {hi})");
     let mut r = rng(seed);
-    (0..n).map(|_| r.range_f32(lo, hi)).collect()
+    std::iter::repeat_with(move || lo + (hi - lo) * r.next_f32())
 }
 
 /// Lowercase ASCII text with spaces, for the search workload.
@@ -65,6 +80,20 @@ mod tests {
         for v in f32s(7, 1000, 10.0, 20.0) {
             assert!((10.0..20.0).contains(&v));
         }
+    }
+
+    #[test]
+    fn f32_stream_is_the_range_f32_stream() {
+        let mut r = rng(4);
+        let direct: Vec<f32> = (0..64).map(|_| r.range_f32(0.25, 10.0)).collect();
+        assert_eq!(f32s(4, 64, 0.25, 10.0), direct);
+        let mut raw = vec![0u8; 64 * 4];
+        f32s_le_into(4, 0.25, 10.0, &mut raw);
+        let decoded: Vec<f32> = raw
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
+            .collect();
+        assert_eq!(decoded, direct);
     }
 
     #[test]

@@ -37,6 +37,11 @@ pub fn bitonic_sort(data: &mut [u32]) {
 /// the network over it: the first `n` elements are the sorted input.
 /// The kernel body decodes its chunk straight into `buf`, so the
 /// network's working copy is the only one.
+///
+/// A stage with distance `j` pairs `i` with `i + j` for every `i` with
+/// `i & j == 0`: the lower and upper halves of each `2j` block. All pairs
+/// of one block share a direction (bit `k` of the block's offset), so
+/// each block is one branch-free min/max sweep over two slices.
 fn bitonic_sort_padded(buf: &mut Vec<u32>) {
     let padded_len = buf.len().next_power_of_two();
     buf.resize(padded_len, u32::MAX);
@@ -45,13 +50,12 @@ fn bitonic_sort_padded(buf: &mut Vec<u32>) {
     while k <= padded_len {
         let mut j = k / 2;
         while j > 0 {
-            for i in 0..padded_len {
-                let l = i ^ j;
-                if l > i {
-                    let ascending = i & k == 0;
-                    if (ascending && buf[i] > buf[l]) || (!ascending && buf[i] < buf[l]) {
-                        buf.swap(i, l);
-                    }
+            for (b, block) in buf.chunks_exact_mut(2 * j).enumerate() {
+                let (lo, hi) = block.split_at_mut(j);
+                if (b * 2 * j) & k == 0 {
+                    compare_exchange(lo, hi);
+                } else {
+                    compare_exchange(hi, lo);
                 }
             }
             j /= 2;
@@ -60,26 +64,54 @@ fn bitonic_sort_padded(buf: &mut Vec<u32>) {
     }
 }
 
-/// Merge `chunks` (each individually sorted) into one sorted vector.
-pub fn merge_sorted_chunks(data: &[u32], chunk: usize) -> Vec<u32> {
-    let mut cursors: Vec<usize> = (0..data.len().div_ceil(chunk)).map(|c| c * chunk).collect();
-    let mut out = Vec::with_capacity(data.len());
-    while out.len() < data.len() {
-        let mut best: Option<(usize, u32)> = None;
-        for (ci, &pos) in cursors.iter().enumerate() {
-            let end = ((ci + 1) * chunk).min(data.len());
-            if pos < end {
-                let v = data[pos];
-                if best.map(|(_, bv)| v < bv).unwrap_or(true) {
-                    best = Some((ci, v));
-                }
-            }
-        }
-        let (ci, v) = best.expect("cursors exhausted before output filled");
-        out.push(v);
-        cursors[ci] += 1;
+/// Leave the smaller of each pair in `small` and the larger in `large`.
+#[inline]
+fn compare_exchange(small: &mut [u32], large: &mut [u32]) {
+    for (a, b) in small.iter_mut().zip(large) {
+        let (x, y) = (*a, *b);
+        *a = x.min(y);
+        *b = x.max(y);
     }
-    out
+}
+
+/// Merge `chunks` (each individually sorted) into one sorted vector:
+/// neighbouring runs are merged pairwise, doubling the run width each
+/// pass, between two buffers.
+pub fn merge_sorted_chunks(data: &[u32], chunk: usize) -> Vec<u32> {
+    merge_runs(data.to_vec(), chunk)
+}
+
+/// [`merge_sorted_chunks`] on a buffer it may take over: the first pass
+/// reads from it, so the merge allocates one more buffer, not two.
+fn merge_runs(mut src: Vec<u32>, chunk: usize) -> Vec<u32> {
+    assert!(chunk > 0 || src.is_empty(), "chunk width must be positive");
+    let mut dst = vec![0; src.len()];
+    let mut width = chunk;
+    while width < src.len() {
+        for (pair, out) in src.chunks(2 * width).zip(dst.chunks_mut(2 * width)) {
+            let (a, b) = pair.split_at(width.min(pair.len()));
+            merge_into(a, b, out);
+        }
+        std::mem::swap(&mut src, &mut dst);
+        width *= 2;
+    }
+    src
+}
+
+/// Merge two sorted runs into `out` (`a.len() + b.len()` long). Each
+/// step takes the smaller head by a select, not a branch: on random
+/// data the branch would mispredict every other element.
+fn merge_into(a: &[u32], b: &[u32], out: &mut [u32]) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        let take_a = x <= y;
+        out[i + j] = if take_a { x } else { y };
+        i += usize::from(take_a);
+        j += usize::from(!take_a);
+    }
+    let tail = if i < a.len() { &a[i..] } else { &b[j..] };
+    out[i + j..].copy_from_slice(tail);
 }
 
 /// A sorting instance.
@@ -193,7 +225,7 @@ impl Workload for SortWorkload {
                 let all = mem
                     .read_u32s(input, 0, n)
                     .expect("arg0: all elements in bounds");
-                let merged = merge_sorted_chunks(&all, chunk);
+                let merged = merge_runs(all, chunk);
                 mem.write_u32s(output, 0, &merged)
                     .expect("arg1: all elements in bounds");
             }
@@ -262,6 +294,56 @@ mod tests {
         let mut v = vec![5, 5, 0, u32::MAX, 5, 0, u32::MAX, 1];
         bitonic_sort(&mut v);
         assert_eq!(v, vec![0, 0, 1, 5, 5, 5, u32::MAX, u32::MAX]);
+    }
+
+    /// Random values with a quarter at `u32::MAX` (the padding sentinel)
+    /// and a quarter folded into 16 values, so runs of duplicates occur.
+    fn colliding_u32s(seed: u64, n: usize) -> Vec<u32> {
+        crate::data::u32s(seed, n)
+            .into_iter()
+            .map(|v| match v % 4 {
+                0 => u32::MAX,
+                1 => v % 16,
+                _ => v,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bitonic_sweep_matches_sort_unstable() {
+        for n in 0..=2049usize {
+            let mut v = colliding_u32s(n as u64, n);
+            let mut expect = v.clone();
+            expect.sort_unstable();
+            bitonic_sort(&mut v);
+            assert_eq!(v, expect, "length {n}");
+        }
+    }
+
+    #[test]
+    fn merge_sweep_matches_sort_unstable() {
+        // Every short length, then a stride up to 2049, then a length
+        // past Figure 8's 6 K elements.
+        let lengths =
+            (0..=256usize)
+                .chain((257..=2049).step_by(37))
+                .chain([2048, 2049, 6 * 1024 + 5]);
+        for n in lengths {
+            for chunks in 1..=16usize {
+                // The kernel's split (the last chunk ragged or empty) and
+                // one that leaves a short tail chunk.
+                for chunk in [n.div_ceil(chunks).max(1), (n / chunks).max(1)] {
+                    let mut data = colliding_u32s((n * 17 + chunks) as u64, n);
+                    for c in data.chunks_mut(chunk) {
+                        c.sort_unstable();
+                    }
+                    let mut expect = data.clone();
+                    expect.sort_unstable();
+                    let merged = merge_sorted_chunks(&data, chunk);
+                    assert_eq!(merged, expect, "length {n}, chunk {chunk}");
+                }
+            }
+        }
     }
 
     #[test]
