@@ -10,9 +10,7 @@
 //! against, so the table doubles as a regression check on the
 //! default-off equivalence rule.
 
-use std::sync::Arc;
-
-use ewc_core::{PowerStatesConfig, Runtime, RuntimeConfig, Template};
+use ewc_core::{PowerStatesConfig, RuntimeConfig};
 use ewc_energy::{
     GpuSystemPower, PowerCoefficients, PowerStateModel, ThermalModel, TrainingBenchmark,
 };
@@ -22,11 +20,13 @@ use ewc_models::{choose_state, ConsolidationPlan, EnergyModel, PolicyKnob, Power
 use ewc_telemetry::{TelemetrySink, Verdict};
 use ewc_workloads::{AesWorkload, Workload};
 
+use crate::mix::Mix;
 use crate::report::{joules, ratio, secs, Table};
+use crate::setups::run_batch;
 
 /// Instances per batch: one consolidation group at threshold 9, the
 /// same compute-heavy encryption group the decision tests study.
-const INSTANCES: u64 = 9;
+const INSTANCES: u32 = 9;
 
 /// One policy's end-to-end numbers.
 #[derive(Debug, Clone)]
@@ -61,7 +61,7 @@ fn probe() -> (f64, f64) {
         sys.idle_w,
     );
     let aes = AesWorkload::fig7(&cfg);
-    let plan = ConsolidationPlan::homogeneous(aes.desc(), aes.blocks(), INSTANCES as u32);
+    let plan = ConsolidationPlan::homogeneous(aes.desc(), aes.blocks(), INSTANCES);
     let stack = PowerStateModel::tesla_dvfs();
     let evals: Vec<_> = stack
         .table
@@ -82,46 +82,20 @@ fn probe() -> (f64, f64) {
 /// Run the nine-instance batch under one policy (or flat when `None`)
 /// and collect what actually happened on the device.
 fn run_one(policy: &str, ps: Option<PowerStatesConfig>) -> Row {
-    let cfg = GpuConfig::tesla_c1060();
-    let aes = Arc::new(AesWorkload::fig7(&cfg));
-    let rt = Runtime::builder(RuntimeConfig {
-        threshold_factor: INSTANCES as u32,
-        noise_seed: Some(42),
-        power_states: ps,
-        ..RuntimeConfig::default()
-    })
-    // Virtual span mode: batch boundaries per message, not per OS
-    // scheduling burst, so the rows replay bit for bit.
-    .telemetry(TelemetrySink::enabled_virtual(VirtualClock::new()))
-    .workload("encryption", Arc::clone(&aes) as Arc<dyn Workload>)
-    .template(Template::homogeneous("encryption"))
-    .build();
-
-    let mut sessions = Vec::new();
-    for i in 0..INSTANCES {
-        let mut fe = rt.connect();
-        let (args, bufs) = aes.build_args(&mut fe, i).expect("build args");
-        fe.configure_call(aes.blocks(), aes.desc().threads_per_block)
-            .expect("configure");
-        for a in &args {
-            fe.setup_argument(*a).expect("argument");
-        }
-        fe.launch("encryption").expect("launch");
-        sessions.push((fe, bufs, i));
-    }
-    for (fe, bufs, seed) in &sessions {
-        fe.sync().expect("sync");
-        let out = fe
-            .memcpy_d2h(bufs.output, 0, bufs.output_len)
-            .expect("readback");
-        assert_eq!(
-            out,
-            aes.expected_output(*seed),
-            "instance {seed} corrupted under {policy}"
-        );
-    }
-    drop(sessions);
-    let report = rt.shutdown();
+    let batch = run_batch(
+        RuntimeConfig {
+            threshold_factor: INSTANCES,
+            noise_seed: Some(42),
+            power_states: ps,
+            ..RuntimeConfig::default()
+        },
+        // Virtual span mode: batch boundaries per message, not per OS
+        // scheduling burst, so the rows replay bit for bit.
+        TelemetrySink::enabled_virtual(VirtualClock::new()),
+        &Mix::encryption(&GpuConfig::tesla_c1060(), INSTANCES),
+    );
+    assert!(batch.correct, "an instance was corrupted under {policy}");
+    let report = batch.report;
 
     // Which operating points the device actually visited, from the
     // state-change audit trail (`"... -> <state> (level N)"` reasons).

@@ -144,13 +144,7 @@ impl<'a> SimTask<ReplayCtx<'a>> for Submit {
             .expect("trace names are registered");
         let mut fe = ctx.rt.connect();
         fe.advance_clock(now_s).expect("advance clock");
-        let (args, bufs) = w.build_args(&mut fe, self.seq).expect("build");
-        fe.configure_call(w.blocks(), w.desc().threads_per_block)
-            .expect("configure");
-        for a in &args {
-            fe.setup_argument(*a).expect("argument");
-        }
-        fe.launch(self.name).expect("launch");
+        let bufs = fe.submit(self.name, w.as_ref(), self.seq).expect("submit");
         ctx.sessions.push(Session {
             fe,
             bufs,

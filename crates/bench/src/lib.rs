@@ -19,5 +19,6 @@ pub mod setups;
 
 pub use mix::Mix;
 pub use setups::{
-    four_way, run_cpu, run_dynamic, run_dynamic_with, run_manual, run_serial, FourWay, SetupResult,
+    four_way, run_batch, run_cpu, run_dynamic, run_dynamic_with, run_manual, run_serial, Batch,
+    FourWay, SetupResult,
 };

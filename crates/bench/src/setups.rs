@@ -13,13 +13,15 @@
 //! host reference.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use ewc_core::{Runtime, RuntimeConfig, Template};
+use ewc_core::{Runtime, RuntimeConfig, RuntimeReport, Template};
 use ewc_cpu::{CpuConfig, CpuEngine, CpuPowerModel};
 use ewc_energy::GpuSystemPower;
 use ewc_gpu::grid::Grid;
 use ewc_gpu::kernel::LaunchConfig;
 use ewc_gpu::{GpuConfig, GpuDevice};
+use ewc_telemetry::TelemetrySink;
 use ewc_workloads::instance_segment;
 
 use crate::mix::Mix;
@@ -167,7 +169,8 @@ pub fn run_dynamic(mix: &Mix) -> SetupResult {
 }
 
 /// Dynamic consolidation with an explicit runtime configuration (the
-/// ablation benches flip the optimisation toggles).
+/// ablation benches flip the optimisation toggles): [`run_batch`] with
+/// the mix's own noise seed, as a [`SetupResult`].
 pub fn run_dynamic_with(mix: &Mix, mut cfg: RuntimeConfig) -> SetupResult {
     if mix.is_empty() {
         return SetupResult {
@@ -179,63 +182,77 @@ pub fn run_dynamic_with(mix: &Mix, mut cfg: RuntimeConfig) -> SetupResult {
         };
     }
     cfg.noise_seed = Some(mix.len() as u64 + 3);
-    let mut builder = Runtime::builder(cfg);
-
-    // Register every distinct workload and the matching templates.
-    let mut names: Vec<&str> = Vec::new();
-    let mut seen = BTreeSet::new();
-    for (name, w) in &mix.instances {
-        if seen.insert(name.clone()) {
-            names.push(name);
-            builder = builder.workload(name, std::sync::Arc::clone(w));
-        }
-    }
-    if names.len() >= 2 {
-        let refs: Vec<&str> = names.clone();
-        builder = builder.template(Template::heterogeneous(&refs.join("+"), &refs));
-    }
-    for name in &names {
-        builder = builder.template(Template::homogeneous(name));
-    }
-    let rt = builder.build();
-
-    // One frontend ("user process") per instance; sequential submission
-    // keeps the simulation deterministic.
-    let mut handles = Vec::new();
-    for (i, (name, w)) in mix.instances.iter().enumerate() {
-        let seed = i as u64;
-        let mut fe = rt.connect();
-        if let Some((key, data)) = w.constant_data() {
-            fe.register_constant(key, &data)
-                .expect("constant registration");
-        }
-        let (args, bufs) = w
-            .build_args(&mut fe, seed)
-            .expect("instance build via frontend");
-        fe.configure_call(w.blocks(), w.desc().threads_per_block)
-            .expect("configure");
-        for a in &args {
-            fe.setup_argument(*a).expect("setup argument");
-        }
-        fe.launch(name).expect("launch");
-        handles.push((fe, bufs, seed));
-    }
-    handles[0].0.sync().expect("sync");
-
-    let mut correct = true;
-    for (i, (fe, bufs, seed)) in handles.iter().enumerate() {
-        let got = fe
-            .memcpy_d2h(bufs.output, 0, bufs.output_len)
-            .expect("readback");
-        correct &= got == mix.instances[i].1.expected_output(*seed);
-    }
-    let report = rt.shutdown();
+    let Batch { report, correct } = run_batch(cfg, TelemetrySink::disabled(), mix);
     SetupResult {
         time_s: report.elapsed_s,
         energy_j: report.energy.energy_j,
         avg_power_w: report.energy.avg_power_w,
         correct,
         stats: Some(report.stats),
+    }
+}
+
+/// What one closed batch through the runtime left behind.
+#[derive(Debug, Clone)]
+pub struct Batch {
+    /// The runtime's shutdown report (stats, clock, energy, telemetry).
+    pub report: RuntimeReport,
+    /// Did every instance read back its host-reference output?
+    pub correct: bool,
+}
+
+/// One closed batch through the runtime, the session every dynamic
+/// experiment runs (Section VIII): register each distinct workload of
+/// the mix, a heterogeneous template over all of them when there are
+/// two or more, and a homogeneous template per workload; then one
+/// frontend ("user process") per instance, seeded by its index, loads
+/// the workload's constant data and submits. One sync drains the batch,
+/// every output is read back and compared, and the runtime shuts down
+/// while the frontends are still connected. Submission is sequential,
+/// so the run is a function of `cfg` (its `noise_seed` included) and
+/// the mix alone.
+pub fn run_batch(cfg: RuntimeConfig, sink: TelemetrySink, mix: &Mix) -> Batch {
+    let mut builder = Runtime::builder(cfg).telemetry(sink);
+    let mut names: Vec<&str> = Vec::new();
+    let mut seen = BTreeSet::new();
+    for (name, w) in &mix.instances {
+        if seen.insert(name.as_str()) {
+            names.push(name);
+            builder = builder.workload(name, Arc::clone(w));
+        }
+    }
+    if names.len() >= 2 {
+        builder = builder.template(Template::heterogeneous(&names.join("+"), &names));
+    }
+    for name in &names {
+        builder = builder.template(Template::homogeneous(name));
+    }
+    let rt = builder.build();
+
+    let mut handles = Vec::new();
+    for (i, (name, w)) in mix.instances.iter().enumerate() {
+        let mut fe = rt.connect();
+        if let Some((key, data)) = w.constant_data() {
+            fe.register_constant(key, &data)
+                .expect("constant registration");
+        }
+        let bufs = fe.submit(name, w.as_ref(), i as u64).expect("submit");
+        handles.push((fe, bufs));
+    }
+    if let Some((fe, _)) = handles.first() {
+        fe.sync().expect("sync");
+    }
+
+    let mut correct = true;
+    for (i, ((fe, bufs), (_, w))) in handles.iter().zip(&mix.instances).enumerate() {
+        let got = fe
+            .memcpy_d2h(bufs.output, 0, bufs.output_len)
+            .expect("readback");
+        correct &= got == w.expected_output(i as u64);
+    }
+    Batch {
+        report: rt.shutdown(),
+        correct,
     }
 }
 

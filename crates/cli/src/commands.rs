@@ -3,6 +3,7 @@
 use std::sync::Arc;
 
 use ewc_bench::experiments as ex;
+use ewc_bench::{run_batch, Mix};
 use ewc_energy::{GpuPowerGroundTruth, PowerCoefficients, ThermalModel, TrainingBenchmark};
 use ewc_fleet::{FleetConfig, PolicyKind};
 use ewc_gpu::{ConsolidatedGrid, DispatchPolicy, ExecutionEngine, GpuConfig, Grid};
@@ -401,57 +402,26 @@ fn fleet(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-/// Run one policy over the heterogeneous fleet: submit `3 × devices`
-/// verified AES instances, then report where they landed and what the
-/// run cost. Everything is seeded, so same arguments render the same
-/// table byte-for-byte.
+/// Run one policy over the heterogeneous fleet: a closed batch of
+/// `3 × devices` verified AES instances, then report where they landed
+/// and what the run cost. Everything is seeded, so same arguments render
+/// the same table byte-for-byte.
 fn fleet_row(devices: usize, kind: PolicyKind, seed: u64) -> Result<String, String> {
-    let gpu_cfg = GpuConfig::tesla_c1060();
-    let aes = AesWorkload::fig7(&gpu_cfg);
     let cfg = ewc_core::RuntimeConfig {
         threshold_factor: 3,
         noise_seed: Some(seed),
         fleet: Some(FleetConfig::heterogeneous(devices).with_policy(kind)),
         ..ewc_core::RuntimeConfig::default()
     };
-    let rt = ewc_core::Runtime::builder(cfg)
-        .workload("encryption", Arc::new(AesWorkload::fig7(&gpu_cfg)))
-        .template(ewc_core::Template::homogeneous("encryption"))
-        .build();
-    let n = aes.data_bytes() as u64;
-    let err = |e: ewc_core::CoreError| format!("fleet ({}): {e}", kind.label());
-    let mut inflight = Vec::new();
-    for i in 0..(3 * devices) as u64 {
-        let mut fe = rt.connect();
-        let input = fe.malloc(n).map_err(err)?;
-        let output = fe.malloc(n).map_err(err)?;
-        fe.memcpy_h2d(input, 0, &ewc_workloads::data::bytes(seed + i, n as usize))
-            .map_err(err)?;
-        fe.configure_call(aes.blocks(), aes.desc().threads_per_block)
-            .map_err(err)?;
-        fe.setup_argument(ewc_gpu::kernel::KernelArg::Ptr(input))
-            .map_err(err)?;
-        fe.setup_argument(ewc_gpu::kernel::KernelArg::Ptr(output))
-            .map_err(err)?;
-        fe.setup_argument(ewc_gpu::kernel::KernelArg::U32(n as u32))
-            .map_err(err)?;
-        fe.launch("encryption").map_err(err)?;
-        inflight.push((fe, output, aes.expected_output(seed + i)));
+    let mix = Mix::encryption(&GpuConfig::tesla_c1060(), 3 * devices as u32);
+    let batch = run_batch(cfg, TelemetrySink::disabled(), &mix);
+    if !batch.correct {
+        return Err(format!(
+            "fleet ({}): an instance produced the wrong bytes",
+            kind.label()
+        ));
     }
-    for (fe, out_ptr, expect) in &inflight {
-        fe.sync().map_err(err)?;
-        let got = fe
-            .memcpy_d2h(*out_ptr, 0, expect.len() as u64)
-            .map_err(err)?;
-        if &got != expect {
-            return Err(format!(
-                "fleet ({}): an instance produced the wrong bytes",
-                kind.label()
-            ));
-        }
-    }
-    drop(inflight);
-    let report = rt.shutdown();
+    let report = batch.report;
     let mut per_device = vec![0u64; devices];
     for rec in &report.stats.placements {
         per_device[rec.device as usize] += 1;

@@ -482,7 +482,7 @@ mod tests {
     use std::sync::Arc;
 
     use ewc_gpu::GpuConfig;
-    use ewc_workloads::{AesWorkload, BlackScholesWorkload, Workload};
+    use ewc_workloads::{AesWorkload, BlackScholesWorkload};
 
     use super::Backend;
     use crate::admission::Priority;
@@ -547,13 +547,7 @@ mod tests {
         let mut fe = rt.connect();
         for _ in 0..3 {
             for _ in 0..2 {
-                let (args, _) = aes.build_args(&mut fe, 1).unwrap();
-                fe.configure_call(aes.blocks(), aes.desc().threads_per_block)
-                    .unwrap();
-                for a in args {
-                    fe.setup_argument(a).unwrap();
-                }
-                fe.launch("encryption").unwrap();
+                fe.submit("encryption", &aes, 1).unwrap();
             }
             fe.sync().unwrap();
         }

@@ -39,16 +39,10 @@ fn aes() -> Arc<dyn Workload> {
     Arc::new(AesWorkload::fig7(&GpuConfig::tesla_c1060()))
 }
 
-/// Allocate, upload, configure and launch one AES instance.
-fn launch(fe: &mut Frontend) -> u64 {
-    let aes = aes();
-    let (args, _) = aes.build_args(fe, 1).unwrap();
-    fe.configure_call(aes.blocks(), aes.desc().threads_per_block)
-        .unwrap();
-    for a in args {
-        fe.setup_argument(a).unwrap();
-    }
-    fe.launch("encryption").unwrap()
+/// Submit one AES instance; returns its launch's sequence number.
+fn launch(rt: &Runtime, fe: &mut Frontend) -> u64 {
+    fe.submit("encryption", aes().as_ref(), 1).unwrap();
+    inspect(rt, |b| b.next_seq - 1)
 }
 
 fn inspect<T>(rt: &Runtime, look: impl FnOnce(&Backend) -> T) -> T {
@@ -87,7 +81,7 @@ fn assert_devices_clean(rt: &Runtime) {
 fn clean_disconnect() {
     let rt = runtime(RuntimeConfig::default()).build();
     let mut fe = rt.connect();
-    launch(&mut fe);
+    launch(&rt, &mut fe);
     fe.sync().unwrap();
     depart(&rt, fe);
     assert_devices_clean(&rt);
@@ -109,9 +103,9 @@ fn a_frontend_that_never_spoke_leaves_nothing_to_reap() {
 fn disconnect_with_queued_launches() {
     let rt = runtime(RuntimeConfig::default()).build();
     let (mut fe, mut peer) = (rt.connect(), rt.connect());
-    launch(&mut fe);
-    launch(&mut fe);
-    launch(&mut peer);
+    launch(&rt, &mut fe);
+    launch(&rt, &mut fe);
+    launch(&rt, &mut peer);
     depart(&rt, fe);
     inspect(&rt, |b| assert_eq!(b.pending.len(), 1, "the peer's stays"));
     peer.sync().unwrap();
@@ -154,7 +148,7 @@ fn age_shed_request_whose_notice_was_never_collected() {
     })
     .build();
     let mut fe = rt.connect();
-    let seq = launch(&mut fe);
+    let seq = launch(&rt, &mut fe);
     fe.advance_clock_by(2.0).unwrap();
     inspect(&rt, |b| {
         assert!(b.pending.is_empty(), "aged out");
@@ -214,9 +208,9 @@ fn sick_gpu0(gpu1_registers: u32) -> Runtime {
 fn migrated_then_dropped() {
     let rt = sick_gpu0(GpuConfig::tesla_c1060().registers_per_sm);
     let mut fe = rt.connect();
-    launch(&mut fe);
+    launch(&rt, &mut fe);
     fe.sync().unwrap();
-    launch(&mut fe);
+    launch(&rt, &mut fe);
     fe.sync().unwrap();
     inspect(&rt, |b| {
         let record = &b.contexts[&fe.ctx()];
@@ -237,9 +231,9 @@ fn permanently_failed_kernel_whose_owner_never_synced() {
     // its context, and fails there on every rung.
     let rt = sick_gpu0(1024);
     let (mut fe, witness) = (rt.connect(), rt.connect());
-    launch(&mut fe);
+    launch(&rt, &mut fe);
     fe.sync().unwrap();
-    let seq = launch(&mut fe);
+    let seq = launch(&rt, &mut fe);
     witness.sync().unwrap(); // somebody else's sync runs the group
     inspect(&rt, |b| {
         let failures = &b.contexts[&fe.ctx()].failures;

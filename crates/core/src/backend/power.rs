@@ -1,6 +1,7 @@
 //! Applying power states to devices: the knob-chosen operating point
 //! around a launch, and the fleet governor's power-cap throttles.
 
+use ewc_energy::PowerState;
 use ewc_telemetry::{DecisionRecord, Verdict};
 
 use super::Backend;
@@ -11,33 +12,22 @@ impl Backend {
     /// [`Verdict::StateChanged`]; the device itself emits the
     /// `dvfs_level_gpu{d}` gauge and transition counter.
     pub(super) fn apply_power_state(&mut self, device: usize, level: usize) -> bool {
-        let Some((name, freq, latency)) = self.decision.power_policy().and_then(|ps| {
-            ps.table.get(level).map(|s| {
-                // Park states cannot run work; the engine clock scale is
-                // irrelevant there, so leave it at the base clock.
-                let freq = if s.can_run() { s.freq_scale } else { 1.0 };
-                (s.name, freq, s.wake_latency_s)
-            })
-        }) else {
+        let Some(state) = self
+            .decision
+            .power_policy()
+            .and_then(|ps| ps.table.get(level))
+            .copied()
+        else {
             return false;
         };
         let from = self.gpus[device].power_level();
-        let changed = self.gpus[device].set_power_state(level as u32, freq, latency);
-        if changed {
-            self.stats.state_changes += 1;
-            if self.sink.is_enabled() {
-                self.sink.audit(DecisionRecord::event(
-                    self.gpus[device].now_s(),
-                    Verdict::StateChanged,
-                    Vec::new(),
-                    format!(
-                        "gpu{device}: power state {} -> {name} (level {level})",
-                        from.map_or_else(|| "p0".to_string(), |l| format!("level {l}")),
-                    ),
-                ));
-            }
-        }
-        changed
+        self.set_device_state(device, level, state, || {
+            format!(
+                "gpu{device}: power state {} -> {} (level {level})",
+                from.map_or_else(|| "p0".to_string(), |l| format!("level {l}")),
+                state.name,
+            )
+        })
     }
 
     /// Replay power-cap throttles the governor recorded onto the
@@ -51,26 +41,44 @@ impl Backend {
             let Some(state) = self.fleet.spec(d).states.get(rec.to).copied() else {
                 continue;
             };
-            let freq = if state.can_run() {
-                state.freq_scale
-            } else {
-                1.0
-            };
-            let changed = self.gpus[d].set_power_state(rec.to as u32, freq, state.wake_latency_s);
-            if changed {
-                self.stats.state_changes += 1;
-                if self.sink.is_enabled() {
-                    self.sink.audit(DecisionRecord::event(
-                        self.gpus[d].now_s(),
-                        Verdict::StateChanged,
-                        Vec::new(),
-                        format!(
-                            "gpu{d}: power cap throttled level {} -> {} (level {})",
-                            rec.from, state.name, rec.to
-                        ),
-                    ));
-                }
+            self.set_device_state(d, rec.to, state, || {
+                format!(
+                    "gpu{d}: power cap throttled level {} -> {} (level {})",
+                    rec.from, state.name, rec.to
+                )
+            });
+        }
+    }
+
+    /// Put device `d` into `state`, level `level` of its ladder. When
+    /// that changed the device, count it and audit it as
+    /// [`Verdict::StateChanged`] with the text `reason` writes.
+    fn set_device_state(
+        &mut self,
+        d: usize,
+        level: usize,
+        state: PowerState,
+        reason: impl FnOnce() -> String,
+    ) -> bool {
+        // Park states cannot run work; the engine clock scale is
+        // irrelevant there, so leave it at the base clock.
+        let freq = if state.can_run() {
+            state.freq_scale
+        } else {
+            1.0
+        };
+        let changed = self.gpus[d].set_power_state(level as u32, freq, state.wake_latency_s);
+        if changed {
+            self.stats.state_changes += 1;
+            if self.sink.is_enabled() {
+                self.sink.audit(DecisionRecord::event(
+                    self.gpus[d].now_s(),
+                    Verdict::StateChanged,
+                    Vec::new(),
+                    reason(),
+                ));
             }
         }
+        changed
     }
 }

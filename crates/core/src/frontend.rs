@@ -12,6 +12,8 @@
 
 use ewc_gpu::kernel::KernelArg;
 use ewc_gpu::{DevicePtr, SimRng};
+use ewc_workloads::registry::DeviceBuffers;
+use ewc_workloads::Workload;
 
 use crate::admission::Priority;
 use crate::backend::{Backend, SharedBackend};
@@ -24,7 +26,6 @@ pub struct Frontend {
     backend: SharedBackend,
     batching: bool,
     held_args: Vec<KernelArg>,
-    priority: Priority,
     /// Per-frontend jitter stream for backoff under `Busy` answers.
     /// Seeded from the context id alone — never shared state — so
     /// same-seed overload replays stay byte-identical no matter how
@@ -39,7 +40,6 @@ impl Frontend {
             backend,
             batching,
             held_args: Vec::new(),
-            priority: Priority::Normal,
             rng: SimRng::seed_from_u64(
                 0x6f76_6572_6c6f_6164u64 ^ ctx.wrapping_mul(0x9E37_79B9_7F4A_7C15),
             ),
@@ -49,17 +49,6 @@ impl Frontend {
     /// This frontend's context id.
     pub fn ctx(&self) -> u64 {
         self.ctx
-    }
-
-    /// Priority class attached to subsequent launches (admission
-    /// control sheds low classes first under pressure).
-    pub fn set_priority(&mut self, priority: Priority) {
-        self.priority = priority;
-    }
-
-    /// The current launch priority class.
-    pub fn priority(&self) -> Priority {
-        self.priority
     }
 
     /// Deliver one message: run `f` on the backend under the shared
@@ -120,13 +109,35 @@ impl Frontend {
         self.launch_attempt(kernel, 0)
     }
 
+    /// Submit one seeded instance of `w`, registered as `name`: the
+    /// intercepted sequence an application makes per kernel —
+    /// `build_args` (allocate and upload), `configure_call`, one
+    /// `setup_argument` per argument, `launch`. Returns the instance's
+    /// buffers for the read-back after [`Frontend::sync`]. Constant data
+    /// is not registered here; call [`Frontend::register_constant`]
+    /// first where the workload has some.
+    pub fn submit(
+        &mut self,
+        name: &str,
+        w: &dyn Workload,
+        seed: u64,
+    ) -> Result<DeviceBuffers, CoreError> {
+        let (args, bufs) = w.build_args(self, seed)?;
+        self.configure_call(w.blocks(), w.desc().threads_per_block)?;
+        for a in args {
+            self.setup_argument(a)?;
+        }
+        self.launch(name)?;
+        Ok(bufs)
+    }
+
     /// One launch attempt; `attempt` counts prior [`CoreError::Busy`]
     /// answers (the backend sheds permanently at its retry limit). With
     /// batching on, the held arguments survive a `Busy` answer so the
     /// retry can resend them without replaying `setup_argument`.
-    pub fn launch_attempt(&mut self, kernel: &str, attempt: u32) -> Result<u64, CoreError> {
+    fn launch_attempt(&mut self, kernel: &str, attempt: u32) -> Result<u64, CoreError> {
         let batched = self.batching.then(|| self.held_args.clone());
-        let r = self.call(|b| b.launch(self.ctx, kernel, batched, self.priority, attempt))?;
+        let r = self.call(|b| b.launch(self.ctx, kernel, batched, Priority::Normal, attempt))?;
         if self.batching && !matches!(r, Err(CoreError::Busy { .. })) {
             self.held_args.clear();
         }

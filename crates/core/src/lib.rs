@@ -14,7 +14,8 @@
 //!   (`malloc`, `memcpy_h2d`, `configure_call`, `setup_argument`,
 //!   `launch`, `memcpy_d2h`, `sync`) is one message to the backend, with
 //!   a per-message cost; `setup_argument` calls can be **batched** until
-//!   `launch` (Section IV's optimisation).
+//!   `launch` (Section IV's optimisation). `Frontend::submit` makes one
+//!   kernel's whole sequence for a registered workload.
 //! * `backend` — the paper's daemon: one `Backend` behind a mutex that
 //!   every frontend calls directly. The round trips, staging copies and
 //!   coordination the paper's RPC pays are charged to a virtual clock
@@ -55,16 +56,12 @@
 //!     .template(Template::homogeneous("encryption"))
 //!     .build();
 //!
-//! // Two "user processes" submit; the backend consolidates at sync.
+//! // Two "user processes" submit (allocate, upload, configure, set the
+//! // arguments, launch); the backend consolidates at sync.
 //! let mut sessions = Vec::new();
 //! for seed in 0..2u64 {
 //!     let mut fe = rt.connect();
-//!     let (args, bufs) = aes.build_args(&mut fe, seed).unwrap();
-//!     fe.configure_call(aes.blocks(), aes.desc().threads_per_block).unwrap();
-//!     for a in &args {
-//!         fe.setup_argument(*a).unwrap();
-//!     }
-//!     fe.launch("encryption").unwrap();
+//!     let bufs = fe.submit("encryption", aes.as_ref(), seed).unwrap();
 //!     sessions.push((fe, bufs, seed));
 //! }
 //! sessions[0].0.sync().unwrap();

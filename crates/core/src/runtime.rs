@@ -282,7 +282,6 @@ impl Drop for Runtime {
 mod tests {
     use super::*;
     use crate::decision::Choice;
-    use ewc_gpu::kernel::KernelArg;
     use ewc_workloads::{AesWorkload, Workload};
 
     fn runtime(threshold: u32) -> Runtime {
@@ -300,21 +299,10 @@ mod tests {
     /// Submit one AES instance through the frontend API; returns
     /// (frontend, output ptr, expected bytes).
     fn submit_aes(rt: &Runtime, seed: u64) -> (Frontend, ewc_gpu::DevicePtr, Vec<u8>) {
-        let gpu_cfg = GpuConfig::tesla_c1060();
-        let w = AesWorkload::fig7(&gpu_cfg);
+        let w = AesWorkload::fig7(&GpuConfig::tesla_c1060());
         let mut fe = rt.connect();
-        let n = w.data_bytes() as u64;
-        let input = fe.malloc(n).unwrap();
-        let output = fe.malloc(n).unwrap();
-        fe.memcpy_h2d(input, 0, &ewc_workloads::data::bytes(seed, n as usize))
-            .unwrap();
-        fe.configure_call(w.blocks(), w.desc().threads_per_block)
-            .unwrap();
-        fe.setup_argument(KernelArg::Ptr(input)).unwrap();
-        fe.setup_argument(KernelArg::Ptr(output)).unwrap();
-        fe.setup_argument(KernelArg::U32(n as u32)).unwrap();
-        fe.launch("encryption").unwrap();
-        (fe, output, w.expected_output(seed))
+        let bufs = fe.submit("encryption", &w, seed).unwrap();
+        (fe, bufs.output, w.expected_output(seed))
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::grid::{Grid, GridSegment};
 use crate::kernel::{KernelDesc, LaunchConfig};
 use crate::memory::GlobalMemory;
 use crate::scheduler::DispatchPolicy;
-use ewc_exec::{EventQueue, Memo, VirtualClock};
+use ewc_exec::{Memo, VirtualClock};
 
 use crate::transfer::{Direction, DmaEngine, DmaStats};
 
@@ -52,10 +52,6 @@ pub struct StateTransition {
 struct DvfsControl {
     level: u32,
     freq_scale: f64,
-    /// Pending transition-complete events. Settle latencies are modelled
-    /// as scheduled events so transition ordering is a pure function of
-    /// the schedule calls (same discipline as the engine's event queue).
-    queue: EventQueue<(u32, u32)>,
     served: Vec<StateTransition>,
 }
 
@@ -223,29 +219,24 @@ impl GpuDevice {
                 return false;
             }
         }
-        let now = self.clock.now_s();
         let mut ctl = self.dvfs.take().unwrap_or_else(|| DvfsControl {
             level: 0,
             freq_scale: 1.0,
-            queue: EventQueue::new(),
             served: Vec::new(),
         });
-        let from = ctl.level;
-        ctl.queue.schedule(now + latency_s.max(0.0), (from, level));
-        // Drain every due transition (normally the one just scheduled)
-        // in event order, advancing the clock through each settle point.
-        while let Some(ev) = ctl.queue.pop() {
-            let (ev_from, ev_to) = ev.payload;
-            if ev.time_s > self.clock.now_s() {
-                self.clock.advance_by(ev.time_s - self.clock.now_s());
-            }
-            ctl.served.push(StateTransition {
-                at_s: self.clock.now_s(),
-                from: ev_from,
-                to: ev_to,
-                latency_s: (ev.time_s - now).max(0.0),
-            });
+        // The transition settles before this call returns: the clock
+        // runs through the settle latency, then the new state holds.
+        let now = self.clock.now_s();
+        let due = now + latency_s.max(0.0);
+        if due > now {
+            self.clock.advance_by(due - now);
         }
+        ctl.served.push(StateTransition {
+            at_s: self.clock.now_s(),
+            from: ctl.level,
+            to: level,
+            latency_s: (due - now).max(0.0),
+        });
         if ctl.freq_scale != freq_scale {
             let mut scaled = self.cfg.clone();
             scaled.clock_hz *= freq_scale;

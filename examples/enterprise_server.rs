@@ -66,13 +66,7 @@ fn main() {
         };
         threads.push(thread::spawn(move || {
             let mut fe = rt.connect();
-            let (args, bufs) = w.build_args(&mut fe, user).expect("upload");
-            fe.configure_call(w.blocks(), w.desc().threads_per_block)
-                .unwrap();
-            for a in &args {
-                fe.setup_argument(*a).unwrap();
-            }
-            fe.launch(name).expect("queue");
+            let bufs = fe.submit(name, w.as_ref(), user).expect("queue");
             submitted.wait();
             fe.sync().expect("drain");
             let out = fe

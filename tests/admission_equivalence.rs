@@ -7,10 +7,10 @@
 
 use std::sync::Arc;
 
-use ewc_core::{AdmissionConfig, Frontend, Runtime, RuntimeConfig, RuntimeReport, Template};
+use ewc_bench::{run_batch, Mix};
+use ewc_core::{AdmissionConfig, Runtime, RuntimeConfig, RuntimeReport, Template};
 use ewc_exec::VirtualClock;
 use ewc_fleet::{FleetConfig, PlacementReason};
-use ewc_gpu::kernel::KernelArg;
 use ewc_gpu::GpuConfig;
 use ewc_load::openloop::{run, LoadConfig};
 use ewc_telemetry::export::{chrome, jsonl};
@@ -21,46 +21,23 @@ fn aes() -> Arc<dyn Workload> {
     Arc::new(AesWorkload::fig7(&GpuConfig::tesla_c1060()))
 }
 
-/// One configured launch of `w` on buffers already built.
-fn launch(fe: &mut Frontend, w: &dyn Workload, args: &[KernelArg]) {
-    fe.configure_call(w.blocks(), w.desc().threads_per_block)
-        .unwrap();
-    for a in args {
-        fe.setup_argument(*a).unwrap();
-    }
-    fe.launch("encryption").unwrap();
-}
-
 /// Eight verified AES instances on a two-card heterogeneous fleet,
 /// telemetry on.
 fn closed_batch(admission: Option<AdmissionConfig>) -> RuntimeReport {
-    let aes = aes();
-    let rt = Runtime::builder(RuntimeConfig {
-        threshold_factor: 3,
-        force_gpu: true,
-        noise_seed: Some(7),
-        fleet: Some(FleetConfig::heterogeneous(2)),
-        admission,
-        ..RuntimeConfig::default()
-    })
-    .telemetry(TelemetrySink::enabled_virtual(VirtualClock::new()))
-    .workload("encryption", Arc::clone(&aes))
-    .template(Template::homogeneous("encryption"))
-    .build();
-    let mut sessions = Vec::new();
-    for seed in 0..8u64 {
-        let mut fe = rt.connect();
-        let (args, bufs) = aes.build_args(&mut fe, seed).unwrap();
-        launch(&mut fe, aes.as_ref(), &args);
-        sessions.push((fe, bufs, seed));
-    }
-    sessions[0].0.sync().unwrap();
-    for (fe, bufs, seed) in &sessions {
-        let got = fe.memcpy_d2h(bufs.output, 0, bufs.output_len).unwrap();
-        assert_eq!(got, aes.expected_output(*seed));
-    }
-    drop(sessions);
-    rt.shutdown()
+    let batch = run_batch(
+        RuntimeConfig {
+            threshold_factor: 3,
+            force_gpu: true,
+            noise_seed: Some(7),
+            fleet: Some(FleetConfig::heterogeneous(2)),
+            admission,
+            ..RuntimeConfig::default()
+        },
+        TelemetrySink::enabled_virtual(VirtualClock::new()),
+        &Mix::encryption(&GpuConfig::tesla_c1060(), 8),
+    );
+    assert!(batch.correct);
+    batch.report
 }
 
 fn assert_same_exports(a: Option<&TelemetrySnapshot>, b: Option<&TelemetrySnapshot>) {
@@ -127,9 +104,8 @@ fn third_context_lands(queued: usize) -> (u32, PlacementReason) {
     .template(Template::homogeneous("encryption"))
     .build();
     let mut first = rt.connect();
-    let (args, _) = aes.build_args(&mut first, 1).unwrap();
-    for _ in 0..queued {
-        launch(&mut first, aes.as_ref(), &args);
+    for seed in 0..queued as u64 {
+        first.submit("encryption", aes.as_ref(), seed).unwrap();
     }
     let second = rt.connect();
     second.malloc(64).unwrap();

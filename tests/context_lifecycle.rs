@@ -63,14 +63,7 @@ fn a_migrated_context_leaves_both_devices_clean() {
     .build();
 
     let launch = |fe: &mut ewc_core::Frontend, seed: u64| {
-        let (args, bufs) = aes.build_args(fe, seed).unwrap();
-        fe.configure_call(aes.blocks(), aes.desc().threads_per_block)
-            .unwrap();
-        for a in &args {
-            fe.setup_argument(*a).unwrap();
-        }
-        fe.launch("encryption").unwrap();
-        bufs
+        fe.submit("encryption", aes.as_ref(), seed).unwrap()
     };
     // Round robin: ctx A → gpu0 (sick), ctx B → gpu1 (healthy). A's
     // first group hangs, trips gpu0's breaker and runs on the CPU; its

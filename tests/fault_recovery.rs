@@ -192,13 +192,7 @@ fn submit_aes(
     seed: u64,
 ) -> (Frontend, ewc_gpu::DevicePtr, Vec<u8>) {
     let mut fe = rt.connect();
-    let (args, bufs) = aes.build_args(&mut fe, seed).unwrap();
-    fe.configure_call(aes.blocks(), aes.desc().threads_per_block)
-        .unwrap();
-    for a in &args {
-        fe.setup_argument(*a).unwrap();
-    }
-    fe.launch("encryption").unwrap();
+    let bufs = fe.submit("encryption", aes, seed).unwrap();
     (fe, bufs.output, aes.expected_output(seed))
 }
 

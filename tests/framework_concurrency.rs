@@ -38,13 +38,7 @@ fn submit_and_verify(
     submitted: Option<&Barrier>,
 ) {
     let mut fe = rt.connect();
-    let (args, bufs) = w.build_args(&mut fe, seed).expect("build");
-    fe.configure_call(w.blocks(), w.desc().threads_per_block)
-        .unwrap();
-    for a in &args {
-        fe.setup_argument(*a).unwrap();
-    }
-    fe.launch(name).expect("launch");
+    let bufs = fe.submit(name, w.as_ref(), seed).expect("submit");
     if let Some(barrier) = submitted {
         barrier.wait();
     }

@@ -34,13 +34,7 @@ fn device_oom_is_reported_and_survivable() {
     );
     // The daemon is still healthy: a normal user proceeds end to end.
     let mut fe2 = rt.connect();
-    let (args, bufs) = aes.build_args(&mut fe2, 1).unwrap();
-    fe2.configure_call(aes.blocks(), aes.desc().threads_per_block)
-        .unwrap();
-    for a in &args {
-        fe2.setup_argument(*a).unwrap();
-    }
-    fe2.launch("encryption").unwrap();
+    let bufs = fe2.submit("encryption", aes.as_ref(), 1).unwrap();
     fe2.sync().unwrap();
     let out = fe2.memcpy_d2h(bufs.output, 0, bufs.output_len).unwrap();
     assert_eq!(out, aes.expected_output(1));
@@ -185,13 +179,7 @@ fn unschedulable_kernel_rejected_at_launch_others_complete() {
     // The rejection never reached the pending queue; another frontend's
     // work completes normally.
     let mut fe = rt.connect();
-    let (args, bufs) = aes.build_args(&mut fe, 4).unwrap();
-    fe.configure_call(aes.blocks(), aes.desc().threads_per_block)
-        .unwrap();
-    for a in &args {
-        fe.setup_argument(*a).unwrap();
-    }
-    fe.launch("encryption").unwrap();
+    let bufs = fe.submit("encryption", aes.as_ref(), 4).unwrap();
     fe.sync().unwrap();
     let out = fe.memcpy_d2h(bufs.output, 0, bufs.output_len).unwrap();
     assert_eq!(out, aes.expected_output(4));
@@ -215,25 +203,13 @@ fn disconnected_frontend_pending_work_is_drained_not_wedged() {
 
     // fe1 enqueues a launch, then its "process" dies before syncing.
     let mut fe1 = rt.connect();
-    let (args, _bufs) = aes.build_args(&mut fe1, 1).unwrap();
-    fe1.configure_call(aes.blocks(), aes.desc().threads_per_block)
-        .unwrap();
-    for a in &args {
-        fe1.setup_argument(*a).unwrap();
-    }
-    fe1.launch("encryption").unwrap();
+    fe1.submit("encryption", aes.as_ref(), 1).unwrap();
     drop(fe1);
 
     // fe2's work completes; fe1's orphaned launch must not wedge the
     // daemon or execute on its behalf.
     let mut fe2 = rt.connect();
-    let (args, bufs) = aes.build_args(&mut fe2, 2).unwrap();
-    fe2.configure_call(aes.blocks(), aes.desc().threads_per_block)
-        .unwrap();
-    for a in &args {
-        fe2.setup_argument(*a).unwrap();
-    }
-    fe2.launch("encryption").unwrap();
+    let bufs = fe2.submit("encryption", aes.as_ref(), 2).unwrap();
     fe2.sync().unwrap();
     let out = fe2.memcpy_d2h(bufs.output, 0, bufs.output_len).unwrap();
     assert_eq!(out, aes.expected_output(2));
@@ -264,13 +240,7 @@ fn failed_launch_does_not_leave_stale_pending_state() {
     ));
     // A correct launch from the same context then succeeds and the sync
     // completes without the rejected kernel haunting the queue.
-    let (args, bufs) = aes.build_args(&mut fe, 9).unwrap();
-    fe.configure_call(aes.blocks(), aes.desc().threads_per_block)
-        .unwrap();
-    for a in &args {
-        fe.setup_argument(*a).unwrap();
-    }
-    fe.launch("encryption").unwrap();
+    let bufs = fe.submit("encryption", aes.as_ref(), 9).unwrap();
     fe.sync().unwrap();
     let out = fe.memcpy_d2h(bufs.output, 0, bufs.output_len).unwrap();
     assert_eq!(out, aes.expected_output(9));
@@ -304,13 +274,7 @@ fn rejected_launch_without_batching_drops_its_arguments() {
         fe.launch("encryption").unwrap_err(),
         CoreError::BadConfiguration(_)
     ));
-    let (args, bufs) = aes.build_args(&mut fe, 9).unwrap();
-    fe.configure_call(aes.blocks(), aes.desc().threads_per_block)
-        .unwrap();
-    for a in &args {
-        fe.setup_argument(*a).unwrap();
-    }
-    fe.launch("encryption").unwrap();
+    let bufs = fe.submit("encryption", aes.as_ref(), 9).unwrap();
     fe.sync().unwrap();
     let out = fe.memcpy_d2h(bufs.output, 0, bufs.output_len).unwrap();
     assert_eq!(out, aes.expected_output(9));

@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use ewc_bench::{run_batch, Mix};
 use ewc_core::{Runtime, RuntimeConfig, Template};
 use ewc_gpu::GpuConfig;
 use ewc_workloads::{AesWorkload, MonteCarloWorkload, Workload};
@@ -36,13 +37,7 @@ fn submit(
     Vec<u8>,
 ) {
     let mut fe = rt.connect();
-    let (args, bufs) = w.build_args(&mut fe, seed).expect("build");
-    fe.configure_call(w.blocks(), w.desc().threads_per_block)
-        .unwrap();
-    for a in &args {
-        fe.setup_argument(*a).unwrap();
-    }
-    fe.launch(name).expect("launch");
+    let bufs = fe.submit(name, w.as_ref(), seed).expect("submit");
     (fe, bufs, w.expected_output(seed))
 }
 
@@ -162,30 +157,19 @@ fn virtual_sink() -> TelemetrySink {
 /// under `fleet_cfg`, recording into `sink`; returns the shutdown
 /// report.
 fn fleet_session(fleet_cfg: FleetConfig, sink: TelemetrySink) -> ewc_core::RuntimeReport {
-    let cfg = GpuConfig::tesla_c1060();
-    let aes: Arc<dyn Workload> = Arc::new(AesWorkload::fig7(&cfg));
-    let rt = Runtime::builder(RuntimeConfig {
-        threshold_factor: 3,
-        force_gpu: true,
-        noise_seed: Some(7),
-        fleet: Some(fleet_cfg),
-        ..RuntimeConfig::default()
-    })
-    .telemetry(sink)
-    .workload("encryption", Arc::clone(&aes))
-    .template(Template::homogeneous("encryption"))
-    .build();
-    let mut sessions = Vec::new();
-    for seed in 0..12u64 {
-        sessions.push(submit(&rt, "encryption", &aes, seed));
-    }
-    sessions[0].0.sync().unwrap();
-    for (fe, bufs, expect) in &sessions {
-        let got = fe.memcpy_d2h(bufs.output, 0, bufs.output_len).unwrap();
-        assert_eq!(&got, expect);
-    }
-    drop(sessions);
-    rt.shutdown()
+    let batch = run_batch(
+        RuntimeConfig {
+            threshold_factor: 3,
+            force_gpu: true,
+            noise_seed: Some(7),
+            fleet: Some(fleet_cfg),
+            ..RuntimeConfig::default()
+        },
+        sink,
+        &Mix::encryption(&GpuConfig::tesla_c1060(), 12),
+    );
+    assert!(batch.correct, "every fleet instance must verify");
+    batch.report
 }
 
 #[test]
@@ -259,9 +243,7 @@ fn power_cap_redirects_placements_under_the_fleet_ceiling() {
 /// The drain/migrate scenario: device 0 is permanently sick, device 1 is
 /// healthy. Returns the shutdown stats (for the replay assertion).
 fn sick_device_session() -> ewc_core::BackendStats {
-    let cfg = GpuConfig::tesla_c1060();
-    let aes = AesWorkload::fig7(&cfg);
-    let aes_dyn: Arc<dyn Workload> = Arc::new(AesWorkload::fig7(&cfg));
+    let aes: Arc<dyn Workload> = Arc::new(AesWorkload::fig7(&GpuConfig::tesla_c1060()));
     let plan = SharedFaultPlan::new(
         9,
         FaultConfig {
@@ -281,15 +263,15 @@ fn sick_device_session() -> ewc_core::BackendStats {
         fleet: Some(FleetConfig::homogeneous(2)),
         ..RuntimeConfig::default()
     })
-    .workload("encryption", Arc::clone(&aes_dyn))
+    .workload("encryption", Arc::clone(&aes))
     .template(Template::homogeneous("encryption"))
     .device_faults(Arc::new(plan.clone()))
     .device_fault_targets(vec![0])
     .build();
 
     // Round robin: ctx A → gpu0 (sick), ctx B → gpu1 (healthy).
-    let (mut fe_a, bufs_a1, expect_a1) = submit(&rt, "encryption", &aes_dyn, 1);
-    let (fe_b, bufs_b, expect_b) = submit(&rt, "encryption", &aes_dyn, 2);
+    let (mut fe_a, bufs_a1, expect_a1) = submit(&rt, "encryption", &aes, 1);
+    let (fe_b, bufs_b, expect_b) = submit(&rt, "encryption", &aes, 2);
     fe_a.sync().unwrap();
     fe_b.sync().unwrap();
     // gpu0's group hung, tripped its breaker, and fell back to the CPU;
@@ -308,13 +290,7 @@ fn sick_device_session() -> ewc_core::BackendStats {
     // Second round on ctx A: its device's breaker is open, so the
     // governor drains the context to gpu1 and the launch runs there —
     // the GPU path stays available instead of tripping to CPU again.
-    let (args, bufs_a2) = aes.build_args(&mut fe_a, 3).unwrap();
-    fe_a.configure_call(aes.blocks(), aes.desc().threads_per_block)
-        .unwrap();
-    for a in &args {
-        fe_a.setup_argument(*a).unwrap();
-    }
-    fe_a.launch("encryption").unwrap();
+    let bufs_a2 = fe_a.submit("encryption", aes.as_ref(), 3).unwrap();
     fe_a.sync().unwrap();
     assert_eq!(
         fe_a.memcpy_d2h(bufs_a2.output, 0, bufs_a2.output_len)

@@ -2,58 +2,37 @@
 //! the race-vs-pace crossover through the whole runtime, and the fleet
 //! power cap throttling operating points with an audited trail.
 
-use std::sync::Arc;
-
-use ewc_core::{PowerStatesConfig, Runtime, RuntimeConfig, Template};
+use ewc_bench::{run_batch, Mix};
+use ewc_core::{PowerStatesConfig, RuntimeConfig};
 use ewc_exec::VirtualClock;
 use ewc_fleet::FleetConfig;
 use ewc_gpu::GpuConfig;
 use ewc_telemetry::{TelemetrySink, Verdict};
-use ewc_workloads::{AesWorkload, Workload};
 
 /// Run `n` verified AES instances under the given knobs and return the
 /// shutdown report. Virtual span mode so whole [`ewc_core::BackendStats`]
 /// values compare byte-for-byte across runs (see `multi_gpu.rs` for why
 /// wall-clock mode can shift a flush timestamp).
 fn session(
-    n: u64,
+    n: u32,
     threshold: u32,
     power_states: Option<PowerStatesConfig>,
     fleet: Option<FleetConfig>,
 ) -> ewc_core::RuntimeReport {
-    let cfg = GpuConfig::tesla_c1060();
-    let aes: Arc<dyn Workload> = Arc::new(AesWorkload::fig7(&cfg));
-    let rt = Runtime::builder(RuntimeConfig {
-        threshold_factor: threshold,
-        force_gpu: true,
-        noise_seed: Some(7),
-        power_states,
-        fleet,
-        ..RuntimeConfig::default()
-    })
-    .telemetry(TelemetrySink::enabled_virtual(VirtualClock::new()))
-    .workload("encryption", Arc::clone(&aes))
-    .template(Template::homogeneous("encryption"))
-    .build();
-    let mut sessions = Vec::new();
-    for seed in 0..n {
-        let mut fe = rt.connect();
-        let (args, bufs) = aes.build_args(&mut fe, seed).expect("build");
-        fe.configure_call(aes.blocks(), aes.desc().threads_per_block)
-            .unwrap();
-        for a in &args {
-            fe.setup_argument(*a).unwrap();
-        }
-        fe.launch("encryption").expect("launch");
-        sessions.push((fe, bufs, aes.expected_output(seed)));
-    }
-    sessions[0].0.sync().unwrap();
-    for (fe, bufs, expect) in &sessions {
-        let got = fe.memcpy_d2h(bufs.output, 0, bufs.output_len).unwrap();
-        assert_eq!(&got, expect);
-    }
-    drop(sessions);
-    rt.shutdown()
+    let batch = run_batch(
+        RuntimeConfig {
+            threshold_factor: threshold,
+            force_gpu: true,
+            noise_seed: Some(7),
+            power_states,
+            fleet,
+            ..RuntimeConfig::default()
+        },
+        TelemetrySink::enabled_virtual(VirtualClock::new()),
+        &Mix::encryption(&GpuConfig::tesla_c1060(), n),
+    );
+    assert!(batch.correct, "every instance must verify");
+    batch.report
 }
 
 #[test]

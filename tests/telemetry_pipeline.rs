@@ -6,64 +6,30 @@
 
 use std::sync::Arc;
 
+use ewc_bench::{run_batch, Mix};
 use ewc_core::{Runtime, RuntimeConfig, Template};
 use ewc_gpu::GpuConfig;
 use ewc_telemetry::export::{chrome, jsonl, summary};
 use ewc_telemetry::{json, TelemetrySink, TelemetrySnapshot};
-use ewc_workloads::{MonteCarloWorkload, Workload};
-
-/// One connected frontend and the buffers of the instance it submitted.
-type Session = (ewc_core::Frontend, ewc_workloads::registry::DeviceBuffers);
-
-/// Build the runtime, submit `n` instances of `workload` (registered as
-/// `name`), one frontend each, and drain them.
-fn submit_session(
-    builder: ewc_core::runtime::RuntimeBuilder,
-    name: &str,
-    workload: &Arc<dyn Workload>,
-    n: u64,
-) -> (Runtime, Vec<Session>) {
-    let rt = builder
-        .workload(name, Arc::clone(workload))
-        .template(Template::homogeneous(name))
-        .build();
-    let mut sessions = Vec::new();
-    for seed in 0..n {
-        let mut fe = rt.connect();
-        let (args, bufs) = workload.build_args(&mut fe, seed).expect("build");
-        fe.configure_call(workload.blocks(), workload.desc().threads_per_block)
-            .unwrap();
-        for a in &args {
-            fe.setup_argument(*a).unwrap();
-        }
-        fe.launch(name).expect("launch");
-        sessions.push((fe, bufs));
-    }
-    sessions[0].0.sync().expect("drain");
-    (rt, sessions)
-}
+use ewc_workloads::MonteCarloWorkload;
 
 /// Run `n` GPU-friendly Monte Carlo requests through a runtime wired to
 /// `sink`, and return the shutdown report.
-fn run_requests(n: u64, sink: TelemetrySink) -> ewc_core::RuntimeReport {
-    let cfg = GpuConfig::tesla_c1060();
-    let mc: Arc<dyn Workload> = Arc::new(MonteCarloWorkload::tables78(&cfg));
-    let builder = Runtime::builder(RuntimeConfig {
-        threshold_factor: 2,
-        ..RuntimeConfig::default()
-    })
-    .telemetry(sink);
-    let (rt, sessions) = submit_session(builder, "montecarlo", &mc, n);
-    for (fe, bufs) in &sessions {
-        let out = fe
-            .memcpy_d2h(bufs.output, 0, bufs.output_len)
-            .expect("readback");
-        assert!(!out.is_empty());
-    }
-    rt.shutdown()
+fn run_requests(n: u32, sink: TelemetrySink) -> ewc_core::RuntimeReport {
+    let mc = Arc::new(MonteCarloWorkload::tables78(&GpuConfig::tesla_c1060()));
+    let batch = run_batch(
+        RuntimeConfig {
+            threshold_factor: 2,
+            ..RuntimeConfig::default()
+        },
+        sink,
+        &Mix::new().add("montecarlo", mc, n),
+    );
+    assert!(batch.correct);
+    batch.report
 }
 
-fn snapshot(n: u64) -> (ewc_core::RuntimeReport, TelemetrySnapshot) {
+fn snapshot(n: u32) -> (ewc_core::RuntimeReport, TelemetrySnapshot) {
     let report = run_requests(n, TelemetrySink::enabled());
     let snap = report
         .telemetry
@@ -470,9 +436,8 @@ fn bursty_openloop_session(streams: usize, arrivals: usize) -> TelemetrySnapshot
 fn dvfs_fleet_snapshot() -> TelemetrySnapshot {
     use ewc_fleet::{FleetConfig, PolicyKind};
     use ewc_workloads::AesWorkload;
-    let cfg = GpuConfig::tesla_c1060();
-    let aes: Arc<dyn Workload> = Arc::new(AesWorkload::fig7(&cfg));
-    let builder = Runtime::builder(RuntimeConfig {
+    let aes = AesWorkload::fig7(&GpuConfig::tesla_c1060());
+    let rt = Runtime::builder(RuntimeConfig {
         threshold_factor: 3,
         force_gpu: true,
         noise_seed: Some(7),
@@ -484,9 +449,20 @@ fn dvfs_fleet_snapshot() -> TelemetrySnapshot {
         ),
         ..RuntimeConfig::default()
     })
-    .telemetry(virtual_sink());
-    let (rt, sessions) = submit_session(builder, "encryption", &aes, 12);
-    drop(sessions);
+    .telemetry(virtual_sink())
+    .workload("encryption", Arc::new(aes.clone()))
+    .template(Template::homogeneous("encryption"))
+    .build();
+    // No constants and no read-back: the digests above were pinned on
+    // exactly this message sequence, which is not `run_batch`'s.
+    let mut frontends = Vec::new();
+    for seed in 0..12 {
+        let mut fe = rt.connect();
+        fe.submit("encryption", &aes, seed).expect("submit");
+        frontends.push(fe);
+    }
+    frontends[0].sync().expect("drain");
+    drop(frontends);
     rt.shutdown().telemetry.expect("enabled sink must snapshot")
 }
 
