@@ -175,6 +175,7 @@ fn predict(name: &str, n: u32) -> Result<String, String> {
     );
     let plan = ConsolidationPlan::homogeneous(w.desc(), w.blocks(), n);
     let cons = model.predict(&plan);
+    let perf = model.perf().predict(&plan);
     let serial = model.predict_serial(&plan);
 
     let cpu_engine = ewc_cpu::CpuEngine::new(ewc_cpu::CpuConfig::xeon_e5520_x2());
@@ -201,8 +202,8 @@ fn predict(name: &str, n: u32) -> Result<String, String> {
         cons.time_s,
         cons.system_energy_j,
         cons.dyn_power_w,
-        cons.perf.sms_used,
-        cons.perf.critical_sms.first().copied().unwrap_or(0),
+        perf.sms_used,
+        perf.critical_sms.first().copied().unwrap_or(0),
         serial.time_s,
         serial.system_energy_j,
         cpu_out.makespan_s,

@@ -13,7 +13,8 @@
 
 use ewc_cpu::{CpuEngine, CpuPowerModel, CpuTask};
 use ewc_models::{
-    choose_state, ConsolidationPlan, EnergyModel, PolicyKnob, Prediction, StateChoice,
+    analyze, analyze_serial, choose_state, ConsolidationPlan, EnergyModel, PolicyKnob, Prediction,
+    StateChoice,
 };
 
 use crate::config::PowerStatesConfig;
@@ -131,7 +132,7 @@ impl PowerPolicy {
                     Some(m) => predict(m),
                     None => Prediction {
                         state: Some(self.cfg.table.states[*level]),
-                        ..p0.clone()
+                        ..*p0
                     },
                 };
                 (*level, p)
@@ -196,19 +197,24 @@ impl DecisionEngine {
     pub fn assess(&self, plan: &ConsolidationPlan, cpu_tasks: &[CpuTask]) -> Assessment {
         // Three pure functions of about a microsecond each, evaluated
         // inline: handing them to threads costs more than running them.
-        let consolidated = self.energy.predict(plan);
-        let serial = self.energy.predict_serial(plan);
+        let cfg = self.energy.perf().config();
+        let placement = analyze(plan, cfg);
+        let runs = analyze_serial(plan, cfg);
+        let consolidated = self.energy.predict_placed(plan, &placement);
+        let serial = self.energy.predict_serial_placed(plan, &runs);
         let cpu_out = self.cpu.run(cpu_tasks);
         let cpu_energy = self.cpu_power.energy_j(&cpu_out);
 
         // Power-state pass, gated on the config so the flat path stays
         // bit-identical: evaluate both GPU alternatives across the
         // ladder's operating points and let the knob pick; the verdict
-        // below then compares the knob-chosen horizon energies.
+        // below then compares the knob-chosen horizon energies. Both
+        // alternatives are placed once, above, for the whole ladder, and
+        // nothing outlives this call.
         let state = self.power_states.as_ref().map(|pp| {
             let ps = &pp.cfg;
-            let evals_c = pp.across(&consolidated, |m| m.predict(plan));
-            let evals_s = pp.across(&serial, |m| m.predict_serial(plan));
+            let evals_c = pp.across(&consolidated, |m| m.predict_placed(plan, &placement));
+            let evals_s = pp.across(&serial, |m| m.predict_serial_placed(plan, &runs));
             let idle_w = self.energy.idle_w();
             StateDecision {
                 knob: ps.knob,
@@ -468,6 +474,42 @@ mod tests {
         ] {
             let a = e.assess(&plan, &tasks);
             assert!(a.cpu_energy_j.is_finite(), "assessment: {a:?}");
+        }
+    }
+
+    #[test]
+    fn an_unschedulable_plan_never_gets_a_gpu_verdict() {
+        // 512 threads × 64 registers = 32,768 registers a block, where an
+        // SM has 16,384: no block of this kernel can ever run.
+        let mut huge = compute("huge", 6.0, 4).desc;
+        huge.threads_per_block = 512;
+        huge.regs_per_thread = 64;
+        let plan = ConsolidationPlan::homogeneous(huge, 4, 3);
+        let tasks: Vec<CpuTask> = (0..3)
+            .map(|_| CpuTask::new("huge", 12.0, 2, 4 << 20))
+            .collect();
+        for e in [
+            engine(),
+            engine().with_power_policy(PowerStatesConfig::race()),
+            engine().with_power_policy(PowerStatesConfig::pace(10.0)),
+            engine().with_power_policy(PowerStatesConfig::cap(420.0)),
+        ] {
+            let a = e.assess(&plan, &tasks);
+            assert_eq!(a.choice, Choice::Cpu, "assessment: {a:?}");
+            for p in [&a.consolidated, &a.serial] {
+                for v in [p.time_s, p.gpu_energy_j, p.system_energy_j] {
+                    assert_eq!(v, f64::INFINITY, "assessment: {a:?}");
+                }
+            }
+            if let Some(sd) = &a.state {
+                for c in [&sd.consolidated, &sd.serial] {
+                    assert_eq!(c.horizon_energy_j, f64::INFINITY, "{c:?}");
+                    assert!(c
+                        .candidates
+                        .iter()
+                        .all(|&(_, t, e)| t == f64::INFINITY && e == f64::INFINITY));
+                }
+            }
         }
     }
 

@@ -4,30 +4,53 @@
 //!
 //! Counts at the parent of the change that added this file, from this
 //! same harness (with the pass written out as the `BlockCtx` loop that
-//! `GpuDevice::launch` then held):
+//! `GpuDevice::launch` then held), and after two later changes:
 //!
-//! | | parent | then | with the shape memos |
-//! |---|---|---|---|
-//! | search functional pass, per block | 2 | 0 | 0 |
-//! | warmed-up `search` group of ten through `Runtime`, per admitted request | 14.5 | 6.5 | 3.0 |
+//! | | parent | then | with the shape memos | with scalar predictions |
+//! |---|---|---|---|---|
+//! | search functional pass, per block | 2 | 0 | 0 | 0 |
+//! | warmed-up `search` group of ten through `Runtime`, per admitted request | 14.5 | 6.5 | 3.0 | 2.4 |
 //!
 //! The eight a request no longer pays: an `Arc<str>` for the kernel
 //! name at the frontend, another inside `cpu_task()`, a body closure
 //! and its copy of the pattern, and a text copy plus a one-word `Vec`
-//! in each of this kernel's two blocks. Of the 3.0 that remain one is
+//! in each of this kernel's two blocks. Of the 2.4 that remain one is
 //! the request's own (its pointer-resolved arguments); the rest is the
 //! group's — matcher, grid, records — over ten. The plan, the decision
-//! and the engine run are made once per group shape, not per group;
-//! debug builds still make them on every group, to check the reuse, and
-//! count 7.0.
+//! and the engine run are made once per group shape, not per group, and
+//! a reused assessment is copied without the six per-SM and per-member
+//! vectors its two predictions used to carry; debug builds still make
+//! the decision and the run on every group, to check the reuse, and
+//! count 5.3.
+//!
+//! The decision path on the benchmark's `policy_storm` groups, before and
+//! after predictions became scalars folded from one pass over the SMs,
+//! with one placement shared by every operating point of the ladder:
+//!
+//! | per group | before | after |
+//! |---|---|---|
+//! | `EnergyModel::predict` | 11.4 | 5.0 |
+//! | `DecisionEngine::assess`, flat | 29.1 | 18.8 |
+//! | `DecisionEngine::assess`, race-to-idle over the DVFS ladder | 83.9 | 28.8 |
+//!
+//! A prediction no longer builds per-SM and per-member vectors, a lower
+//! operating point re-derives one cost per cost class instead of placing
+//! the plan again, and the serial alternative places each distinct member
+//! once, without building a one-member plan, for the whole ladder. Debug
+//! and release builds count the same here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use ewc_core::{Frontend, Priority, Runtime, RuntimeConfig, Template};
+use ewc_core::{
+    DecisionEngine, Frontend, PowerStatesConfig, Priority, Runtime, RuntimeConfig, Template,
+};
+use ewc_cpu::{CpuConfig, CpuEngine, CpuPowerModel, CpuTask};
+use ewc_energy::{GpuSystemPower, PowerCoefficients, ThermalModel, TrainingBenchmark};
 use ewc_gpu::kernel::KernelArg;
 use ewc_gpu::{GpuConfig, GpuDevice, KernelDesc};
+use ewc_models::{ConsolidationPlan, EnergyModel, PowerModel};
 use ewc_workloads::{instance_grid, SearchWorkload, Workload};
 
 thread_local! {
@@ -146,8 +169,8 @@ fn a_warmed_up_search_group_allocates_a_fixed_number_per_request() {
     });
     let requests = (GROUP * GROUPS) as u64;
     println!("{:.1} per request", count as f64 / requests as f64);
-    // 30 per group of ten measured in release; the slack is for the
-    // statistics vectors doubling. Debug builds measure 70: they redo
+    // 24 per group of ten measured in release; the slack is for the
+    // statistics vectors doubling. Debug builds measure 53: they redo
     // every reused assessment and simulation to check it.
     let per_request = if cfg!(debug_assertions) { 8 } else { 4 };
     assert!(
@@ -157,4 +180,72 @@ fn a_warmed_up_search_group_allocates_a_fixed_number_per_request() {
     drop(frontends);
     let report = rt.shutdown();
     assert_eq!(report.stats.kernel_outcomes.len(), GROUP * (GROUPS + 4));
+}
+
+/// The benchmark's `policy_storm` groups: 64 homogeneous groups of 2–9
+/// members × 3 blocks of a 2–3 s compute kernel, each with its CPU tasks.
+fn policy_storm_groups() -> Vec<(ConsolidationPlan, Vec<CpuTask>)> {
+    let cfg = GpuConfig::tesla_c1060();
+    (0..64u32)
+        .map(|i| {
+            let members = 2 + i % 8;
+            let secs = 2.0 + 0.25 * f64::from(i % 5);
+            let desc = KernelDesc::builder("policy")
+                .threads_per_block(128)
+                .comp_insts(secs * cfg.clock_hz / (4.0 * cfg.warp_issue_cycles()))
+                .coalesced_mem(50.0)
+                .build();
+            let tasks = (0..members)
+                .map(|_| CpuTask::new("policy", secs * 1.7, 2, 8 << 20))
+                .collect();
+            (ConsolidationPlan::homogeneous(desc, 3, members), tasks)
+        })
+        .collect()
+}
+
+#[test]
+fn an_assessment_allocates_a_fixed_number_per_group() {
+    let cfg = GpuConfig::tesla_c1060();
+    let system = GpuSystemPower::tesla_system();
+    let coeffs =
+        PowerCoefficients::train(&cfg, &system.truth, &TrainingBenchmark::rodinia_suite(), 42)
+            .expect("training converges");
+    let model = EnergyModel::new(
+        cfg.clone(),
+        PowerModel::new(coeffs, ThermalModel::gt200(), cfg),
+        system.idle_w,
+    );
+    let engine = || {
+        DecisionEngine::new(
+            model.clone(),
+            CpuEngine::new(CpuConfig::xeon_e5520_x2()),
+            CpuPowerModel::xeon_e5520_x2(),
+        )
+    };
+    let groups = policy_storm_groups();
+    let per_group = |count: u64| count as f64 / groups.len() as f64;
+
+    let (predict, ()) = allocations(|| {
+        for (plan, _) in &groups {
+            std::hint::black_box(model.predict(plan));
+        }
+    });
+    println!("{:.1} per predict", per_group(predict));
+    assert!(per_group(predict) <= 6.0, "{predict} allocations");
+    for (label, engine, ceiling) in [
+        ("flat", engine(), 24.0),
+        (
+            "race",
+            engine().with_power_policy(PowerStatesConfig::race()),
+            40.0,
+        ),
+    ] {
+        let (count, ()) = allocations(|| {
+            for (plan, tasks) in &groups {
+                std::hint::black_box(engine.assess(plan, tasks));
+            }
+        });
+        println!("{label}: {:.1} per assess", per_group(count));
+        assert!(per_group(count) <= ceiling, "{label}: {count} allocations");
+    }
 }

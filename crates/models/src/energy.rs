@@ -6,15 +6,19 @@
 //! system idle floor.
 
 use ewc_energy::PowerState;
-use ewc_gpu::{GpuConfig, KernelDesc};
+use ewc_gpu::{BlockCost, GpuConfig};
 
-use crate::perf::{PerfModel, PerfPrediction};
-use crate::placement::analyze;
+use crate::perf::{sm_pass, PerfModel};
+use crate::placement::{analyze, analyze_serial, class_costs, place, same_work, Placement};
 use crate::plan::{ConsolidationPlan, KernelSpec};
 use crate::power::PowerModel;
 
-/// A complete prediction for one consolidation plan.
-#[derive(Debug, Clone)]
+/// A complete prediction for one consolidation plan: scalars only. The
+/// per-SM and per-member detail comes from [`PerfModel::predict`].
+///
+/// A plan with a member that fits no SM cannot run: its prediction is
+/// +∞ in every field, so it never wins a comparison.
+#[derive(Debug, Clone, Copy)]
 pub struct Prediction {
     /// Predicted execution time.
     pub time_s: f64,
@@ -29,8 +33,20 @@ pub struct Prediction {
     /// The DVFS state this prediction was evaluated in (`None` = the
     /// flat single-state path, which is the P0 anchor).
     pub state: Option<PowerState>,
-    /// The underlying performance prediction.
-    pub perf: PerfPrediction,
+}
+
+impl Prediction {
+    /// The prediction of a plan that cannot run.
+    fn unschedulable(state: Option<PowerState>) -> Prediction {
+        Prediction {
+            time_s: f64::INFINITY,
+            dyn_power_w: f64::INFINITY,
+            thermal_w: f64::INFINITY,
+            gpu_energy_j: f64::INFINITY,
+            system_energy_j: f64::INFINITY,
+            state,
+        }
+    }
 }
 
 /// A prediction bracketed by descriptor uncertainty.
@@ -60,34 +76,6 @@ pub struct EnergyModel {
     /// The DVFS state the models are bound to (`None` = the flat model,
     /// which is the P0 anchor).
     state: Option<PowerState>,
-}
-
-/// Whether two members get the same solo prediction: every descriptor
-/// field the models read has the same bits and the block counts match
-/// (the name is a label only).
-fn same_work(a: &KernelSpec, b: &KernelSpec) -> bool {
-    let key = |m: &KernelSpec| {
-        let KernelDesc {
-            name: _,
-            threads_per_block,
-            regs_per_thread,
-            shared_mem_per_block,
-            comp_insts,
-            coalesced_mem,
-            uncoalesced_mem,
-            sync_insts,
-        } = &m.desc;
-        (
-            [
-                m.blocks,
-                *threads_per_block,
-                *regs_per_thread,
-                *shared_mem_per_block,
-            ],
-            [comp_insts, coalesced_mem, uncoalesced_mem, sync_insts].map(|f| f.to_bits()),
-        )
-    };
-    key(a) == key(b)
 }
 
 impl EnergyModel {
@@ -135,26 +123,69 @@ impl EnergyModel {
 
     /// Predict time, power and energy for a consolidated launch of `plan`.
     pub fn predict(&self, plan: &ConsolidationPlan) -> Prediction {
-        let placement = analyze(plan, self.perf.config());
-        let perf = self.perf.predict_placed(plan, &placement);
-        let rates = self
-            .power
-            .predicted_rates(plan, &placement, perf.time_s, &perf.per_sm_finish);
+        self.predict_placed(plan, &analyze(plan, self.perf.config()))
+    }
+
+    /// [`Self::predict`] from `placement`, a placement of `plan` on this
+    /// model's device made at any of its clocks — how one placement
+    /// serves a whole DVFS ladder. The wave placement reads occupancy
+    /// only, so it holds at every clock, and the block costs are derived
+    /// again at this model's clock when they were derived at another. A
+    /// placement that redistributed is placed afresh instead, because
+    /// redistribution reads the costs. Bit-identical to
+    /// [`Self::predict`].
+    pub fn predict_placed(&self, plan: &ConsolidationPlan, placement: &Placement) -> Prediction {
+        self.predict_members(&plan.members, placement)
+    }
+
+    /// [`Self::predict_placed`] over a member list.
+    fn predict_members(&self, members: &[KernelSpec], placement: &Placement) -> Prediction {
+        let cfg = self.perf.config();
+        debug_assert_eq!(placement.class_of.len(), members.len());
+        if !placement.schedulable {
+            Prediction::unschedulable(self.state)
+        } else if placement.clock_hz == cfg.clock_hz {
+            self.compose(members, placement, &placement.costs)
+        } else if placement.redistributed {
+            let fresh = place(members, cfg);
+            self.compose(members, &fresh, &fresh.costs)
+        } else {
+            let costs = class_costs(members, &placement.class_of, cfg);
+            self.compose(members, placement, &costs)
+        }
+    }
+
+    /// Time, power and energy of a schedulable placement of `members`
+    /// with per-class block `costs` at this model's clock.
+    fn compose(
+        &self,
+        members: &[KernelSpec],
+        placement: &Placement,
+        costs: &[BlockCost],
+    ) -> Prediction {
+        let cfg = self.perf.config();
+        let pass = sm_pass(placement, costs, cfg.dram_bandwidth, |_, _, _| {});
+        let rates = self.power.rates(
+            members,
+            &placement.class_of,
+            costs,
+            pass.time_s,
+            pass.busy_s,
+        );
         let mut dyn_power_w = self.power.predict_dyn_power_w(&rates);
         if let Some(state) = &self.state {
             dyn_power_w *= state.volt_sq();
         }
         let thermal_w = self.power.predict_thermal_w(dyn_power_w);
-        let gpu_energy_j = (dyn_power_w + thermal_w) * perf.time_s;
-        let system_energy_j = gpu_energy_j + self.idle_w * perf.time_s;
+        let gpu_energy_j = (dyn_power_w + thermal_w) * pass.time_s;
+        let system_energy_j = gpu_energy_j + self.idle_w * pass.time_s;
         Prediction {
-            time_s: perf.time_s,
+            time_s: pass.time_s,
             dyn_power_w,
             thermal_w,
             gpu_energy_j,
             system_energy_j,
             state: self.state,
-            perf,
         }
     }
 
@@ -205,13 +236,36 @@ impl EnergyModel {
     /// sums still accumulate member by member, so they are the floats
     /// the member-at-a-time loop gives.
     pub fn predict_serial(&self, plan: &ConsolidationPlan) -> Prediction {
+        self.predict_serial_placed(plan, &analyze_serial(plan, self.perf.config()))
+    }
+
+    /// [`Self::predict_serial`] from `runs`, the [`analyze_serial`]
+    /// placements of `plan` on this model's device at any of its clocks,
+    /// each shared as [`Self::predict_placed`] shares one. Bit-identical
+    /// to [`Self::predict_serial`].
+    ///
+    /// # Panics
+    /// If `runs` holds fewer placements than [`analyze_serial`] makes for
+    /// `plan`.
+    pub fn predict_serial_placed(
+        &self,
+        plan: &ConsolidationPlan,
+        runs: &[Placement],
+    ) -> Prediction {
+        if runs.iter().any(|run| !run.schedulable) {
+            return Prediction::unschedulable(self.state);
+        }
+        let mut runs = runs.iter();
         let mut time = 0.0;
         let mut gpu_energy = 0.0;
         let mut last: Option<(&KernelSpec, Prediction)> = None;
         for m in &plan.members {
             let p = match last {
                 Some((prev, p)) if same_work(prev, m) => p,
-                _ => self.predict(&ConsolidationPlan::new().with(m.clone())),
+                _ => {
+                    let run = runs.next().expect("one placement per run of members");
+                    self.predict_members(std::slice::from_ref(m), run)
+                }
             };
             time += p.time_s;
             gpu_energy += p.gpu_energy_j;
@@ -225,10 +279,6 @@ impl EnergyModel {
             gpu_energy_j: gpu_energy,
             system_energy_j: system,
             state: self.state,
-            perf: match last {
-                Some((_, p)) => p.perf,
-                None => self.perf.predict(&ConsolidationPlan::new()),
-            },
         }
     }
 }
@@ -237,6 +287,7 @@ impl EnergyModel {
 mod tests {
     use super::*;
     use ewc_energy::{GpuPowerGroundTruth, PowerCoefficients, ThermalModel, TrainingBenchmark};
+    use ewc_gpu::KernelDesc;
 
     fn cfg() -> GpuConfig {
         GpuConfig::tesla_c1060()
@@ -353,5 +404,60 @@ mod tests {
         let p = m.predict(&ConsolidationPlan::new());
         assert_eq!(p.time_s, 0.0);
         assert_eq!(p.system_energy_j, 0.0);
+    }
+
+    #[test]
+    fn a_redistributed_placement_is_placed_afresh_at_another_clock() {
+        // On a bandwidth-starved card a streaming block's time is set by
+        // DRAM bandwidth, not the clock: halving the clock doubles the
+        // compute block's 1 s and leaves the streaming block's 1.4 s. So
+        // which SMs free up first — where the 30 blocks that fit nowhere
+        // are redistributed — depends on the clock.
+        let mut cfg = cfg();
+        cfg.dram_bandwidth = 22e9;
+        let model = EnergyModel::new(
+            cfg.clone(),
+            energy_model().power().with_config(cfg.clone()),
+            200.0,
+        );
+        let half_clock = PowerState::operating("p2", 30.0, 0.5, 0.7, 20e-6);
+        let slow = model.in_state(&half_clock);
+        let big = |name: &str, comp_insts: f64, coalesced_mem: f64| {
+            let desc = KernelDesc::builder(name)
+                .threads_per_block(512)
+                .shared_mem_per_block(12 << 10)
+                .comp_insts(comp_insts)
+                .coalesced_mem(coalesced_mem)
+                .build();
+            KernelSpec::new(desc, 15)
+        };
+        let small = KernelDesc::builder("small")
+            .threads_per_block(64)
+            .shared_mem_per_block(8 << 10)
+            .comp_insts(1e5)
+            .build();
+        let plan = ConsolidationPlan::new()
+            .with(big(
+                "compute",
+                cfg.clock_hz / (16.0 * cfg.warp_issue_cycles()),
+                0.0,
+            ))
+            .with(big("stream", 0.0, 1e6))
+            .with(KernelSpec::new(small, 30));
+
+        let shared = analyze(&plan, &cfg);
+        let own = analyze(&plan, slow.perf().config());
+        assert!(shared.redistributed && own.redistributed);
+        let members = |p: &Placement| -> Vec<Vec<usize>> {
+            p.per_sm()
+                .map(|sm| sm.iter().map(|b| b.member).collect())
+                .collect()
+        };
+        assert_ne!(members(&shared), members(&own), "the clock moves blocks");
+        let bits = |p: Prediction| p.system_energy_j.to_bits();
+        assert_eq!(
+            bits(slow.predict_placed(&plan, &shared)),
+            bits(slow.predict(&plan))
+        );
     }
 }

@@ -26,7 +26,10 @@
 //!   (9× off) is provided for the ablation benches.
 //! * [`energy::EnergyModel`] — E = P̄ × T, composed with idle and thermal
 //!   terms into whole-system joules, the quantity the decision engine
-//!   compares across alternatives.
+//!   compares across alternatives. Its [`Prediction`]s are scalars; the
+//!   per-SM detail comes from [`PerfModel::predict`]. One placement
+//!   serves every operating point of a DVFS ladder
+//!   ([`EnergyModel::predict_placed`]).
 //! * [`policy`] — the power-policy knob over the `ewc-energy` state
 //!   ladder: race-to-idle, pace-to-deadline, or cap-aware state choice
 //!   scored over a common horizon ([`policy::choose_state`]).
@@ -74,7 +77,7 @@ pub mod power;
 
 pub use energy::{EnergyModel, Prediction, PredictionRange};
 pub use perf::{PerfModel, PerfPrediction};
-pub use placement::{analyze, Placement};
+pub use placement::{analyze, analyze_serial, Placement};
 pub use plan::{ConsolidationPlan, KernelSpec};
 pub use policy::{choose_state, horizon_s, PolicyKnob, StateChoice};
 pub use power::PowerModel;

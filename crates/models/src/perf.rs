@@ -13,10 +13,95 @@
 //! 4. reports the makespan (the critical SMs' finish time) and
 //!    per-member completion estimates.
 
-use ewc_gpu::GpuConfig;
+use ewc_gpu::{BlockCost, GpuConfig};
 
-use crate::placement::{analyze, sm_phase_time, Placement};
+use crate::placement::{analyze, same_blocks, PlacedBlock, Placement};
 use crate::plan::ConsolidationPlan;
+
+/// What one pass over a placement's SMs folds: the scalars every
+/// prediction needs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SmPass {
+    /// The makespan: the latest SM finish.
+    pub time_s: f64,
+    /// Σ finish over the busy SMs, in SM order.
+    pub busy_s: f64,
+    /// The static bandwidth over-subscription factor applied (≥ 1).
+    pub bw_stretch: f64,
+}
+
+/// One phase of one SM: the interleaving-aware time of its co-scheduled
+/// blocks, `max(Σ dᵢ·tᵢ, max tᵢ)` — treat them "as one single big
+/// workload" (Section V) — stretched on its memory-bound share by the
+/// static bandwidth penalty.
+fn phase_time<'a>(blocks: impl Iterator<Item = &'a BlockCost>, bw_stretch: f64) -> f64 {
+    let (mut issue, mut longest, mut mem, mut solo) = (0.0_f64, 0.0_f64, 0.0, 0.0);
+    for c in blocks {
+        issue += c.issue_demand * c.t_solo_s;
+        longest = longest.max(c.t_solo_s);
+        mem += c.mem_fraction * c.t_solo_s;
+        solo += c.t_solo_s;
+    }
+    let t_base = issue.max(longest);
+    let mem_weight = mem / solo;
+    t_base * ((1.0 - mem_weight) + mem_weight * bw_stretch)
+}
+
+/// The performance model's one per-SM pass: each busy SM's finish time
+/// from `costs` (per cost class) under the static bandwidth penalty,
+/// handed to `each` with the SM's index and blocks, and folded into an
+/// [`SmPass`]. An SM holding the same work as the previous busy SM
+/// reuses its finish, so a homogeneous plan costs one SM's arithmetic.
+pub(crate) fn sm_pass(
+    placement: &Placement,
+    costs: &[BlockCost],
+    dram_bandwidth: f64,
+    mut each: impl FnMut(usize, &[PlacedBlock], f64),
+) -> SmPass {
+    // Static bandwidth demand: every placed block assumed streaming
+    // concurrently at its issue-shared rate.
+    let mut demand = 0.0;
+    let mut prev: (&[PlacedBlock], f64) = (&[], 1.0);
+    for blocks in placement.per_sm().filter(|b| !b.is_empty()) {
+        if !same_blocks(blocks, prev.0) {
+            let sum_d: f64 = blocks.iter().map(|b| costs[b.class].issue_demand).sum();
+            prev = (blocks, if sum_d > 1.0 { 1.0 / sum_d } else { 1.0 });
+        }
+        for b in blocks {
+            demand += costs[b.class].bw_solo * prev.1;
+        }
+    }
+    let bw_stretch = (demand / dram_bandwidth).max(1.0);
+
+    let (mut time_s, mut busy_s) = (0.0_f64, 0.0);
+    let mut prev: (&[PlacedBlock], f64) = (&[], 0.0);
+    for (sm, blocks) in placement.per_sm().enumerate() {
+        if blocks.is_empty() {
+            continue;
+        }
+        if !same_blocks(blocks, prev.0) {
+            // An SM's phase-0 blocks precede its phase-1 blocks.
+            let (initial, redistributed) =
+                blocks.split_at(blocks.partition_point(|b| b.phase == 0));
+            let mut finish = 0.0;
+            for phase in [initial, redistributed] {
+                if !phase.is_empty() {
+                    finish += phase_time(phase.iter().map(|b| &costs[b.class]), bw_stretch);
+                }
+            }
+            prev = (blocks, finish);
+        }
+        let finish = prev.1;
+        time_s = time_s.max(finish);
+        busy_s += finish;
+        each(sm, blocks, finish);
+    }
+    SmPass {
+        time_s,
+        busy_s,
+        bw_stretch,
+    }
+}
 
 /// Output of the performance model.
 #[derive(Debug, Clone)]
@@ -67,88 +152,49 @@ impl PerfModel {
         plan: &ConsolidationPlan,
         placement: &Placement,
     ) -> PerfPrediction {
-        let n_sms = self.cfg.num_sms as usize;
-        let costs = &placement.costs;
-
-        // Static bandwidth demand: every placed block assumed streaming
-        // concurrently at its issue-shared rate.
-        let mut demand = 0.0;
-        for blocks in placement.per_sm() {
-            let sum_d: f64 = blocks.iter().map(|b| costs[b.member].issue_demand).sum();
-            let share = if sum_d > 1.0 { 1.0 / sum_d } else { 1.0 };
-            for b in blocks {
-                demand += costs[b.member].bw_solo * share;
-            }
-        }
-        let bw_stretch = (demand / self.cfg.dram_bandwidth).max(1.0);
-
-        let mut per_sm_finish = vec![0.0_f64; n_sms];
+        let mut per_sm_finish = vec![0.0_f64; self.cfg.num_sms as usize];
         let mut member_finish = vec![0.0_f64; plan.members.len()];
-        for (sm, blocks) in placement.per_sm().enumerate() {
-            if blocks.is_empty() {
-                continue;
-            }
-            let mut finish = 0.0;
-            // An SM's phase-0 blocks precede its phase-1 blocks.
-            let (initial, redistributed) =
-                blocks.split_at(blocks.partition_point(|b| b.phase == 0));
-            for phase in [initial, redistributed] {
-                if phase.is_empty() {
-                    continue;
+        let pass = sm_pass(
+            placement,
+            &placement.costs,
+            self.cfg.dram_bandwidth,
+            |sm, blocks, finish| {
+                per_sm_finish[sm] = finish;
+                for b in blocks {
+                    member_finish[b.member] = member_finish[b.member].max(finish);
                 }
-                let phase_costs = phase.iter().map(|b| &costs[b.member]);
-                // Memory-bound weight of this phase for the bandwidth
-                // penalty.
-                let t_base = sm_phase_time(phase_costs.clone());
-                let mem_weight: f64 = phase_costs
-                    .clone()
-                    .map(|c| c.mem_fraction * c.t_solo_s)
-                    .sum::<f64>()
-                    / phase_costs.map(|c| c.t_solo_s).sum::<f64>();
-                finish += t_base * ((1.0 - mem_weight) + mem_weight * bw_stretch);
-            }
-            per_sm_finish[sm] = finish;
-            for b in blocks {
-                member_finish[b.member] = member_finish[b.member].max(finish);
-            }
-        }
+            },
+        );
 
-        let time_s = per_sm_finish.iter().copied().fold(0.0, f64::max);
-        let critical_sms: Vec<u32> = per_sm_finish
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| t > 0.0 && (time_s - t) <= time_s * 1e-9)
-            .map(|(i, _)| i as u32)
-            .collect();
+        let time_s = pass.time_s;
+        let critical = |t: &f64| *t > 0.0 && (time_s - t) <= time_s * 1e-9;
+        let mut critical_sms =
+            Vec::with_capacity(per_sm_finish.iter().filter(|t| critical(t)).count());
+        critical_sms.extend(
+            (0u32..)
+                .zip(&per_sm_finish)
+                .filter(|(_, t)| critical(t))
+                .map(|(sm, _)| sm),
+        );
         PerfPrediction {
             time_s,
             critical_sms,
             member_finish,
             sms_used: placement.sms_used(),
             is_type1: placement.is_type1(),
-            bw_stretch,
+            bw_stretch: pass.bw_stretch,
             per_sm_finish,
         }
-    }
-
-    /// Predict the time of running each member serially, one launch after
-    /// another (the "serial" baseline of Section VIII).
-    pub fn predict_serial(&self, plan: &ConsolidationPlan) -> f64 {
-        plan.members
-            .iter()
-            .map(|m| {
-                let single = ConsolidationPlan::new()
-                    .with(crate::plan::KernelSpec::new(m.desc.clone(), m.blocks));
-                self.predict(&single).time_s
-            })
-            .sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::energy::EnergyModel;
     use crate::plan::KernelSpec;
+    use crate::power::PowerModel;
+    use ewc_energy::{GpuPowerGroundTruth, PowerCoefficients, ThermalModel, TrainingBenchmark};
     use ewc_gpu::{DispatchPolicy, ExecutionEngine, KernelDesc};
 
     fn cfg() -> GpuConfig {
@@ -226,13 +272,26 @@ mod tests {
         assert!(err < 0.12, "pred {p} vs meas {m} (err {:.1}%)", err * 100.0);
     }
 
+    /// The serial alternative's time, from the energy model that owns it.
+    fn serial_time_s(plan: &ConsolidationPlan) -> f64 {
+        let coeffs = PowerCoefficients::train(
+            &cfg(),
+            &GpuPowerGroundTruth::tesla_c1060(),
+            &TrainingBenchmark::rodinia_suite(),
+            42,
+        )
+        .unwrap();
+        let power = PowerModel::new(coeffs, ThermalModel::gt200(), cfg());
+        EnergyModel::new(cfg(), power, 200.0)
+            .predict_serial(plan)
+            .time_s
+    }
+
     #[test]
     fn serial_prediction_sums_members() {
-        let model = PerfModel::new(cfg());
         let a = KernelSpec::new(compute("a", 256, 16, 2.0), 10);
         let b = KernelSpec::new(compute("b", 256, 16, 3.0), 10);
-        let serial =
-            model.predict_serial(&ConsolidationPlan::new().with(a.clone()).with(b.clone()));
+        let serial = serial_time_s(&ConsolidationPlan::new().with(a.clone()).with(b.clone()));
         assert!((serial - 5.0).abs() < 1e-6);
     }
 
@@ -242,13 +301,30 @@ mod tests {
         let model = PerfModel::new(cfg());
         let plan = ConsolidationPlan::homogeneous(compute("enc", 256, 20, 8.4), 3, 9);
         let pred = model.predict(&plan);
-        let serial = model.predict_serial(&plan);
+        let serial = serial_time_s(&plan);
         assert!(
             (pred.time_s - 8.4).abs() / 8.4 < 0.02,
             "consolidated {}",
             pred.time_s
         );
         assert!((serial - 9.0 * 8.4).abs() / (9.0 * 8.4) < 0.02);
+    }
+
+    #[test]
+    fn phase_time_interleaves_below_saturation() {
+        let c = cfg();
+        let mem = {
+            let mut d = KernelDesc::builder("m").threads_per_block(64).build();
+            d.uncoalesced_mem = 1e5;
+            BlockCost::derive(&d, &c)
+        };
+        let comp = BlockCost::derive(&compute("c", 64, 16, mem.t_solo_s * 0.4), &c);
+        let t = phase_time([&mem, &comp].into_iter(), 1.0);
+        // Σd·t small; the long memory block dominates.
+        assert!((t - mem.t_solo_s).abs() / mem.t_solo_s < 0.2);
+        // Two compute blocks serialise.
+        let t2 = phase_time([&comp, &comp].into_iter(), 1.0);
+        assert!((t2 - 2.0 * comp.t_solo_s).abs() < 1e-9);
     }
 
     #[test]

@@ -12,19 +12,38 @@
 //! interleaving-aware per-SM formula). The result is a two-phase per-SM
 //! block assignment from which the performance model reads off the
 //! critical SMs.
+//!
+//! Members are grouped into *cost classes*: a run of consecutive members
+//! whose descriptors are bit-equal (the name is a label only). Every
+//! member of a class has the same solo block cost, so each class's cost
+//! is derived once, and two SMs holding the same sequence of (class,
+//! phase) finish at the same time.
 
-use ewc_gpu::occupancy::SmResources;
-use ewc_gpu::{BlockCost, GpuConfig};
+use ewc_gpu::occupancy::{Occupancy, SmResources};
+use ewc_gpu::{BlockCost, GpuConfig, KernelDesc};
 
-use crate::plan::ConsolidationPlan;
+use crate::plan::{ConsolidationPlan, KernelSpec};
 
 /// A block placed on an SM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlacedBlock {
     /// Index into the plan's members.
     pub member: usize,
+    /// The member's cost class (index into [`Placement::costs`]).
+    pub class: usize,
     /// 0 = initial wave placement, 1 = redistributed after first idle.
     pub phase: u8,
+    /// The SM the block landed on.
+    sm: u32,
+}
+
+/// Whether two SMs hold the same sequence of (cost class, phase) — all
+/// an SM's finish time depends on.
+pub(crate) fn same_blocks(a: &[PlacedBlock], b: &[PlacedBlock]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| (x.class, x.phase) == (y.class, y.phase))
 }
 
 /// The static placement of a plan.
@@ -35,10 +54,63 @@ pub struct Placement {
     blocks: Vec<PlacedBlock>,
     /// SM `sm` holds `blocks[sm_start[sm]..sm_start[sm + 1]]`.
     sm_start: Vec<usize>,
-    /// Per-member solo block costs, aligned with the plan.
+    /// Solo block cost per cost class, at the clock the plan was placed.
     pub costs: Vec<BlockCost>,
+    /// Each member's cost class, aligned with the plan.
+    pub(crate) class_of: Vec<usize>,
     /// Whether a redistribution phase occurred.
     pub redistributed: bool,
+    /// Whether every member fits an empty SM ([`Occupancy::of`]). An
+    /// unschedulable member's blocks are placed as the dispatcher's
+    /// replay leaves them, but no energy prediction is made from them.
+    pub(crate) schedulable: bool,
+    /// The clock the costs were derived at, Hz.
+    pub(crate) clock_hz: f64,
+}
+
+/// Whether two descriptors cost the same: every field the models read
+/// has the same bits (the name is a label only).
+pub(crate) fn same_cost(a: &KernelDesc, b: &KernelDesc) -> bool {
+    let key = |d: &KernelDesc| {
+        let KernelDesc {
+            name: _,
+            threads_per_block,
+            regs_per_thread,
+            shared_mem_per_block,
+            comp_insts,
+            coalesced_mem,
+            uncoalesced_mem,
+            sync_insts,
+        } = d;
+        (
+            [*threads_per_block, *regs_per_thread, *shared_mem_per_block],
+            [comp_insts, coalesced_mem, uncoalesced_mem, sync_insts].map(|f| f.to_bits()),
+        )
+    };
+    key(a) == key(b)
+}
+
+/// Whether two members get the same solo prediction: the same cost and
+/// the same block count.
+pub(crate) fn same_work(a: &KernelSpec, b: &KernelSpec) -> bool {
+    a.blocks == b.blocks && same_cost(&a.desc, &b.desc)
+}
+
+/// Each cost class's solo block cost on `cfg`, in class order, given the
+/// members and their classes.
+pub(crate) fn class_costs(
+    members: &[KernelSpec],
+    class_of: &[usize],
+    cfg: &GpuConfig,
+) -> Vec<BlockCost> {
+    let classes = class_of.last().map_or(0, |&c| c + 1);
+    let mut costs = Vec::with_capacity(classes);
+    for (m, &class) in members.iter().zip(class_of) {
+        if class == costs.len() {
+            costs.push(BlockCost::derive(&m.desc, cfg));
+        }
+    }
+    costs
 }
 
 impl Placement {
@@ -63,51 +135,105 @@ impl Placement {
     }
 }
 
-/// Interleaving-aware elapsed-time estimate for a set of co-scheduled
-/// blocks on one SM: `max(Σ dᵢ·tᵢ, max tᵢ)` — treat them "as one single
-/// big workload" (Section V).
-pub fn sm_phase_time<'a>(blocks: impl Iterator<Item = &'a BlockCost> + Clone) -> f64 {
-    let issue: f64 = blocks.clone().map(|c| c.issue_demand * c.t_solo_s).sum();
-    let longest = blocks.map(|c| c.t_solo_s).fold(0.0, f64::max);
-    issue.max(longest)
+/// The global block list in template order, consumed from the front: a
+/// (member, blocks left) cursor over the members.
+struct Pool<'a> {
+    members: &'a [KernelSpec],
+    member: usize,
+    left: u32,
+}
+
+impl<'a> Pool<'a> {
+    fn new(members: &'a [KernelSpec]) -> Self {
+        let mut pool = Pool {
+            members,
+            member: 0,
+            left: members.first().map_or(0, |m| m.blocks),
+        };
+        pool.skip_empty();
+        pool
+    }
+
+    /// Step past members with no blocks left.
+    fn skip_empty(&mut self) {
+        while self.left == 0 {
+            self.member += 1;
+            match self.members.get(self.member) {
+                Some(m) => self.left = m.blocks,
+                None => return,
+            }
+        }
+    }
+
+    /// The member of the next block, if any is left.
+    fn peek(&self) -> Option<usize> {
+        (self.left > 0).then_some(self.member)
+    }
+}
+
+impl Iterator for Pool<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let member = self.peek()?;
+        self.left -= 1;
+        self.skip_empty();
+        Some(member)
+    }
 }
 
 /// Statically place a plan on the device.
 pub fn analyze(plan: &ConsolidationPlan, cfg: &GpuConfig) -> Placement {
-    let n_sms = cfg.num_sms as usize;
-    let costs: Vec<BlockCost> = plan
-        .members
-        .iter()
-        .map(|m| BlockCost::derive(&m.desc, cfg))
-        .collect();
+    place(&plan.members, cfg)
+}
 
-    // The global block list in template order. It is only ever consumed
-    // from the front, so the lazy expansion stands in for a queue.
-    let mut pool = plan
-        .members
-        .iter()
-        .enumerate()
-        .flat_map(|(mi, m)| std::iter::repeat_n(mi, m.blocks as usize))
-        .peekable();
-    let total: usize = plan.members.iter().map(|m| m.blocks as usize).sum();
+/// The placements of the serial alternative: each member alone on the
+/// device, one placement per run of consecutive members with the same
+/// work (cost and block count), in plan order.
+pub fn analyze_serial(plan: &ConsolidationPlan, cfg: &GpuConfig) -> Vec<Placement> {
+    let mut runs = Vec::new();
+    for (i, m) in plan.members.iter().enumerate() {
+        if i == 0 || !same_work(&plan.members[i - 1], m) {
+            runs.push(place(std::slice::from_ref(m), cfg));
+        }
+    }
+    runs
+}
+
+/// [`analyze`] over a member list.
+pub(crate) fn place(members: &[KernelSpec], cfg: &GpuConfig) -> Placement {
+    let n_sms = cfg.num_sms as usize;
+    let mut class_of: Vec<usize> = Vec::with_capacity(members.len());
+    let mut schedulable = true;
+    for (i, m) in members.iter().enumerate() {
+        let same = i > 0 && same_cost(&members[i - 1].desc, &m.desc);
+        if !same {
+            schedulable &= Occupancy::of(&m.desc, cfg).is_ok();
+        }
+        class_of.push(class_of.last().map_or(0, |&c| c + usize::from(!same)));
+    }
+    let costs = class_costs(members, &class_of, cfg);
+
+    let mut pool = Pool::new(members);
+    let total: usize = members.iter().map(|m| m.blocks as usize).sum();
+    let block = |member: usize, phase: u8, sm: usize| PlacedBlock {
+        member,
+        class: class_of[member],
+        phase,
+        sm: sm as u32,
+    };
 
     // Blocks in dispatch order, each with the SM it landed on.
-    let mut placed: Vec<(usize, PlacedBlock)> = Vec::with_capacity(total);
+    let mut placed: Vec<PlacedBlock> = Vec::with_capacity(total);
     let mut res: Vec<SmResources> = (0..n_sms).map(|_| SmResources::new(cfg)).collect();
 
     // Round-robin waves: each pass admits at most one block per SM.
     loop {
         let mut progress = false;
         for (sm, sm_res) in res.iter_mut().enumerate() {
-            let Some(&mi) = pool.peek() else { break };
-            if sm_res.admit(&plan.members[mi].desc) {
-                placed.push((
-                    sm,
-                    PlacedBlock {
-                        member: mi,
-                        phase: 0,
-                    },
-                ));
+            let Some(mi) = pool.peek() else { break };
+            if sm_res.admit(&members[mi].desc) {
+                placed.push(block(mi, 0, sm));
                 pool.next();
                 progress = true;
             }
@@ -119,13 +245,13 @@ pub fn analyze(plan: &ConsolidationPlan, cfg: &GpuConfig) -> Placement {
 
     let mut redistributed = false;
     if pool.peek().is_some() {
-        // Phase-1 finish estimate per busy SM: `sm_phase_time` of its
-        // blocks, folded in dispatch order (which is each SM's own
+        // Phase-1 finish estimate per busy SM: `max(Σ dᵢ·tᵢ, max tᵢ)` of
+        // its blocks, folded in dispatch order (which is each SM's own
         // placement order).
         let mut issue = vec![0.0_f64; n_sms];
         let mut longest = vec![0.0_f64; n_sms];
-        for &(sm, b) in &placed {
-            let c = &costs[b.member];
+        for b in &placed {
+            let (c, sm) = (&costs[b.class], b.sm as usize);
             issue[sm] += c.issue_demand * c.t_solo_s;
             longest[sm] = longest[sm].max(c.t_solo_s);
         }
@@ -139,44 +265,42 @@ pub fn analyze(plan: &ConsolidationPlan, cfg: &GpuConfig) -> Placement {
             .collect();
         if !idle.is_empty() {
             for (next, mi) in pool.enumerate() {
-                placed.push((
-                    idle[next % idle.len()],
-                    PlacedBlock {
-                        member: mi,
-                        phase: 1,
-                    },
-                ));
+                placed.push(block(mi, 1, idle[next % idle.len()]));
             }
             redistributed = true;
         }
     }
 
-    // Stable counting sort of the dispatch-order list by SM.
     let mut sm_start = vec![0usize; n_sms + 1];
-    for &(sm, _) in &placed {
-        sm_start[sm + 1] += 1;
+    for b in &placed {
+        sm_start[b.sm as usize + 1] += 1;
     }
     for sm in 0..n_sms {
         sm_start[sm + 1] += sm_start[sm];
     }
-    let mut cursor = sm_start.clone();
-    let mut blocks = vec![
-        PlacedBlock {
-            member: 0,
-            phase: 0
-        };
-        placed.len()
-    ];
-    for (sm, b) in placed {
-        blocks[cursor[sm]] = b;
-        cursor[sm] += 1;
-    }
+    // One wave and no redistribution leave the dispatch order in SM
+    // order already; otherwise a stable counting sort by SM.
+    let blocks = if placed.windows(2).all(|w| w[0].sm <= w[1].sm) {
+        placed
+    } else {
+        let mut cursor = sm_start.clone();
+        let mut blocks = placed.clone();
+        for b in placed {
+            let slot = &mut cursor[b.sm as usize];
+            blocks[*slot] = b;
+            *slot += 1;
+        }
+        blocks
+    };
 
     Placement {
         blocks,
         sm_start,
         costs,
+        class_of,
         redistributed,
+        schedulable,
+        clock_hz: cfg.clock_hz,
     }
 }
 
@@ -261,26 +385,24 @@ mod tests {
     }
 
     #[test]
-    fn phase_time_interleaves_below_saturation() {
-        let c = cfg();
-        let mem = {
-            let mut d = KernelDesc::builder("m").threads_per_block(64).build();
-            d.uncoalesced_mem = 1e5;
-            BlockCost::derive(&d, &c)
-        };
-        let comp = BlockCost::derive(&compute("c", 64, 16, mem.t_solo_s * 0.4), &c);
-        let t = sm_phase_time([&mem, &comp].into_iter());
-        // Σd·t small; the long memory block dominates.
-        assert!((t - mem.t_solo_s).abs() / mem.t_solo_s < 0.2);
-        // Two compute blocks serialise.
-        let t2 = sm_phase_time([&comp, &comp].into_iter());
-        assert!((t2 - 2.0 * comp.t_solo_s).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_plan_places_nothing() {
         let p = analyze(&ConsolidationPlan::new(), &cfg());
         assert_eq!(p.sms_used(), 0);
         assert!(p.is_type1());
+        // Members with no blocks hold no SM and do not stop the cursor.
+        let k = compute("k", 256, 16, 1.0);
+        let plan = ConsolidationPlan::new()
+            .with(KernelSpec::new(k.clone(), 0))
+            .with(KernelSpec::new(k.clone(), 2))
+            .with(KernelSpec::new(k.clone(), 0))
+            .with(KernelSpec::new(k, 1));
+        let p = analyze(&plan, &cfg());
+        let members: Vec<usize> = p.per_sm().flatten().map(|b| b.member).collect();
+        assert_eq!(members, vec![1, 1, 3]);
+        assert_eq!(
+            p.class_of,
+            vec![0, 0, 0, 0],
+            "one descriptor, one cost class"
+        );
     }
 }

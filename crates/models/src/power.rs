@@ -9,10 +9,10 @@
 //! ablation benches.
 
 use ewc_energy::{PowerCoefficients, ThermalModel};
-use ewc_gpu::{EventRates, GpuConfig};
+use ewc_gpu::{BlockCost, EventRates, GpuConfig};
 
 use crate::placement::Placement;
-use crate::plan::ConsolidationPlan;
+use crate::plan::{ConsolidationPlan, KernelSpec};
 
 /// The consolidated-workload power model.
 #[derive(Debug, Clone)]
@@ -50,7 +50,7 @@ impl PowerModel {
     }
 
     /// Predicted device-wide average event rates for a plan expected to
-    /// run for `time_s` seconds with `sms_used` SMs holding work.
+    /// run for `time_s` seconds, each SM busy until its `per_sm_finish`.
     pub fn predicted_rates(
         &self,
         plan: &ConsolidationPlan,
@@ -58,18 +58,37 @@ impl PowerModel {
         time_s: f64,
         per_sm_finish: &[f64],
     ) -> EventRates {
+        let busy: f64 = per_sm_finish.iter().sum();
+        self.rates(
+            &plan.members,
+            &placement.class_of,
+            &placement.costs,
+            time_s,
+            busy,
+        )
+    }
+
+    /// [`Self::predicted_rates`] from the busy sum `busy_s` (Σ per-SM
+    /// finish) and per-class `costs`.
+    pub(crate) fn rates(
+        &self,
+        members: &[KernelSpec],
+        class_of: &[usize],
+        costs: &[BlockCost],
+        time_s: f64,
+        busy: f64,
+    ) -> EventRates {
         let mut comp_ops = 0.0;
         let mut mem_txn = 0.0;
         let mut mem_bytes = 0.0;
-        for (m, cost) in plan.members.iter().zip(&placement.costs) {
-            let blocks = f64::from(m.blocks);
+        for (m, &class) in members.iter().zip(class_of) {
+            let (blocks, cost) = (f64::from(m.blocks), &costs[class]);
             comp_ops += blocks * cost.comp_ops;
             mem_txn += blocks * cost.mem_requests;
             mem_bytes += blocks * cost.mem_bytes;
         }
         // Time-weighted active-SM fraction: each SM is active for its
         // predicted finish time out of the makespan.
-        let busy: f64 = per_sm_finish.iter().sum();
         let active_frac = if time_s > 0.0 {
             (busy / (time_s * f64::from(self.cfg.num_sms))).min(1.0)
         } else {
@@ -116,7 +135,7 @@ impl PowerModel {
             let mut comp = 0.0;
             let mut txn = 0.0;
             for b in blocks {
-                let c = &placement.costs[b.member];
+                let c = &placement.costs[b.class];
                 comp += c.comp_ops;
                 txn += c.mem_requests;
             }

@@ -1,9 +1,12 @@
-//! The flat placement, the per-state models and the serial dedupe are
-//! reshapings, not remodellings: every prediction must equal, bit for
+//! The flat placement, the per-state models, the serial dedupe, the
+//! cost classes, the shared ladder placement and the scalar energy path
+//! are reshapings, not remodellings: every prediction must equal, bit for
 //! bit, the member-at-a-time reference below, which keeps the original
 //! shape — nested per-SM block lists, a materialised block queue,
-//! per-phase scratch vectors, models rebuilt per call and one
-//! single-member prediction per member.
+//! per-phase scratch vectors, one cost per member, every SM evaluated,
+//! models rebuilt per call and one single-member prediction per member.
+//! It adds one rule to that shape: a plan with a member that fits no SM
+//! predicts +∞ (see [`unschedulable`]).
 
 use std::collections::VecDeque;
 
@@ -11,10 +14,11 @@ use ewc_energy::{
     GpuPowerGroundTruth, PowerCoefficients, PowerState, PowerStateTable, ThermalModel,
     TrainingBenchmark,
 };
-use ewc_gpu::occupancy::SmResources;
+use ewc_gpu::occupancy::{Occupancy, SmResources};
 use ewc_gpu::{BlockCost, EventRates, GpuConfig, KernelDesc, SimRng};
 use ewc_models::{
-    ConsolidationPlan, EnergyModel, KernelSpec, PerfPrediction, PowerModel, Prediction,
+    analyze, analyze_serial, ConsolidationPlan, EnergyModel, KernelSpec, PerfPrediction,
+    PowerModel, Prediction,
 };
 
 const IDLE_W: f64 = 200.0;
@@ -200,18 +204,51 @@ fn ref_rates(
 
 // ---- reference: energy composition, models rebuilt per call ------------
 
+/// The reference's one explicit rule: a plan with a member that fits no
+/// SM cannot run.
+fn unschedulable(plan: &ConsolidationPlan) -> bool {
+    plan.members
+        .iter()
+        .any(|m| Occupancy::of(&m.desc, &cfg()).is_err())
+}
+
+/// What a plan that cannot run predicts: +∞ in every field.
+fn infinite(state: Option<&PowerState>) -> Prediction {
+    Prediction {
+        time_s: f64::INFINITY,
+        dyn_power_w: f64::INFINITY,
+        thermal_w: f64::INFINITY,
+        gpu_energy_j: f64::INFINITY,
+        system_energy_j: f64::INFINITY,
+        state: state.copied(),
+    }
+}
+
+/// `state`, unless it is flat or the P0 anchor, whose scalings are 1.
+fn scaling(state: Option<&PowerState>) -> Option<&PowerState> {
+    state.filter(|s| !(s.freq_scale == 1.0 && s.volt_scale == 1.0))
+}
+
+/// The device configuration in `state` (`None` = flat).
+fn cfg_in(state: Option<&PowerState>) -> GpuConfig {
+    let mut cfg = cfg();
+    if let Some(s) = scaling(state) {
+        cfg.clock_hz *= s.freq_scale;
+    }
+    cfg
+}
+
 /// The consolidated prediction, flat (`state == None`) or in a state.
 fn ref_predict(
     power: &PowerModel,
     plan: &ConsolidationPlan,
     state: Option<&PowerState>,
 ) -> Prediction {
-    let mut cfg = cfg();
-    let mut volt_sq = None;
-    if let Some(s) = state.filter(|s| !(s.freq_scale == 1.0 && s.volt_scale == 1.0)) {
-        cfg.clock_hz *= s.freq_scale;
-        volt_sq = Some(s.volt_sq());
+    if unschedulable(plan) {
+        return infinite(state);
     }
+    let cfg = cfg_in(state);
+    let volt_sq = scaling(state).map(PowerState::volt_sq);
     let power = power.with_config(cfg.clone());
     let placement = ref_analyze(plan, &cfg);
     let perf = ref_perf(plan, &placement, &cfg);
@@ -235,7 +272,6 @@ fn ref_predict(
         gpu_energy_j,
         system_energy_j: gpu_energy_j + IDLE_W * perf.time_s,
         state: state.copied(),
-        perf,
     }
 }
 
@@ -245,14 +281,15 @@ fn ref_predict_serial(
     plan: &ConsolidationPlan,
     state: Option<&PowerState>,
 ) -> Prediction {
+    if unschedulable(plan) {
+        return infinite(state);
+    }
     let (mut time, mut gpu_energy) = (0.0, 0.0);
-    let mut last_perf = None;
     for m in &plan.members {
         let single = ConsolidationPlan::new().with(KernelSpec::new(m.desc.clone(), m.blocks));
         let p = ref_predict(power, &single, state);
         time += p.time_s;
         gpu_energy += p.gpu_energy_j;
-        last_perf = Some(p.perf);
     }
     Prediction {
         time_s: time,
@@ -261,13 +298,6 @@ fn ref_predict_serial(
         gpu_energy_j: gpu_energy,
         system_energy_j: gpu_energy + IDLE_W * time,
         state: state.copied(),
-        perf: last_perf.unwrap_or_else(|| {
-            ref_perf(
-                &ConsolidationPlan::new(),
-                &ref_analyze(&ConsolidationPlan::new(), &cfg()),
-                &cfg(),
-            )
-        }),
     }
 }
 
@@ -285,25 +315,31 @@ fn assert_same(got: &Prediction, want: &Prediction, what: &str) {
             p.thermal_w,
             p.gpu_energy_j,
             p.system_energy_j,
-            p.perf.time_s,
-            p.perf.bw_stretch,
         ])
     };
     assert_eq!(scalars(got), scalars(want), "{what}: scalars");
     assert_eq!(got.state, want.state, "{what}: state");
+}
+
+fn assert_same_perf(got: &PerfPrediction, want: &PerfPrediction, what: &str) {
     assert_eq!(
-        bits(&got.perf.per_sm_finish),
-        bits(&want.perf.per_sm_finish),
+        bits(&[got.time_s, got.bw_stretch]),
+        bits(&[want.time_s, want.bw_stretch]),
+        "{what}: time_s, bw_stretch"
+    );
+    assert_eq!(
+        bits(&got.per_sm_finish),
+        bits(&want.per_sm_finish),
         "{what}: per_sm_finish"
     );
     assert_eq!(
-        bits(&got.perf.member_finish),
-        bits(&want.perf.member_finish),
+        bits(&got.member_finish),
+        bits(&want.member_finish),
         "{what}: member_finish"
     );
-    assert_eq!(got.perf.critical_sms, want.perf.critical_sms, "{what}");
-    assert_eq!(got.perf.sms_used, want.perf.sms_used, "{what}");
-    assert_eq!(got.perf.is_type1, want.perf.is_type1, "{what}");
+    assert_eq!(got.critical_sms, want.critical_sms, "{what}: critical_sms");
+    assert_eq!(got.sms_used, want.sms_used, "{what}: sms_used");
+    assert_eq!(got.is_type1, want.is_type1, "{what}: is_type1");
 }
 
 // ---- plans -------------------------------------------------------------
@@ -364,10 +400,13 @@ fn random_plan(shape: usize, rng: &mut SimRng) -> ConsolidationPlan {
             plan_of([a.clone(), more.clone(), a, more])
         }
         // Neighbours differing in exactly one descriptor field.
-        _ => {
+        6 => {
             let off = one_field_off(&a, rng);
             plan_of([a.clone(), off.clone(), off, a])
         }
+        // The decision benchmark's shape: homogeneous, 2–9 members × 3
+        // blocks, so every busy SM holds the same work.
+        _ => ConsolidationPlan::homogeneous(a.desc, 3, rng.range_u32(2, 10)),
     }
 }
 
@@ -376,12 +415,26 @@ fn predictions_equal_the_member_at_a_time_reference() {
     let power = power_model();
     let model = EnergyModel::new(cfg(), power.clone(), IDLE_W);
     let table = PowerStateTable::dvfs(60.0);
+    let ladder: Vec<(&PowerState, EnergyModel)> = table
+        .operating_points()
+        .map(|(_, state)| (state, model.in_state(state)))
+        .collect();
     let mut rng = SimRng::seed_from_u64(0x0b17_1de7);
-    let mut redistributed = 0;
-    for i in 0..280 {
-        let plan = random_plan(i % 7, &mut rng);
-        let what = format!("plan {i} (shape {})", i % 7);
-        redistributed += usize::from(ewc_models::analyze(&plan, &cfg()).redistributed);
+    let (mut unrunnable, mut shared, mut fresh) = (0, 0, 0);
+    for i in 0..320 {
+        let plan = random_plan(i % 8, &mut rng);
+        let what = format!("plan {i} (shape {})", i % 8);
+        // The placement the ladder shares: occupancy-only unless it
+        // redistributed, in which case each state places afresh.
+        let placement = analyze(&plan, &cfg());
+        let runs = analyze_serial(&plan, &cfg());
+        if unschedulable(&plan) {
+            unrunnable += 1;
+        } else if placement.redistributed {
+            fresh += 1;
+        } else if !plan.members.is_empty() {
+            shared += 1;
+        }
 
         assert_same(
             &model.predict(&plan),
@@ -393,22 +446,47 @@ fn predictions_equal_the_member_at_a_time_reference() {
             &ref_predict_serial(&power, &plan, None),
             &format!("{what} serial"),
         );
-        for (_, state) in table.operating_points() {
+        assert_same_perf(
+            &model.perf().predict(&plan),
+            &ref_perf(&plan, &ref_analyze(&plan, &cfg()), &cfg()),
+            &format!("{what} perf"),
+        );
+        for (state, in_state) in &ladder {
             let what = format!("{what} in {}", state.name);
+            let want = ref_predict(&power, &plan, Some(state));
+            assert_same(&model.predict_in_state(&plan, state), &want, &what);
             assert_same(
-                &model.predict_in_state(&plan, state),
-                &ref_predict(&power, &plan, Some(state)),
-                &what,
+                &in_state.predict_placed(&plan, &placement),
+                &want,
+                &format!("{what} on the shared placement"),
             );
+            let want = ref_predict_serial(&power, &plan, Some(state));
             assert_same(
                 &model.predict_serial_in_state(&plan, state),
-                &ref_predict_serial(&power, &plan, Some(state)),
+                &want,
                 &format!("{what} serial"),
+            );
+            assert_same(
+                &in_state.predict_serial_placed(&plan, &runs),
+                &want,
+                &format!("{what} serial on the shared placements"),
+            );
+            let state_cfg = cfg_in(Some(state));
+            assert_same_perf(
+                &in_state.perf().predict(&plan),
+                &ref_perf(&plan, &ref_analyze(&plan, &state_cfg), &state_cfg),
+                &format!("{what} perf"),
             );
         }
     }
+    println!("{shared} shared placements, {fresh} placed afresh, {unrunnable} unschedulable");
     assert!(
-        redistributed >= 40,
-        "the sweep must exercise phase-1 redistribution, saw {redistributed}"
+        shared >= 40 && fresh >= 40,
+        "the sweep must exercise the shared ladder placement and the fresh \
+         one after redistribution, saw {shared} and {fresh}"
+    );
+    assert!(
+        unrunnable >= 20,
+        "the sweep must exercise unschedulable plans, saw {unrunnable}"
     );
 }
