@@ -4,6 +4,8 @@ use std::sync::Arc;
 
 use ewc_bench::experiments as ex;
 use ewc_bench::{run_batch, Mix};
+use ewc_core::{Choice, DecisionEngine};
+use ewc_cpu::{CpuConfig, CpuEngine, CpuPowerModel};
 use ewc_energy::{GpuPowerGroundTruth, PowerCoefficients, ThermalModel, TrainingBenchmark};
 use ewc_fleet::{FleetConfig, PolicyKind};
 use ewc_gpu::{ConsolidatedGrid, DispatchPolicy, ExecutionEngine, GpuConfig, Grid};
@@ -155,12 +157,10 @@ fn workload(name: &str) -> Result<Arc<dyn Workload>, String> {
     })
 }
 
-fn predict(name: &str, n: u32) -> Result<String, String> {
-    if n == 0 {
-        return Err("predict: need at least one instance".into());
-    }
+/// The decision engine the runtime builds by default: the paper
+/// testbed's trained energy model beside the dual-Xeon CPU baseline.
+fn decision_engine() -> Result<DecisionEngine, String> {
     let cfg = GpuConfig::tesla_c1060();
-    let w = workload(name)?;
     let coeffs = PowerCoefficients::train(
         &cfg,
         &GpuPowerGroundTruth::tesla_c1060(),
@@ -170,28 +170,39 @@ fn predict(name: &str, n: u32) -> Result<String, String> {
     .ok_or("power-model training failed")?;
     let model = EnergyModel::new(
         cfg.clone(),
-        PowerModel::new(coeffs, ThermalModel::gt200(), cfg.clone()),
+        PowerModel::new(coeffs, ThermalModel::gt200(), cfg),
         200.0,
     );
+    Ok(DecisionEngine::new(
+        model,
+        CpuEngine::new(CpuConfig::xeon_e5520_x2()),
+        CpuPowerModel::xeon_e5520_x2(),
+    ))
+}
+
+fn predict(name: &str, n: u32) -> Result<String, String> {
+    if n == 0 {
+        return Err("predict: need at least one instance".into());
+    }
+    let w = workload(name)?;
+    Ok(predict_with(&decision_engine()?, w.as_ref(), n))
+}
+
+/// Render `engine`'s assessment of `n` consolidated instances of `w`:
+/// the three alternatives' predictions and the verdict the runtime
+/// would act on.
+fn predict_with(engine: &DecisionEngine, w: &dyn Workload, n: u32) -> String {
     let plan = ConsolidationPlan::homogeneous(w.desc(), w.blocks(), n);
-    let cons = model.predict(&plan);
-    let perf = model.perf().predict(&plan);
-    let serial = model.predict_serial(&plan);
-
-    let cpu_engine = ewc_cpu::CpuEngine::new(ewc_cpu::CpuConfig::xeon_e5520_x2());
     let tasks: Vec<_> = (0..n).map(|_| w.cpu_task()).collect();
-    let cpu_out = cpu_engine.run(&tasks);
-    let cpu_energy = ewc_cpu::CpuPowerModel::xeon_e5520_x2().energy_j(&cpu_out);
-
-    let verdict = if cons.system_energy_j < serial.system_energy_j.min(cpu_energy) {
-        "CONSOLIDATE on GPU"
-    } else if cpu_energy < serial.system_energy_j {
-        "run on CPU"
-    } else {
-        "run serially on GPU"
+    let a = engine.assess(&plan, &tasks);
+    let perf = engine.energy_model().perf().predict(&plan);
+    let verdict = match a.choice {
+        Choice::Consolidate => "CONSOLIDATE on GPU",
+        Choice::Cpu => "run on CPU",
+        Choice::SerialGpu => "run serially on GPU",
     };
 
-    Ok(format!(
+    format!(
         "prediction for {n} x {} ({} blocks each):\n\
          \x20 consolidated GPU: {:>8.2} s  {:>9.0} J  (avg dyn power {:.1} W, {} SMs, critical SM{})\n\
          \x20 serial GPU:       {:>8.2} s  {:>9.0} J\n\
@@ -199,17 +210,17 @@ fn predict(name: &str, n: u32) -> Result<String, String> {
          \x20 verdict: {}",
         w.name(),
         w.blocks(),
-        cons.time_s,
-        cons.system_energy_j,
-        cons.dyn_power_w,
+        a.consolidated.time_s,
+        a.consolidated.system_energy_j,
+        a.consolidated.dyn_power_w,
         perf.sms_used,
         perf.critical_sms.first().copied().unwrap_or(0),
-        serial.time_s,
-        serial.system_energy_j,
-        cpu_out.makespan_s,
-        cpu_energy,
+        a.serial.time_s,
+        a.serial.system_energy_j,
+        a.cpu_time_s,
+        a.cpu_energy_j,
         verdict,
-    ))
+    )
 }
 
 fn telemetry(format: Option<&str>, path: Option<&str>) -> Result<String, String> {
@@ -315,28 +326,28 @@ fn faults(preset: Option<&str>, seed: Option<&str>) -> Result<String, String> {
         .unwrap_or("42")
         .parse()
         .map_err(|_| "faults: seed must be a number")?;
-    let base = |faults| ewc_faults::SoakConfig {
+    let base = |faults| ewc_load::SoakConfig {
         seed,
         processes: 4,
         requests_per_process: 10,
         sync_every: 2,
         faults,
-        ..ewc_faults::SoakConfig::default()
+        ..ewc_load::SoakConfig::default()
     };
     let cfg = match preset.unwrap_or("light") {
-        "quiet" => base(ewc_faults::FaultConfig::quiet()),
-        "light" => base(ewc_faults::FaultConfig::light()),
-        "storm" => base(ewc_faults::FaultConfig::storm()),
+        "quiet" => base(ewc_load::FaultConfig::quiet()),
+        "light" => base(ewc_load::FaultConfig::light()),
+        "storm" => base(ewc_load::FaultConfig::storm()),
         // Light faults under a deliberately tight admission controller:
         // Busy/retry/shed and fault recovery exercised together.
-        "overload" => ewc_faults::SoakConfig::overload(seed),
+        "overload" => ewc_load::SoakConfig::overload(seed),
         other => {
             return Err(format!(
                 "faults: unknown preset '{other}' (quiet | light | storm | overload)"
             ))
         }
     };
-    let report = ewc_faults::soak::run(&cfg);
+    let report = ewc_load::soak::run(&cfg);
     let mut out = format!(
         "fault soak (preset {}, seed {seed}): {} processes x {} requests\n\n",
         preset.unwrap_or("light"),
@@ -687,6 +698,25 @@ mod tests {
             p.contains("verdict: run on CPU"),
             "1 enc should go to CPU: {p}"
         );
+    }
+
+    #[test]
+    fn predict_prints_the_engines_verdict() {
+        let engine = decision_engine().unwrap();
+        for name in ["enc", "sort", "search", "bs", "mc", "matmul"] {
+            let w = workload(name).unwrap();
+            for n in 1..=12 {
+                let plan = ConsolidationPlan::homogeneous(w.desc(), w.blocks(), n);
+                let tasks: Vec<_> = (0..n).map(|_| w.cpu_task()).collect();
+                let expected = match engine.assess(&plan, &tasks).choice {
+                    Choice::Consolidate => "verdict: CONSOLIDATE on GPU",
+                    Choice::SerialGpu => "verdict: run serially on GPU",
+                    Choice::Cpu => "verdict: run on CPU",
+                };
+                let out = predict_with(&engine, w.as_ref(), n);
+                assert!(out.ends_with(expected), "{name} x {n}: {out}");
+            }
+        }
     }
 
     #[test]

@@ -45,48 +45,56 @@ pub struct Row {
     pub consolidated_j: f64,
 }
 
+/// Launch `grids` back to back on a fresh `cfg` device and integrate
+/// `sys`'s whole-system energy over the run, measurement noise seeded
+/// by `noise_seed`: `(elapsed s, energy J)`. The future-hardware study
+/// measures with it too.
+pub(crate) fn launch_all(
+    cfg: &GpuConfig,
+    sys: &GpuSystemPower,
+    grids: impl IntoIterator<Item = Grid>,
+    noise_seed: u64,
+) -> (f64, f64) {
+    let mut gpu = GpuDevice::new(cfg.clone());
+    for grid in grids {
+        gpu.launch(&LaunchConfig::from_grid(grid))
+            .expect("launch accepted");
+    }
+    let energy_j = sys
+        .integrate(gpu.activity(), gpu.now_s(), Some(noise_seed))
+        .energy_j;
+    (gpu.now_s(), energy_j)
+}
+
 /// Simulate one configuration.
 pub fn study(processes: u32, kernels_per_process: u32) -> Row {
     let cfg = GpuConfig::tesla_c1060();
+    let sys = GpuSystemPower::tesla_system();
     let aes = AesWorkload::fig7(&cfg);
-    let kernel_grid = || Grid::single(aes.desc(), aes.blocks());
-
-    let energy_of = |gpu: &GpuDevice, seed: u64| {
-        GpuSystemPower::tesla_system()
-            .integrate(gpu.activity(), gpu.now_s(), Some(seed))
-            .energy_j
-    };
+    let kernel = Grid::single(aes.desc(), aes.blocks());
+    let total = processes * kernels_per_process;
 
     // Serial: M·K individual launches.
-    let mut gpu = GpuDevice::new(cfg.clone());
-    for _ in 0..processes * kernels_per_process {
-        gpu.launch(&LaunchConfig::from_grid(kernel_grid()))
-            .expect("launch accepted");
-    }
-    let (serial_s, serial_j) = (gpu.now_s(), energy_of(&gpu, 1));
-
+    let (serial_s, serial_j) = launch_all(&cfg, &sys, (0..total).map(|_| kernel.clone()), 1);
     // Fermi: one concurrent launch per process (kernels of one context
     // overlap), processes serialised.
-    let mut gpu = GpuDevice::new(cfg.clone());
-    for _ in 0..processes {
-        let mut g = ConsolidatedGrid::new();
-        for _ in 0..kernels_per_process {
-            g = g.add(kernel_grid());
-        }
-        gpu.launch(&LaunchConfig::from_grid(g.build()))
-            .expect("launch accepted");
-    }
-    let (fermi_s, fermi_j) = (gpu.now_s(), energy_of(&gpu, 2));
-
+    let (fermi_s, fermi_j) = launch_all(
+        &cfg,
+        &sys,
+        (0..processes).map(|_| {
+            ConsolidatedGrid::new()
+                .add_copies(&kernel, kernels_per_process)
+                .build()
+        }),
+        2,
+    );
     // Cross-process consolidation: everything in one launch.
-    let mut gpu = GpuDevice::new(cfg.clone());
-    let mut g = ConsolidatedGrid::new();
-    for _ in 0..processes * kernels_per_process {
-        g = g.add(kernel_grid());
-    }
-    gpu.launch(&LaunchConfig::from_grid(g.build()))
-        .expect("launch accepted");
-    let (consolidated_s, consolidated_j) = (gpu.now_s(), energy_of(&gpu, 3));
+    let (consolidated_s, consolidated_j) = launch_all(
+        &cfg,
+        &sys,
+        [ConsolidatedGrid::new().add_copies(&kernel, total).build()],
+        3,
+    );
 
     Row {
         processes,

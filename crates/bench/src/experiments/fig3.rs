@@ -3,7 +3,8 @@
 //! Consolidations whose total block count fits one wave: the model only
 //! needs each kernel's solo time plus the global-bandwidth-sharing term.
 //! Prediction is compared against the execution engine (the "measured"
-//! side of this reproduction).
+//! side of this reproduction). Figure 4 validates type-2 plans through
+//! the same `plan` builder and `validate`.
 
 use ewc_gpu::{DispatchPolicy, ExecutionEngine, GpuConfig};
 use ewc_models::{ConsolidationPlan, KernelSpec, PerfModel};
@@ -13,12 +14,12 @@ use ewc_workloads::{
 
 use crate::report::{pct, secs, Table};
 
-/// One validation point.
+/// One validation point (Figures 3 and 4).
 #[derive(Debug, Clone)]
 pub struct Row {
     /// Combination label.
     pub label: String,
-    /// Total blocks (≤ 30 ⇒ type 1).
+    /// Total blocks (≤ 30 ⇒ type 1, > 30 ⇒ some SM holds several).
     pub blocks: u32,
     /// Model-predicted time (s).
     pub predicted_s: f64,
@@ -26,13 +27,32 @@ pub struct Row {
     pub measured_s: f64,
     /// Relative error.
     pub error: f64,
+    /// Model-identified critical SMs (first, count) for the record.
+    pub critical: (u32, usize),
 }
 
-fn validate(label: &str, plan: &ConsolidationPlan) -> Row {
+/// One validation case: a label, and how many instances of each
+/// workload the plan holds, in template order.
+pub(crate) type Case<'a> = (&'a str, &'a [(&'a dyn Workload, u32)]);
+
+/// A plan of `n` instances of each workload in turn, in template order.
+pub(crate) fn plan(parts: &[(&dyn Workload, u32)]) -> ConsolidationPlan {
+    let mut p = ConsolidationPlan::new();
+    for &(w, n) in parts {
+        for _ in 0..n {
+            p.push(KernelSpec::new(w.desc(), w.blocks()));
+        }
+    }
+    p
+}
+
+/// Predict `plan`, which must be of the given type, and measure it on
+/// the execution engine.
+pub(crate) fn validate(label: &str, plan: &ConsolidationPlan, type1: bool) -> Row {
     let cfg = GpuConfig::tesla_c1060();
     let model = PerfModel::new(cfg.clone());
     let pred = model.predict(plan);
-    assert!(pred.is_type1, "{label}: must be a type-1 consolidation");
+    assert_eq!(pred.is_type1, type1, "{label}: wrong consolidation type");
     let engine = ExecutionEngine::new(cfg);
     let measured = engine
         .run(&plan.to_grid(), DispatchPolicy::default())
@@ -44,6 +64,10 @@ fn validate(label: &str, plan: &ConsolidationPlan) -> Row {
         predicted_s: pred.time_s,
         measured_s: measured,
         error: (pred.time_s - measured).abs() / measured,
+        critical: (
+            pred.critical_sms.first().copied().unwrap_or(0),
+            pred.critical_sms.len(),
+        ),
     }
 }
 
@@ -56,56 +80,18 @@ pub fn run() -> Vec<Row> {
     let bs = BlackScholesWorkload::tables56(&cfg);
     let mc = MonteCarloWorkload::tables78(&cfg);
 
-    let spec = |w: &dyn Workload| KernelSpec::new(w.desc(), w.blocks());
-    let mut rows = Vec::new();
-    rows.push(validate(
-        "enc x2",
-        &ConsolidationPlan::new().with(spec(&enc)).with(spec(&enc)),
-    ));
-    rows.push(validate("enc x4 + sort x2", &{
-        let mut p = ConsolidationPlan::new();
-        for _ in 0..4 {
-            p.push(spec(&enc));
-        }
-        for _ in 0..2 {
-            p.push(spec(&sort));
-        }
-        p
-    }));
-    rows.push(validate("sort x3 + search", &{
-        let mut p = ConsolidationPlan::new();
-        for _ in 0..3 {
-            p.push(spec(&sort));
-        }
-        p.push(spec(&search));
-        p
-    }));
-    rows.push(validate("search + bs x5", &{
-        let mut p = ConsolidationPlan::new();
-        p.push(spec(&search));
-        for _ in 0..5 {
-            p.push(spec(&bs));
-        }
-        p
-    }));
-    rows.push(validate("enc x3 + mc x12", &{
-        let mut p = ConsolidationPlan::new();
-        for _ in 0..3 {
-            p.push(spec(&enc));
-        }
-        for _ in 0..12 {
-            p.push(spec(&mc));
-        }
-        p
-    }));
-    rows.push(validate("mc x30", &{
-        let mut p = ConsolidationPlan::new();
-        for _ in 0..30 {
-            p.push(spec(&mc));
-        }
-        p
-    }));
-    rows
+    let cases: [Case; 6] = [
+        ("enc x2", &[(&enc, 2)]),
+        ("enc x4 + sort x2", &[(&enc, 4), (&sort, 2)]),
+        ("sort x3 + search", &[(&sort, 3), (&search, 1)]),
+        ("search + bs x5", &[(&search, 1), (&bs, 5)]),
+        ("enc x3 + mc x12", &[(&enc, 3), (&mc, 12)]),
+        ("mc x30", &[(&mc, 30)]),
+    ];
+    cases
+        .iter()
+        .map(|(label, parts)| validate(label, &plan(parts), true))
+        .collect()
 }
 
 /// Render the table.

@@ -4,60 +4,19 @@
 //! (including the idle-SM redistribution), find the critical SMs, and
 //! estimate their time treating co-scheduled blocks as one big workload.
 //! The paper reports < 12% error; the same bound is asserted here.
+//! Plans are built and validated as in Figure 3.
 
-use ewc_gpu::{DispatchPolicy, ExecutionEngine, GpuConfig};
-use ewc_models::{ConsolidationPlan, KernelSpec, PerfModel};
+use ewc_gpu::GpuConfig;
 use ewc_workloads::{
-    AesWorkload, BlackScholesWorkload, MonteCarloWorkload, SearchWorkload, SortWorkload, Workload,
+    AesWorkload, BlackScholesWorkload, MonteCarloWorkload, SearchWorkload, SortWorkload,
 };
 
+use super::fig3::{plan, validate, Case, Row};
 use crate::report::{pct, secs, Table};
-
-/// One validation point.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Combination label.
-    pub label: String,
-    /// Total blocks (> 30 ⇒ some SM holds several).
-    pub blocks: u32,
-    /// Model-predicted time (s).
-    pub predicted_s: f64,
-    /// Engine-measured time (s).
-    pub measured_s: f64,
-    /// Relative error.
-    pub error: f64,
-    /// Model-identified critical SMs (first, count) for the record.
-    pub critical: (u32, usize),
-}
-
-fn validate(label: &str, plan: &ConsolidationPlan) -> Row {
-    let cfg = GpuConfig::tesla_c1060();
-    let model = PerfModel::new(cfg.clone());
-    let pred = model.predict(plan);
-    assert!(!pred.is_type1, "{label}: must be a type-2 consolidation");
-    let engine = ExecutionEngine::new(cfg);
-    let measured = engine
-        .run(&plan.to_grid(), DispatchPolicy::default())
-        .expect("runnable plan")
-        .elapsed_s;
-    Row {
-        label: label.to_string(),
-        blocks: plan.total_blocks(),
-        predicted_s: pred.time_s,
-        measured_s: measured,
-        error: (pred.time_s - measured).abs() / measured,
-        critical: (
-            pred.critical_sms.first().copied().unwrap_or(0),
-            pred.critical_sms.len(),
-        ),
-    }
-}
 
 /// Run the validation set.
 pub fn run() -> Vec<Row> {
     let cfg = GpuConfig::tesla_c1060();
-    let spec = |w: &dyn Workload| KernelSpec::new(w.desc(), w.blocks());
-
     let enc1 = AesWorkload::scenario1(&cfg);
     let mc1 = MonteCarloWorkload::scenario1(&cfg);
     let search2 = SearchWorkload::scenario2(&cfg);
@@ -65,42 +24,17 @@ pub fn run() -> Vec<Row> {
     let enc = AesWorkload::fig7(&cfg);
     let sort = SortWorkload::fig8(&cfg);
 
-    let mut rows = Vec::new();
-    rows.push(validate(
-        "scenario1: enc + mc",
-        &ConsolidationPlan::new().with(spec(&enc1)).with(spec(&mc1)),
-    ));
-    rows.push(validate(
-        "scenario2: search + bs",
-        &ConsolidationPlan::new()
-            .with(spec(&search2))
-            .with(spec(&bs2)),
-    ));
-    rows.push(validate("enc x11 (wraps)", &{
-        let mut p = ConsolidationPlan::new();
-        for _ in 0..11 {
-            p.push(spec(&enc));
-        }
-        p
-    }));
-    rows.push(validate("sort x9 (co-resident)", &{
-        let mut p = ConsolidationPlan::new();
-        for _ in 0..9 {
-            p.push(spec(&sort));
-        }
-        p
-    }));
-    rows.push(validate("sort x6 + enc x6", &{
-        let mut p = ConsolidationPlan::new();
-        for _ in 0..6 {
-            p.push(spec(&sort));
-        }
-        for _ in 0..6 {
-            p.push(spec(&enc));
-        }
-        p
-    }));
-    rows
+    let cases: [Case; 5] = [
+        ("scenario1: enc + mc", &[(&enc1, 1), (&mc1, 1)]),
+        ("scenario2: search + bs", &[(&search2, 1), (&bs2, 1)]),
+        ("enc x11 (wraps)", &[(&enc, 11)]),
+        ("sort x9 (co-resident)", &[(&sort, 9)]),
+        ("sort x6 + enc x6", &[(&sort, 6), (&enc, 6)]),
+    ];
+    cases
+        .iter()
+        .map(|(label, parts)| validate(label, &plan(parts), false))
+        .collect()
 }
 
 /// Render the table.

@@ -9,9 +9,10 @@
 //! are the same PTX-level descriptors; the hardware is the variable.
 
 use ewc_energy::{GpuPowerGroundTruth, GpuSystemPower};
-use ewc_gpu::{ConsolidatedGrid, GpuConfig, GpuDevice, Grid, LaunchConfig};
+use ewc_gpu::{ConsolidatedGrid, GpuConfig, Grid};
 use ewc_workloads::{AesWorkload, Workload};
 
+use super::fermi::launch_all;
 use crate::report::{joules, ratio, secs, Table};
 
 /// One device's serial vs consolidated numbers.
@@ -44,30 +45,16 @@ fn system_for(device: &str) -> GpuSystemPower {
 fn study(device: &'static str, cfg: &GpuConfig, n: u32) -> Row {
     // The same kernel binary, whatever the hardware.
     let aes = AesWorkload::fig7(&GpuConfig::tesla_c1060());
+    let kernel = Grid::single(aes.desc(), aes.blocks());
     let sys = system_for(device);
 
-    let mut gpu = GpuDevice::new(cfg.clone());
-    for _ in 0..n {
-        gpu.launch(&LaunchConfig::from_grid(Grid::single(
-            aes.desc(),
-            aes.blocks(),
-        )))
-        .expect("launch accepted");
-    }
-    let serial_s = gpu.now_s();
-    let serial_j = sys.integrate(gpu.activity(), serial_s, Some(1)).energy_j;
-
-    let mut gpu = GpuDevice::new(cfg.clone());
-    let mut g = ConsolidatedGrid::new();
-    for _ in 0..n {
-        g = g.add(Grid::single(aes.desc(), aes.blocks()));
-    }
-    gpu.launch(&LaunchConfig::from_grid(g.build()))
-        .expect("launch accepted");
-    let consolidated_s = gpu.now_s();
-    let consolidated_j = sys
-        .integrate(gpu.activity(), consolidated_s, Some(2))
-        .energy_j;
+    let (serial_s, serial_j) = launch_all(cfg, &sys, (0..n).map(|_| kernel.clone()), 1);
+    let (consolidated_s, consolidated_j) = launch_all(
+        cfg,
+        &sys,
+        [ConsolidatedGrid::new().add_copies(&kernel, n).build()],
+        2,
+    );
 
     Row {
         device,

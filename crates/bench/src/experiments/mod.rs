@@ -1,4 +1,4 @@
-//! One module per table/figure of the paper's evaluation.
+//! The paper's evaluation and the extensions beyond it.
 //!
 //! Every module exposes `run()` returning typed rows and `render()`
 //! producing the printed table, with the paper's reported values carried
@@ -6,8 +6,14 @@
 //! EXPERIMENTS.md ledger. Absolute values are not expected to match the
 //! 2011 testbed; the *shape* (who wins, by what factor, where crossovers
 //! fall) is the reproduction target and is what `tests/` asserts.
+//!
+//! Figures and tables that apply one method to different data share a
+//! module and are given their mix and titles: `fig7` draws Figures 7
+//! and 8, `tables56` Tables 5–8.
 
 use ewc_exec::fan_out;
+
+use crate::mix::Mix;
 
 pub mod ablations;
 pub mod fermi;
@@ -16,7 +22,6 @@ pub mod fig3;
 pub mod fig4;
 pub mod fig5;
 pub mod fig7;
-pub mod fig8;
 pub mod future_hw;
 pub mod multigpu;
 pub mod overload;
@@ -24,7 +29,6 @@ pub mod policy;
 pub mod scenarios;
 pub mod table1;
 pub mod tables56;
-pub mod tables78;
 pub mod trace;
 
 /// One reproducible experiment: what `ewc run <id>` regenerates.
@@ -76,22 +80,33 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         id: "fig7",
         description: "encryption sweep, four setups (Figure 7)",
-        render: || fig7::render(&fig7::run(12)),
+        render: || {
+            fig7::render(
+                "Figure 7: encryption instances",
+                &fig7::run(Mix::encryption, 12),
+            )
+        },
     },
     Experiment {
         id: "fig8",
         description: "sorting sweep, four setups (Figure 8)",
-        render: || fig8::render(&fig8::run(9)),
+        render: || fig7::render("Figure 8: sorting instances", &fig7::run(Mix::sorting, 9)),
     },
     Experiment {
         id: "tables56",
         description: "Search+BlackScholes mixes (Tables 5-6)",
-        render: || tables56::render(&tables56::run()),
+        render: || {
+            let pair = &tables56::SEARCH_BLACKSCHOLES;
+            tables56::render(pair, &tables56::run(pair))
+        },
     },
     Experiment {
         id: "tables78",
         description: "Encryption+MonteCarlo mixes (Tables 7-8)",
-        render: || tables78::render(&tables78::run()),
+        render: || {
+            let pair = &tables56::ENCRYPTION_MONTECARLO;
+            tables56::render(pair, &tables56::run(pair))
+        },
     },
     Experiment {
         id: "ablations",

@@ -99,7 +99,7 @@ pub struct Row {
 /// Replay `trace` at one threshold factor.
 ///
 /// Latency statistics come from the telemetry histogram the backend
-/// fills as requests complete (log-bucketed, mergeable), not from
+/// fills as requests complete (log-bucketed), not from
 /// sorting the raw latency list.
 pub fn replay(trace: &[Arrival], threshold_factor: u32, max_wait_s: f64) -> Row {
     replay_with(

@@ -1,4 +1,5 @@
-//! `ewc` — the command-line face of the consolidation framework.
+//! `ewc` — the command-line face of the consolidation framework, built
+//! from this package (`cargo run -p ewc-bench --release -- <command>`).
 //!
 //! ```text
 //! ewc experiments                 list every reproducible table/figure

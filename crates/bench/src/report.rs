@@ -22,33 +22,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Render as CSV (RFC-4180-ish: quotes around cells containing
-    /// commas or quotes, doubled inner quotes).
-    pub fn to_csv(&self) -> String {
-        let esc = |cell: &str| {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .header
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
-
     /// Render as an aligned text table.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
@@ -126,18 +99,6 @@ mod tests {
     fn width_mismatch_panics() {
         let mut t = Table::new(&["a"]);
         t.row(vec!["1".into(), "2".into()]);
-    }
-
-    #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut t = Table::new(&["name", "note"]);
-        t.row(vec!["a,b".into(), "say \"hi\"".into()]);
-        t.row(vec!["plain".into(), "ok".into()]);
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "name,note");
-        assert_eq!(lines[1], "\"a,b\",\"say \"\"hi\"\"\"");
-        assert_eq!(lines[2], "plain,ok");
     }
 
     #[test]

@@ -59,6 +59,14 @@ use crate::resilience::RuntimeFaultInjector;
 use crate::stats::BackendStats;
 use crate::template::TemplateRegistry;
 
+/// Bandwidth of host-to-host copies into and out of the staging buffer,
+/// bytes/second.
+const STAGING_BANDWIDTH: f64 = 1.2e9;
+
+/// Size of the pre-allocated staging buffer, bytes. Transfers larger
+/// than this are chunked (one extra round trip per chunk).
+const STAGING_BUFFER_BYTES: u64 = 64 << 20;
+
 /// The one backend a [`crate::Runtime`] and all its frontends share.
 /// `None` once the runtime has shut down: every later frontend call
 /// answers [`CoreError::Disconnected`].
@@ -736,8 +744,8 @@ impl Backend {
     /// per buffer-sized chunk beyond the first.
     fn charge_staging(&mut self, bytes: u64) {
         let start_s = self.clock.now_s();
-        let copy_s = bytes as f64 / self.cfg.staging_bandwidth;
-        let chunks = bytes.div_ceil(self.cfg.staging_buffer_bytes.max(1)).max(1);
+        let copy_s = bytes as f64 / STAGING_BANDWIDTH;
+        let chunks = bytes.div_ceil(STAGING_BUFFER_BYTES).max(1);
         let extra = (chunks - 1) as f64 * self.cfg.channel_latency_s;
         self.stats.staged_bytes += bytes;
         self.stats.staging_s += copy_s + extra;

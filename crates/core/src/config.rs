@@ -43,8 +43,9 @@ impl PowerStatesConfig {
 /// Configuration of the consolidation runtime.
 ///
 /// The cost knobs model the paper's reported overheads: frontend↔backend
-/// communication, double-copy staging through the backend's pre-allocated
-/// buffer, and synchronisation between frontends during consolidation.
+/// communication and synchronisation between frontends during
+/// consolidation. The double copy through the backend's pre-allocated
+/// staging buffer is priced by backend constants.
 /// The toggles correspond to the paper's optimisations so ablation
 /// benches can switch each off.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,12 +59,6 @@ pub struct RuntimeConfig {
     pub threshold_factor: u32,
     /// Cost of one frontend↔backend message round trip, seconds.
     pub channel_latency_s: f64,
-    /// Bandwidth of host-to-host copies into/out of the staging buffer,
-    /// bytes/second.
-    pub staging_bandwidth: f64,
-    /// Size of the backend's pre-allocated staging buffer, bytes.
-    /// Transfers larger than this are chunked (extra round trips).
-    pub staging_buffer_bytes: u64,
     /// Per-frontend synchronisation cost when a consolidation group is
     /// assembled, seconds.
     pub coordination_s: f64,
@@ -127,16 +122,6 @@ impl RuntimeConfig {
     pub fn threshold(&self) -> usize {
         self.threshold_factor as usize * self.num_devices()
     }
-
-    /// All optimisations off — the naive runtime for ablations.
-    pub fn unoptimized() -> Self {
-        RuntimeConfig {
-            leader_election: false,
-            argument_batching: false,
-            constant_reuse: false,
-            ..Self::default()
-        }
-    }
 }
 
 impl Default for RuntimeConfig {
@@ -145,8 +130,6 @@ impl Default for RuntimeConfig {
             num_gpus: 1,
             threshold_factor: 10,
             channel_latency_s: 250e-6,
-            staging_bandwidth: 1.2e9,
-            staging_buffer_bytes: 64 << 20,
             coordination_s: 40e-3,
             leader_election: true,
             argument_batching: true,
@@ -199,12 +182,5 @@ mod tests {
             ..RuntimeConfig::default()
         };
         assert_eq!(huge.threshold() as u64, 1u64 << 32);
-    }
-
-    #[test]
-    fn unoptimized_turns_everything_off() {
-        let c = RuntimeConfig::unoptimized();
-        assert!(!c.leader_election && !c.argument_batching && !c.constant_reuse);
-        assert_eq!(c.threshold(), RuntimeConfig::default().threshold());
     }
 }

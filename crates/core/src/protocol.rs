@@ -187,6 +187,62 @@ impl fmt::Debug for KernelRequest {
     }
 }
 
+/// The one workload and request fixture of the crate's unit tests.
+#[cfg(test)]
+pub(crate) mod fixture {
+    use super::*;
+    use ewc_workloads::registry::DeviceBuffers;
+
+    /// A one-block workload that does nothing, registered under `.0`.
+    struct Dummy(&'static str);
+
+    impl Workload for Dummy {
+        fn name(&self) -> &'static str {
+            self.0
+        }
+        fn desc(&self) -> KernelDesc {
+            KernelDesc::builder(self.0).threads_per_block(32).build()
+        }
+        fn blocks(&self) -> u32 {
+            1
+        }
+        fn cpu_task(&self) -> CpuTask {
+            CpuTask::new(self.0, 1.0, 1, 0)
+        }
+        fn h2d_bytes(&self) -> u64 {
+            0
+        }
+        fn d2h_bytes(&self) -> u64 {
+            0
+        }
+        fn body(&self) -> BlockFn {
+            Arc::new(|_, _| {})
+        }
+        fn build_args(
+            &self,
+            _gpu: &mut dyn ewc_gpu::DeviceAlloc,
+            _seed: u64,
+        ) -> Result<(Vec<KernelArg>, DeviceBuffers), GpuError> {
+            unimplemented!("the fixture is never launched")
+        }
+        fn expected_output(&self, _seed: u64) -> Vec<u8> {
+            Vec::new()
+        }
+    }
+
+    /// A queued launch of [`Dummy`] `name` from context `id`, ticket `id`.
+    pub(crate) fn req(name: &'static str, id: u64) -> KernelRequest {
+        KernelRequest {
+            ctx: id,
+            seq: id,
+            kernel: Arc::new(RegisteredKernel::resolve(name, &Dummy(name))),
+            args: Vec::new(),
+            submitted_at_s: 0.0,
+            priority: Priority::Normal,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -156,11 +156,6 @@ impl BackendStats {
         self.staging_s + self.channel_s + self.coordination_s
     }
 
-    /// Request latencies sorted ascending (for percentile queries).
-    pub fn latencies_sorted(&self) -> Vec<f64> {
-        self.latency_summary().into_sorted()
-    }
-
     /// Sort the latencies once and answer any number of percentile/mean
     /// queries from the result. Prefer this over repeated
     /// [`BackendStats::latency_percentile`] calls, which re-sort each time.
@@ -321,7 +316,7 @@ mod tests {
     #[test]
     fn summary_matches_compat_accessors() {
         let s = stats_with_latencies(&[0.5, 0.1, 0.9]);
-        assert_eq!(s.latencies_sorted(), vec![0.1, 0.5, 0.9]);
+        assert_eq!(s.latency_summary().into_sorted(), vec![0.1, 0.5, 0.9]);
         assert_eq!(s.latency_percentile(50.0), Some(0.5));
     }
 }

@@ -93,11 +93,6 @@ impl TemplateRegistry {
         self.templates.push(t);
     }
 
-    /// Registered templates in preference order.
-    pub fn templates(&self) -> &[Template] {
-        &self.templates
-    }
-
     /// Find the first template matching the pending set, with its
     /// matched indices.
     pub fn best_match(&self, pending: &[&KernelRequest]) -> Option<(&Template, Vec<usize>)> {
@@ -113,59 +108,7 @@ impl TemplateRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::RegisteredKernel;
-    use ewc_cpu::CpuTask;
-    use ewc_gpu::kernel::{BlockFn, KernelArg};
-    use ewc_gpu::{GpuError, KernelDesc};
-    use ewc_workloads::registry::DeviceBuffers;
-    use ewc_workloads::Workload;
-    use std::sync::Arc;
-
-    struct Dummy(&'static str);
-    impl Workload for Dummy {
-        fn name(&self) -> &'static str {
-            self.0
-        }
-        fn desc(&self) -> KernelDesc {
-            KernelDesc::builder(self.0).threads_per_block(32).build()
-        }
-        fn blocks(&self) -> u32 {
-            1
-        }
-        fn cpu_task(&self) -> CpuTask {
-            CpuTask::new(self.0, 1.0, 1, 0)
-        }
-        fn h2d_bytes(&self) -> u64 {
-            0
-        }
-        fn d2h_bytes(&self) -> u64 {
-            0
-        }
-        fn body(&self) -> BlockFn {
-            Arc::new(|_, _| {})
-        }
-        fn build_args(
-            &self,
-            _gpu: &mut dyn ewc_gpu::DeviceAlloc,
-            _seed: u64,
-        ) -> Result<(Vec<KernelArg>, DeviceBuffers), GpuError> {
-            unimplemented!("not needed in template tests")
-        }
-        fn expected_output(&self, _seed: u64) -> Vec<u8> {
-            Vec::new()
-        }
-    }
-
-    fn req(name: &'static str, seq: u64) -> KernelRequest {
-        KernelRequest {
-            ctx: seq,
-            seq,
-            kernel: Arc::new(RegisteredKernel::resolve(name, &Dummy(name))),
-            args: Vec::new(),
-            submitted_at_s: 0.0,
-            priority: crate::admission::Priority::Normal,
-        }
-    }
+    use crate::protocol::fixture::req;
 
     fn refs(v: &[KernelRequest]) -> Vec<&KernelRequest> {
         v.iter().collect()

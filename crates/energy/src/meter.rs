@@ -1,10 +1,7 @@
 //! Sampling wall-power meter.
 //!
 //! Models a WattsUp-PRO-class instrument: it samples a [`PowerSource`] at
-//! a fixed rate and integrates energy trapezoidally. The paper notes that
-//! workloads shorter than ~5 s are "run multiple times" with the average
-//! power recorded; [`PowerMeter::measure_repeated`] reproduces that
-//! procedure.
+//! a fixed rate and integrates energy trapezoidally.
 
 /// Anything whose instantaneous power can be sampled.
 pub trait PowerSource {
@@ -100,48 +97,6 @@ impl PowerMeter {
         }
         m
     }
-
-    /// Measure a short workload by replaying it `repeats` times
-    /// back-to-back (the source is assumed periodic with period
-    /// `t1 − t0`) and averaging, as the paper does for sub-5-second
-    /// workloads. Returns the per-iteration measurement.
-    pub fn measure_repeated<S: PowerSource + ?Sized>(
-        &self,
-        source: &S,
-        t0: f64,
-        t1: f64,
-        repeats: u32,
-    ) -> Measurement {
-        assert!(repeats > 0, "need at least one repeat");
-        let period = t1 - t0;
-        let mut total_energy = 0.0;
-        let mut all_samples = Vec::new();
-        for r in 0..repeats {
-            // Sample phase-shifted within the period so quantisation
-            // noise averages out.
-            let phase = period * f64::from(r) / f64::from(repeats) / self.sample_hz.max(1.0);
-            let m = self.measure(
-                &|t: f64| source.power_w(t0 + (t - t0 + phase) % period.max(1e-12)),
-                t0,
-                t1,
-            );
-            total_energy += m.energy_j;
-            if r == 0 {
-                all_samples = m.samples;
-            }
-        }
-        let energy = total_energy / f64::from(repeats);
-        Measurement {
-            energy_j: energy,
-            avg_power_w: if period > 0.0 {
-                energy / period
-            } else {
-                source.power_w(t0)
-            },
-            duration_s: period,
-            samples: all_samples,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -170,26 +125,6 @@ mod tests {
         let meas = m.measure(&|_t: f64| 42.0, 0.0, 0.25);
         assert!((meas.energy_j - 10.5).abs() < 1e-9);
         assert_eq!(meas.samples.len(), 2);
-    }
-
-    #[test]
-    fn repeated_measurement_approximates_true_average() {
-        // A spiky periodic source a 1 Hz meter would alias badly.
-        let src = |t: f64| {
-            if (t * 10.0).fract() < 0.5 {
-                200.0
-            } else {
-                100.0
-            }
-        };
-        let m = PowerMeter::watts_up_pro();
-        let meas = m.measure_repeated(&src, 0.0, 3.0, 16);
-        // True average power = 150 W → 450 J per period.
-        assert!(
-            (meas.avg_power_w - 150.0).abs() < 15.0,
-            "avg {}",
-            meas.avg_power_w
-        );
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! purpose-built observability layer that is aware of the simulation:
 //!
 //! * [`metrics`] — a registry of counters, gauges and log-bucketed
-//!   [`metrics::Histogram`]s.  Histograms are mergeable across threads and
-//!   answer percentile queries, replacing the ad-hoc sort-and-index code
-//!   that previously lived in the bench crate.
+//!   [`metrics::Histogram`]s.  Histograms answer percentile queries,
+//!   replacing the ad-hoc sort-and-index code that previously lived in
+//!   the bench crate.
 //! * [`span`] — structured spans over simulated time with parent/child
 //!   nesting and per-span key/value attributes, modeling the request
 //!   lifecycle `frontend call → RPC → backend queue → decision → staging

@@ -2,9 +2,7 @@
 //!
 //! Histograms use geometric (log-spaced) bucket boundaries so that a single
 //! configuration covers nanosecond staging copies and multi-second Poisson
-//! replays with bounded *relative* error.  Two histograms with the same
-//! configuration merge by adding bucket counts, which is how per-thread
-//! registries are folded into one at shutdown.
+//! replays with bounded *relative* error.
 
 use std::collections::BTreeMap;
 
@@ -166,28 +164,6 @@ impl Histogram {
         }
         self.max()
     }
-
-    /// Merges `other` into `self` by adding bucket counts.
-    ///
-    /// # Panics
-    /// Panics if the two histograms were configured with different bucket
-    /// boundaries — merging those would silently misplace samples.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert!(
-            self.lowest == other.lowest && self.growth == other.growth,
-            "cannot merge histograms with different bucket layouts"
-        );
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// A named collection of counters, gauges and histograms.
@@ -265,25 +241,6 @@ impl MetricsRegistry {
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
-
-    /// Folds another registry into this one: counters add, gauges take the
-    /// other side's value (last writer wins), histograms merge.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0.0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &other.histograms {
-            match self.histograms.get_mut(k) {
-                Some(mine) => mine.merge(h),
-                None => {
-                    self.histograms.insert(k.clone(), h.clone());
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -342,71 +299,6 @@ mod tests {
         // Out-of-range percentiles clamp instead of panicking.
         assert_eq!(h.percentile(-5.0), exact[0]);
         assert_eq!(h.percentile(250.0), *exact.last().unwrap());
-    }
-
-    #[test]
-    fn merge_is_equivalent_to_recording_in_one() {
-        let mut a = Histogram::default();
-        let mut b = Histogram::default();
-        let mut whole = Histogram::default();
-        for i in 0..500 {
-            let x = 1e-3 * (i as f64 + 1.0);
-            if i % 2 == 0 {
-                a.record(x);
-            } else {
-                b.record(x);
-            }
-            whole.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-        for &p in &[25.0, 50.0, 75.0, 99.0] {
-            assert_eq!(a.percentile(p), whole.percentile(p));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "different bucket layouts")]
-    fn merge_rejects_mismatched_layouts() {
-        let mut a = Histogram::new(1e-9, 2.0);
-        let b = Histogram::new(1e-6, 2.0);
-        a.merge(&b);
-    }
-
-    #[test]
-    fn cross_thread_merge_through_registry() {
-        use std::sync::mpsc;
-        let (tx, rx) = mpsc::channel();
-        let mut handles = Vec::new();
-        for t in 0..4u64 {
-            let tx = tx.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut reg = MetricsRegistry::new();
-                for i in 0..250 {
-                    reg.counter_add("requests", 1.0);
-                    reg.histogram_record("latency_s", (t * 250 + i) as f64 * 1e-4 + 1e-4);
-                }
-                reg.gauge_set("worker", t as f64);
-                tx.send(reg).unwrap();
-            }));
-        }
-        drop(tx);
-        let mut total = MetricsRegistry::new();
-        for reg in rx {
-            total.merge(&reg);
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(total.counter("requests"), 1000.0);
-        let h = total.histogram("latency_s").unwrap();
-        assert_eq!(h.count(), 1000);
-        // All 1000 samples are distinct values in [1e-4, 0.1]; the median
-        // must land mid-range regardless of which thread recorded it.
-        let p50 = h.percentile(50.0);
-        assert!(p50 > 0.03 && p50 < 0.07, "median {p50}");
     }
 
     #[test]

@@ -163,13 +163,6 @@ impl TelemetrySink {
         }
     }
 
-    /// Folds a whole per-thread [`MetricsRegistry`] into the sink.
-    pub fn merge_metrics(&self, registry: &MetricsRegistry) {
-        if let Some(mut rec) = self.lock() {
-            rec.0.metrics.merge(registry);
-        }
-    }
-
     /// Copies out everything collected so far, or `None` if disabled.
     /// The spans are not copied: the snapshot shares their rows, arena
     /// and strings with the sink and keeps their chronological order

@@ -5,9 +5,9 @@
 use std::sync::Arc;
 
 use ewc_core::{CoreError, ResiliencePolicy, Runtime, RuntimeConfig, Template};
-use ewc_faults::{FaultConfig, SharedFaultPlan};
 use ewc_fleet::{FleetConfig, PlacementReason};
 use ewc_gpu::{GpuConfig, GpuError};
+use ewc_load::{FaultConfig, SharedFaultPlan};
 use ewc_workloads::{AesWorkload, Workload};
 
 const MIB: u64 = 1 << 20;

@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use ewc_core::{Frontend, ResiliencePolicy, Runtime, RuntimeConfig, Template};
-use ewc_faults::{soak, FaultConfig, SharedFaultPlan, SoakConfig};
 use ewc_gpu::GpuConfig;
+use ewc_load::{soak, FaultConfig, SharedFaultPlan, SoakConfig};
 use ewc_workloads::{AesWorkload, Workload};
 
 #[test]

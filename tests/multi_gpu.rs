@@ -144,8 +144,8 @@ fn single_gpu_remains_the_default_behaviour() {
 
 use ewc_core::ResiliencePolicy;
 use ewc_exec::VirtualClock;
-use ewc_faults::{FaultConfig, SharedFaultPlan};
 use ewc_fleet::{FleetConfig, PlacementReason, PolicyKind};
+use ewc_load::{FaultConfig, SharedFaultPlan};
 use ewc_telemetry::TelemetrySink;
 
 /// A collecting sink that lends the backend a fresh executor clock.
