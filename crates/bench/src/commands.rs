@@ -516,6 +516,12 @@ fn load(
             r.generated, r.completed, r.failed, r.shed, r.drained
         ));
     }
+    if !r.shed_accounted() {
+        return Err(format!(
+            "load: shed accounting violated: shed {} != {} at admission + {} notices",
+            r.shed, r.client.shed_at_admission, r.client.shed_notices
+        ));
+    }
     if r.client.client_errors > 0 {
         return Err(format!(
             "load: {} unexpected client errors: {:?}",

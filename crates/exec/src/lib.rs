@@ -12,8 +12,12 @@
 //!   advancing time read the same timeline.
 //! * [`EventQueue`] — a discrete-event queue keyed by `(time, schedule
 //!   order)`: events at equal timestamps pop in the order they were
-//!   scheduled, pinned by test, so iteration order never depends on
-//!   heap internals.
+//!   scheduled, pinned by test, so iteration order never depends on how
+//!   the queue stores them. It keeps ascending runs of schedules as they
+//!   came and merges them through a heap of run heads: the open-loop
+//!   harnesses' stream-major arrival runs cost a merge over the streams,
+//!   not a sift over every pending event, while random-order traffic
+//!   costs what a binary heap of events does.
 //! * [`SimTask`] and [`Executor`] — the classic discrete-event driver:
 //!   tasks fire at their scheduled instant, may schedule more tasks, and
 //!   the clock only ever moves forward.

@@ -58,9 +58,10 @@ impl<S, T: SimTask<S>> Executor<S, T> {
     /// Schedule `task` at the absolute instant `time_s`.
     ///
     /// # Panics
-    /// Panics when `time_s` lies before the clock's current instant —
-    /// an executor cannot fire events in its own past.
+    /// Panics on a NaN time, and when `time_s` lies before the clock's
+    /// current instant — an executor cannot fire events in its own past.
     pub fn schedule_at(&mut self, time_s: f64, task: T) -> u64 {
+        assert!(!time_s.is_nan(), "cannot schedule an event at NaN");
         assert!(
             time_s >= self.clock.now_s(),
             "cannot schedule at {time_s} before now ({})",
@@ -70,7 +71,11 @@ impl<S, T: SimTask<S>> Executor<S, T> {
     }
 
     /// Schedule `task` `dt` seconds from now.
+    ///
+    /// # Panics
+    /// Panics on a NaN or negative `dt`.
     pub fn schedule_in(&mut self, dt: f64, task: T) -> u64 {
+        assert!(!dt.is_nan(), "cannot schedule an event at NaN");
         assert!(dt >= 0.0, "cannot schedule in negative time ({dt})");
         self.queue.schedule(self.clock.now_s() + dt, task)
     }
@@ -195,5 +200,27 @@ mod tests {
                 remaining: 1,
             },
         );
+    }
+
+    fn once() -> Tick {
+        Tick {
+            label: "nan",
+            period_s: 0.0,
+            remaining: 1,
+        }
+    }
+
+    // Match the whole reason: the before-now and negative-time messages
+    // print the NaN too.
+    #[test]
+    #[should_panic(expected = "cannot schedule an event at NaN")]
+    fn scheduling_at_nan_panics_with_the_nan_reason() {
+        Executor::<Vec<(f64, &'static str)>, Tick>::new().schedule_at(f64::NAN, once());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule an event at NaN")]
+    fn scheduling_in_nan_panics_with_the_nan_reason() {
+        Executor::<Vec<(f64, &'static str)>, Tick>::new().schedule_in(f64::NAN, once());
     }
 }
