@@ -734,6 +734,53 @@ mod tests {
         assert!(g.contains("SM29 |"));
     }
 
+    /// FNV-1a 64 over the bytes of `s`, and their count.
+    fn digest(s: &str) -> (u64, usize) {
+        let h = s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        (h, s.len())
+    }
+
+    // What the decision engine, the GPU engine and the power-state
+    // policies print, pinned byte for byte. A refactor of the models or
+    // the engine must reproduce these; never re-record them to make one
+    // pass.
+
+    #[test]
+    fn predict_output_is_pinned() {
+        let engine = decision_engine().unwrap();
+        let mut out = String::new();
+        for name in ["enc", "sort", "search", "bs", "mc", "matmul"] {
+            let w = workload(name).unwrap();
+            for n in 1..=12 {
+                out.push_str(&predict_with(&engine, w.as_ref(), n));
+                out.push('\n');
+            }
+        }
+        assert_eq!(digest(&out), (0x5749_dc6b_af5d_eed3, 18_223));
+    }
+
+    #[test]
+    fn gantt_output_is_pinned() {
+        let one = dispatch(&args(&["gantt", "1"])).unwrap();
+        let two = dispatch(&args(&["gantt", "2"])).unwrap();
+        assert_eq!(
+            [digest(&one), digest(&two)],
+            [
+                (0x25b2_9a81_05bd_c088, 2_597),
+                (0xee50_daad_7a11_4166, 2_596)
+            ]
+        );
+    }
+
+    #[test]
+    fn policy_output_is_pinned() {
+        let out = dispatch(&args(&["policy"])).unwrap();
+        assert!(out.contains("flat") && out.contains("cap"), "{out}");
+        assert_eq!(digest(&out), (0x05da_1b84_58d2_73cd, 637));
+    }
+
     #[test]
     fn run_fast_experiments() {
         // Only the model-validation experiments (fast) in unit tests; the
