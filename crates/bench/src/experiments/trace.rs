@@ -76,7 +76,7 @@ pub fn generate(spec: &TraceSpec) -> Vec<Arrival> {
 }
 
 /// Result of replaying a trace at one threshold setting.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Row {
     /// Threshold factor used.
     pub threshold: u32,
@@ -221,7 +221,15 @@ pub fn replay_with(
     };
     exec.run_until_idle(&mut ctx);
     let sessions = ctx.sessions;
-    sessions[0].fe.sync().expect("drain");
+    let Some(first) = sessions.first() else {
+        // An empty trace replays nothing: a zero row.
+        let row = Row {
+            threshold: threshold_factor,
+            ..Row::default()
+        };
+        return (row, rt.shutdown().telemetry);
+    };
+    first.fe.sync().expect("drain");
     for s in &sessions {
         let out =
             s.fe.memcpy_d2h(s.bufs.output, 0, s.bufs.output_len)
@@ -319,6 +327,25 @@ mod tests {
         seen.sort_unstable();
         seen.dedup();
         assert!(seen.len() >= 3, "mix should be diverse: {seen:?}");
+    }
+
+    #[test]
+    fn an_empty_trace_replays_to_a_zero_row() {
+        let trace = generate(&TraceSpec {
+            requests: 0,
+            ..TraceSpec::default()
+        });
+        let (row, snap) = replay_with(&trace, 4, 120.0, TelemetrySink::enabled());
+        assert!(snap.is_some(), "the sink still snapshots");
+        let zero = format!(
+            "{:?}",
+            Row {
+                threshold: 4,
+                ..Row::default()
+            }
+        );
+        assert_eq!(format!("{row:?}"), zero);
+        assert_eq!(format!("{:?}", replay(&trace, 4, 120.0)), zero);
     }
 
     #[test]

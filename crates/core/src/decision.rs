@@ -130,10 +130,7 @@ impl PowerPolicy {
             .map(|(level, model)| {
                 let p = match model {
                     Some(m) => predict(m),
-                    None => Prediction {
-                        state: Some(self.cfg.table.states[*level]),
-                        ..*p0
-                    },
+                    None => *p0,
                 };
                 (*level, p)
             })

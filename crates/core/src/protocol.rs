@@ -94,21 +94,6 @@ impl fmt::Display for CoreError {
     }
 }
 
-impl CoreError {
-    /// `true` for the backpressure answer a client should retry.
-    pub fn is_busy(&self) -> bool {
-        matches!(self, CoreError::Busy { .. })
-    }
-
-    /// The suggested retry delay in seconds, for `Busy` answers.
-    pub fn retry_after_s(&self) -> Option<f64> {
-        match self {
-            CoreError::Busy { retry_after_us, .. } => Some(*retry_after_us as f64 * 1e-6),
-            _ => None,
-        }
-    }
-}
-
 impl std::error::Error for CoreError {}
 
 impl From<GpuError> for CoreError {

@@ -27,7 +27,6 @@ use crate::template::{Template, TemplateRegistry};
 pub struct RuntimeBuilder {
     cfg: RuntimeConfig,
     gpu_cfg: GpuConfig,
-    cpu_cfg: CpuConfig,
     idle_w: f64,
     training_seed: u64,
     kernels: HashMap<String, Arc<RegisteredKernel>>,
@@ -44,7 +43,6 @@ impl RuntimeBuilder {
         RuntimeBuilder {
             cfg,
             gpu_cfg: GpuConfig::tesla_c1060(),
-            cpu_cfg: CpuConfig::xeon_e5520_x2(),
             idle_w: 200.0,
             training_seed: 42,
             kernels: HashMap::new(),
@@ -92,12 +90,6 @@ impl RuntimeBuilder {
     /// Override the GPU configuration.
     pub fn gpu_config(mut self, cfg: GpuConfig) -> Self {
         self.gpu_cfg = cfg;
-        self
-    }
-
-    /// Override the CPU configuration.
-    pub fn cpu_config(mut self, cfg: CpuConfig) -> Self {
-        self.cpu_cfg = cfg;
         self
     }
 
@@ -156,7 +148,7 @@ impl RuntimeBuilder {
         );
         let mut decision = DecisionEngine::new(
             energy,
-            CpuEngine::new(self.cpu_cfg),
+            CpuEngine::new(CpuConfig::xeon_e5520_x2()),
             CpuPowerModel::xeon_e5520_x2(),
         );
         if let Some(ps) = &self.cfg.power_states {
@@ -218,11 +210,6 @@ impl Runtime {
     pub fn connect(&self) -> Frontend {
         let ctx = self.next_ctx.fetch_add(1, Ordering::Relaxed);
         Frontend::new(ctx, Arc::clone(&self.backend), self.batching)
-    }
-
-    /// The system power composition used for energy integration.
-    pub fn system_power(&self) -> &GpuSystemPower {
-        &self.system
     }
 
     /// The telemetry sink attached at build time (disabled by default).

@@ -21,7 +21,7 @@
 //! a reused assessment is copied without the six per-SM and per-member
 //! vectors its two predictions used to carry; debug builds still make
 //! the decision and the run on every group, to check the reuse, and
-//! count 5.3.
+//! count 5.2.
 //!
 //! The decision path on the benchmark's `policy_storm` groups, before and
 //! after predictions became scalars folded from one pass over the SMs,

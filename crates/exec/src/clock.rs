@@ -12,7 +12,7 @@ use std::sync::Arc;
 ///
 /// **Writer discipline.** Reads are safe from any thread at any time,
 /// but the clock expects a single logical writer (the component that
-/// owns the timeline: one backend daemon, one engine event loop). Time
+/// owns the timeline: one backend, one device, one executor). Time
 /// never moves backwards: [`VirtualClock::advance_by`] rejects negative
 /// steps and [`VirtualClock::advance_to`] clamps to the current instant.
 #[derive(Debug, Clone, Default)]
@@ -116,8 +116,7 @@ mod tests {
     #[test]
     fn advance_by_reproduces_field_arithmetic() {
         // The clock must produce the same bits as a plain `now += dt`
-        // accumulator — the GPU engine's differential oracle depends on
-        // arithmetic staying exactly as it was.
+        // accumulator.
         let c = VirtualClock::new();
         let mut field = 0.0f64;
         let mut x = 0.1f64;

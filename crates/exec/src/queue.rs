@@ -269,36 +269,6 @@ impl<T> EventQueue<T> {
         Some(std::mem::replace(&mut *head, Head::new(entry, run)).into_event())
     }
 
-    /// Schedule `payload` at `time_s` and immediately pop the earliest
-    /// pending event — exactly `schedule` followed by `pop`, fused.
-    ///
-    /// This is the heartbeat pattern of a tight event loop that predicts
-    /// one completion at a time: when the queue is empty (or every
-    /// pending event fires later) the new event round-trips without
-    /// touching the queue at all, while still consuming a sequence
-    /// number. An already-pending event at or before `time_s` pops
-    /// first, same as the unfused pair (the new event carries the
-    /// largest sequence number, so it loses every tie).
-    ///
-    /// # Panics
-    /// Panics on a NaN time, like [`Self::schedule`].
-    pub fn pulse(&mut self, time_s: f64, payload: T) -> Event<T> {
-        assert!(!time_s.is_nan(), "cannot schedule an event at NaN");
-        // `top` pops before the new event iff its time is no later: on
-        // a time tie the older sequence number wins.
-        if self.len > 0 && self.peek_time_s().is_some_and(|top| top <= time_s) {
-            self.schedule(time_s, payload);
-            return self.pop().expect("peeked event vanished");
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        Event {
-            time_s,
-            seq,
-            payload,
-        }
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
@@ -307,12 +277,6 @@ impl<T> EventQueue<T> {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Total events ever scheduled on this queue (the next sequence
-    /// number to be handed out).
-    pub fn scheduled(&self) -> u64 {
-        self.next_seq
     }
 
     /// Drop all pending events (sequence numbers keep counting up). Run
@@ -386,35 +350,7 @@ mod tests {
         assert_eq!(q.peek_time_s(), Some(1.0));
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.scheduled(), 2);
         assert_eq!(q.schedule(9.0, ()), 2, "sequence survives clear");
-    }
-
-    #[test]
-    fn pulse_on_empty_queue_returns_the_new_event() {
-        let mut q = EventQueue::new();
-        let ev = q.pulse(3.5, "solo");
-        assert_eq!((ev.time_s, ev.seq, ev.payload), (3.5, 0, "solo"));
-        assert!(q.is_empty());
-        assert_eq!(q.scheduled(), 1, "pulse consumes a sequence number");
-    }
-
-    #[test]
-    fn pulse_pops_an_earlier_pending_event_first() {
-        let mut q = EventQueue::new();
-        q.schedule(1.0, "early");
-        let ev = q.pulse(2.0, "late");
-        assert_eq!(ev.payload, "early");
-        assert_eq!(q.pop().map(|e| e.payload), Some("late"));
-    }
-
-    #[test]
-    fn pulse_loses_ties_to_pending_events() {
-        let mut q = EventQueue::new();
-        q.schedule(2.0, "first");
-        let ev = q.pulse(2.0, "second");
-        assert_eq!(ev.payload, "first", "older seq wins the time tie");
-        assert_eq!(q.pop().map(|e| e.payload), Some("second"));
     }
 
     /// A tiny deterministic xorshift for the seeded sweeps (the workspace
@@ -562,17 +498,6 @@ mod tests {
             got.is_some()
         }
 
-        fn pulse(&mut self, time_s: f64) {
-            let payload = self.payload();
-            // The pulsed event takes the next sequence number, but the
-            // event returned may be an earlier pending one.
-            let seq = self.q.scheduled();
-            let ev = self.q.pulse(time_s, payload);
-            self.expect(time_s, seq, payload);
-            let want = self.oracle.pop();
-            self.check("pulse", Some(ev), want);
-        }
-
         fn clear(&mut self) {
             self.q.clear();
             self.oracle.clear();
@@ -584,9 +509,9 @@ mod tests {
     fn differential_sweep_against_a_sorted_oracle() {
         // Each case prefills one traffic shape, then mixes pops, retries
         // just after the last popped instant, random and special-valued
-        // schedules, pulses on empty and non-empty queues, and (rarely)
-        // a clear, comparing every popped `(time bits, seq, payload)`,
-        // `len` and `peek_time_s` with the oracle after every step.
+        // schedules and (rarely) a clear, comparing every popped
+        // `(time bits, seq, payload)`, `len` and `peek_time_s` with the
+        // oracle after every step.
         let cases = if cfg!(debug_assertions) { 300 } else { 3000 };
         for case in 0..cases {
             let mut rng = XorShift(0xD1B5_4A32_D192_ED03 ^ (case as u64 + 1));
@@ -617,7 +542,7 @@ mod tests {
                 }
             }
             for _ in 0..rng.below(160) {
-                match rng.below(16) {
+                match rng.below(14) {
                     0..=5 => {
                         sw.pop();
                     }
@@ -629,19 +554,7 @@ mod tests {
                     }
                     9 | 10 => sw.schedule(rng.unit() * 16.0),
                     11 => sw.schedule(SPECIAL_S[rng.below(SPECIAL_S.len())]),
-                    12 | 13 => {
-                        // Half the pulses land on a drained queue.
-                        if rng.below(2) == 0 {
-                            while sw.pop() {}
-                        }
-                        let t = if rng.below(4) == 0 {
-                            SPECIAL_S[rng.below(SPECIAL_S.len())]
-                        } else {
-                            sw.now + rng.unit()
-                        };
-                        sw.pulse(t);
-                    }
-                    14 => sw.schedule(sw.now + rng.unit() * 4.0),
+                    12 => sw.schedule(sw.now + rng.unit() * 4.0),
                     _ => {
                         if rng.below(8) == 0 {
                             sw.clear();

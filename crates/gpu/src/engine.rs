@@ -86,18 +86,12 @@
 //! wall time, which keeps the harnesses fast even for multi-minute
 //! simulated workloads.
 //!
-//! Time itself lives in the shared execution substrate: the loop drives
-//! an [`ewc_exec::VirtualClock`] and schedules each completion through
-//! an [`ewc_exec::EventQueue`], whose monotonic sequence doubles as the
-//! admission-round counter (cohorts merge only within one round). The
-//! clock advances by `dt = f_min − now` — the exact float sum the old
-//! `now += dt` field produced — so the substrate adds no arithmetic of
-//! its own and the differential contract with `run_reference` is
-//! untouched.
+//! The loop keeps its own time: no other component reads a simulation
+//! while it runs, so simulated time is a plain `now_s` float stepped by
+//! `dt = f_min − now` at each completion, and the admission round
+//! (cohorts merge only within one) is a counter bumped once per event.
 
 use std::cell::RefCell;
-
-use ewc_exec::{EventQueue, VirtualClock};
 
 use crate::config::GpuConfig;
 use crate::counters::{ActivityInterval, DeviceCounters, EventRates};
@@ -286,9 +280,6 @@ struct SimArena {
     sms: Vec<SmResources>,
     /// Recycled dispatcher queues.
     dispatch: DispatchScratch,
-    /// The completion-event queue (its sequence keeps counting across
-    /// runs; cohort merging only ever compares rounds for equality).
-    events: EventQueue<()>,
 }
 
 impl SimArena {
@@ -330,7 +321,6 @@ impl SimArena {
         self.idle_buf.reserve(n_sms);
         self.sms.clear();
         self.sms.resize(n_sms, SmResources::new(cfg));
-        self.events.clear();
     }
 }
 
@@ -427,7 +417,8 @@ impl ExecutionEngine {
             a: arena,
             dram_bandwidth: self.cfg.dram_bandwidth,
             live_blocks: 0,
-            clock: VirtualClock::new(),
+            now_s: 0.0,
+            round: 0,
             prev_bw_scale: 1.0,
             demand: 0.0,
             snap_acc: EventRates::default(),
@@ -452,8 +443,8 @@ impl ExecutionEngine {
             scan_all: reference || grid.segments().len() == 1,
         };
 
-        // Initial admission, at the clock's origin.
-        let start_s = sim.clock.now_s();
+        // Initial admission, at time zero.
+        let start_s = sim.now_s;
         match policy {
             DispatchPolicy::PaperRedistribution | DispatchPolicy::GreedyGlobal => {
                 sim.admit_waves(start_s);
@@ -466,7 +457,7 @@ impl ExecutionEngine {
         }
 
         let r = sim.run_loop(policy);
-        let elapsed_s = sim.clock.now_s();
+        let elapsed_s = sim.now_s;
         sim.counters.elapsed_s = elapsed_s;
         debug_assert!(
             r.is_err() || sim.dispatcher.pending() == 0,
@@ -499,8 +490,10 @@ struct Sim<'a> {
     a: &'a mut SimArena,
     dram_bandwidth: f64,
     live_blocks: u64,
-    /// Simulated time, advanced only by popped completion events.
-    clock: VirtualClock,
+    /// Simulated time, advanced only by completion events.
+    now_s: f64,
+    /// Admission round: bumped once per completion event.
+    round: u64,
     prev_bw_scale: f64,
     /// Running device bandwidth demand: Σ over SMs of `sm_bw`,
     /// maintained by deltas as SMs are recomputed (see [`Sim::rate_pass`]).
@@ -523,9 +516,7 @@ impl Sim<'_> {
     /// Admit one block to `sm`, merging it into the SM's most recent
     /// cohort when it is the same segment admitted in the same round.
     ///
-    /// `now_s` is the caller's copy of the clock: the loop is the only
-    /// writer, so handing the value down keeps the hot path free of
-    /// repeated clock reads.
+    /// `now_s` is the caller's copy of [`Sim::now_s`].
     fn admit(&mut self, sm: usize, coord: BlockCoord, now_s: f64) {
         let segment = coord.segment;
         self.a.sms[sm].admit_unchecked(&self.grid.segments()[segment].desc);
@@ -539,7 +530,7 @@ impl Sim<'_> {
             coord,
             next: NO_MEMBER,
         });
-        let round = self.a.events.scheduled();
+        let round = self.round;
         let len = self.a.sm_len[sm] as usize;
         if len > 0 && self.a.sm_last_round[sm] == round && self.a.sm_last_seg[sm] == segment as u32
         {
@@ -919,11 +910,8 @@ impl Sim<'_> {
         // changes whenever *any* SM admits, so it keeps the full scan.
         let scan_all_refill = self.scan_all || policy == DispatchPolicy::GreedyGlobal;
         let n_sms = self.a.sm_len.len();
-        // The loop is the clock's single writer: `now` mirrors it in a
-        // register, and every helper takes the value down by argument
-        // rather than re-reading the shared handle.
-        let mut now = self.clock.now_s();
         while self.live_blocks > 0 {
+            let now = self.now_s;
             let snap = self.rate_pass(now);
             let f_min = self.next_finish();
             if !f_min.is_finite() {
@@ -942,14 +930,14 @@ impl Sim<'_> {
                     rates: snap,
                 }),
             }
-            // Next completion through the event queue: the pulse bumps
-            // the admission round (the queue's sequence number), and the
-            // clock steps by `dt` — the same float sum as `now += dt`,
-            // which is not always bitwise `f_min`.
-            let ev = self.a.events.pulse(f_min, ());
-            now = self.clock.advance_by(dt);
+            // Step to the next completion by `dt` (the sum `now + dt`
+            // is not always bitwise `f_min`) and open its admission round.
+            assert!(dt >= 0.0, "simulated time cannot move backwards ({dt})");
+            let now = now + dt;
+            self.now_s = now;
+            self.round += 1;
 
-            self.retire(ev.time_s, now);
+            self.retire(f_min, now);
 
             // Refill from committed queues (and, for greedy, the pool):
             // skippable outright when no block is committed anywhere.

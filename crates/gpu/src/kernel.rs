@@ -127,18 +127,6 @@ impl KernelDesc {
     pub fn total_insts(&self) -> f64 {
         self.comp_insts + self.mem_insts() + self.sync_insts
     }
-
-    /// Scale all dynamic counts by `factor` (e.g. iteration count),
-    /// leaving resources untouched.
-    pub fn scaled(&self, factor: f64) -> KernelDesc {
-        KernelDesc {
-            comp_insts: self.comp_insts * factor,
-            coalesced_mem: self.coalesced_mem * factor,
-            uncoalesced_mem: self.uncoalesced_mem * factor,
-            sync_insts: self.sync_insts * factor,
-            ..self.clone()
-        }
-    }
 }
 
 impl fmt::Display for KernelDesc {
@@ -302,15 +290,6 @@ mod tests {
         assert_eq!(d.warps_per_block(32), 2);
         let d = KernelDesc::builder("w").threads_per_block(32).build();
         assert_eq!(d.warps_per_block(32), 1);
-    }
-
-    #[test]
-    fn scaled_multiplies_dynamic_counts_only() {
-        let d = desc().scaled(3.0);
-        assert_eq!(d.comp_insts, 300.0);
-        assert_eq!(d.coalesced_mem, 30.0);
-        assert_eq!(d.threads_per_block, 128);
-        assert_eq!(d.regs_per_thread, 16);
     }
 
     #[test]

@@ -30,41 +30,17 @@ pub struct Prediction {
     pub gpu_energy_j: f64,
     /// Predicted whole-system energy (idle floor included).
     pub system_energy_j: f64,
-    /// The DVFS state this prediction was evaluated in (`None` = the
-    /// flat single-state path, which is the P0 anchor).
-    pub state: Option<PowerState>,
 }
 
 impl Prediction {
     /// The prediction of a plan that cannot run.
-    fn unschedulable(state: Option<PowerState>) -> Prediction {
-        Prediction {
-            time_s: f64::INFINITY,
-            dyn_power_w: f64::INFINITY,
-            thermal_w: f64::INFINITY,
-            gpu_energy_j: f64::INFINITY,
-            system_energy_j: f64::INFINITY,
-            state,
-        }
-    }
-}
-
-/// A prediction bracketed by descriptor uncertainty.
-///
-/// PTX-derived instruction counts are estimates (the paper extracts them
-/// by static analysis, which misses data-dependent control flow), so the
-/// backend can ask for a bracket: every member's dynamic counts scaled
-/// down/up by a relative `eps`. If even the optimistic consolidated
-/// bound does not beat the pessimistic serial bound, the decision is
-/// robust to descriptor error.
-#[derive(Debug, Clone)]
-pub struct PredictionRange {
-    /// All dynamic counts scaled by `1 − eps`.
-    pub low: Prediction,
-    /// The unperturbed prediction.
-    pub nominal: Prediction,
-    /// All dynamic counts scaled by `1 + eps`.
-    pub high: Prediction,
+    const UNSCHEDULABLE: Prediction = Prediction {
+        time_s: f64::INFINITY,
+        dyn_power_w: f64::INFINITY,
+        thermal_w: f64::INFINITY,
+        gpu_energy_j: f64::INFINITY,
+        system_energy_j: f64::INFINITY,
+    };
 }
 
 /// Combined time/power/energy model.
@@ -73,9 +49,9 @@ pub struct EnergyModel {
     perf: PerfModel,
     power: PowerModel,
     idle_w: f64,
-    /// The DVFS state the models are bound to (`None` = the flat model,
-    /// which is the P0 anchor).
-    state: Option<PowerState>,
+    /// The `V²` dynamic-power scale of the DVFS state the models are
+    /// bound to: 1.0 on the flat model, which is the P0 anchor.
+    volt_sq: f64,
 }
 
 impl EnergyModel {
@@ -85,7 +61,7 @@ impl EnergyModel {
             perf: PerfModel::new(cfg),
             power,
             idle_w,
-            state: None,
+            volt_sq: 1.0,
         }
     }
 
@@ -102,7 +78,7 @@ impl EnergyModel {
             perf: PerfModel::new(cfg.clone()),
             power: self.power.with_config(cfg),
             idle_w: self.idle_w,
-            state: Some(*state),
+            volt_sq: state.volt_sq(),
         }
     }
 
@@ -143,7 +119,7 @@ impl EnergyModel {
         let cfg = self.perf.config();
         debug_assert_eq!(placement.class_of.len(), members.len());
         if !placement.schedulable {
-            Prediction::unschedulable(self.state)
+            Prediction::UNSCHEDULABLE
         } else if placement.clock_hz == cfg.clock_hz {
             self.compose(members, placement, &placement.costs)
         } else if placement.redistributed {
@@ -172,10 +148,7 @@ impl EnergyModel {
             pass.time_s,
             pass.busy_s,
         );
-        let mut dyn_power_w = self.power.predict_dyn_power_w(&rates);
-        if let Some(state) = &self.state {
-            dyn_power_w *= state.volt_sq();
-        }
+        let dyn_power_w = self.power.predict_dyn_power_w(&rates) * self.volt_sq;
         let thermal_w = self.power.predict_thermal_w(dyn_power_w);
         let gpu_energy_j = (dyn_power_w + thermal_w) * pass.time_s;
         let system_energy_j = gpu_energy_j + self.idle_w * pass.time_s;
@@ -185,7 +158,6 @@ impl EnergyModel {
             thermal_w,
             gpu_energy_j,
             system_energy_j,
-            state: self.state,
         }
     }
 
@@ -206,27 +178,6 @@ impl EnergyModel {
         state: &PowerState,
     ) -> Prediction {
         self.in_state(state).predict_serial(plan)
-    }
-
-    /// Predict with a ±`eps` relative uncertainty on every member's
-    /// dynamic instruction counts.
-    pub fn predict_with_uncertainty(&self, plan: &ConsolidationPlan, eps: f64) -> PredictionRange {
-        assert!((0.0..1.0).contains(&eps), "eps must be in [0, 1)");
-        let scaled = |factor: f64| {
-            let mut p = ConsolidationPlan::new();
-            for m in &plan.members {
-                p.push(crate::plan::KernelSpec::new(
-                    m.desc.scaled(factor),
-                    m.blocks,
-                ));
-            }
-            p
-        };
-        PredictionRange {
-            low: self.predict(&scaled(1.0 - eps)),
-            nominal: self.predict(plan),
-            high: self.predict(&scaled(1.0 + eps)),
-        }
     }
 
     /// Predict the serial (one launch after another) alternative: same
@@ -253,7 +204,7 @@ impl EnergyModel {
         runs: &[Placement],
     ) -> Prediction {
         if runs.iter().any(|run| !run.schedulable) {
-            return Prediction::unschedulable(self.state);
+            return Prediction::UNSCHEDULABLE;
         }
         let mut runs = runs.iter();
         let mut time = 0.0;
@@ -278,7 +229,6 @@ impl EnergyModel {
             thermal_w: 0.0,
             gpu_energy_j: gpu_energy,
             system_energy_j: system,
-            state: self.state,
         }
     }
 }
@@ -367,22 +317,6 @@ mod tests {
             cons.time_s,
             serial.time_s
         );
-    }
-
-    #[test]
-    fn uncertainty_brackets_the_nominal_prediction() {
-        let m = energy_model();
-        let plan = ConsolidationPlan::homogeneous(compute("enc", 8.4), 3, 6);
-        let r = m.predict_with_uncertainty(&plan, 0.10);
-        assert!(r.low.time_s <= r.nominal.time_s);
-        assert!(r.nominal.time_s <= r.high.time_s);
-        assert!(r.low.system_energy_j < r.high.system_energy_j);
-        // A 10% count error is ~10% time error for compute-bound kernels.
-        assert!((r.high.time_s / r.nominal.time_s - 1.1).abs() < 0.02);
-        // Wider eps, wider bracket.
-        let wide = m.predict_with_uncertainty(&plan, 0.25);
-        assert!(wide.high.time_s > r.high.time_s);
-        assert!(wide.low.time_s < r.low.time_s);
     }
 
     #[test]

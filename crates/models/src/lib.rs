@@ -75,7 +75,7 @@ pub mod plan;
 pub mod policy;
 pub mod power;
 
-pub use energy::{EnergyModel, Prediction, PredictionRange};
+pub use energy::{EnergyModel, Prediction};
 pub use perf::{PerfModel, PerfPrediction};
 pub use placement::{analyze, analyze_serial, Placement};
 pub use plan::{ConsolidationPlan, KernelSpec};

@@ -213,14 +213,13 @@ fn unschedulable(plan: &ConsolidationPlan) -> bool {
 }
 
 /// What a plan that cannot run predicts: +∞ in every field.
-fn infinite(state: Option<&PowerState>) -> Prediction {
+fn infinite() -> Prediction {
     Prediction {
         time_s: f64::INFINITY,
         dyn_power_w: f64::INFINITY,
         thermal_w: f64::INFINITY,
         gpu_energy_j: f64::INFINITY,
         system_energy_j: f64::INFINITY,
-        state: state.copied(),
     }
 }
 
@@ -245,7 +244,7 @@ fn ref_predict(
     state: Option<&PowerState>,
 ) -> Prediction {
     if unschedulable(plan) {
-        return infinite(state);
+        return infinite();
     }
     let cfg = cfg_in(state);
     let volt_sq = scaling(state).map(PowerState::volt_sq);
@@ -271,7 +270,6 @@ fn ref_predict(
         thermal_w,
         gpu_energy_j,
         system_energy_j: gpu_energy_j + IDLE_W * perf.time_s,
-        state: state.copied(),
     }
 }
 
@@ -282,7 +280,7 @@ fn ref_predict_serial(
     state: Option<&PowerState>,
 ) -> Prediction {
     if unschedulable(plan) {
-        return infinite(state);
+        return infinite();
     }
     let (mut time, mut gpu_energy) = (0.0, 0.0);
     for m in &plan.members {
@@ -297,7 +295,6 @@ fn ref_predict_serial(
         thermal_w: 0.0,
         gpu_energy_j: gpu_energy,
         system_energy_j: gpu_energy + IDLE_W * time,
-        state: state.copied(),
     }
 }
 
@@ -318,7 +315,6 @@ fn assert_same(got: &Prediction, want: &Prediction, what: &str) {
         ])
     };
     assert_eq!(scalars(got), scalars(want), "{what}: scalars");
-    assert_eq!(got.state, want.state, "{what}: state");
 }
 
 fn assert_same_perf(got: &PerfPrediction, want: &PerfPrediction, what: &str) {

@@ -546,11 +546,17 @@ impl Value {
     }
 }
 
-/// Parses `input` as one JSON document, rejecting trailing garbage.
+/// How deep [`parse`] nests arrays and objects. The exporters nest at
+/// most 4 deep; the bound keeps hostile input from overflowing the stack
+/// of the recursive descent.
+const MAX_DEPTH: usize = 128;
+
+/// Parses `input` as one JSON document, rejecting trailing garbage and
+/// nesting deeper than 128 arrays and objects.
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -564,12 +570,17 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// One value inside `depth` enclosing arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(Value::String(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
@@ -693,7 +704,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -702,7 +713,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Array(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -715,7 +726,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // '{'
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -734,7 +745,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
             return Err(format!("expected ':' at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         map.insert(key, value);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -975,6 +986,19 @@ mod tests {
         assert_eq!(arr.len(), 3);
         assert_eq!(arr[2].get("b"), Some(&Value::Null));
         assert_eq!(v.get("d").and_then(Value::as_str), Some("x"));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_128() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(128)).is_ok());
+        assert!(parse(&format!(r#"{{"a":{}}}"#, nested(127))).is_ok());
+        assert_eq!(
+            parse(&nested(129)),
+            Err("nesting deeper than 128 at byte 128".into())
+        );
+        assert!(parse(&format!(r#"{{"a":{}}}"#, nested(128))).is_err());
+        assert!(parse(&nested(100_000)).is_err());
     }
 
     #[test]
