@@ -86,15 +86,24 @@ impl ShedCause {
     }
 }
 
+/// Minimum time between two level changes of the degradation ladder,
+/// seconds.
+const DWELL_S: f64 = 0.25;
+
+/// Pressure-free time the degradation ladder requires before stepping
+/// back up, seconds.
+const QUIET_S: f64 = 1.0;
+
 /// Hysteresis parameters of the graceful-degradation ladder.
 ///
 /// The ladder's level is driven by a queue-age watchdog on the virtual
 /// clock: when the oldest pending request has waited longer than
 /// `pressure_age_s`, the backend is under pressure and steps **down**
-/// one level (at most once per `dwell_s`); when pressure has been absent
-/// for a full `quiet_s`, it steps back **up** one level. The asymmetry
-/// (instant pressure response, quiet-period recovery) is the hysteresis
-/// that stops the ladder from flapping at the boundary.
+/// one level (at most once per `DWELL_S`, 0.25 s); when pressure has
+/// been absent for a full `QUIET_S` (1 s), it steps back **up** one
+/// level. The asymmetry (instant pressure response, quiet-period
+/// recovery) is the hysteresis that stops the ladder from flapping at
+/// the boundary.
 ///
 /// Level effects (cumulative):
 ///
@@ -110,10 +119,6 @@ pub struct DegradationConfig {
     /// Oldest-pending age (seconds, virtual clock) that counts as
     /// sustained pressure.
     pub pressure_age_s: f64,
-    /// Minimum time between two level changes, seconds.
-    pub dwell_s: f64,
-    /// Pressure-free time required before stepping back up, seconds.
-    pub quiet_s: f64,
     /// Deepest level the ladder may reach (≤ 4).
     pub max_level: u8,
 }
@@ -122,8 +127,6 @@ impl Default for DegradationConfig {
     fn default() -> Self {
         DegradationConfig {
             pressure_age_s: 0.5,
-            dwell_s: 0.25,
-            quiet_s: 1.0,
             max_level: 4,
         }
     }
@@ -309,14 +312,14 @@ impl AdmissionState {
         let pressured = oldest_age_s > d.pressure_age_s;
         if pressured {
             self.last_pressure_s = now_s;
-            if self.level < d.max_level.min(4) && now_s - self.last_change_s >= d.dwell_s {
+            if self.level < d.max_level.min(4) && now_s - self.last_change_s >= DWELL_S {
                 self.level += 1;
                 self.last_change_s = now_s;
                 return Some(self.level);
             }
         } else if self.level > 0
-            && now_s - self.last_pressure_s >= d.quiet_s
-            && now_s - self.last_change_s >= d.dwell_s
+            && now_s - self.last_pressure_s >= QUIET_S
+            && now_s - self.last_change_s >= DWELL_S
         {
             self.level -= 1;
             self.last_change_s = now_s;
@@ -397,7 +400,7 @@ mod tests {
         assert_eq!(s.observe(1.0, 1.0), Some(1), "pressure steps down");
         assert_eq!(s.observe(1.1, 1.0), None, "dwell blocks a double step");
         assert_eq!(s.observe(1.3, 1.0), Some(2));
-        // Quiet period: no recovery until a full quiet_s has passed.
+        // Quiet period: no recovery until a full QUIET_S has passed.
         assert_eq!(s.observe(1.5, 0.0), None);
         assert_eq!(s.observe(2.4, 0.0), Some(1), "quiet period recovers");
         assert_eq!(s.observe(3.5, 0.0), Some(0));

@@ -107,7 +107,7 @@ pub(crate) fn start(
         .clone()
         .unwrap_or_else(|| FleetConfig::homogeneous(gpus.len()));
     assert_eq!(
-        fleet_cfg.devices.len(),
+        fleet_cfg.roster().len(),
         gpus.len(),
         "fleet spec must describe every device in the pool"
     );

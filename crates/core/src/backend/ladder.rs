@@ -11,6 +11,11 @@ use super::Backend;
 use crate::decision::Choice;
 use crate::protocol::{CoreError, KernelRequest};
 
+/// Initial retry backoff, seconds; doubles per retry. The device idles
+/// (and burns idle power — retries are not energetically free) for the
+/// backoff interval.
+const RETRY_BACKOFF_S: f64 = 1e-3;
+
 /// How one member of a dispatched group ended up.
 pub(super) enum MemberFate {
     /// Completed, on the given rung (consolidated, serial GPU, or CPU).
@@ -112,7 +117,7 @@ impl Backend {
             .map(|r| r.submitted_at_s)
             .fold(f64::INFINITY, f64::min)
             + pol.request_deadline_s;
-        let mut backoff = pol.retry_backoff_s.max(0.0);
+        let mut backoff = RETRY_BACKOFF_S;
         let mut attempts = 0u32;
         let launch = LaunchConfig::from_grid(self.grid_of(members));
         loop {

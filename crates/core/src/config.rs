@@ -113,7 +113,7 @@ impl RuntimeConfig {
     /// count when a fleet is configured, `num_gpus` otherwise.
     pub fn num_devices(&self) -> usize {
         match &self.fleet {
-            Some(f) => f.devices.len().max(1),
+            Some(f) => f.roster().len(),
             None => self.num_gpus.max(1) as usize,
         }
     }

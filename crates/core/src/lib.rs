@@ -101,7 +101,7 @@ pub use config::{PowerStatesConfig, RuntimeConfig};
 pub use decision::{Choice, DecisionEngine, StateDecision};
 pub use frontend::Frontend;
 pub use protocol::{CoreError, KernelRequest, RegisteredKernel};
-pub use resilience::{CircuitBreaker, ResiliencePolicy, RuntimeFaultInjector};
+pub use resilience::{ResiliencePolicy, RuntimeFaultInjector};
 pub use runtime::{Runtime, RuntimeReport};
 pub use stats::{BackendStats, ConsolidationRecord};
 pub use template::{Template, TemplateRegistry};

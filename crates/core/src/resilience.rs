@@ -1,13 +1,12 @@
-//! Backend-side resilience: retry policy, circuit breaker, and the
-//! runtime-boundary fault-injection hook.
+//! Backend-side resilience: the retry policy and the runtime-boundary
+//! fault-injection hook.
 //!
-//! The retry/breaker types ([`ResiliencePolicy`], [`CircuitBreaker`])
-//! live in `ewc-fleet` now — the fleet governor owns one breaker *per
-//! device* — and are re-exported here so existing `ewc_core` paths keep
-//! working. See `ewc_fleet::breaker` for the degradation-ladder
-//! documentation.
+//! [`ResiliencePolicy`] lives in `ewc-fleet` — the fleet governor owns
+//! one circuit breaker *per device* — and is re-exported here because
+//! [`crate::RuntimeConfig`] carries it. See `ewc_fleet::breaker` for the
+//! degradation-ladder documentation.
 
-pub use ewc_fleet::{CircuitBreaker, ResiliencePolicy};
+pub use ewc_fleet::ResiliencePolicy;
 
 /// Decides whether a runtime-boundary (channel) fault hits a message.
 ///

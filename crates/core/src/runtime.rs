@@ -111,12 +111,13 @@ impl RuntimeBuilder {
     /// Build: trains the power model, starts the backend, returns the
     /// runtime.
     pub fn build(self) -> Runtime {
+        let roster = self.cfg.fleet.as_ref().map(|fleet| fleet.roster());
         let gpus: Vec<GpuDevice> = (0..self.cfg.num_devices())
             .map(|d| {
                 // A fleet spec overrides the builder-level GpuConfig per
                 // device; without one every device is identical.
-                let dev_cfg = match &self.cfg.fleet {
-                    Some(fleet) => fleet.devices[d].gpu.clone(),
+                let dev_cfg = match &roster {
+                    Some(roster) => roster[d].gpu.clone(),
                     None => self.gpu_cfg.clone(),
                 };
                 let mut gpu = GpuDevice::new(dev_cfg).with_telemetry(self.telemetry.clone(), d);

@@ -38,10 +38,6 @@ pub struct ResiliencePolicy {
     /// Maximum GPU retries per launch before escalating (on top of the
     /// initial attempt).
     pub max_gpu_retries: u32,
-    /// Initial retry backoff, seconds; doubles per retry. The device
-    /// idles (and burns idle power — retries are not energetically free)
-    /// for the backoff interval.
-    pub retry_backoff_s: f64,
     /// Consecutive transient faults that trip the circuit breaker.
     /// `0` disables the breaker entirely.
     pub breaker_threshold: u32,
@@ -55,7 +51,6 @@ impl Default for ResiliencePolicy {
         ResiliencePolicy {
             request_deadline_s: f64::INFINITY,
             max_gpu_retries: 2,
-            retry_backoff_s: 1e-3,
             breaker_threshold: 8,
             breaker_cooldown_s: 10.0,
         }

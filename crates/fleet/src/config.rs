@@ -1,9 +1,9 @@
 //! Fleet description: per-device specs and the fleet-level knobs.
 
+use std::borrow::Cow;
+
 use ewc_energy::PowerStateTable;
 use ewc_gpu::GpuConfig;
-
-use crate::policy::{FragAware, LeastLoaded, PlacementPolicy, PowerAware, RoundRobin};
 
 /// Idle (static) draw of one card at the fleet's power-proxy scale 1.0,
 /// watts. Matches the ~40 W a Tesla C1060 burns with no SM active.
@@ -87,19 +87,11 @@ impl DeviceSpec {
     }
 
     /// Placement-layer power proxy: estimated draw of this card with
-    /// `ctxs` live contexts, watts. Linear in utilization between the
-    /// idle floor and the all-SMs-busy ceiling — the same shape the
-    /// trained per-device power model has, collapsed to one number so
-    /// policies can score a binding without a kernel spec in hand.
-    /// Evaluated at the ladder's top state; see
-    /// [`DeviceSpec::est_power_in_state_w`].
-    pub fn est_power_w(&self, ctxs: u32) -> f64 {
-        self.est_power_in_state_w(ctxs, self.states.top())
-    }
-
-    /// The power proxy with the card held at state `level`: the state's
-    /// static floor plus a per-SM dynamic term scaled by the state's
-    /// `f·V²`. At the top of the default single-state table this is
+    /// `ctxs` live contexts held at state `level`, watts. Linear in
+    /// utilization between the state's static floor and the all-SMs-busy
+    /// ceiling, the per-SM dynamic term scaled by the state's `f·V²`.
+    /// The power cap scores a binding with it, without a kernel spec in
+    /// hand. At the top of the default single-state table this is
     /// bit-identical to the pre-DVFS proxy (`CARD_IDLE_W` floor,
     /// [`SM_ACTIVE_W`] per SM). An unknown level falls back to the top
     /// state.
@@ -119,14 +111,9 @@ impl DeviceSpec {
 /// Which placement policy the fleet governor runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
-    /// First-touch round robin over all devices — bit-compatible with
-    /// the pre-fleet backend.
+    /// First-touch round robin over all devices, healthy or not —
+    /// bit-compatible with the pre-fleet backend's device counter.
     RoundRobin,
-    /// Fewest live contexts wins; ties break to the lowest index.
-    LeastLoaded,
-    /// Lowest marginal power draw wins (racing-to-idle: keep extra
-    /// cards near their idle floor).
-    PowerAware,
     /// Smallest fragmentation-gradient increase wins — packs contexts
     /// onto already-busy cards (à la arXiv 2412.17484).
     FragAware,
@@ -134,19 +121,12 @@ pub enum PolicyKind {
 
 impl PolicyKind {
     /// Every policy, in comparison order.
-    pub const ALL: [PolicyKind; 4] = [
-        PolicyKind::RoundRobin,
-        PolicyKind::LeastLoaded,
-        PolicyKind::PowerAware,
-        PolicyKind::FragAware,
-    ];
+    pub const ALL: [PolicyKind; 2] = [PolicyKind::RoundRobin, PolicyKind::FragAware];
 
     /// Stable CLI / telemetry label.
     pub fn label(self) -> &'static str {
         match self {
             PolicyKind::RoundRobin => "round-robin",
-            PolicyKind::LeastLoaded => "least-loaded",
-            PolicyKind::PowerAware => "power-aware",
             PolicyKind::FragAware => "frag-aware",
         }
     }
@@ -154,16 +134,6 @@ impl PolicyKind {
     /// Parse a CLI label back into a kind.
     pub fn parse(s: &str) -> Option<PolicyKind> {
         PolicyKind::ALL.into_iter().find(|k| k.label() == s)
-    }
-
-    /// Instantiate the policy.
-    pub fn build(self) -> Box<dyn PlacementPolicy> {
-        match self {
-            PolicyKind::RoundRobin => Box::new(RoundRobin::default()),
-            PolicyKind::LeastLoaded => Box::new(LeastLoaded),
-            PolicyKind::PowerAware => Box::new(PowerAware),
-            PolicyKind::FragAware => Box::new(FragAware),
-        }
     }
 }
 
@@ -195,7 +165,7 @@ impl FleetConfig {
 
     /// `n` devices cycling through three C1060 derivatives: the baseline
     /// card, a half-width low-power part, and a wide high-power part.
-    /// The heterogeneity is what separates the four policies in the
+    /// The heterogeneity is what separates the two policies in the
     /// `ewc fleet` comparison.
     pub fn heterogeneous(n: usize) -> Self {
         let presets = [
@@ -237,6 +207,17 @@ impl FleetConfig {
         self.power_cap_w = Some(watts);
         self
     }
+
+    /// The devices the runtime drives: `devices`, or one baseline C1060
+    /// when the list is empty. The runtime builder, the device count and
+    /// the governor all read the fleet through this.
+    pub fn roster(&self) -> Cow<'_, [DeviceSpec]> {
+        if self.devices.is_empty() {
+            Cow::Owned(vec![DeviceSpec::c1060()])
+        } else {
+            Cow::Borrowed(&self.devices)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -257,12 +238,14 @@ mod tests {
     fn power_proxy_spans_idle_to_tdp() {
         let spec = DeviceSpec::c1060();
         assert_eq!(spec.capacity(), SATURATION_CTXS);
-        assert!((spec.est_power_w(0) - CARD_IDLE_W).abs() < 1e-9);
-        let busy = spec.est_power_w(SATURATION_CTXS);
+        let top = spec.states.top();
+        assert!((spec.est_power_in_state_w(0, top) - CARD_IDLE_W).abs() < 1e-9);
+        let busy = spec.est_power_in_state_w(SATURATION_CTXS, top);
         assert!((busy - (CARD_IDLE_W + SM_ACTIVE_W * 30.0)).abs() < 1e-9);
         // Past saturation the proxy clamps at the ceiling.
         assert_eq!(
-            spec.est_power_w(SATURATION_CTXS + 4).to_bits(),
+            spec.est_power_in_state_w(SATURATION_CTXS + 4, top)
+                .to_bits(),
             busy.to_bits()
         );
     }
@@ -278,7 +261,8 @@ mod tests {
             let u = f64::from(ctxs.min(cap)) / f64::from(cap);
             let flat =
                 spec.power_scale * (CARD_IDLE_W + SM_ACTIVE_W * f64::from(spec.gpu.num_sms) * u);
-            assert_eq!(spec.est_power_w(ctxs).to_bits(), flat.to_bits());
+            let proxy = spec.est_power_in_state_w(ctxs, spec.states.top());
+            assert_eq!(proxy.to_bits(), flat.to_bits());
         }
     }
 

@@ -1,13 +1,15 @@
-//! The fleet governor: owns the placement policy, the per-device
-//! circuit breakers, live-load accounting, and the optional fleet-level
-//! power cap.
+//! The fleet governor: places contexts, and owns the per-device circuit
+//! breakers, live-load accounting, and the optional fleet-level power
+//! cap.
 //!
 //! The backend delegates every context→device question here:
 //!
-//! - first touch of a context calls [`FleetGovernor::place`], which runs
-//!   the policy, then applies two deterministic post-filters — avoid a
-//!   tripped device when a healthy one exists, and redirect a binding
-//!   whose projected fleet draw would exceed the power cap;
+//! - first touch of a context calls [`FleetGovernor::place_avoiding`],
+//!   which picks a device by the configured [`PolicyKind`], then applies
+//!   three deterministic post-filters — avoid a tripped device when a
+//!   healthy one exists, avoid a saturated one when an unsaturated
+//!   healthy one exists, and throttle or redirect a binding whose
+//!   projected fleet draw would exceed the power cap;
 //! - a reaped (dead) context calls [`FleetGovernor::release`], so load
 //!   counts track *live* contexts instead of drifting monotonically;
 //! - launch outcomes call [`FleetGovernor::record_fault`] /
@@ -25,7 +27,7 @@ use ewc_exec::VirtualClock;
 
 use crate::breaker::{CircuitBreaker, ResiliencePolicy};
 use crate::config::{DeviceSpec, FleetConfig, PolicyKind};
-use crate::policy::{DeviceView, PlacementPolicy};
+use crate::policy;
 
 /// Why a context landed on its device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,8 +88,9 @@ pub struct StateChangeRecord {
 /// Fleet-wide placement and health state.
 pub struct FleetGovernor {
     specs: Vec<DeviceSpec>,
-    policy_kind: PolicyKind,
-    policy: Box<dyn PlacementPolicy>,
+    policy: PolicyKind,
+    /// Round-robin's first-touch counter, bumped on every placement.
+    next_device: usize,
     power_cap_w: Option<f64>,
     breakers: Vec<CircuitBreaker>,
     live: Vec<u32>,
@@ -107,17 +110,13 @@ impl FleetGovernor {
     /// Build a governor for `cfg`'s devices, with one breaker per device
     /// configured from `resilience`.
     pub fn new(cfg: &FleetConfig, resilience: &ResiliencePolicy) -> Self {
-        let n = cfg.devices.len().max(1);
-        let specs = if cfg.devices.is_empty() {
-            vec![DeviceSpec::c1060()]
-        } else {
-            cfg.devices.clone()
-        };
+        let specs = cfg.roster().into_owned();
+        let n = specs.len();
         let dvfs_level = specs.iter().map(|s| s.states.top()).collect();
         FleetGovernor {
             specs,
-            policy_kind: cfg.policy,
-            policy: cfg.policy.build(),
+            policy: cfg.policy,
+            next_device: 0,
             power_cap_w: cfg.power_cap_w,
             breakers: (0..n).map(|_| CircuitBreaker::new(resilience)).collect(),
             live: vec![0; n],
@@ -148,7 +147,7 @@ impl FleetGovernor {
 
     /// Label of the active placement policy.
     pub fn policy_label(&self) -> &'static str {
-        self.policy_kind.label()
+        self.policy.label()
     }
 
     /// The device `ctx` is bound to, if it has been placed.
@@ -159,19 +158,6 @@ impl FleetGovernor {
     /// Live contexts currently bound to device `d`.
     pub fn live(&self, d: usize) -> u32 {
         self.live[d]
-    }
-
-    fn views(&self, at: &VirtualClock) -> Vec<DeviceView> {
-        self.specs
-            .iter()
-            .enumerate()
-            .map(|(index, spec)| DeviceView {
-                index,
-                spec: spec.clone(),
-                live: self.live[index],
-                healthy: !self.breakers[index].is_open(at),
-            })
-            .collect()
     }
 
     /// Projected fleet draw (placement power proxy, watts) with one
@@ -192,53 +178,48 @@ impl FleetGovernor {
             .sum()
     }
 
-    /// Bind a new context: run the policy, then the health and power-cap
-    /// post-filters. Records and returns the placement.
+    /// Bind a new context: [`FleetGovernor::place_avoiding`] with no
+    /// device saturated.
     pub fn place(&mut self, ctx: u64, at: &VirtualClock) -> PlacementRecord {
-        self.place_filtered(ctx, at, None)
+        self.place_avoiding(ctx, at, &[])
     }
 
-    /// [`FleetGovernor::place`] with an overload post-filter: when the
-    /// policy's (health-filtered) pick is marked saturated in
-    /// `saturated` and a healthy unsaturated device exists, the context
-    /// is redirected there — the admission controller's way of letting
-    /// an overloaded-but-healthy device shed new work before its
-    /// breaker trips. The power-cap filter still runs last.
+    /// Bind a new context: pick by the policy, then run the health,
+    /// overload and power-cap post-filters. The overload filter moves a
+    /// pick marked in `saturated` (a missing entry reads as unsaturated)
+    /// to the least-loaded healthy unsaturated device, if one exists —
+    /// the admission controller's way of letting an overloaded-but-healthy
+    /// device shed new work before its breaker trips. Records and returns
+    /// the placement.
     pub fn place_avoiding(
         &mut self,
         ctx: u64,
         at: &VirtualClock,
         saturated: &[bool],
     ) -> PlacementRecord {
-        self.place_filtered(ctx, at, Some(saturated))
-    }
-
-    fn place_filtered(
-        &mut self,
-        ctx: u64,
-        at: &VirtualClock,
-        saturated: Option<&[bool]>,
-    ) -> PlacementRecord {
-        let views = self.views(at);
-        let mut device = self.policy.place(&views).min(self.specs.len() - 1);
+        let mut device = match self.policy {
+            PolicyKind::RoundRobin => {
+                let d = self.next_device % self.specs.len();
+                self.next_device += 1;
+                d
+            }
+            PolicyKind::FragAware => policy::frag_aware(&self.specs, &self.live),
+        };
         let mut reason = PlacementReason::Policy;
-        if !views[device].healthy {
+        if self.breakers[device].is_open(at) {
             if let Some(alt) = self.healthy_target(device, at) {
                 device = alt;
                 reason = PlacementReason::Health;
             }
         }
-        if let Some(sat) = saturated {
-            if sat.get(device).copied().unwrap_or(false) {
-                let alt = (0..self.specs.len())
-                    .filter(|&d| {
-                        d != device && views[d].healthy && !sat.get(d).copied().unwrap_or(false)
-                    })
-                    .min_by_key(|&d| (self.live[d], d));
-                if let Some(alt) = alt {
-                    device = alt;
-                    reason = PlacementReason::Overload;
-                }
+        let is_saturated = |d: usize| saturated.get(d).copied().unwrap_or(false);
+        if is_saturated(device) {
+            let alt = (0..self.specs.len())
+                .filter(|&d| d != device && !self.breakers[d].is_open(at) && !is_saturated(d))
+                .min_by_key(|&d| (self.live[d], d));
+            if let Some(alt) = alt {
+                device = alt;
+                reason = PlacementReason::Overload;
             }
         }
         if let Some(cap) = self.power_cap_w {
@@ -434,21 +415,6 @@ mod tests {
         // device 0 is now the emptiest.
         assert_eq!(g.place(6, &clk).device, 0);
         assert_eq!(g.place(7, &clk).device, 1);
-    }
-
-    #[test]
-    fn least_loaded_rebinds_into_released_slots() {
-        let clk = VirtualClock::new();
-        let mut g = governor(FleetConfig::homogeneous(2).with_policy(PolicyKind::LeastLoaded));
-        assert_eq!(g.place(1, &clk).device, 0);
-        assert_eq!(g.place(2, &clk).device, 1);
-        assert_eq!(g.place(3, &clk).device, 0);
-        // Reap both device-0 contexts: the next two placements refill it
-        // instead of skewing on a monotonic counter.
-        g.release(1);
-        g.release(3);
-        assert_eq!(g.place(4, &clk).device, 0);
-        assert_eq!(g.place(5, &clk).device, 0);
     }
 
     #[test]

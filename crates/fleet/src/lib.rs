@@ -7,13 +7,14 @@
 //! - [`FleetConfig`] describes N optionally heterogeneous devices
 //!   ([`DeviceSpec`]: per-device SM count, bandwidth, and power-curve
 //!   scaling, all derived from the `GpuConfig::tesla_c1060()` preset);
-//! - [`PlacementPolicy`] is the deterministic context→device binding
-//!   strategy, with four implementations ([`RoundRobin`],
-//!   [`LeastLoaded`], [`PowerAware`], [`FragAware`]);
-//! - [`FleetGovernor`] owns the policy, an optional fleet-level power
-//!   cap, and **per-device** [`CircuitBreaker`]s so one sick card no
-//!   longer closes the GPU path for the whole fleet — its contexts are
-//!   drained and re-placed on healthy devices instead.
+//! - [`PolicyKind`] names the deterministic context→device binding
+//!   strategy: round-robin, or frag-aware, which packs contexts onto
+//!   busy cards by the fragmentation score of arXiv 2412.17484;
+//! - [`FleetGovernor`] places with one `match` over the policy, and owns
+//!   an optional fleet-level power cap and **per-device**
+//!   [`CircuitBreaker`]s so one sick card no longer closes the GPU path
+//!   for the whole fleet — its contexts are drained and re-placed on
+//!   healthy devices instead.
 //!
 //! Everything is pure bookkeeping over values read from
 //! [`ewc_exec::VirtualClock`] handles: same-seed runs replay
@@ -32,4 +33,3 @@ mod policy;
 pub use breaker::{CircuitBreaker, ResiliencePolicy};
 pub use config::{DeviceSpec, FleetConfig, PolicyKind};
 pub use governor::{FleetGovernor, PlacementReason, PlacementRecord, StateChangeRecord};
-pub use policy::{DeviceView, FragAware, LeastLoaded, PlacementPolicy, PowerAware, RoundRobin};

@@ -1,218 +1,82 @@
-//! Placement policies: deterministic context→device binding strategies.
+//! The frag-aware placement score.
 //!
-//! Each policy sees the same immutable snapshot of the fleet
-//! ([`DeviceView`] per device) and returns a device index. All four are
-//! pure functions of the snapshot (plus, for [`RoundRobin`], an internal
-//! counter), so same-seed runs place identically. Float scores break
-//! ties with `total_cmp` and then the lowest device index — no ambient
-//! randomness anywhere.
+//! Round-robin needs no score: it is the governor's counter. Frag-aware
+//! is a pure function of each device's spec and live load, so same-seed
+//! runs place identically. Float scores break ties with `total_cmp` and
+//! then the lowest device index — no ambient randomness anywhere.
 
-use crate::config::{DeviceSpec, SM_ACTIVE_W};
+use crate::config::DeviceSpec;
 
-/// One device as the placement layer sees it at binding time.
-#[derive(Debug, Clone)]
-pub struct DeviceView {
-    /// Device index (`gpu{index}` in telemetry).
-    pub index: usize,
-    /// The device's spec (SM count, bandwidth, power scaling).
-    pub spec: DeviceSpec,
-    /// Contexts currently bound to the device. Reaped contexts are
-    /// released, so this reflects *live* load — not the lifetime
-    /// first-touch count the pre-fleet round-robin counter drifted on.
-    pub live: u32,
-    /// `false` while the device's circuit breaker holds its GPU path
-    /// open (tripped).
-    pub healthy: bool,
-}
-
-impl DeviceView {
-    /// Marginal power of binding one more context here, watts. Past the
-    /// card's capacity the marginal cost jumps to the full dynamic range
-    /// — overloading a saturated card is the most expensive move — so
-    /// [`PowerAware`] fills the cheapest card first but spills before
-    /// oversubscribing it.
-    pub fn marginal_power_w(&self) -> f64 {
-        let dynamic = self.spec.power_scale * SM_ACTIVE_W * f64::from(self.spec.gpu.num_sms);
-        if self.live >= self.spec.capacity() {
-            dynamic
-        } else {
-            dynamic / f64::from(self.spec.capacity())
-        }
+/// Fragmentation gradient of binding one more context to `spec` while it
+/// runs `live`: the increase in SM-weighted `u·(1−u)` (u =
+/// live/capacity), the classic fragmentation potential that peaks at
+/// half-utilized devices. Concavity makes the busiest card the cheapest
+/// move, so minimizing the gradient *packs* contexts and keeps spare
+/// cards whole — the scoring shape of arXiv 2412.17484.
+/// Oversubscription gets a load-proportional penalty instead.
+fn frag_delta(spec: &DeviceSpec, live: u32) -> f64 {
+    let cap = f64::from(spec.capacity());
+    let live = f64::from(live);
+    if live + 1.0 > cap {
+        return 1.0 + live;
     }
-
-    /// Fragmentation-gradient of binding one more context here: the
-    /// increase in SM-weighted `u·(1−u)` (u = live/capacity), the
-    /// classic fragmentation potential that peaks at half-utilized
-    /// devices. Concavity makes the busiest card the cheapest move, so
-    /// minimizing the gradient *packs* contexts and keeps spare cards
-    /// whole — the scoring shape of arXiv 2412.17484. Oversubscription
-    /// gets a load-proportional penalty instead.
-    pub fn frag_delta(&self) -> f64 {
-        let cap = f64::from(self.spec.capacity());
-        let live = f64::from(self.live);
-        if live + 1.0 > cap {
-            return 1.0 + live;
-        }
-        let frag = |l: f64| (l / cap) * (1.0 - l / cap);
-        (frag(live + 1.0) - frag(live)) * f64::from(self.spec.gpu.num_sms)
-    }
+    let frag = |l: f64| (l / cap) * (1.0 - l / cap);
+    (frag(live + 1.0) - frag(live)) * f64::from(spec.gpu.num_sms)
 }
 
-/// A deterministic context→device binding strategy.
-pub trait PlacementPolicy: Send {
-    /// Stable label for telemetry and audit records.
-    fn name(&self) -> &'static str;
-    /// Pick the device for a new context. `fleet` is never empty.
-    fn place(&mut self, fleet: &[DeviceView]) -> usize;
-}
-
-/// Picks the device with the lowest float score; ties break to the
-/// lowest index (strict `<` keeps the first minimum).
-fn argmin_by(fleet: &[DeviceView], score: impl Fn(&DeviceView) -> f64) -> usize {
+/// The device whose fragmentation gradient grows least; ties break to
+/// the lowest index (strict `<` keeps the first minimum).
+pub(crate) fn frag_aware(specs: &[DeviceSpec], live: &[u32]) -> usize {
     let mut best = 0;
     let mut best_score = f64::INFINITY;
-    for view in fleet {
-        let s = score(view);
+    for (d, (spec, &l)) in specs.iter().zip(live).enumerate() {
+        let s = frag_delta(spec, l);
         if s.total_cmp(&best_score).is_lt() {
-            best = view.index;
+            best = d;
             best_score = s;
         }
     }
     best
 }
 
-/// First-touch round robin over all devices, healthy or not —
-/// bit-compatible with the pre-fleet backend's `next_device` counter.
-#[derive(Debug, Default)]
-pub struct RoundRobin {
-    counter: usize,
-}
-
-impl PlacementPolicy for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn place(&mut self, fleet: &[DeviceView]) -> usize {
-        let device = self.counter % fleet.len();
-        self.counter += 1;
-        device
-    }
-}
-
-/// Fewest live contexts wins. Because the governor releases reaped
-/// contexts, this is the skew-free replacement for the monotonic
-/// round-robin counter on long-lived fleets.
-#[derive(Debug, Default)]
-pub struct LeastLoaded;
-
-impl PlacementPolicy for LeastLoaded {
-    fn name(&self) -> &'static str {
-        "least-loaded"
-    }
-
-    fn place(&mut self, fleet: &[DeviceView]) -> usize {
-        argmin_by(fleet, |v| f64::from(v.live))
-    }
-}
-
-/// Lowest marginal power draw wins: fill the cheapest card toward its
-/// capacity while the rest of the fleet races to idle.
-#[derive(Debug, Default)]
-pub struct PowerAware;
-
-impl PlacementPolicy for PowerAware {
-    fn name(&self) -> &'static str {
-        "power-aware"
-    }
-
-    fn place(&mut self, fleet: &[DeviceView]) -> usize {
-        argmin_by(fleet, DeviceView::marginal_power_w)
-    }
-}
-
-/// Smallest fragmentation-gradient increase wins: pack contexts onto
-/// already-busy cards and keep spare capacity contiguous.
-#[derive(Debug, Default)]
-pub struct FragAware;
-
-impl PlacementPolicy for FragAware {
-    fn name(&self) -> &'static str {
-        "frag-aware"
-    }
-
-    fn place(&mut self, fleet: &[DeviceView]) -> usize {
-        argmin_by(fleet, DeviceView::frag_delta)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::breaker::ResiliencePolicy;
     use crate::config::FleetConfig;
+    use crate::governor::FleetGovernor;
+    use ewc_exec::VirtualClock;
 
-    fn views(live: &[u32]) -> Vec<DeviceView> {
-        let fleet = FleetConfig::heterogeneous(live.len());
-        live.iter()
-            .enumerate()
-            .map(|(index, &l)| DeviceView {
-                index,
-                spec: fleet.devices[index].clone(),
-                live: l,
-                healthy: true,
-            })
-            .collect()
+    fn specs(n: usize) -> Vec<DeviceSpec> {
+        FleetConfig::heterogeneous(n).devices
     }
 
     #[test]
     fn round_robin_cycles_regardless_of_load() {
-        let mut rr = RoundRobin::default();
-        let v = views(&[5, 0, 0]);
-        assert_eq!(rr.place(&v), 0);
-        assert_eq!(rr.place(&v), 1);
-        assert_eq!(rr.place(&v), 2);
-        assert_eq!(rr.place(&v), 0);
-    }
-
-    #[test]
-    fn least_loaded_picks_min_live_then_lowest_index() {
-        let mut ll = LeastLoaded;
-        assert_eq!(ll.place(&views(&[2, 1, 1])), 1);
-        assert_eq!(ll.place(&views(&[0, 0, 0])), 0);
-    }
-
-    #[test]
-    fn power_aware_prefers_the_low_power_card() {
-        // Device 1 in the heterogeneous preset is the half-width
-        // low-power part: cheapest marginal watt when empty.
-        let mut pa = PowerAware;
-        assert_eq!(pa.place(&views(&[0, 0, 0])), 1);
-    }
-
-    #[test]
-    fn power_aware_spills_once_the_cheap_card_saturates() {
-        let v = views(&[0, 0, 0]);
-        let cap = v[1].spec.capacity();
-        let mut pa = PowerAware;
-        assert_ne!(pa.place(&views(&[0, cap, 0])), 1);
+        let clk = VirtualClock::new();
+        let mut g =
+            FleetGovernor::new(&FleetConfig::heterogeneous(3), &ResiliencePolicy::default());
+        for ctx in 0..5 {
+            g.rebind(ctx, 0);
+        }
+        let placed: Vec<u32> = (5..9).map(|ctx| g.place(ctx, &clk).device).collect();
+        assert_eq!(placed, [0, 1, 2, 0]);
     }
 
     #[test]
     fn frag_aware_packs_the_busiest_card() {
-        let mut fa = FragAware;
-        let empty = fa.place(&views(&[0, 0, 0]));
+        let specs = specs(3);
+        let empty = frag_aware(&specs, &[0, 0, 0]);
         // Wherever the first context lands, the second follows it.
         let mut live = [0u32, 0, 0];
         live[empty] = 1;
-        assert_eq!(fa.place(&views(&live)), empty);
+        assert_eq!(frag_aware(&specs, &live), empty);
     }
 
     #[test]
     fn frag_aware_avoids_oversubscription() {
-        let v = views(&[0, 0, 0]);
-        let caps: Vec<u32> = v.iter().map(|d| d.spec.capacity()).collect();
-        let mut fa = FragAware;
-        let full = [caps[0], caps[1], 0];
-        assert_eq!(fa.place(&views(&full)), 2, "only device 2 has room");
+        let specs = specs(3);
+        let full = [specs[0].capacity(), specs[1].capacity(), 0];
+        assert_eq!(frag_aware(&specs, &full), 2, "only device 2 has room");
     }
 }

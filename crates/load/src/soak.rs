@@ -27,7 +27,8 @@ use crate::plan::{FaultRecord, SharedFaultPlan};
 /// Maximum client-side retries of one transient device operation.
 const CLIENT_RETRIES: u32 = 3;
 
-/// Soak-run parameters.
+/// Soak-run parameters. The soak drives one GPU, and the fault plan
+/// reaches all of it.
 #[derive(Debug, Clone)]
 pub struct SoakConfig {
     /// Fault-plan seed (also seeds energy measurement noise).
@@ -42,11 +43,6 @@ pub struct SoakConfig {
     pub faults: FaultConfig,
     /// Backend recovery policy.
     pub resilience: ResiliencePolicy,
-    /// Devices behind the backend (each gets its own circuit breaker).
-    pub gpus: u32,
-    /// Restrict fault injection to these device indices; `None` means
-    /// every device sees the fault plan.
-    pub fault_targets: Option<Vec<usize>>,
     /// Admission-control limits; `None` (the default) keeps the
     /// pre-admission unbounded backend. The overload preset installs a
     /// tight token bucket and queue bounds so shedding happens under
@@ -63,8 +59,6 @@ impl Default for SoakConfig {
             sync_every: 2,
             faults: FaultConfig::light(),
             resilience: ResiliencePolicy::default(),
-            gpus: 1,
-            fault_targets: None,
             admission: None,
         }
     }
@@ -278,23 +272,19 @@ pub fn run(cfg: &SoakConfig) -> SoakReport {
         // Flush only at syncs: the harness controls group boundaries so
         // the fault schedule stays aligned with submission rounds.
         threshold_factor: 1_000_000,
-        num_gpus: cfg.gpus.max(1),
         force_gpu: true,
         noise_seed: Some(cfg.seed),
         resilience: cfg.resilience.clone(),
         admission: cfg.admission.clone(),
         ..RuntimeConfig::default()
     };
-    let mut builder = Runtime::builder(rt_cfg)
+    let rt = Runtime::builder(rt_cfg)
         .telemetry(TelemetrySink::enabled())
         .workload("encryption", Arc::new(AesWorkload::fig7(&gpu_cfg)))
         .template(Template::homogeneous("encryption"))
         .device_faults(Arc::new(plan.clone()))
-        .runtime_faults(Arc::new(plan.clone()));
-    if let Some(targets) = &cfg.fault_targets {
-        builder = builder.device_fault_targets(targets.clone());
-    }
-    let rt = builder.build();
+        .runtime_faults(Arc::new(plan.clone()))
+        .build();
 
     let mut report = SoakReport {
         submitted: 0,

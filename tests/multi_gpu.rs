@@ -240,6 +240,36 @@ fn power_cap_redirects_placements_under_the_fleet_ceiling() {
     );
 }
 
+#[test]
+fn empty_fleet_runs_on_one_c1060() {
+    // An empty roster is one baseline C1060 to the builder, the device
+    // count and the governor alike.
+    let cfg = RuntimeConfig {
+        threshold_factor: 1,
+        force_gpu: true,
+        fleet: Some(FleetConfig {
+            devices: Vec::new(),
+            policy: PolicyKind::FragAware,
+            power_cap_w: None,
+        }),
+        ..RuntimeConfig::default()
+    };
+    assert_eq!(cfg.num_devices(), 1);
+    let aes: Arc<dyn Workload> = Arc::new(AesWorkload::fig7(&GpuConfig::tesla_c1060()));
+    let rt = Runtime::builder(cfg)
+        .workload("encryption", Arc::clone(&aes))
+        .template(Template::homogeneous("encryption"))
+        .build();
+    let (fe, bufs, expect) = submit(&rt, "encryption", &aes, 3);
+    fe.sync().expect("sync");
+    let got = fe.memcpy_d2h(bufs.output, 0, bufs.output_len).unwrap();
+    assert_eq!(got, expect);
+    let report = rt.shutdown();
+    assert_eq!(report.stats.placements.len(), 1);
+    assert_eq!(report.stats.placements[0].device, 0);
+    assert!(report.energy.energy_j > 0.0);
+}
+
 /// The drain/migrate scenario: device 0 is permanently sick, device 1 is
 /// healthy. Returns the shutdown stats (for the replay assertion).
 fn sick_device_session() -> ewc_core::BackendStats {
