@@ -149,7 +149,6 @@ pub(crate) fn start(
         extract_scratch: Vec::new(),
         flush_scratch: Vec::new(),
         assessments: Memo::default(),
-        fleet_throttles_seen: 0,
     };
     Arc::new(Mutex::new(Some(backend)))
 }
@@ -226,7 +225,7 @@ pub(crate) struct Backend {
     /// Runtime-boundary fault injector (channel drops), when attached.
     faults: Option<Arc<dyn RuntimeFaultInjector>>,
     /// The fleet governor: context→device placement, live-load
-    /// accounting, per-device circuit breakers, and the power cap.
+    /// accounting and per-device circuit breakers.
     fleet: FleetGovernor,
     /// `true` when the runtime configured an explicit fleet. Placement
     /// audit records are gated on this so default (fleet-less) runs keep
@@ -260,9 +259,6 @@ pub(crate) struct Backend {
     /// Assessments by the group's kernel addresses in layout order (see
     /// [`Backend::assess`]).
     assessments: Memo<usize, Assessment>,
-    /// High-water mark into the governor's power-cap throttle log:
-    /// throttles past this index still need replaying onto the devices.
-    fleet_throttles_seen: usize,
 }
 
 impl Backend {
@@ -383,10 +379,7 @@ impl Backend {
     /// Device assigned to a context (placed by the fleet governor on
     /// first touch).
     fn device_for(&mut self, ctx: u64) -> usize {
-        let bound = self.bound(ctx);
-        // The governor is the authority on placement; the record mirrors it.
-        debug_assert_eq!(bound, self.fleet.binding(ctx));
-        if let Some(d) = bound {
+        if let Some(d) = self.bound(ctx) {
             return d;
         }
         // Overload coordination with the governor: a device sitting at
@@ -403,7 +396,6 @@ impl Backend {
         // Launches bind before they queue: nothing to book over.
         debug_assert_eq!(record.queued, 0, "ctx {ctx} queued while unbound");
         record.device = Some(d);
-        self.sync_fleet_throttles();
         if self.fleet_mode && self.sink.is_enabled() {
             self.sink
                 .counter_add(&self.device_counters[d].placements, 1.0);
@@ -661,7 +653,6 @@ impl Backend {
         self.drain();
         let activities = self.gpus.iter().map(|g| g.activity().to_vec()).collect();
         self.stats.placements = self.fleet.placements().to_vec();
-        self.stats.cap_redirects = self.fleet.cap_redirects();
         self.stats.decision_reuses = self.assessments.reuses();
         self.stats.simulation_reuses = self.gpus.iter().map(GpuDevice::simulation_reuses).sum();
         let elapsed_s = self.clock.now_s();
@@ -713,10 +704,10 @@ impl Backend {
             for (ptr, _) in &gone.allocs {
                 let _ = self.gpus[d].memory_mut().free(gone.resolve(*ptr));
             }
+            // Its binding goes back too, so the governor's live-context
+            // counts track surviving frontends.
+            self.fleet.release(d);
         }
-        // Release the device binding so the governor's live-context
-        // counts track surviving frontends.
-        self.fleet.release(ctx);
         self.stats.drained_requests += drained.len() as u64;
         // A clean disconnect with nothing pending is the normal end of a
         // process's life — not worth a log line or a stat.

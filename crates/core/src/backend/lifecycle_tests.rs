@@ -60,7 +60,6 @@ fn depart(rt: &Runtime, fe: Frontend) {
     inspect(rt, |b| {
         assert!(!b.contexts.contains_key(&ctx), "record of ctx {ctx} left");
         assert!(b.pending.iter().all(|r| r.ctx != ctx), "launch left queued");
-        assert_eq!(b.fleet.binding(ctx), None, "binding of ctx {ctx} left");
     });
 }
 

@@ -102,7 +102,7 @@ impl Backend {
         let in_cfg = self.gpus[to].config();
         let t_in = leg(in_cfg.pcie_bandwidth, in_cfg.pcie_latency_s);
         self.clock.advance_by(t_out + t_in);
-        self.fleet.rebind(ctx, to);
+        self.fleet.rebind(ctx, from, to);
         self.stats.migrations += 1;
         self.stats.migrated_bytes += moved;
         if let Some(mut rec) = self.sink.lock() {

@@ -90,7 +90,7 @@ pub struct RuntimeConfig {
     /// `GpuConfig` and places contexts round-robin — bit-compatible
     /// with the pre-fleet backend. `Some` overrides `num_gpus`: one
     /// device per [`ewc_fleet::DeviceSpec`], placed by the configured
-    /// policy under the optional fleet power cap.
+    /// policy.
     pub fleet: Option<ewc_fleet::FleetConfig>,
     /// Admission control + graceful degradation under open-loop
     /// overload. `None` (the default) is read once, when the backend

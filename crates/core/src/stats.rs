@@ -105,8 +105,9 @@ pub struct BackendStats {
     pub migrations: u64,
     /// Bytes moved across PCIe by drain/migrate.
     pub migrated_bytes: u64,
-    /// Placements the fleet power cap redirected away from the policy's
-    /// first choice.
+    /// Always 0: the fleet has no power cap to redirect placements.
+    /// Kept because the benchmark package reports it and the pinned
+    /// open-loop digests print it; it goes with ROADMAP B(4).
     pub cap_redirects: u64,
     /// Device power-state transitions the backend applied (DVFS level
     /// changes and race-to-idle parks). Zero without a power-state

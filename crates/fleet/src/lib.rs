@@ -11,10 +11,12 @@
 //!   strategy: round-robin, or frag-aware, which packs contexts onto
 //!   busy cards by the fragmentation score of arXiv 2412.17484;
 //! - [`FleetGovernor`] places with one `match` over the policy, and owns
-//!   an optional fleet-level power cap and **per-device**
-//!   [`CircuitBreaker`]s so one sick card no longer closes the GPU path
-//!   for the whole fleet — its contexts are drained and re-placed on
-//!   healthy devices instead.
+//!   **per-device** [`CircuitBreaker`]s so one sick card no longer closes
+//!   the GPU path for the whole fleet — its contexts are drained and
+//!   re-placed on healthy devices instead.
+//!
+//! A device's power state is not a fleet fact: the runtime's power-state
+//! ladder owns it, and this crate neither reads nor sets it.
 //!
 //! Everything is pure bookkeeping over values read from
 //! [`ewc_exec::VirtualClock`] handles: same-seed runs replay
@@ -32,4 +34,4 @@ mod policy;
 
 pub use breaker::{CircuitBreaker, ResiliencePolicy};
 pub use config::{DeviceSpec, FleetConfig, PolicyKind};
-pub use governor::{FleetGovernor, PlacementReason, PlacementRecord, StateChangeRecord};
+pub use governor::{FleetGovernor, PlacementReason, PlacementRecord};

@@ -57,10 +57,12 @@ mod tests {
         let mut g =
             FleetGovernor::new(&FleetConfig::heterogeneous(3), &ResiliencePolicy::default());
         for ctx in 0..5 {
-            g.rebind(ctx, 0);
+            let d = g.place(ctx, &clk).device as usize;
+            g.rebind(ctx, d, 0);
         }
+        assert_eq!(g.live(0), 5);
         let placed: Vec<u32> = (5..9).map(|ctx| g.place(ctx, &clk).device).collect();
-        assert_eq!(placed, [0, 1, 2, 0]);
+        assert_eq!(placed, [2, 0, 1, 2]);
     }
 
     #[test]

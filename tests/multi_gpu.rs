@@ -138,8 +138,8 @@ fn single_gpu_remains_the_default_behaviour() {
 }
 
 // ---------------------------------------------------------------------
-// Heterogeneous fleet: placement policies, the power cap, and
-// per-device breakers with drain/migrate.
+// Heterogeneous fleet: placement policies and per-device breakers
+// with drain/migrate.
 // ---------------------------------------------------------------------
 
 use ewc_core::ResiliencePolicy;
@@ -204,43 +204,6 @@ fn every_policy_replays_an_identical_placement_audit() {
 }
 
 #[test]
-fn power_cap_redirects_placements_under_the_fleet_ceiling() {
-    // heterogeneous(4) idles at 40 + 22 + 64 + 40 = 166 W on the
-    // placement proxy. A 180 W cap leaves no headroom for round robin's
-    // first choice (c1060, +18.75 W marginal), so the governor must
-    // redirect toward the low-power half-width card instead.
-    let capped = fleet_session(
-        FleetConfig::heterogeneous(4)
-            .with_policy(PolicyKind::RoundRobin)
-            .with_power_cap(180.0),
-        virtual_sink(),
-    );
-    assert!(
-        capped.stats.cap_redirects > 0,
-        "the cap must have redirected placements: {:?}",
-        capped.stats.placements
-    );
-    assert!(
-        capped
-            .stats
-            .placements
-            .iter()
-            .any(|p| p.reason == PlacementReason::PowerCap),
-        "{:?}",
-        capped.stats.placements
-    );
-    let uncapped = fleet_session(
-        FleetConfig::heterogeneous(4).with_policy(PolicyKind::RoundRobin),
-        virtual_sink(),
-    );
-    assert_eq!(uncapped.stats.cap_redirects, 0);
-    assert_ne!(
-        capped.stats.placements, uncapped.stats.placements,
-        "the cap must actually change where contexts land"
-    );
-}
-
-#[test]
 fn empty_fleet_runs_on_one_c1060() {
     // An empty roster is one baseline C1060 to the builder, the device
     // count and the governor alike.
@@ -250,7 +213,6 @@ fn empty_fleet_runs_on_one_c1060() {
         fleet: Some(FleetConfig {
             devices: Vec::new(),
             policy: PolicyKind::FragAware,
-            power_cap_w: None,
         }),
         ..RuntimeConfig::default()
     };
