@@ -73,7 +73,6 @@ pub struct CircuitBreaker {
     open_until_s: f64,
     /// `true` while the first probe after a cooldown is outstanding.
     half_open: bool,
-    trips: u64,
 }
 
 impl CircuitBreaker {
@@ -85,7 +84,6 @@ impl CircuitBreaker {
             consecutive: 0,
             open_until_s: f64::NEG_INFINITY,
             half_open: false,
-            trips: 0,
         }
     }
 
@@ -119,7 +117,6 @@ impl CircuitBreaker {
             self.half_open = false;
             self.consecutive = 0;
             self.open_until_s = at.now_s() + self.cooldown_s;
-            self.trips += 1;
             return true;
         }
         false
@@ -131,11 +128,6 @@ impl CircuitBreaker {
         self.consecutive = 0;
         self.half_open = false;
         self.open_until_s = f64::NEG_INFINITY;
-    }
-
-    /// How many times the breaker has tripped.
-    pub fn trips(&self) -> u64 {
-        self.trips
     }
 
     /// Whether the breaker currently blocks the GPU path at `at`'s
@@ -171,7 +163,9 @@ mod tests {
         assert!(!b.gpu_allowed(&clk));
         clk.advance_to(6.9);
         assert!(!b.gpu_allowed(&clk));
-        assert_eq!(b.trips(), 1);
+        assert!(b.is_open(&clk), "open until the cooldown ends at 7.0");
+        clk.advance_to(7.0);
+        assert!(!b.is_open(&clk));
     }
 
     #[test]
@@ -190,27 +184,28 @@ mod tests {
     fn half_open_probe_failure_retrips_immediately() {
         let clk = VirtualClock::new();
         let mut b = CircuitBreaker::new(&policy(2, 5.0));
-        b.record_fault(&clk);
+        assert!(!b.record_fault(&clk));
         clk.advance_to(0.5);
-        assert!(b.record_fault(&clk));
+        assert!(b.record_fault(&clk), "the first trip");
         // Cooldown passes → half-open, one probe allowed.
         clk.advance_to(6.0);
         assert!(b.gpu_allowed(&clk));
         // The probe faults: re-trip without needing a fresh run.
         clk.advance_to(6.1);
-        assert!(b.record_fault(&clk));
+        assert!(b.record_fault(&clk), "the second trip, from half-open");
         clk.advance_to(7.0);
         assert!(!b.gpu_allowed(&clk));
-        assert_eq!(b.trips(), 2);
+        assert!(b.is_open(&clk), "open until 6.1 + 5.0");
     }
 
     #[test]
     fn half_open_probe_success_closes() {
         let clk = VirtualClock::new();
         let mut b = CircuitBreaker::new(&policy(2, 5.0));
-        b.record_fault(&clk);
+        assert!(!b.record_fault(&clk));
         clk.advance_to(0.5);
-        b.record_fault(&clk);
+        assert!(b.record_fault(&clk), "the one trip");
+        assert!(b.is_open(&clk));
         clk.advance_to(6.0);
         assert!(b.gpu_allowed(&clk));
         b.record_success();
@@ -218,7 +213,8 @@ mod tests {
         assert!(b.gpu_allowed(&clk));
         clk.advance_to(100.0);
         assert!(!b.is_open(&clk));
-        assert_eq!(b.trips(), 1);
+        // Closed again: a single fault starts a fresh run, no trip.
+        assert!(!b.record_fault(&clk));
     }
 
     #[test]
@@ -230,7 +226,7 @@ mod tests {
             assert!(!b.record_fault(&clk));
         }
         assert!(b.gpu_allowed(&clk));
-        assert_eq!(b.trips(), 0);
+        assert!(!b.is_open(&clk));
     }
 
     #[test]

@@ -24,6 +24,12 @@ pub const VOLATILITY: f64 = 0.30;
 /// Cumulative normal distribution (Abramowitz–Stegun 26.2.17 polynomial,
 /// the exact approximation the CUDA SDK sample uses).
 pub fn cnd(d: f64) -> f64 {
+    cnd_from_exp(d, (-0.5 * d * d).exp())
+}
+
+/// [`cnd`] with its one libm call, `exp(-d²/2)`, done by the caller.
+#[inline(always)]
+fn cnd_from_exp(d: f64, exp_half_d2: f64) -> f64 {
     const A1: f64 = 0.319_381_530;
     const A2: f64 = -0.356_563_782;
     const A3: f64 = 1.781_477_937;
@@ -32,7 +38,7 @@ pub fn cnd(d: f64) -> f64 {
     const RSQRT2PI: f64 = 0.398_942_280_401_432_7;
     let k = 1.0 / (1.0 + 0.231_641_9 * d.abs());
     let poly = k * (A1 + k * (A2 + k * (A3 + k * (A4 + k * A5))));
-    let cnd = RSQRT2PI * (-0.5 * d * d).exp() * poly;
+    let cnd = RSQRT2PI * exp_half_d2 * poly;
     if d > 0.0 {
         1.0 - cnd
     } else {
@@ -54,28 +60,71 @@ pub fn black_scholes(s: f64, k: f64, t: f64) -> (f64, f64) {
     (call, put)
 }
 
-/// Price a batch laid out as three parallel arrays; returns interleaved
-/// `(call, put)` as `f32` pairs — the device output layout.
-pub fn price_batch(spots: &[f32], strikes: &[f32], times: &[f32]) -> Vec<f32> {
-    let mut out = Vec::with_capacity(spots.len() * 2);
-    for i in 0..spots.len() {
-        let (c, p) = black_scholes(
-            f64::from(spots[i]),
-            f64::from(strikes[i]),
-            f64::from(times[i]),
-        );
-        out.push(c as f32);
-        out.push(p as f32);
+/// Price up to [`TILE_OPTIONS`] options laid out as three parallel
+/// arrays into interleaved `(call, put)` `f32` pairs — the device output
+/// layout — bit for bit as [`black_scholes`] prices each one.
+///
+/// The formula runs in passes over the tile: each libm call (`ln`, then
+/// the three `exp`s) has a loop of its own, and everything between them
+/// (casts, divisions, `sqrt`, the CND polynomial) sits in loops the
+/// compiler vectorises. Each option still sees the scalar formula's
+/// operations in its order, and Rust never contracts them to FMA, so the
+/// bytes cannot move.
+///
+/// # Panics
+/// If the inputs differ in length, exceed a tile, or `prices` is not
+/// twice their length.
+pub fn price_tile(spots: &[f32], strikes: &[f32], times: &[f32], prices: &mut [f32]) {
+    const T: usize = TILE_OPTIONS;
+    let w = spots.len();
+    assert!(w <= T && strikes.len() == w && times.len() == w);
+    assert_eq!(prices.len(), 2 * w, "one (call, put) pair per option");
+    let (mut s, mut k, mut t) = ([0.0f64; T], [0.0f64; T], [0.0f64; T]);
+    let mut ln_sk = [0.0f64; T];
+    for i in 0..w {
+        s[i] = f64::from(spots[i]);
+        k[i] = f64::from(strikes[i]);
+        t[i] = f64::from(times[i]);
+        ln_sk[i] = s[i] / k[i];
     }
-    out
+    for x in &mut ln_sk[..w] {
+        *x = x.ln();
+    }
+    // `exp`'s arguments, then its values: `exp(-d1²/2)` and
+    // `exp(-d2²/2)` for the CND of each, and the discount `exp(-rt)`.
+    let (mut d1, mut d2) = ([0.0f64; T], [0.0f64; T]);
+    let mut exp = [[0.0f64; T]; 3];
+    for i in 0..w {
+        let sqrt_t = t[i].sqrt();
+        d1[i] =
+            (ln_sk[i] + (RISK_FREE + 0.5 * VOLATILITY * VOLATILITY) * t[i]) / (VOLATILITY * sqrt_t);
+        d2[i] = d1[i] - VOLATILITY * sqrt_t;
+        exp[0][i] = -0.5 * d1[i] * d1[i];
+        exp[1][i] = -0.5 * d2[i] * d2[i];
+        exp[2][i] = -RISK_FREE * t[i];
+    }
+    for row in &mut exp {
+        for x in &mut row[..w] {
+            *x = x.exp();
+        }
+    }
+    let [exp_d1, exp_d2, exp_rt] = &exp;
+    for i in 0..w {
+        let cnd_d1 = cnd_from_exp(d1[i], exp_d1[i]);
+        let cnd_d2 = cnd_from_exp(d2[i], exp_d2[i]);
+        let call = s[i] * cnd_d1 - k[i] * exp_rt[i] * cnd_d2;
+        let put = k[i] * exp_rt[i] * (1.0 - cnd_d2) - s[i] * (1.0 - cnd_d1);
+        prices[2 * i] = call as f32;
+        prices[2 * i + 1] = put as f32;
+    }
 }
 
 /// The three input runs, in device order: seed salt and `[lo, hi)` of
 /// the spots, the strikes and the times to maturity.
 const INPUT_RUNS: [(u64, f32, f32); 3] = [(0, 5.0, 30.0), (1, 1.0, 100.0), (2, 0.25, 10.0)];
 
-/// Options one pass of the kernel body prices on the stack.
-const TILE_OPTIONS: usize = 128;
+/// Options [`price_tile`] prices in one call, on the stack.
+pub const TILE_OPTIONS: usize = 128;
 
 /// A BlackScholes instance.
 #[derive(Debug, Clone)]
@@ -181,30 +230,29 @@ impl Workload for BlackScholesWorkload {
             let lo = ctx.block_idx as usize * chunk;
             let hi = (lo + chunk).min(n);
             // Input layout: spots[n] | strikes[n] | times[n]. Priced a
-            // stack tile at a time: the three input runs are decoded as
-            // they are read, and the borrow ends before the tile's
+            // stack tile at a time: the three input runs are decoded
+            // into the tile, and the borrow ends before the tile's
             // prices are written.
+            let mut inputs = [[0.0f32; TILE_OPTIONS]; 3];
             let mut prices = [0.0f32; 2 * TILE_OPTIONS];
             let mut at = lo;
             while at < hi {
                 let width = TILE_OPTIONS.min(hi - at);
-                let spots = mem
-                    .iter_f32s(input, at as u64, width)
-                    .expect("arg0: spots in bounds");
-                let strikes = mem
-                    .iter_f32s(input, (n + at) as u64, width)
-                    .expect("arg0: strikes in bounds");
-                let times = mem
-                    .iter_f32s(input, (2 * n + at) as u64, width)
-                    .expect("arg0: times in bounds");
-                for (pair, ((s, k), t)) in prices
-                    .chunks_exact_mut(2)
-                    .zip(spots.zip(strikes).zip(times))
-                {
-                    let (call, put) = black_scholes(f64::from(s), f64::from(k), f64::from(t));
-                    pair[0] = call as f32;
-                    pair[1] = put as f32;
+                for (run, tile) in inputs.iter_mut().enumerate() {
+                    let vals = mem
+                        .iter_f32s(input, (run * n + at) as u64, width)
+                        .expect("arg0: spots, strikes and times in bounds");
+                    for (slot, v) in tile.iter_mut().zip(vals) {
+                        *slot = v;
+                    }
                 }
+                let [spots, strikes, times] = &inputs;
+                price_tile(
+                    &spots[..width],
+                    &strikes[..width],
+                    &times[..width],
+                    &mut prices[..2 * width],
+                );
                 mem.write_f32s(output, (at * 2) as u64, &prices[..2 * width])
                     .expect("arg1: call/put pairs in bounds");
                 at += width;
@@ -241,13 +289,24 @@ impl Workload for BlackScholesWorkload {
     }
 
     fn expected_output(&self, seed: u64) -> Vec<u8> {
-        let n = self.options;
-        let [spots, strikes, times] =
-            INPUT_RUNS.map(|(salt, lo, hi)| crate::data::f32s(seed ^ salt, n, lo, hi));
-        let prices = price_batch(&spots, &strikes, &times);
-        let mut out = Vec::with_capacity(prices.len() * 4);
-        for p in prices {
-            out.extend_from_slice(&p.to_le_bytes());
+        // The inputs are drawn a tile at a time, in the order
+        // `build_args` draws them, and priced straight into the output.
+        let mut streams =
+            INPUT_RUNS.map(|(salt, lo, hi)| crate::data::f32_stream(seed ^ salt, lo, hi));
+        let mut inputs = [[0.0f32; TILE_OPTIONS]; 3];
+        let mut prices = [0.0f32; 2 * TILE_OPTIONS];
+        let mut out = vec![0u8; self.options * 4 * 2];
+        for run in out.chunks_mut(4 * 2 * TILE_OPTIONS) {
+            let width = run.len() / 8;
+            for (stream, tile) in streams.iter_mut().zip(&mut inputs) {
+                stream.fill(&mut tile[..width]);
+            }
+            let [spots, strikes, times] = &inputs;
+            let prices = &mut prices[..2 * width];
+            price_tile(&spots[..width], &strikes[..width], &times[..width], prices);
+            for (slot, p) in run.chunks_exact_mut(4).zip(prices.iter()) {
+                slot.copy_from_slice(&p.to_le_bytes());
+            }
         }
         out
     }
@@ -288,6 +347,92 @@ mod tests {
         let (c, _) = black_scholes(100.0, 1.0, 0.25);
         let intrinsic = 100.0 - 1.0 * (-RISK_FREE * 0.25_f64).exp();
         assert!((c - intrinsic).abs() < 1e-3);
+    }
+
+    /// Price `(spots, strikes, times)` with [`price_tile`] and assert
+    /// every call and put has the scalar oracle's bits.
+    fn assert_tile_is_scalar(spots: &[f32], strikes: &[f32], times: &[f32]) {
+        let mut prices = vec![0.0f32; 2 * spots.len()];
+        price_tile(spots, strikes, times, &mut prices);
+        for (i, pair) in prices.chunks_exact(2).enumerate() {
+            let (s, k, t) = (spots[i], strikes[i], times[i]);
+            let (call, put) = black_scholes(f64::from(s), f64::from(k), f64::from(t));
+            assert_eq!(
+                [pair[0].to_bits(), pair[1].to_bits()],
+                [(call as f32).to_bits(), (put as f32).to_bits()],
+                "option {i} of {}: ({s}, {k}, {t})",
+                spots.len()
+            );
+        }
+    }
+
+    #[test]
+    fn price_tile_is_the_scalar_pricer_at_every_width() {
+        for seed in [0, 17, 0xb5] {
+            let [s, k, t] = INPUT_RUNS
+                .map(|(salt, lo, hi)| crate::data::f32s(seed ^ salt, TILE_OPTIONS, lo, hi));
+            for w in 1..=TILE_OPTIONS {
+                assert_tile_is_scalar(&s[..w], &k[..w], &t[..w]);
+            }
+        }
+    }
+
+    #[test]
+    fn price_tile_is_the_scalar_pricer_on_edge_inputs() {
+        // At the money (d crosses 0 between neighbours), deep in and
+        // out of it, and maturities near 0 and near 10 years.
+        let spots = [1.0f32, 5.0, 17.5, 30.0, 99.9];
+        let times = [1e-7f32, 1e-3, 0.25, 1.0, 9.999_999, 10.0];
+        let (mut s, mut k, mut t) = (Vec::new(), Vec::new(), Vec::new());
+        for &spot in &spots {
+            for strike in [
+                spot,
+                f32::from_bits(spot.to_bits() - 1),
+                f32::from_bits(spot.to_bits() + 1),
+                spot * 1.02,
+                spot / 1.02,
+                spot * 100.0,
+                spot / 100.0,
+            ] {
+                for &time in &times {
+                    s.push(spot);
+                    k.push(strike);
+                    t.push(time);
+                }
+            }
+        }
+        for at in (0..s.len()).step_by(TILE_OPTIONS) {
+            let end = (at + TILE_OPTIONS).min(s.len());
+            assert_tile_is_scalar(&s[at..end], &k[at..end], &t[at..end]);
+        }
+        // The same cases at tile widths that start and stop elsewhere.
+        for w in [1, 7, 64, 127] {
+            for at in (0..s.len()).step_by(w) {
+                let end = (at + w).min(s.len());
+                assert_tile_is_scalar(&s[at..end], &k[at..end], &t[at..end]);
+            }
+        }
+    }
+
+    #[test]
+    fn scenario2_blocks_price_each_option_as_the_scalar_oracle() {
+        // 65 536 options over 45 blocks: each block's tiles start at
+        // its own offset (1457 options a block), not on a multiple of
+        // the tile, while `expected_output` tiles from option 0.
+        let cfg = GpuConfig::tesla_c1060();
+        let w = BlackScholesWorkload::scenario2(&cfg);
+        assert_eq!(w.blocks(), 45);
+        let seed = 3;
+        let r = run_standalone(&w, &mut GpuDevice::new(cfg), seed).unwrap();
+        assert!(r.correct, "device output is the host reference");
+        let [s, k, t] =
+            INPUT_RUNS.map(|(salt, lo, hi)| crate::data::f32s(seed ^ salt, w.options(), lo, hi));
+        for (i, pair) in r.output.chunks_exact(8).enumerate() {
+            let (call, put) = black_scholes(f64::from(s[i]), f64::from(k[i]), f64::from(t[i]));
+            let mut want = (call as f32).to_le_bytes().to_vec();
+            want.extend_from_slice(&(put as f32).to_le_bytes());
+            assert_eq!(pair, want.as_slice(), "option {i}");
+        }
     }
 
     #[test]

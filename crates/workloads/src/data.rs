@@ -28,23 +28,67 @@ pub fn u32s(seed: u64, n: usize) -> Vec<u32> {
 
 /// `n` pseudo-random `f32`s uniform in `[lo, hi)`.
 pub fn f32s(seed: u64, n: usize, lo: f32, hi: f32) -> Vec<f32> {
-    f32_stream(seed, lo, hi).take(n).collect()
+    let mut v = vec![0.0; n];
+    f32_stream(seed, lo, hi).fill(&mut v);
+    v
 }
 
 /// The values [`f32s`] returns, encoded little-endian straight into
-/// `out` (one per 4 bytes) with no intermediate vector.
+/// `out` (one per 4 bytes) a stack tile at a time.
 pub fn f32s_le_into(seed: u64, lo: f32, hi: f32, out: &mut [u8]) {
-    for (slot, v) in out.chunks_exact_mut(4).zip(f32_stream(seed, lo, hi)) {
-        slot.copy_from_slice(&v.to_le_bytes());
+    let mut stream = f32_stream(seed, lo, hi);
+    let mut tile = [0.0f32; F32_TILE];
+    for run in out.chunks_mut(4 * F32_TILE) {
+        let vals = &mut tile[..run.len() / 4];
+        stream.fill(vals);
+        for (slot, v) in run.chunks_exact_mut(4).zip(vals.iter()) {
+            slot.copy_from_slice(&v.to_le_bytes());
+        }
     }
+}
+
+/// Values one [`F32Stream::fill`] pass maps at a time.
+const F32_TILE: usize = 256;
+
+/// The draws of [`SimRng::range_f32`] in `[lo, hi)`, a slice at a time.
+#[derive(Debug)]
+pub(crate) struct F32Stream {
+    rng: SimRng,
+    lo: f32,
+    span: f32,
 }
 
 /// The draws of [`SimRng::range_f32`], with its bounds checked once
 /// rather than per element.
-fn f32_stream(seed: u64, lo: f32, hi: f32) -> impl Iterator<Item = f32> {
+pub(crate) fn f32_stream(seed: u64, lo: f32, hi: f32) -> F32Stream {
     assert!(hi > lo, "empty range [{lo}, {hi})");
-    let mut r = rng(seed);
-    std::iter::repeat_with(move || lo + (hi - lo) * r.next_f32())
+    F32Stream {
+        rng: rng(seed),
+        lo,
+        span: hi - lo,
+    }
+}
+
+impl F32Stream {
+    /// Fill `out` with the next `out.len()` draws. Each tile takes its
+    /// 24-bit integers from the generator in one pass and maps them to
+    /// `[lo, hi)` in a second, so the conversions leave the generator's
+    /// dependency chain and vectorise; every value is computed as
+    /// [`SimRng::range_f32`] computes it, bit for bit.
+    pub(crate) fn fill(&mut self, out: &mut [f32]) {
+        let (lo, span) = (self.lo, self.span);
+        let mut bits = [0u32; F32_TILE];
+        for tile in out.chunks_mut(F32_TILE) {
+            let bits = &mut bits[..tile.len()];
+            for b in bits.iter_mut() {
+                // The top 24 bits of the draw, as `SimRng::next_f32`.
+                *b = self.rng.next_u32() >> 8;
+            }
+            for (v, &b) in tile.iter_mut().zip(bits.iter()) {
+                *v = lo + span * (b as f32 * (1.0 / (1u32 << 24) as f32));
+            }
+        }
+    }
 }
 
 /// Lowercase ASCII text with spaces, for the search workload.
@@ -84,16 +128,37 @@ mod tests {
 
     #[test]
     fn f32_stream_is_the_range_f32_stream() {
-        let mut r = rng(4);
-        let direct: Vec<f32> = (0..64).map(|_| r.range_f32(0.25, 10.0)).collect();
-        assert_eq!(f32s(4, 64, 0.25, 10.0), direct);
-        let mut raw = vec![0u8; 64 * 4];
-        f32s_le_into(4, 0.25, 10.0, &mut raw);
-        let decoded: Vec<f32> = raw
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
-            .collect();
-        assert_eq!(decoded, direct);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for seed in [0, 4, 0x5eed_f00d, u64::MAX] {
+            for (lo, hi) in [(0.25, 10.0), (5.0, 30.0), (-1.0, 1.0), (1e-3, 1e6)] {
+                for n in [0, 1, 255, 256, 257, 65_536] {
+                    let mut r = rng(seed);
+                    let direct: Vec<f32> = (0..n).map(|_| r.range_f32(lo, hi)).collect();
+                    assert_eq!(bits(&f32s(seed, n, lo, hi)), bits(&direct), "{seed} {n}");
+                    let mut raw = vec![0u8; n * 4];
+                    f32s_le_into(seed, lo, hi, &mut raw);
+                    let decoded: Vec<f32> = raw
+                        .chunks_exact(4)
+                        .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
+                        .collect();
+                    assert_eq!(bits(&decoded), bits(&direct), "{seed} {n} le");
+                    // Filled in ragged pieces, the stream carries on
+                    // where each piece stopped.
+                    let mut stream = f32_stream(seed, lo, hi);
+                    let mut pieces = vec![0.0; n];
+                    let mut at = 0;
+                    for width in [1, 127, 128, 129, 300].into_iter().cycle() {
+                        if at == n {
+                            break;
+                        }
+                        let end = (at + width).min(n);
+                        stream.fill(&mut pieces[at..end]);
+                        at = end;
+                    }
+                    assert_eq!(bits(&pieces), bits(&direct), "{seed} {n} pieces");
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,6 +33,14 @@ pub const MATURITY: f64 = 5.0;
 /// Deterministic standard normal for a path index (SplitMix-style mix +
 /// Box–Muller). Identical on host and device by construction.
 pub fn path_normal(path: u64) -> f64 {
+    let (u1, u2) = path_uniforms(path);
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// The two uniforms Box–Muller turns into a path's normal: `u1` in
+/// `[1e-16, 1)` (for its `ln`) and `u2` in `[0, 1)`.
+#[inline(always)]
+fn path_uniforms(path: u64) -> (f64, f64) {
     let mut z = path.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -42,20 +50,73 @@ pub fn path_normal(path: u64) -> f64 {
     w = (w ^ (w >> 29)).wrapping_mul(0xff51_afd7_ed55_8ccd);
     w ^= w >> 32;
     let u2 = (w >> 11) as f64 / (1u64 << 53) as f64;
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    (u1, u2)
+}
+
+/// The exponent of the terminal price `SPOT · exp(x)` for a normal `z`.
+#[inline(always)]
+fn log_growth(z: f64) -> f64 {
+    (RATE - 0.5 * SIGMA * SIGMA) * MATURITY + SIGMA * MATURITY.sqrt() * z
+}
+
+/// Discounted payoff from the terminal price's growth `exp(x)`.
+#[inline(always)]
+fn discounted_payoff(growth: f64) -> f64 {
+    let st = SPOT * growth;
+    (st - STRIKE).max(0.0) * (-RATE * MATURITY).exp()
 }
 
 /// Discounted payoff of one simulated path.
 pub fn path_payoff(path: u64) -> f64 {
-    let z = path_normal(path);
-    let st = SPOT * ((RATE - 0.5 * SIGMA * SIGMA) * MATURITY + SIGMA * MATURITY.sqrt() * z).exp();
-    (st - STRIKE).max(0.0) * (-RATE * MATURITY).exp()
+    discounted_payoff(log_growth(path_normal(path)).exp())
 }
 
+/// Paths one pass of [`partial_sum`] simulates on the stack.
+const TILE_PATHS: usize = 128;
+
 /// Sum of discounted payoffs over a path range (host reference for one
-/// block's partial).
+/// block's partial), in path order: bit for bit
+/// `(lo..hi).map(path_payoff).sum()`.
+///
+/// Simulated a stack tile at a time in passes: each libm call (`ln`,
+/// `cos`, `exp`) has a loop of its own, and the hash, the Box–Muller
+/// scaling and `sqrt` sit in loops the compiler vectorises. Each path
+/// still sees [`path_payoff`]'s operations in its order and the payoffs
+/// are added in path order, so the sum cannot move.
 pub fn partial_sum(lo: u64, hi: u64) -> f64 {
-    (lo..hi).map(path_payoff).sum()
+    // `xs` holds each path's `u1`, then `ln u1`, then the exponent of
+    // its growth, then the growth; `angles` holds `2πu2`, then its cosine.
+    let (mut xs, mut angles) = ([0.0f64; TILE_PATHS], [0.0f64; TILE_PATHS]);
+    // `Iterator::sum` for `f64` starts from -0.0: an empty range has
+    // its bits too.
+    let mut sum = -0.0_f64;
+    let mut at = lo;
+    while at < hi {
+        let w = (hi - at).min(TILE_PATHS as u64) as usize;
+        let (xs, angles) = (&mut xs[..w], &mut angles[..w]);
+        for (i, (x, angle)) in xs.iter_mut().zip(angles.iter_mut()).enumerate() {
+            let (u1, u2) = path_uniforms(at + i as u64);
+            *x = u1;
+            *angle = 2.0 * std::f64::consts::PI * u2;
+        }
+        for x in xs.iter_mut() {
+            *x = x.ln();
+        }
+        for angle in angles.iter_mut() {
+            *angle = angle.cos();
+        }
+        for (x, &cos) in xs.iter_mut().zip(angles.iter()) {
+            *x = log_growth((-2.0 * *x).sqrt() * cos);
+        }
+        for x in xs.iter_mut() {
+            *x = x.exp();
+        }
+        for &growth in xs.iter() {
+            sum += discounted_payoff(growth);
+        }
+        at += w as u64;
+    }
+    sum
 }
 
 /// The Monte-Carlo price over `paths` paths.
@@ -284,6 +345,21 @@ mod tests {
         let total = partial_sum(0, 10_000);
         let parts: f64 = (0..10).map(|b| partial_sum(b * 1000, (b + 1) * 1000)).sum();
         assert!((total - parts).abs() < 1e-6);
+    }
+
+    #[test]
+    fn tiled_partial_sum_is_the_path_order_sum() {
+        let oracle = |lo: u64, hi: u64| (lo..hi).map(path_payoff).sum::<f64>();
+        for lo in [0, 1, 77, 128, 5_000, u64::MAX / 3] {
+            for len in [0, 1, 2, 127, 128, 129, 255, 256, 257, 1_000] {
+                let hi = lo + len;
+                assert_eq!(
+                    partial_sum(lo, hi).to_bits(),
+                    oracle(lo, hi).to_bits(),
+                    "[{lo}, {hi})"
+                );
+            }
+        }
     }
 
     #[test]
