@@ -17,7 +17,7 @@ use ewc_core::{
 };
 use ewc_exec::fan_out;
 use ewc_gpu::{DevicePtr, GpuConfig, GpuError};
-use ewc_telemetry::{DecisionRecord, TelemetrySink};
+use ewc_telemetry::{DecisionRecord, MetricsRegistry, TelemetrySink};
 use ewc_workloads::{AesWorkload, Workload};
 use std::sync::Arc;
 
@@ -125,6 +125,8 @@ pub struct SoakReport {
     pub fault_log: Vec<FaultRecord>,
     /// The backend's decision audit log (verdicts, recoveries, drains).
     pub audit: Vec<DecisionRecord>,
+    /// The counters, gauges and histograms the run's sink collected.
+    pub metrics: MetricsRegistry,
 }
 
 impl SoakReport {
@@ -301,6 +303,7 @@ pub fn run(cfg: &SoakConfig) -> SoakReport {
         cpu_energy_j: 0.0,
         fault_log: Vec::new(),
         audit: Vec::new(),
+        metrics: MetricsRegistry::default(),
     };
 
     let mut procs: Vec<Proc> = (0..cfg.processes.max(1))
@@ -354,7 +357,10 @@ pub fn run(cfg: &SoakConfig) -> SoakReport {
     report.cpu_energy_j = rt_report.stats.cpu_energy_j;
     report.energy_j = rt_report.energy.energy_j;
     report.elapsed_s = rt_report.elapsed_s;
-    report.audit = rt_report.telemetry.map(|t| t.audit).unwrap_or_default();
+    if let Some(t) = rt_report.telemetry {
+        report.audit = t.audit;
+        report.metrics = t.metrics;
+    }
     report.stats = rt_report.stats;
     report.fault_log = plan.log();
     report
