@@ -10,9 +10,8 @@ use super::Backend;
 impl Backend {
     /// Move `device` to state `level` of the configured ladder. No-op
     /// without a power-state stack or when already there. A change is
-    /// counted in `state_changes` and audited as
-    /// [`Verdict::StateChanged`]; the device itself emits its level
-    /// gauge and transition counter.
+    /// audited as [`Verdict::StateChanged`]; the device keeps the
+    /// transition, which `state_changes` counts at shutdown.
     pub(super) fn apply_power_state(&mut self, device: usize, level: usize) {
         let Some(state) = self
             .decision
@@ -33,7 +32,6 @@ impl Backend {
         if !self.gpus[device].set_power_state(level as u32, freq, state.wake_latency_s) {
             return;
         }
-        self.stats.state_changes += 1;
         if self.sink.is_enabled() {
             self.sink.audit(DecisionRecord::event(
                 self.gpus[device].now_s(),
