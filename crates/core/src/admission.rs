@@ -20,11 +20,20 @@
 //! * **deadline-aware shedding** — queued requests whose age exceeds
 //!   [`AdmissionConfig::shed_age_s`] are dropped CoDel-style before
 //!   dispatch (their latency budget is already blown);
-//! * **a degradation ladder with hysteresis** ([`DegradationConfig`]) —
-//!   a queue-age watchdog steps the backend down under sustained
-//!   pressure (shed low priority → coarsen consolidation search →
-//!   widen batching → CPU lifeboat) and back up only after a quiet
-//!   period.
+//! * **a degradation ladder with hysteresis** — a queue-age watchdog on
+//!   the virtual clock steps the backend **down** one level (at most
+//!   once per 0.25 s) while the oldest pending request is older than
+//!   [`AdmissionConfig::pressure_age_s`], and back **up** one level only
+//!   after a quiet second: the asymmetry stops the ladder flapping at
+//!   the boundary. The levels' effects are cumulative:
+//!
+//! | level | effect                                            |
+//! |-------|---------------------------------------------------|
+//! | 0     | healthy — no degradation                          |
+//! | 1     | shed [`Priority::Low`] requests at admission      |
+//! | 2     | coarsen consolidation search (bounded window)     |
+//! | 3     | widen batching (2× threshold) + shed `Normal` too |
+//! | 4     | spill whole groups to the CPU lifeboat            |
 //!
 //! The backend always runs this layer: `RuntimeConfig::admission = None`
 //! (the default) resolves to [`AdmissionConfig::unbounded`], limits that
@@ -94,43 +103,8 @@ const DWELL_S: f64 = 0.25;
 /// back up, seconds.
 const QUIET_S: f64 = 1.0;
 
-/// Hysteresis parameters of the graceful-degradation ladder.
-///
-/// The ladder's level is driven by a queue-age watchdog on the virtual
-/// clock: when the oldest pending request has waited longer than
-/// `pressure_age_s`, the backend is under pressure and steps **down**
-/// one level (at most once per `DWELL_S`, 0.25 s); when pressure has
-/// been absent for a full `QUIET_S` (1 s), it steps back **up** one
-/// level. The asymmetry (instant pressure response, quiet-period
-/// recovery) is the hysteresis that stops the ladder from flapping at
-/// the boundary.
-///
-/// Level effects (cumulative):
-///
-/// | level | effect                                            |
-/// |-------|---------------------------------------------------|
-/// | 0     | healthy — no degradation                          |
-/// | 1     | shed [`Priority::Low`] requests at admission      |
-/// | 2     | coarsen consolidation search (bounded window)     |
-/// | 3     | widen batching (2× threshold) + shed `Normal` too |
-/// | 4     | spill whole groups to the CPU lifeboat            |
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegradationConfig {
-    /// Oldest-pending age (seconds, virtual clock) that counts as
-    /// sustained pressure.
-    pub pressure_age_s: f64,
-    /// Deepest level the ladder may reach (≤ 4).
-    pub max_level: u8,
-}
-
-impl Default for DegradationConfig {
-    fn default() -> Self {
-        DegradationConfig {
-            pressure_age_s: 0.5,
-            max_level: 4,
-        }
-    }
-}
+/// The degradation ladder's deepest level: the CPU lifeboat.
+const MAX_LEVEL: u8 = 4;
 
 /// Admission-control limits. [`crate::RuntimeConfig::admission`]
 /// defaults to `None`, which the backend reads as
@@ -157,8 +131,10 @@ pub struct AdmissionConfig {
     /// instead of executing them — CoDel-style: their latency budget is
     /// already blown. `f64::INFINITY` disables age shedding.
     pub shed_age_s: f64,
-    /// Ladder hysteresis parameters.
-    pub degradation: DegradationConfig,
+    /// Oldest-pending age (seconds, virtual clock) that counts as
+    /// sustained pressure and steps the degradation ladder down.
+    /// `f64::INFINITY` keeps the ladder at level 0.
+    pub pressure_age_s: f64,
 }
 
 impl Default for AdmissionConfig {
@@ -171,7 +147,7 @@ impl Default for AdmissionConfig {
             busy_retry_limit: 3,
             retry_after_s: 2e-3,
             shed_age_s: 5.0,
-            degradation: DegradationConfig::default(),
+            pressure_age_s: 0.5,
         }
     }
 }
@@ -185,10 +161,7 @@ impl AdmissionConfig {
             max_per_ctx: usize::MAX,
             token_rate_hz: f64::INFINITY,
             shed_age_s: f64::INFINITY,
-            degradation: DegradationConfig {
-                pressure_age_s: f64::INFINITY,
-                ..DegradationConfig::default()
-            },
+            pressure_age_s: f64::INFINITY,
             ..AdmissionConfig::default()
         }
     }
@@ -308,11 +281,10 @@ impl AdmissionState {
     /// pending request (0 when the queue is empty). Returns the new
     /// level when the ladder moved, `None` otherwise.
     pub fn observe(&mut self, now_s: f64, oldest_age_s: f64) -> Option<u8> {
-        let d = &self.cfg.degradation;
-        let pressured = oldest_age_s > d.pressure_age_s;
+        let pressured = oldest_age_s > self.cfg.pressure_age_s;
         if pressured {
             self.last_pressure_s = now_s;
-            if self.level < d.max_level.min(4) && now_s - self.last_change_s >= DWELL_S {
+            if self.level < MAX_LEVEL && now_s - self.last_change_s >= DWELL_S {
                 self.level += 1;
                 self.last_change_s = now_s;
                 return Some(self.level);
@@ -342,7 +314,7 @@ mod tests {
             busy_retry_limit: 2,
             retry_after_s: 1e-3,
             shed_age_s: 1.0,
-            degradation: DegradationConfig::default(),
+            pressure_age_s: 0.5,
         })
     }
 

@@ -232,13 +232,13 @@ impl Backend {
                 };
         }
         // The device's circuit breaker outranks everything, force_gpu
-        // included — but a trip is per-device now: the group's contexts
+        // included — but a trip is per-device: the group's contexts
         // drain to a healthy card when one exists, and only a fully sick
         // fleet sends the group to the CPU until a cooldown expires and
-        // a probe group half-opens a breaker.
+        // the next launch probes a half-open breaker.
         let mut tripped = false;
         let mut device = device;
-        if assessment.choice != Choice::Cpu && !self.fleet.gpu_allowed(device, &self.clock) {
+        if assessment.choice != Choice::Cpu && self.fleet.is_open(device, &self.clock) {
             let target = self.fleet.healthy_target(device, &self.clock);
             match target {
                 Some(to) if self.migrate_group(&group, device, to) => device = to,

@@ -31,73 +31,98 @@ impl Backend {
     /// * Rung 1: the planned dispatch — one consolidated grid
     ///   (`consolidate`) or per-member grids — with retry + backoff.
     /// * Rung 2: a failing consolidated launch is aborted and its members
-    ///   re-dispatched serially, isolating a poisoned merge.
-    /// * Rung 3: members the GPU persistently refuses (transient faults
-    ///   exhausting retries/deadline) run on the CPU lifeboat.
+    ///   re-dispatched serially, isolating a poisoned merge — only where
+    ///   that can differ: two or more members, the breaker still closed.
+    /// * Rung 3: members the GPU persistently refuses, or that an open
+    ///   breaker keeps from launching, run on the CPU lifeboat.
     /// * Permanent errors exit the ladder: the request is failed back to
-    ///   its frontend, and the rest of the group still completes.
+    ///   its frontend, and the rest of the group still completes. A
+    ///   member that is not relaunched keeps the group's error.
     pub(super) fn run_ladder(
         &mut self,
         device: usize,
         group: &[KernelRequest],
         consolidate: bool,
     ) -> Vec<MemberFate> {
+        debug_assert!(group.iter().all(|r| self.bound(r.ctx) == Some(device)));
+        let mut group_err = None;
         if consolidate {
-            match self.launch_with_retries(device, group) {
-                Ok(()) => {
-                    if group.len() >= 2 {
-                        self.stats.consolidated_launches += 1;
-                    }
-                    return group
-                        .iter()
-                        .map(|_| MemberFate::Done(Choice::Consolidate))
-                        .collect();
+            let Err(e) = self.launch_with_retries(device, group) else {
+                if group.len() >= 2 {
+                    self.stats.consolidated_launches += 1;
                 }
-                Err(e) => {
-                    self.stats.serial_fallbacks += 1;
-                    self.audit_event(Verdict::SerialGpu, group, || {
-                        format!(
-                            "consolidated launch failed on gpu{device} ({e}); re-dispatching {} member(s) serially",
-                            group.len()
-                        )
-                    });
-                }
+                return group
+                    .iter()
+                    .map(|_| MemberFate::Done(Choice::Consolidate))
+                    .collect();
+            };
+            if group.len() >= 2 && !self.breaker_open(device) {
+                self.stats.serial_fallbacks += 1;
+                self.audit_event(Verdict::SerialGpu, group, || {
+                    format!(
+                        "consolidated launch failed on gpu{device} ({e}); re-dispatching {} member(s) serially",
+                        group.len()
+                    )
+                });
+            } else {
+                group_err = Some(e);
             }
         }
-        let mut fates = Vec::with_capacity(group.len());
-        for req in group {
-            let member = std::slice::from_ref(req);
-            let fate = match self.launch_with_retries(device, member) {
-                Ok(()) => MemberFate::Done(Choice::SerialGpu),
-                Err(e) if e.is_transient() => {
-                    self.stats.cpu_fallbacks += 1;
-                    self.audit_event(Verdict::Cpu, member, || {
-                        format!(
-                            "serial launch of '{}' (seq {}) on gpu{device} still failing ({e}); falling back to CPU",
-                            req.kernel.name, req.seq
-                        )
-                    });
-                    let (time_s, energy_j) = self
-                        .decision
-                        .run_on_cpu(std::slice::from_ref(&req.kernel.cpu_task));
-                    self.run_cpu(device, member, time_s, energy_j);
-                    MemberFate::Done(Choice::Cpu)
-                }
-                Err(e) => {
-                    self.record_failure(req, e.clone());
-                    MemberFate::Failed(e)
-                }
-            };
-            fates.push(fate);
-        }
-        fates
+        group
+            .iter()
+            .map(|req| {
+                let member = std::slice::from_ref(req);
+                let launched = group_err.is_none() && !self.breaker_open(device);
+                let err = if launched {
+                    match self.launch_with_retries(device, member) {
+                        Ok(()) => return MemberFate::Done(Choice::SerialGpu),
+                        Err(e) => Some(e),
+                    }
+                } else {
+                    group_err.clone()
+                };
+                let err = match err {
+                    Some(e) if !e.is_transient() => {
+                        self.record_failure(req, e.clone());
+                        return MemberFate::Failed(e);
+                    }
+                    err => err,
+                };
+                self.stats.cpu_fallbacks += 1;
+                self.audit_event(Verdict::Cpu, member, || {
+                    let what = format!("'{}' (seq {}) on gpu{device}", req.kernel.name, req.seq);
+                    let event = match err {
+                        Some(e) if launched => {
+                            format!("serial launch of {what} still failing ({e})")
+                        }
+                        Some(e) if self.breaker_open(device) => {
+                            format!("launch of {what} failed ({e}), and its breaker is open")
+                        }
+                        Some(e) => format!("launch of {what}, a group of one, failed ({e})"),
+                        None => format!("{what} not launched: its breaker is open"),
+                    };
+                    format!("{event}; falling back to CPU")
+                });
+                let (time_s, energy_j) = self
+                    .decision
+                    .run_on_cpu(std::slice::from_ref(&req.kernel.cpu_task));
+                self.run_cpu(device, member, time_s, energy_j);
+                MemberFate::Done(Choice::Cpu)
+            })
+            .collect()
+    }
+
+    /// Whether device `d`'s breaker blocks a launch at the device's instant.
+    fn breaker_open(&self, d: usize) -> bool {
+        self.fleet.is_open(d, self.gpus[d].clock())
     }
 
     /// Launch `members` as one grid, retrying transient faults with
     /// exponential backoff on the device clock (retries are not
     /// energetically free — the device burns idle power while waiting).
-    /// Gives up early when a member's deadline would blow or the circuit
-    /// breaker opens mid-retry; the caller escalates down the ladder.
+    /// Gives up at a permanent error, when a member's deadline would
+    /// blow, or when a fault trips the breaker; the caller escalates
+    /// down the ladder.
     fn launch_with_retries(
         &mut self,
         device: usize,
@@ -121,7 +146,11 @@ impl Backend {
                 Err(e) => e,
             };
             self.device_faults[device][0] += 1;
-            if self.fleet.record_fault(device, self.gpus[device].clock()) {
+            // A permanent error is the request's own: it says nothing of
+            // the device's health, so it never reaches the breaker.
+            let transient = err.is_transient();
+            let tripped = transient && self.fleet.record_fault(device, self.gpus[device].clock());
+            if tripped {
                 self.device_faults[device][1] += 1;
                 self.audit_event(Verdict::Cpu, members, || {
                     format!(
@@ -131,12 +160,7 @@ impl Backend {
                     )
                 });
             }
-            if !err.is_transient() || attempts >= pol.max_gpu_retries {
-                return Err(err);
-            }
-            if self.fleet.is_open(device, self.gpus[device].clock()) {
-                // The breaker just closed the GPU path: stop burning
-                // retries on a device declared sick.
+            if tripped || !transient || attempts >= pol.max_gpu_retries {
                 return Err(err);
             }
             if self.gpus[device].now_s() + backoff > deadline_s {
@@ -185,6 +209,8 @@ impl Backend {
         makespan: f64,
         energy: f64,
     ) {
+        // The bodies read and write the memory of their contexts' device.
+        debug_assert!(group.iter().all(|r| self.bound(r.ctx) == Some(device)));
         // The instances run on the host; results must still materialise
         // in the (backend-owned) device buffers the frontends will read.
         self.grid_of(group)

@@ -227,7 +227,7 @@ fn migrated_then_dropped() {
 fn permanently_failed_kernel_whose_owner_never_synced() {
     // gpu1 cannot hold one AES block (256 threads × 20 registers): the
     // launch passed validation against gpu0, was drained to gpu1 with
-    // its context, and fails there on every rung.
+    // its context, and fails there permanently.
     let rt = sick_gpu0(1024);
     let (mut fe, witness) = (rt.connect(), rt.connect());
     launch(&rt, &mut fe);

@@ -2,17 +2,32 @@
 //! record lists, and the record's device — off a card whose breaker is
 //! open onto a healthy one.
 
-use ewc_gpu::{DevicePtr, GpuError};
+use ewc_gpu::DevicePtr;
 use ewc_telemetry::Verdict;
 
 use super::Backend;
 use crate::protocol::KernelRequest;
 
+/// One context's device state copied onto the destination card but not
+/// yet committed: the source still holds it and the context is still
+/// bound there.
+#[derive(Default)]
+struct Staged {
+    /// Per buffer: its frontend pointer, source on `from`, copy on `to`.
+    buffers: Vec<(DevicePtr, DevicePtr, DevicePtr)>,
+    /// Per constant: its frontend pointer and load on `to`.
+    constants: Vec<(DevicePtr, DevicePtr)>,
+    /// Bytes that cross PCIe.
+    moved: u64,
+}
+
 impl Backend {
     /// Drain every context of a dispatching group off tripped device
-    /// `from` onto healthy device `to`. All-or-nothing per context;
-    /// returns `false` (and leaves bindings untouched) when any context
-    /// could not move, in which case the caller falls back to the CPU.
+    /// `from` onto healthy device `to`. All-or-nothing per group: every
+    /// context is staged on `to` before any is committed, so when one
+    /// cannot move, everything staged is freed, every binding stays on
+    /// `from`, and this returns `false` (the caller falls back to the
+    /// CPU on `from`).
     pub(super) fn migrate_group(
         &mut self,
         group: &[KernelRequest],
@@ -22,72 +37,70 @@ impl Backend {
         let mut ctxs: Vec<u64> = group.iter().map(|r| r.ctx).collect();
         ctxs.sort_unstable();
         ctxs.dedup();
+        let mut staged = Vec::with_capacity(ctxs.len());
         for ctx in ctxs {
-            if !self.migrate_ctx(ctx, from, to) {
+            let mut s = Staged::default();
+            let complete = self.stage_ctx(ctx, &mut s, from, to).is_some();
+            staged.push((ctx, s));
+            if !complete {
+                for &(_, _, copy) in staged.iter().flat_map(|(_, s)| &s.buffers) {
+                    let _ = self.gpus[to].memory_mut().free(copy);
+                }
                 return false;
             }
+        }
+        for (ctx, s) in staged {
+            self.commit_ctx(ctx, s, from, to);
         }
         true
     }
 
-    /// Move one context's device state from `from` to `to`: copy every
-    /// allocation across (raw memory ops — the staging happens inside
-    /// the backend, not through the injected-fault transfer path),
-    /// re-load its constants, install frontend-pointer remaps, charge
-    /// deterministic PCIe time for both legs on the host clock, and
-    /// rebind the context in the governor. All-or-nothing: a failure
-    /// (e.g. the destination card is full) rolls back and returns
-    /// `false` with the context still bound to `from`.
-    fn migrate_ctx(&mut self, ctx: u64, from: usize, to: usize) -> bool {
+    /// Copy context `ctx`'s device state from `from` to `to` into `s`:
+    /// every allocation (raw memory ops — the staging happens inside the
+    /// backend, not through the injected-fault transfer path), then its
+    /// constants, which hit the destination's cache or re-load the data
+    /// kept from registration. `None` when something does not fit (e.g.
+    /// the destination card is full); `s` then lists what was staged.
+    fn stage_ctx(&mut self, ctx: u64, s: &mut Staged, from: usize, to: usize) -> Option<()> {
         // Every member of a dispatched group has a record (its launch
         // made one); a context without one has nothing to move.
-        let Some(record) = self.contexts.get(&ctx) else {
-            return false;
-        };
-        // Stage every buffer onto the destination first, then the
-        // constants: hit the destination's cache or re-load the data
-        // kept from registration (`load_constant` stores the bytes).
-        let mut staged: Vec<(DevicePtr, DevicePtr)> = Vec::new();
-        let mut const_remaps: Vec<(DevicePtr, DevicePtr)> = Vec::new();
-        let mut moved = 0u64;
-        let mut stage = || -> Result<(), GpuError> {
-            for &(fe_ptr, len) in &record.allocs {
-                let actual = record.resolve(fe_ptr);
-                let bytes = self.gpus[from].memory().read(actual, 0, len)?.to_vec();
-                let new_ptr = self.gpus[to].memory_mut().alloc(len)?;
-                staged.push((fe_ptr, new_ptr));
-                self.gpus[to].memory_mut().write(new_ptr, 0, &bytes)?;
-                moved += len;
-            }
-            for (key, fe_ptr, data) in &record.constants {
-                let ptr = match self.constants[to].lookup(key) {
-                    Some(p) => p,
-                    None => {
-                        let p = self.gpus[to].load_constant(data)?;
-                        self.constants[to].seed(key, p);
-                        moved += data.len() as u64;
-                        p
-                    }
-                };
-                const_remaps.push((*fe_ptr, ptr));
-            }
-            Ok(())
-        };
-        if stage().is_err() {
-            for (_, new_ptr) in staged {
-                let _ = self.gpus[to].memory_mut().free(new_ptr);
-            }
-            return false;
+        let record = self.contexts.get(&ctx)?;
+        for &(fe_ptr, len) in &record.allocs {
+            let source = record.resolve(fe_ptr);
+            let bytes = self.gpus[from].memory().read(source, 0, len).ok()?.to_vec();
+            let copy = self.gpus[to].memory_mut().alloc(len).ok()?;
+            s.buffers.push((fe_ptr, source, copy));
+            self.gpus[to].memory_mut().write(copy, 0, &bytes).ok()?;
+            s.moved += len;
         }
-        // Commit: free the source copies, install the remaps and move
-        // the record to its new device.
-        for (fe_ptr, _) in &staged {
-            let _ = self.gpus[from].memory_mut().free(record.resolve(*fe_ptr));
+        for (key, fe_ptr, data) in &record.constants {
+            let ptr = match self.constants[to].lookup(key) {
+                Some(p) => p,
+                None => {
+                    let p = self.gpus[to].load_constant(data).ok()?;
+                    self.constants[to].seed(key, p);
+                    s.moved += data.len() as u64;
+                    p
+                }
+            };
+            s.constants.push((*fe_ptr, ptr));
         }
-        let (buffers, constants) = (staged.len(), const_remaps.len());
+        Some(())
+    }
+
+    /// Commit staged context `ctx`: free the source copies, install the
+    /// frontend-pointer remaps, move the record to `to`, charge
+    /// deterministic PCIe time for both legs on the host clock, and
+    /// rebind the context in the governor.
+    fn commit_ctx(&mut self, ctx: u64, s: Staged, from: usize, to: usize) {
+        for &(_, source, _) in &s.buffers {
+            let _ = self.gpus[from].memory_mut().free(source);
+        }
         let record = self.context(ctx);
-        record.remap.extend(staged);
-        record.remap.extend(const_remaps);
+        let copies = s.buffers.iter().map(|&(fe_ptr, _, copy)| (fe_ptr, copy));
+        record
+            .remap
+            .extend(copies.chain(s.constants.iter().copied()));
         record.device = Some(to);
         // Its launches still queued now wait on `to`.
         let queued = record.queued;
@@ -96,6 +109,7 @@ impl Backend {
         // The bytes cross PCIe twice (device→host staging, host→device):
         // one latency + bandwidth charge per leg, on the host clock —
         // the backend orchestrates the drain synchronously.
+        let moved = s.moved;
         let leg = |bw: f64, lat: f64| moved as f64 / bw + lat;
         let out_cfg = self.gpus[from].config();
         let t_out = leg(out_cfg.pcie_bandwidth, out_cfg.pcie_latency_s);
@@ -108,9 +122,10 @@ impl Backend {
         self.audit_event(Verdict::Placed, &[], || {
             format!(
                 "ctx {ctx} drained off gpu{from} (breaker open) to gpu{to}: \
-                 {buffers} buffer(s), {constants} constant(s), {moved} bytes"
+                 {} buffer(s), {} constant(s), {moved} bytes",
+                s.buffers.len(),
+                s.constants.len()
             )
         });
-        true
     }
 }

@@ -96,7 +96,7 @@ pub mod runtime;
 pub mod stats;
 pub mod template;
 
-pub use admission::{AdmissionConfig, AdmissionDecision, DegradationConfig, Priority, ShedCause};
+pub use admission::{AdmissionConfig, AdmissionDecision, Priority, ShedCause};
 pub use config::{PowerStatesConfig, RuntimeConfig};
 pub use decision::{Choice, DecisionEngine, StateDecision};
 pub use frontend::Frontend;

@@ -10,9 +10,10 @@ pub use ewc_fleet::ResiliencePolicy;
 
 /// Decides whether a runtime-boundary (channel) fault hits a message.
 ///
-/// Implemented by the `ewc-faults` crate's deterministic plan; the
-/// backend charges each dropped-and-retransmitted message one extra
-/// channel round trip, modelling frontend-side send retries.
+/// Implemented by the `ewc-load` crate's deterministic fault plan
+/// (`ewc_load::SharedFaultPlan`); the backend charges each
+/// dropped-and-retransmitted message one extra channel round trip,
+/// modelling frontend-side send retries.
 pub trait RuntimeFaultInjector: Send + Sync {
     /// Called once per frontend→backend message; returns how many times
     /// the message had to be retransmitted before it got through

@@ -7,15 +7,17 @@
 //! 1. retry the launch with exponential backoff (transient faults —
 //!    watchdog timeouts, DMA errors — often clear);
 //! 2. abort consolidation and re-dispatch the group's members serially
-//!    on the GPU (isolates a poisoned merge);
+//!    on the GPU (isolates a poisoned merge, so only for two or more
+//!    members while the device's breaker stays closed);
 //! 3. fall back to the CPU for members the GPU persistently refuses
 //!    (the paper's CPU path, reused as a lifeboat);
 //! 4. fail the request back to its frontend (permanent errors only —
 //!    an unschedulable kernel is wrong on every rung).
 //!
-//! A [`CircuitBreaker`] watches consecutive transient faults; when the
-//! device looks sick it trips that device's GPU path for a cooldown,
-//! then half-opens to probe with one group. The [`FleetGovernor`]
+//! A [`CircuitBreaker`] watches consecutive transient faults and is
+//! asked before every launch; when the device looks sick it trips that
+//! device's GPU path for a cooldown, then half-opens to probe with one
+//! launch. The [`FleetGovernor`]
 //! (`crate::governor`) owns one breaker *per device*, so a trip drains
 //! the sick card instead of closing the whole fleet.
 //!
@@ -60,19 +62,20 @@ impl Default for ResiliencePolicy {
 /// State of one device's GPU-path circuit breaker.
 ///
 /// Closed (healthy) → open (tripped: groups bound to this device migrate
-/// to healthy devices, or the CPU when none exist) → half-open after the
-/// cooldown (the next group probes the device; success closes the
-/// breaker, another fault re-trips it immediately).
+/// to healthy devices, or the CPU when none exist) → half-open once the
+/// cooldown has passed (the next launch probes the device; success
+/// closes the breaker, another fault re-trips it immediately).
+/// Half-open is not stored: it is a tripped breaker past its cooldown
+/// that no success has closed since.
 #[derive(Debug, Clone)]
 pub struct CircuitBreaker {
     threshold: u32,
     cooldown_s: f64,
     consecutive: u32,
     /// The GPU path is closed until this simulated time.
-    /// `NEG_INFINITY` means the breaker has never tripped / is closed.
+    /// `NEG_INFINITY` means the breaker is closed and has not tripped
+    /// since its last success.
     open_until_s: f64,
-    /// `true` while the first probe after a cooldown is outstanding.
-    half_open: bool,
 }
 
 impl CircuitBreaker {
@@ -83,38 +86,22 @@ impl CircuitBreaker {
             cooldown_s: policy.breaker_cooldown_s,
             consecutive: 0,
             open_until_s: f64::NEG_INFINITY,
-            half_open: false,
         }
     }
 
-    /// May the GPU path be used at `at`'s current instant? Passing the
-    /// cooldown boundary moves an open breaker to half-open (the caller's
-    /// next launch is the probe).
-    pub fn gpu_allowed(&mut self, at: &VirtualClock) -> bool {
-        if self.threshold == 0 {
-            return true;
-        }
-        if at.now_s() < self.open_until_s {
-            return false;
-        }
-        if self.open_until_s > f64::NEG_INFINITY && !self.half_open {
-            // Cooldown expired: first caller through probes the device.
-            self.half_open = true;
-        }
-        true
-    }
-
-    /// Record one transient GPU fault at `at`'s current instant.
-    /// Returns `true` when this fault trips (or re-trips) the breaker.
+    /// Record one transient GPU fault at `at`'s current instant; the
+    /// caller keeps permanent errors away, since they say nothing of
+    /// the device's health. Returns `true` when this fault trips (or
+    /// re-trips) the breaker.
     pub fn record_fault(&mut self, at: &VirtualClock) -> bool {
         if self.threshold == 0 {
             return false;
         }
         self.consecutive += 1;
-        if self.half_open || self.consecutive >= self.threshold {
+        let half_open = self.open_until_s.is_finite() && !self.is_open(at);
+        if half_open || self.consecutive >= self.threshold {
             // A half-open probe failing re-trips immediately; a closed
             // breaker trips once the consecutive run reaches threshold.
-            self.half_open = false;
             self.consecutive = 0;
             self.open_until_s = at.now_s() + self.cooldown_s;
             return true;
@@ -126,15 +113,13 @@ impl CircuitBreaker {
     /// resets the consecutive-fault run.
     pub fn record_success(&mut self) {
         self.consecutive = 0;
-        self.half_open = false;
         self.open_until_s = f64::NEG_INFINITY;
     }
 
-    /// Whether the breaker currently blocks the GPU path at `at`'s
-    /// instant (without side effects — use
-    /// [`CircuitBreaker::gpu_allowed`] on the decision path).
+    /// Whether the breaker blocks the GPU path at `at`'s instant. A
+    /// disabled breaker (`threshold` 0) never trips, so never blocks.
     pub fn is_open(&self, at: &VirtualClock) -> bool {
-        self.threshold != 0 && at.now_s() < self.open_until_s
+        at.now_s() < self.open_until_s
     }
 }
 
@@ -160,9 +145,8 @@ mod tests {
         clk.advance_to(2.0);
         assert!(b.record_fault(&clk), "third consecutive fault trips");
         clk.advance_to(3.0);
-        assert!(!b.gpu_allowed(&clk));
+        assert!(b.is_open(&clk));
         clk.advance_to(6.9);
-        assert!(!b.gpu_allowed(&clk));
         assert!(b.is_open(&clk), "open until the cooldown ends at 7.0");
         clk.advance_to(7.0);
         assert!(!b.is_open(&clk));
@@ -187,14 +171,13 @@ mod tests {
         assert!(!b.record_fault(&clk));
         clk.advance_to(0.5);
         assert!(b.record_fault(&clk), "the first trip");
-        // Cooldown passes → half-open, one probe allowed.
+        // Cooldown passes → half-open: the path is open to a probe.
         clk.advance_to(6.0);
-        assert!(b.gpu_allowed(&clk));
+        assert!(!b.is_open(&clk));
         // The probe faults: re-trip without needing a fresh run.
         clk.advance_to(6.1);
         assert!(b.record_fault(&clk), "the second trip, from half-open");
         clk.advance_to(7.0);
-        assert!(!b.gpu_allowed(&clk));
         assert!(b.is_open(&clk), "open until 6.1 + 5.0");
     }
 
@@ -207,10 +190,8 @@ mod tests {
         assert!(b.record_fault(&clk), "the one trip");
         assert!(b.is_open(&clk));
         clk.advance_to(6.0);
-        assert!(b.gpu_allowed(&clk));
+        assert!(!b.is_open(&clk));
         b.record_success();
-        clk.advance_to(6.1);
-        assert!(b.gpu_allowed(&clk));
         clk.advance_to(100.0);
         assert!(!b.is_open(&clk));
         // Closed again: a single fault starts a fresh run, no trip.
@@ -225,7 +206,6 @@ mod tests {
             clk.advance_to(i as f64);
             assert!(!b.record_fault(&clk));
         }
-        assert!(b.gpu_allowed(&clk));
         assert!(!b.is_open(&clk));
     }
 

@@ -55,7 +55,7 @@ impl DeviceSpec {
     }
 
     /// Live contexts at which frag-aware placement treats this card as
-    /// saturated: [`SATURATION_CTXS`] scaled by the SM count relative to
+    /// saturated: `SATURATION_CTXS` (8) scaled by the SM count relative to
     /// the baseline C1060 (minimum one).
     pub fn capacity(&self) -> u32 {
         let base_sms = GpuConfig::tesla_c1060().num_sms;

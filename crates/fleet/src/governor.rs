@@ -12,9 +12,10 @@
 //!   device it ended on, so load counts track *live* contexts instead of
 //!   drifting monotonically. The backend's context record owns the
 //!   binding; the governor keeps only per-device counts;
-//! - launch outcomes call [`FleetGovernor::record_fault`] /
-//!   [`record_success`](FleetGovernor::record_success) on the device
-//!   that served the group, so one sick card trips alone;
+//! - every launch first asks [`FleetGovernor::is_open`] of its device;
+//!   its outcome calls [`FleetGovernor::record_fault`] (transient
+//!   faults only) / [`record_success`](FleetGovernor::record_success)
+//!   on the device that served it, so one sick card trips alone;
 //! - when a group's device has tripped, [`FleetGovernor::healthy_target`]
 //!   nominates the migration destination (or `None` → CPU lifeboat).
 //!
@@ -180,13 +181,9 @@ impl FleetGovernor {
         });
     }
 
-    /// May device `d`'s GPU path be used now? (Side effects: an open
-    /// breaker past its cooldown moves to half-open.)
-    pub fn gpu_allowed(&mut self, d: usize, at: &VirtualClock) -> bool {
-        self.breakers[d].gpu_allowed(at)
-    }
-
     /// Record a transient fault on device `d`; `true` when it trips.
+    /// Permanent errors never come here: they fault the request, not
+    /// the card.
     pub fn record_fault(&mut self, d: usize, at: &VirtualClock) -> bool {
         self.breakers[d].record_fault(at)
     }
@@ -196,8 +193,8 @@ impl FleetGovernor {
         self.breakers[d].record_success();
     }
 
-    /// Whether device `d`'s breaker currently blocks its GPU path
-    /// (side-effect-free).
+    /// Whether device `d`'s breaker blocks its GPU path at `at`'s
+    /// instant: the one health question, asked before every launch.
     pub fn is_open(&self, d: usize, at: &VirtualClock) -> bool {
         self.breakers[d].is_open(at)
     }
@@ -255,8 +252,8 @@ mod tests {
         let mut g = FleetGovernor::new(&FleetConfig::homogeneous(2), &policy);
         assert_eq!(g.place(1, &clk).device, 0);
         assert!(g.record_fault(0, &clk), "threshold 1 trips immediately");
-        assert!(!g.gpu_allowed(0, &clk));
-        assert!(g.gpu_allowed(1, &clk), "healthy device keeps serving");
+        assert!(g.is_open(0, &clk));
+        assert!(!g.is_open(1, &clk), "healthy device keeps serving");
         // Round robin would hand ctx 3 to device 0; the governor
         // redirects it to the healthy card instead.
         assert_eq!(g.place(2, &clk).device, 1);

@@ -36,10 +36,10 @@
 //! times — simply land in their own cohorts, degenerating gracefully to
 //! the per-block behaviour.
 //!
-//! Cohort state lives in a **struct-of-arrays arena** ([`SimArena`]):
+//! Cohort state lives in a **struct-of-arrays arena** (`SimArena`):
 //! parallel lanes for rate, remaining work, anchor, predicted finish,
 //! member count and a per-cohort copy of the segment's rate constants
-//! ([`SegRate`]), laid out as fixed-stride per-SM runs (the stride is the
+//! (`SegRate`), laid out as fixed-stride per-SM runs (the stride is the
 //! device's block-slot limit, which also bounds live cohorts per SM).
 //! The incremental rate pass therefore streams over contiguous memory —
 //! no pointer chasing through cohort records and no random per-event
@@ -122,7 +122,7 @@ pub struct SimOutcome {
 
 /// The execution engine. Stateless apart from configuration; every call
 /// to [`ExecutionEngine::run`] simulates one launch from scratch
-/// (scratch buffers are recycled through a thread-local [`SimArena`]).
+/// (scratch buffers are recycled through a thread-local `SimArena`).
 #[derive(Debug, Clone)]
 pub struct ExecutionEngine {
     cfg: GpuConfig,

@@ -8,12 +8,10 @@
 //! real device would burn wall time before a watchdog fired.
 //!
 //! The trait is deliberately defined *here* (the lowest layer) and
-//! implemented elsewhere (the `ewc-faults` crate provides the
-//! deterministic, seed-driven [`FaultPlan`]): the device knows nothing
-//! about schedules or probabilities, it only asks "does this operation
-//! fault, and how?".
-//!
-//! [`FaultPlan`]: ../../ewc_faults/plan/struct.FaultPlan.html
+//! implemented elsewhere (the `ewc-load` crate's `SharedFaultPlan`
+//! wraps its deterministic, seed-driven `FaultPlan`): the device knows
+//! nothing about schedules or probabilities, it only asks "does this
+//! operation fault, and how?".
 
 use std::sync::Arc;
 

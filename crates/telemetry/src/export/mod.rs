@@ -1,4 +1,4 @@
-//! Exporters for a [`TelemetrySnapshot`](crate::TelemetrySnapshot).
+//! Exporters for a [`TelemetrySnapshot`].
 //!
 //! * [`chrome`] — Chrome trace-event JSON; open the file at
 //!   <https://ui.perfetto.dev> or `chrome://tracing`.

@@ -7,7 +7,7 @@
 //! well-formedness (and lets tests walk the parsed structure).
 //!
 //! Numbers never go through `fmt`: integers are written eight digits at a
-//! time, and other floats through [`write_f64`], an in-crate Ryu that
+//! time, and other floats through `write_f64`, an in-crate Ryu that
 //! produces the bytes `Display for f64` produces.
 
 use std::collections::BTreeMap;

@@ -3,11 +3,11 @@
 //! A run records hundreds of thousands of spans that repeat the same few
 //! hundred words (`"host"`, `"ctx17"`, `"launch"`, `"block"`, ...), so
 //! every string a span carries — process, lane, name, attribute keys and
-//! string attribute values — is interned once into [`Symbols`] and the
-//! span itself is a plain-old-data [`SpanRow`] pointing at a run of
-//! [`AttrRow`]s in a shared arena. Recording a span on tracks that were
+//! string attribute values — is interned once into `Symbols` and the
+//! span itself is a plain-old-data `SpanRow` pointing at a run of
+//! `AttrRow`s in a shared arena. Recording a span on tracks that were
 //! seen before allocates nothing beyond amortised `Vec` growth, and a
-//! snapshot ([`SpanStore::table`]) copies no row: it shares the rows, the
+//! snapshot (`SpanStore::table`) copies no row: it shares the rows, the
 //! arena and the strings, and keeps the rows' chronological order.
 
 use std::collections::HashMap;

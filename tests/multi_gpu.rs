@@ -331,3 +331,64 @@ fn drain_and_migrate_replays_byte_identically() {
     let b = sick_device_session();
     assert_eq!(a, b, "same seed must replay the whole drain/migrate run");
 }
+
+/// A drain moves a dispatching group's contexts together or not at all.
+/// Two contexts on sick gpu0 share a group whose drain target, gpu1,
+/// holds one of them but not both: nothing moves, the group runs on the
+/// CPU against gpu0's memory, and every output is right.
+#[test]
+fn a_drain_that_cannot_move_every_context_moves_none() {
+    let aes = AesWorkload::fig7(&GpuConfig::tesla_c1060());
+    let n = aes.data_bytes() as u64;
+    let mut fleet = FleetConfig::homogeneous(2);
+    // Room for ctx A's two instances (4n) and ctx B's byte, not ctx C's.
+    fleet.devices[1].gpu.global_mem_bytes = 4 * n + 4096;
+    let plan = SharedFaultPlan::new(
+        9,
+        FaultConfig {
+            hang_rate: 1.0,
+            ..FaultConfig::quiet()
+        },
+    );
+    let rt = Runtime::builder(RuntimeConfig {
+        threshold_factor: 1_000_000, // flush only at syncs
+        force_gpu: true,
+        resilience: ResiliencePolicy {
+            max_gpu_retries: 0,
+            breaker_threshold: 1,
+            breaker_cooldown_s: 1e6, // never closes within the run
+            ..ResiliencePolicy::default()
+        },
+        fleet: Some(fleet),
+        ..RuntimeConfig::default()
+    })
+    .workload("encryption", Arc::new(aes.clone()))
+    .template(Template::homogeneous("encryption"))
+    .device_faults(Arc::new(plan))
+    .device_fault_targets(vec![0])
+    .build();
+
+    // Round robin: A → gpu0, B → gpu1, C → gpu0.
+    let mut a = rt.connect();
+    let a1 = a.submit("encryption", &aes, 1).expect("submit");
+    let (b, mut c) = (rt.connect(), rt.connect());
+    b.malloc(1).expect("malloc");
+    c.malloc(1).expect("malloc");
+    // A's group hangs on gpu0, trips its breaker and runs on the CPU.
+    a.sync().expect("sync");
+    let a2 = a.submit("encryption", &aes, 2).expect("submit");
+    let c1 = c.submit("encryption", &aes, 3).expect("submit");
+    // One group of A and C; gpu1 has room for A but not for C too.
+    a.sync().expect("sync");
+    c.sync().expect("sync");
+    for (fe, bufs, seed) in [(&a, a1, 1), (&a, a2, 2), (&c, c1, 3)] {
+        let got = fe.memcpy_d2h(bufs.output, 0, bufs.output_len).unwrap();
+        assert_eq!(got, aes.expected_output(seed), "seed {seed}");
+    }
+    drop((a, b, c));
+    let stats = rt.shutdown().stats;
+    assert_eq!(stats.migrations, 0, "{stats:?}");
+    assert_eq!(stats.migrated_bytes, 0, "{stats:?}");
+    assert_eq!(stats.launches, 0, "no launch ever completed: {stats:?}");
+    assert_eq!(stats.cpu_executions, 3, "{stats:?}");
+}

@@ -196,7 +196,7 @@ fn sick_device_session() -> Session {
 }
 
 /// As [`sick_device_session`], but gpu1 cannot hold one AES block: ctx
-/// A's second launch is drained there and fails on every rung.
+/// A's second launch is drained there and fails permanently, at once.
 fn failed_after_drain_session() -> Session {
     let mut fleet = FleetConfig::homogeneous(2);
     fleet.devices[1].gpu.registers_per_sm = 1024;
@@ -464,65 +464,64 @@ gauge elapsed_s 8.600777341538452
     (
         "sick_device",
         "\
-counter breaker_trips 2
-counter breaker_trips_gpu0 2
-counter device_faults 2
-counter device_faults_launch 2
+counter breaker_trips 1
+counter breaker_trips_gpu0 1
+counter device_faults 1
+counter device_faults_launch 1
 counter energy_j 6272.414505921482
-counter gpu_faults 2
-counter gpu_faults_gpu0 2
+counter gpu_faults 1
+counter gpu_faults_gpu0 1
 counter gpu_launches 2
 counter groups 3
 counter migrations 1
 counter migrations_gpu1 1
 counter placements_gpu0 1
 counter placements_gpu1 1
-counter recoveries 4
+counter recoveries 2
 counter staged_bytes 36864
 counter verdict_consolidate 3
-gauge avg_power_w 261.2972811087431
-gauge elapsed_s 24.004897713846148
+gauge avg_power_w 261.29728110874305
+gauge elapsed_s 24.00489771384615
 ",
     ),
     (
         "failed_after_drain",
         "\
-counter breaker_trips 4
-counter breaker_trips_gpu0 2
-counter breaker_trips_gpu1 2
-counter device_faults 2
-counter device_faults_launch 2
-counter energy_j 1789.321757138462
-counter gpu_faults 4
-counter gpu_faults_gpu0 2
-counter gpu_faults_gpu1 2
+counter breaker_trips 1
+counter breaker_trips_gpu0 1
+counter device_faults 1
+counter device_faults_launch 1
+counter energy_j 1777.071757138462
+counter gpu_faults 2
+counter gpu_faults_gpu0 1
+counter gpu_faults_gpu1 1
 counter groups 2
 counter migrations 1
 counter migrations_gpu1 1
 counter placements_gpu0 1
-counter recoveries 7
+counter recoveries 2
 counter requests_failed 1
 counter staged_bytes 24576
 counter verdict_consolidate 2
-gauge avg_power_w 244.99999999999997
-gauge elapsed_s 7.3033541107692335
+gauge avg_power_w 245
+gauge elapsed_s 7.253354110769233
 ",
     ),
     (
         "deadline",
         "\
-counter deadline_escalations 2
-counter device_faults 2
-counter device_faults_launch 2
-counter energy_j 1460.3555206153849
-counter gpu_faults 2
-counter gpu_faults_gpu0 2
+counter deadline_escalations 1
+counter device_faults 1
+counter device_faults_launch 1
+counter energy_j 1450.3555206153846
+counter gpu_faults 1
+counter gpu_faults_gpu0 1
 counter groups 1
-counter recoveries 4
+counter recoveries 2
 counter staged_bytes 12288
 counter verdict_consolidate 1
 gauge avg_power_w 200
-gauge elapsed_s 7.301777603076924
+gauge elapsed_s 7.251777603076923
 ",
     ),
     (
