@@ -17,7 +17,7 @@ use ewc_energy::{
 use ewc_exec::VirtualClock;
 use ewc_gpu::GpuConfig;
 use ewc_models::{choose_state, ConsolidationPlan, EnergyModel, PolicyKnob, PowerModel};
-use ewc_telemetry::{TelemetrySink, Verdict};
+use ewc_telemetry::{AuditEvent, TelemetrySink};
 use ewc_workloads::{AesWorkload, Workload};
 
 use crate::mix::Mix;
@@ -98,16 +98,13 @@ fn run_one(policy: &str, ps: Option<PowerStatesConfig>) -> Row {
     let report = batch.report;
 
     // Which operating points the device actually visited, from the
-    // state-change audit trail (`"... -> <state> (level N)"` reasons).
-    let mut seen: Vec<String> = Vec::new();
+    // state-change audit trail.
+    let mut seen: Vec<&str> = Vec::new();
     if let Some(t) = &report.telemetry {
         for rec in &t.audit {
-            if matches!(rec.verdict, Verdict::StateChanged) {
-                if let Some(tail) = rec.reason.split("-> ").nth(1) {
-                    let name = tail.split(' ').next().unwrap_or_default().to_string();
-                    if seen.last() != Some(&name) {
-                        seen.push(name);
-                    }
+            if let AuditEvent::StateChanged { state, .. } = rec.event {
+                if seen.last() != Some(&state) {
+                    seen.push(state);
                 }
             }
         }

@@ -47,7 +47,7 @@ use ewc_exec::{FxBuildHasher, Memo, VirtualClock};
 use ewc_fleet::{FleetConfig, FleetGovernor, PlacementReason};
 use ewc_gpu::kernel::KernelArg;
 use ewc_gpu::{DevicePtr, GpuDevice, GpuError};
-use ewc_telemetry::{DecisionRecord, TelemetrySink, Verdict};
+use ewc_telemetry::{AuditEvent, DecisionRecord, TelemetrySink, Verdict};
 
 use crate::admission::{AdmissionConfig, AdmissionDecision, AdmissionState, Priority, ShedCause};
 use crate::config::RuntimeConfig;
@@ -331,42 +331,37 @@ impl Backend {
     }
 
     /// Audit one permanent shed (admission-final or queue-age).
-    fn audit_shed(&mut self, name: &Arc<str>, ctx: u64, seq: Option<u64>, cause: ShedCause) {
-        let Some(mut rec) = self.sink.lock() else {
-            return;
-        };
-        let reason = match seq {
-            Some(seq) => format!(
-                "request '{name}' (ctx {ctx}, seq {seq}) shed from the queue: {}",
-                cause.label()
-            ),
-            None => format!(
-                "launch of '{name}' (ctx {ctx}) shed at admission: {}",
-                cause.label()
-            ),
-        };
-        rec.audit(DecisionRecord::event(
-            self.clock.now_s(),
-            Verdict::Shed,
-            vec![name.clone()],
-            reason,
-        ));
+    fn audit_shed(&self, name: &Arc<str>, ctx: u64, seq: Option<u64>, cause: ShedCause) {
+        if self.sink.is_enabled() {
+            let event = AuditEvent::Shed {
+                ctx,
+                seq,
+                cause: cause.label(),
+            };
+            let now = self.clock.now_s();
+            self.sink.audit(DecisionRecord::event(
+                now,
+                Verdict::Shed,
+                vec![name.clone()],
+                event,
+            ));
+        }
     }
 
     /// Audit an event that weighed no candidates, naming `members`'
-    /// kernels, at the host clock's now. `reason` is rendered only on an
+    /// kernels, at the host clock's now. `event` is built only on an
     /// enabled sink.
     fn audit_event(
         &self,
         verdict: Verdict,
         members: &[KernelRequest],
-        reason: impl FnOnce() -> String,
+        event: impl FnOnce() -> AuditEvent,
     ) {
         if self.sink.is_enabled() {
             let kernels = members.iter().map(|r| r.kernel.name.clone()).collect();
             let now = self.clock.now_s();
             self.sink
-                .audit(DecisionRecord::event(now, verdict, kernels, reason()));
+                .audit(DecisionRecord::event(now, verdict, kernels, event()));
         }
     }
 
@@ -391,13 +386,12 @@ impl Backend {
         debug_assert_eq!(record.queued, 0, "ctx {ctx} queued while unbound");
         record.device = Some(d);
         if self.fleet_mode {
-            self.audit_event(Verdict::Placed, &[], || {
-                format!(
-                    "ctx {ctx} placed on gpu{d} ({}) by {} policy ({})",
-                    self.fleet.spec(d).name,
-                    self.fleet.policy_label(),
-                    rec.reason.label()
-                )
+            self.audit_event(Verdict::Placed, &[], || AuditEvent::Placed {
+                ctx,
+                device: d,
+                device_name: self.fleet.spec(d).name.clone(),
+                policy: self.fleet.policy_label(),
+                reason: rec.reason.label(),
             });
         }
         d
@@ -716,11 +710,12 @@ impl Backend {
                     .filter(|p| (p.reason == PlacementReason::Migrated) == migrated)
                     .count() as u64
             };
-            add(&format!("gpu_faults_gpu{d}"), *faults);
-            add(&format!("breaker_trips_gpu{d}"), *trips);
-            add(&format!("migrations_gpu{d}"), on_d(true));
+            let gpu = d.to_string();
+            add(&["gpu_faults_gpu", &gpu].concat(), *faults);
+            add(&["breaker_trips_gpu", &gpu].concat(), *trips);
+            add(&["migrations_gpu", &gpu].concat(), on_d(true));
             if self.fleet_mode {
-                add(&format!("placements_gpu{d}"), on_d(false));
+                add(&["placements_gpu", &gpu].concat(), on_d(false));
             }
         }
         if st.degradation_steps > 0 {
@@ -765,12 +760,7 @@ impl Backend {
             return;
         }
         self.stats.reaped_frontends += 1;
-        self.audit_event(Verdict::Drained, &drained, || {
-            format!(
-                "frontend ctx {ctx} gone (disconnect); drained {} pending launch(es)",
-                drained.len()
-            )
-        });
+        self.audit_event(Verdict::Drained, &drained, || AuditEvent::Reaped { ctx });
     }
 
     /// Host-to-host copy into/out of the pre-allocated staging buffer:
@@ -808,16 +798,15 @@ impl Backend {
         let d = self.device_for(ctx); // bind early so flush can partition
         let record = self.context(ctx);
         let config = record.config.take().ok_or(CoreError::NotConfigured)?;
-        if config.grid_blocks != kernel.blocks
-            || config.threads_per_block != kernel.desc.threads_per_block
-        {
-            return Err(CoreError::BadConfiguration(format!(
-                "configured {}x{}, registered {}x{}",
-                config.grid_blocks,
-                config.threads_per_block,
-                kernel.blocks,
-                kernel.desc.threads_per_block
-            )));
+        let registered = ExecConfig {
+            grid_blocks: kernel.blocks,
+            threads_per_block: kernel.desc.threads_per_block,
+        };
+        if config != registered {
+            return Err(CoreError::BadConfiguration {
+                configured: config,
+                registered,
+            });
         }
         // Validate schedulability at enqueue time: a kernel that cannot
         // fit one block on an SM would fail every rung of the ladder, so

@@ -9,12 +9,12 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use ewc_models::{ConsolidationPlan, KernelSpec, PolicyKnob};
-use ewc_telemetry::{DecisionRecord, Verdict};
+use ewc_telemetry::{AuditEvent, DecisionRecord, GpuClosed, PolicyStates, Verdict};
 
 use super::ladder::MemberFate;
 use super::Backend;
 use crate::admission::{Priority, ShedCause};
-use crate::decision::{Assessment, Choice, DecisionEngine};
+use crate::decision::{Assessment, Choice, DecisionEngine, CONSOLIDATION_MARGIN};
 use crate::protocol::{CoreError, KernelRequest};
 use crate::stats::{ConsolidationRecord, KernelOutcome};
 
@@ -82,16 +82,11 @@ impl Backend {
         };
         self.stats.degradation_steps += 1;
         self.stats.max_degradation_level = self.stats.max_degradation_level.max(level);
-        self.audit_event(Verdict::Degraded, &[], || {
-            format!(
-                "degradation ladder {} {before} -> {level} (oldest pending age {age:.4} s, {} pending)",
-                if level > before {
-                    "stepped down under pressure:"
-                } else {
-                    "recovered after quiet period:"
-                },
-                self.pending.len()
-            )
+        self.audit_event(Verdict::Degraded, &[], || AuditEvent::Degraded {
+            from: before,
+            to: level,
+            age_s: age,
+            pending: self.pending.len(),
         });
     }
 
@@ -236,27 +231,29 @@ impl Backend {
         // drain to a healthy card when one exists, and only a fully sick
         // fleet sends the group to the CPU until a cooldown expires and
         // the next launch probes a half-open breaker.
-        let mut tripped = false;
+        let mut closed = None;
         let mut device = device;
         if assessment.choice != Choice::Cpu && self.fleet.is_open(device, &self.clock) {
-            let target = self.fleet.healthy_target(device, &self.clock);
-            match target {
-                Some(to) if self.migrate_group(&group, device, to) => device = to,
-                _ => {
-                    tripped = true;
-                    assessment.choice = Choice::Cpu;
+            closed = match self.fleet.healthy_target(device, &self.clock) {
+                Some(to) if self.migrate_group(&group, device, to) => {
+                    device = to;
+                    None
                 }
-            }
+                Some(to) => Some(GpuClosed::DrainRefused { from: device, to }),
+                None => Some(GpuClosed::BreakerOpen { device }),
+            };
         }
         // Degradation level 4: the CPU lifeboat. Whole groups without a
         // High-priority member spill to the host so the device queue can
         // drain — force_gpu does not outrank a ladder at its last rung.
-        let mut spilled = false;
-        if assessment.choice != Choice::Cpu
+        if closed.is_none()
+            && assessment.choice != Choice::Cpu
             && self.admission.level() >= 4
             && group.iter().all(|r| r.priority < Priority::High)
         {
-            spilled = true;
+            closed = Some(GpuClosed::Spilled);
+        }
+        if closed.is_some() {
             assessment.choice = Choice::Cpu;
         }
         if self.sink.is_enabled() {
@@ -271,7 +268,7 @@ impl Backend {
                 .attr("template", template)
                 .attr("group_size", group.len())
                 .emit();
-            self.audit_decision(&assessment, &group, device, forced, tripped, spilled);
+            self.audit_decision(&assessment, &group, forced, closed);
         }
 
         // Kernel launches are asynchronous: the device clock runs ahead
@@ -384,45 +381,19 @@ impl Backend {
         assessment
     }
 
-    /// Record the verdict and the predictions that justified it.
+    /// Record the verdict, the predictions behind it, the energies it
+    /// compared, and what overrode it.
     fn audit_decision(
         &self,
-        assessment: &crate::decision::Assessment,
+        assessment: &Assessment,
         group: &[KernelRequest],
-        device: usize,
         forced: bool,
-        tripped: bool,
-        spilled: bool,
+        closed: Option<GpuClosed>,
     ) {
-        let state_note = match &assessment.state {
-            Some(sd) => match sd.chosen(assessment.choice) {
-                Some(c) => format!(
-                    "; {} policy chose state {} ({:.3} J over horizon)",
-                    sd.knob.label(),
-                    c.state,
-                    c.horizon_energy_j
-                ),
-                None => String::new(),
-            },
-            None => String::new(),
-        };
-        let reason = format!(
-            "predicted energy: consolidated {:.3} J (margin-adjusted), serial {:.3} J, cpu {:.3} J{}{}{}{state_note}",
-            assessment.consolidated.system_energy_j,
-            assessment.serial.system_energy_j,
-            assessment.cpu_energy_j,
-            if forced { "; force_gpu overrode a CPU verdict" } else { "" },
-            if tripped {
-                format!("; circuit breaker open on gpu{device}, no healthy device: group tripped to CPU")
-            } else {
-                String::new()
-            },
-            if spilled {
-                "; overload level 4: group spilled to the CPU lifeboat"
-            } else {
-                ""
-            }
-        );
+        let policy = assessment.state.as_ref().map(|sd| PolicyStates {
+            knob: sd.knob.label(),
+            states: [sd.consolidated.state, sd.serial.state],
+        });
         self.sink.audit(DecisionRecord {
             time_s: self.clock.now_s(),
             kernels: group.iter().map(|r| r.kernel.name.clone()).collect(),
@@ -433,7 +404,13 @@ impl Backend {
             )),
             serial: Some((assessment.serial.time_s, assessment.serial.system_energy_j)),
             cpu: Some((assessment.cpu_time_s, assessment.cpu_energy_j)),
-            reason,
+            event: AuditEvent::Decision {
+                compared_j: assessment.compared_j,
+                margin: CONSOLIDATION_MARGIN,
+                policy,
+                forced,
+                closed,
+            },
         });
     }
 }

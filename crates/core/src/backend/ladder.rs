@@ -5,7 +5,7 @@
 use ewc_gpu::grid::GridSegment;
 use ewc_gpu::kernel::LaunchConfig;
 use ewc_gpu::{GpuError, Grid};
-use ewc_telemetry::Verdict;
+use ewc_telemetry::{AuditEvent, Verdict};
 
 use super::Backend;
 use crate::decision::Choice;
@@ -58,11 +58,9 @@ impl Backend {
             };
             if group.len() >= 2 && !self.breaker_open(device) {
                 self.stats.serial_fallbacks += 1;
-                self.audit_event(Verdict::SerialGpu, group, || {
-                    format!(
-                        "consolidated launch failed on gpu{device} ({e}); re-dispatching {} member(s) serially",
-                        group.len()
-                    )
+                self.audit_event(Verdict::SerialGpu, group, || AuditEvent::SerialFallback {
+                    device,
+                    error: e.to_string(),
                 });
             } else {
                 group_err = Some(e);
@@ -89,19 +87,12 @@ impl Backend {
                     err => err,
                 };
                 self.stats.cpu_fallbacks += 1;
-                self.audit_event(Verdict::Cpu, member, || {
-                    let what = format!("'{}' (seq {}) on gpu{device}", req.kernel.name, req.seq);
-                    let event = match err {
-                        Some(e) if launched => {
-                            format!("serial launch of {what} still failing ({e})")
-                        }
-                        Some(e) if self.breaker_open(device) => {
-                            format!("launch of {what} failed ({e}), and its breaker is open")
-                        }
-                        Some(e) => format!("launch of {what}, a group of one, failed ({e})"),
-                        None => format!("{what} not launched: its breaker is open"),
-                    };
-                    format!("{event}; falling back to CPU")
+                self.audit_event(Verdict::Cpu, member, || AuditEvent::CpuFallback {
+                    seq: req.seq,
+                    device,
+                    error: err.map(|e| e.to_string()),
+                    relaunched: launched,
+                    breaker_open: self.breaker_open(device),
                 });
                 let (time_s, energy_j) = self
                     .decision
@@ -152,12 +143,11 @@ impl Backend {
             let tripped = transient && self.fleet.record_fault(device, self.gpus[device].clock());
             if tripped {
                 self.device_faults[device][1] += 1;
-                self.audit_event(Verdict::Cpu, members, || {
-                    format!(
-                        "circuit breaker on gpu{device} tripped at {:.6} s ({err}); device closed for {:.3} s",
-                        self.gpus[device].now_s(),
-                        pol.breaker_cooldown_s
-                    )
+                self.audit_event(Verdict::Cpu, members, || AuditEvent::BreakerTripped {
+                    device,
+                    at_s: self.gpus[device].now_s(),
+                    cooldown_s: pol.breaker_cooldown_s,
+                    error: err.to_string(),
                 });
             }
             if tripped || !transient || attempts >= pol.max_gpu_retries {
@@ -165,12 +155,10 @@ impl Backend {
             }
             if self.gpus[device].now_s() + backoff > deadline_s {
                 self.stats.deadline_escalations += 1;
-                self.audit_event(Verdict::Cpu, members, || {
-                    format!(
-                        "deadline {:.6} s would blow before retry {} ({err}); escalating",
-                        deadline_s,
-                        attempts + 1
-                    )
+                self.audit_event(Verdict::Cpu, members, || AuditEvent::DeadlineEscalation {
+                    deadline_s,
+                    retry: attempts + 1,
+                    error: err.to_string(),
                 });
                 return Err(err);
             }
@@ -236,10 +224,11 @@ impl Backend {
             },
         ));
         self.audit_event(Verdict::Failed, std::slice::from_ref(req), || {
-            format!(
-                "kernel '{}' (ctx {}, seq {}) failed permanently: {e}",
-                req.kernel.name, req.ctx, req.seq
-            )
+            AuditEvent::Failed {
+                ctx: req.ctx,
+                seq: req.seq,
+                error: e.to_string(),
+            }
         });
     }
 }

@@ -127,7 +127,7 @@ fn rejected_launch_without_argument_batching() {
     fe.setup_argument(KernelArg::U32(7)).unwrap();
     assert!(matches!(
         fe.launch("encryption"),
-        Err(CoreError::BadConfiguration(_))
+        Err(CoreError::BadConfiguration { .. })
     ));
     // The forwarded argument went with the launch it was meant for.
     inspect(&rt, |b| assert!(b.contexts[&fe.ctx()].args.is_empty()));

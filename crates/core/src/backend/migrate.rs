@@ -3,7 +3,7 @@
 //! open onto a healthy one.
 
 use ewc_gpu::DevicePtr;
-use ewc_telemetry::Verdict;
+use ewc_telemetry::{AuditEvent, Verdict};
 
 use super::Backend;
 use crate::protocol::KernelRequest;
@@ -119,13 +119,13 @@ impl Backend {
         self.fleet.rebind(ctx, from, to);
         self.stats.migrations += 1;
         self.stats.migrated_bytes += moved;
-        self.audit_event(Verdict::Placed, &[], || {
-            format!(
-                "ctx {ctx} drained off gpu{from} (breaker open) to gpu{to}: \
-                 {} buffer(s), {} constant(s), {moved} bytes",
-                s.buffers.len(),
-                s.constants.len()
-            )
+        self.audit_event(Verdict::Placed, &[], || AuditEvent::Migrated {
+            ctx,
+            from,
+            to,
+            buffers: s.buffers.len(),
+            constants: s.constants.len(),
+            bytes: moved,
         });
     }
 }

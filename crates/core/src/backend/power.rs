@@ -3,7 +3,7 @@
 //! of a device's state, and [`Backend::apply_power_state`] its one
 //! setter.
 
-use ewc_telemetry::{DecisionRecord, Verdict};
+use ewc_telemetry::{AuditEvent, DecisionRecord, Verdict};
 
 use super::Backend;
 
@@ -37,11 +37,12 @@ impl Backend {
                 self.gpus[device].now_s(),
                 Verdict::StateChanged,
                 Vec::new(),
-                format!(
-                    "gpu{device}: power state {} -> {} (level {level})",
-                    from.map_or_else(|| "p0".to_string(), |l| format!("level {l}")),
-                    state.name,
-                ),
+                AuditEvent::StateChanged {
+                    device,
+                    from,
+                    state: state.name,
+                    level,
+                },
             ));
         }
     }

@@ -19,6 +19,11 @@ use ewc_models::{
 
 use crate::config::PowerStatesConfig;
 
+/// The predicted-energy margin consolidation must win by: merging
+/// kernels has real coordination and contention costs the models cannot
+/// see, so a predicted tie is not worth taking (the scenario-1 lesson).
+pub const CONSOLIDATION_MARGIN: f64 = 0.02;
+
 /// The chosen execution alternative.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Choice {
@@ -66,6 +71,10 @@ pub struct Assessment {
     pub cpu_time_s: f64,
     /// CPU whole-system energy prediction, joules.
     pub cpu_energy_j: f64,
+    /// The energies the verdict compared, joules: consolidated with
+    /// [`CONSOLIDATION_MARGIN`] applied, serial, CPU. Under a power
+    /// policy the GPU two are the knob-chosen horizon energies.
+    pub compared_j: [f64; 3],
     /// Power-state verdicts for the GPU alternatives (`None` when the
     /// engine runs without a power-state stack — the flat behaviour).
     pub state: Option<StateDecision>,
@@ -104,7 +113,6 @@ pub struct DecisionEngine {
     energy: EnergyModel,
     cpu: CpuEngine,
     cpu_power: CpuPowerModel,
-    margin: f64,
     power_states: Option<PowerPolicy>,
 }
 
@@ -140,16 +148,13 @@ impl PowerPolicy {
 
 impl DecisionEngine {
     /// Compose from the GPU energy model and CPU simulator + power model.
-    /// Consolidation must beat the alternatives by the default margin of
-    /// 2% predicted energy — merging kernels has real coordination and
-    /// contention costs the models cannot see, so a predicted tie is not
-    /// worth taking (the scenario-1 lesson).
+    /// Consolidation must beat the alternatives by
+    /// [`CONSOLIDATION_MARGIN`].
     pub fn new(energy: EnergyModel, cpu: CpuEngine, cpu_power: CpuPowerModel) -> Self {
         DecisionEngine {
             energy,
             cpu,
             cpu_power,
-            margin: 0.02,
             power_states: None,
         }
     }
@@ -174,14 +179,6 @@ impl DecisionEngine {
     /// The wired power-state stack, if any.
     pub fn power_policy(&self) -> Option<&PowerStatesConfig> {
         self.power_states.as_ref().map(|pp| &pp.cfg)
-    }
-
-    /// Override the required consolidation benefit margin (fraction of
-    /// predicted energy).
-    pub fn with_margin(mut self, margin: f64) -> Self {
-        assert!(margin >= 0.0, "margin must be non-negative");
-        self.margin = margin;
-        self
     }
 
     /// The GPU-side energy model.
@@ -224,17 +221,14 @@ impl DecisionEngine {
             None => (consolidated.system_energy_j, serial.system_energy_j),
         };
 
-        let candidates = [
-            // Consolidation pays a benefit margin: it must clearly win.
-            (Choice::Consolidate, cons_e * (1.0 + self.margin)),
-            (Choice::SerialGpu, serial_e),
-            (Choice::Cpu, cpu_energy),
-        ];
+        // Consolidation pays a benefit margin: it must clearly win.
+        let compared_j = [cons_e * (1.0 + CONSOLIDATION_MARGIN), serial_e, cpu_energy];
         // total_cmp: a NaN prediction (degenerate model input) must not
         // panic the daemon — it sorts above every real energy and simply
         // never wins.
-        let choice = candidates
+        let choice = [Choice::Consolidate, Choice::SerialGpu, Choice::Cpu]
             .into_iter()
+            .zip(compared_j)
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(c, _)| c)
             .unwrap_or(Choice::SerialGpu);
@@ -245,6 +239,7 @@ impl DecisionEngine {
             serial,
             cpu_time_s: cpu_out.makespan_s,
             cpu_energy_j: cpu_energy,
+            compared_j,
             state,
         }
     }
@@ -429,16 +424,20 @@ mod tests {
                     Some((c, s)) => (c.horizon_energy_j, s.horizon_energy_j),
                     None => (consolidated.system_energy_j, serial.system_energy_j),
                 };
-                let choice = [
-                    (Choice::Consolidate, cons_e * 1.02),
-                    (Choice::SerialGpu, serial_e),
-                    (Choice::Cpu, cpu_energy_j),
-                ]
-                .into_iter()
-                .min_by(|x, y| x.1.total_cmp(&y.1))
-                .map(|(c, _)| c);
+                let compared_j = [cons_e * 1.02, serial_e, cpu_energy_j];
+                let choice = [Choice::Consolidate, Choice::SerialGpu, Choice::Cpu]
+                    .into_iter()
+                    .zip(compared_j)
+                    .min_by(|x, y| x.1.total_cmp(&y.1))
+                    .map(|(c, _)| c);
 
                 assert_eq!(Some(got.choice), choice);
+                // What the verdict compared is what the record shows:
+                // under a policy, the knob-chosen horizon energies.
+                assert_eq!(
+                    got.compared_j.map(f64::to_bits),
+                    compared_j.map(f64::to_bits)
+                );
                 for (g, want) in [(&got.consolidated, &consolidated), (&got.serial, &serial)] {
                     assert_eq!(g.time_s.to_bits(), want.time_s.to_bits());
                     assert_eq!(g.gpu_energy_j.to_bits(), want.gpu_energy_j.to_bits());

@@ -98,7 +98,7 @@ pub mod template;
 
 pub use admission::{AdmissionConfig, AdmissionDecision, Priority, ShedCause};
 pub use config::{PowerStatesConfig, RuntimeConfig};
-pub use decision::{Choice, DecisionEngine, StateDecision};
+pub use decision::{Choice, DecisionEngine, StateDecision, CONSOLIDATION_MARGIN};
 pub use frontend::Frontend;
 pub use protocol::{CoreError, KernelRequest, RegisteredKernel};
 pub use resilience::{ResiliencePolicy, RuntimeFaultInjector};

@@ -28,7 +28,12 @@ pub enum CoreError {
     /// `launch` without a preceding `configure_call`.
     NotConfigured,
     /// The execution configuration does not match the registered kernel.
-    BadConfiguration(String),
+    BadConfiguration {
+        /// What `configure_call` captured.
+        configured: ExecConfig,
+        /// What the kernel was registered with.
+        registered: ExecConfig,
+    },
     /// The backend is gone: the runtime was shut down or dropped, or a
     /// panic inside the backend poisoned it.
     Disconnected,
@@ -71,7 +76,14 @@ impl fmt::Display for CoreError {
             CoreError::Gpu(e) => write!(f, "device error: {e}"),
             CoreError::UnknownKernel(k) => write!(f, "unknown kernel '{k}'"),
             CoreError::NotConfigured => write!(f, "launch without configure_call"),
-            CoreError::BadConfiguration(why) => write!(f, "bad execution configuration: {why}"),
+            CoreError::BadConfiguration {
+                configured: c,
+                registered: r,
+            } => write!(
+                f,
+                "bad execution configuration: configured {}x{}, registered {}x{}",
+                c.grid_blocks, c.threads_per_block, r.grid_blocks, r.threads_per_block
+            ),
             CoreError::Disconnected => write!(f, "backend disconnected"),
             CoreError::KernelFailed { seq, gpu } => {
                 write!(f, "kernel launch (ticket {seq}) failed: {gpu}")

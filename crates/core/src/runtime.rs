@@ -375,7 +375,7 @@ mod tests {
         let err = fe.launch("encryption").unwrap_err();
         assert!(matches!(
             err,
-            crate::protocol::CoreError::BadConfiguration(_)
+            crate::protocol::CoreError::BadConfiguration { .. }
         ));
     }
 

@@ -1,6 +1,7 @@
 //! Fleet description: per-device specs and the fleet-level knobs.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use ewc_gpu::GpuConfig;
 
@@ -15,7 +16,7 @@ pub const SATURATION_CTXS: u32 = 8;
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Human-readable label (shows up in telemetry and the CLI tables).
-    pub name: String,
+    pub name: Arc<str>,
     /// The simulated card itself. Heterogeneity enters here: SM count,
     /// DRAM bandwidth, clock — all derived from the C1060 preset.
     pub gpu: GpuConfig,
@@ -30,7 +31,7 @@ impl DeviceSpec {
     /// The baseline device: an unscaled Tesla C1060.
     pub fn c1060() -> Self {
         DeviceSpec {
-            name: "c1060".to_string(),
+            name: "c1060".into(),
             gpu: GpuConfig::tesla_c1060(),
             power_scale: 1.0,
         }
@@ -48,7 +49,7 @@ impl DeviceSpec {
             ..base
         };
         DeviceSpec {
-            name: name.to_string(),
+            name: name.into(),
             gpu,
             power_scale,
         }
@@ -125,7 +126,7 @@ impl FleetConfig {
             devices: (0..n.max(1))
                 .map(|d| {
                     let mut spec = presets[d % presets.len()].clone();
-                    spec.name = format!("{}#{d}", spec.name);
+                    spec.name = format!("{}#{d}", spec.name).into();
                     spec
                 })
                 .collect(),

@@ -7,7 +7,7 @@
 //! metadata (`"ph":"M"`) events.  Time series become counter (`"ph":"C"`)
 //! events on pid 0.
 
-use super::{Escaped, FloatMemo, Templates};
+use super::{Escaped, FloatMemo, Reasons, Templates};
 use crate::json::{write_escaped, write_literal, write_u64, Out, Text};
 use crate::sink::TelemetrySnapshot;
 use crate::store::{FastMap, SpanRow, Sym};
@@ -75,9 +75,10 @@ pub fn render(snap: &TelemetrySnapshot) -> String {
         write_u64(text, tid);
         text.push_str(",\"ts\":");
     });
+    let reasons = Reasons::new(&snap.audit);
     let mut floats = FloatMemo::new();
 
-    let mut out = Text::with_capacity(escaped.capacity_for(snap, &templates));
+    let mut out = Text::with_capacity(escaped.capacity_for(snap, &templates, &reasons));
     out.push_str("{\"traceEvents\":[");
     let mut first = true;
     let mut next_event = |out: &mut Text| {
@@ -158,7 +159,7 @@ pub fn render(snap: &TelemetrySnapshot) -> String {
 
     // Decision verdicts as instant events on pid 0, one lane for the
     // decision engine so verdicts line up with the spans around them.
-    for rec in &snap.audit {
+    for (i, rec) in snap.audit.iter().enumerate() {
         next_event(&mut out);
         out.push_str("{\"ph\":\"i\",\"s\":\"g\",\"name\":\"decision:");
         write_escaped(&mut out, rec.verdict.label());
@@ -172,7 +173,7 @@ pub fn render(snap: &TelemetrySnapshot) -> String {
             write_escaped(&mut out, kernel);
         }
         out.push_str("\",\"reason\":");
-        write_literal(&mut out, &rec.reason);
+        out.push_str(reasons.get(i));
         out.push_str("}}");
     }
 

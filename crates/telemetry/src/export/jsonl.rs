@@ -4,7 +4,7 @@
 //! (`span`, `counter`, `gauge`, `histogram`, `sample`, `decision`), which
 //! makes the output trivially filterable with line-oriented tools.
 
-use super::{Escaped, FloatMemo, Templates};
+use super::{Escaped, FloatMemo, Reasons, Templates};
 use crate::json::{write_literal, write_u64, Out, Text};
 use crate::sink::TelemetrySnapshot;
 
@@ -21,8 +21,9 @@ pub fn render(snap: &TelemetrySnapshot) -> String {
         text.push_str(escaped.get(row.lane));
         text.push_str(",\"start_s\":");
     });
+    let reasons = Reasons::new(&snap.audit);
     let mut floats = FloatMemo::new();
-    let mut out = Text::with_capacity(escaped.capacity_for(snap, &templates));
+    let mut out = Text::with_capacity(escaped.capacity_for(snap, &templates, &reasons));
 
     for (row, template) in spans.rows().zip(templates.iter()) {
         out.push_str("{\"type\":\"span\",\"id\":");
@@ -97,7 +98,7 @@ pub fn render(snap: &TelemetrySnapshot) -> String {
         }
     }
 
-    for rec in &snap.audit {
+    for (i, rec) in snap.audit.iter().enumerate() {
         out.push_str("{\"type\":\"decision\",\"time_s\":");
         floats.write(&mut out, rec.time_s);
         out.push_str(",\"verdict\":");
@@ -130,7 +131,7 @@ pub fn render(snap: &TelemetrySnapshot) -> String {
             }
         }
         out.push_str(",\"reason\":");
-        write_literal(&mut out, &rec.reason);
+        out.push_str(reasons.get(i));
         out.push_str("}\n");
     }
 
@@ -140,7 +141,7 @@ pub fn render(snap: &TelemetrySnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::{DecisionRecord, Verdict};
+    use crate::audit::{AuditEvent, DecisionRecord, Verdict};
     use crate::json;
     use crate::sink::TelemetrySink;
 
@@ -161,7 +162,13 @@ mod tests {
             consolidated: None,
             serial: Some((0.9, 11.0)),
             cpu: Some((0.4, 3.0)),
-            reason: "cpu energy wins".into(),
+            event: AuditEvent::Decision {
+                compared_j: [f64::INFINITY, 11.0, 3.0],
+                margin: 0.02,
+                policy: None,
+                forced: false,
+                closed: None,
+            },
         });
         let text = render(&sink.snapshot().unwrap());
         let lines: Vec<&str> = text.lines().collect();

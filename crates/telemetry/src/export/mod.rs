@@ -16,6 +16,7 @@
 
 use std::sync::Arc;
 
+use crate::audit::DecisionRecord;
 use crate::json::{write_f64, write_i64, write_json_number, write_literal, write_u64, Out, Text};
 use crate::sink::TelemetrySnapshot;
 use crate::store::{AttrRow, FastMap, SpanRow, SpanTable, Stored, Sym};
@@ -32,6 +33,7 @@ const TEMPLATE_BYTES: usize = 128;
 const NUMBER_ATTR_BYTES: usize = 22;
 const SAMPLE_BYTES: usize = 128;
 const VERDICT_BYTES: usize = 256;
+const REASON_BYTES: usize = 128;
 const METRIC_BYTES: usize = 256;
 
 /// Remembers how recent non-integer numbers print: a remembered one is a
@@ -182,9 +184,15 @@ impl Escaped {
     }
 
     /// Estimated size of a render of `snap` whose span events start
-    /// with `templates`. An estimate on the generous side, not a bound:
-    /// the output grows if it falls short.
-    fn capacity_for(&self, snap: &TelemetrySnapshot, templates: &Templates) -> usize {
+    /// with `templates` and whose audit records carry `reasons`. An
+    /// estimate on the generous side, not a bound: the output grows if
+    /// it falls short.
+    fn capacity_for(
+        &self,
+        snap: &TelemetrySnapshot,
+        templates: &Templates,
+        reasons: &Reasons,
+    ) -> usize {
         let spans = &snap.spans;
         // A symbol's literal is its key without the colon.
         let len = |sym| self.0.len(sym) - 1;
@@ -203,8 +211,9 @@ impl Escaped {
         let audit_text: usize = snap
             .audit
             .iter()
-            .map(|rec| rec.reason.len() + rec.kernels.iter().map(|k| k.len() + 3).sum::<usize>())
-            .sum();
+            .map(|rec| rec.kernels.iter().map(|k| k.len() + 3).sum::<usize>())
+            .sum::<usize>()
+            + reasons.0.text.len();
         let metrics = &snap.metrics;
         let metric_lines =
             metrics.counters().count() + metrics.gauges().count() + metrics.histograms().count();
@@ -216,6 +225,28 @@ impl Escaped {
             + audit_text
             + metric_lines * METRIC_BYTES
             + 4096
+    }
+}
+
+/// Every audit record's reason as a JSON string literal, quotes
+/// included, rendered once per export by
+/// [`DecisionRecord::write_reason`]: piece `i` is record `i`'s.
+struct Reasons(Pieces);
+
+impl Reasons {
+    fn new(audit: &[DecisionRecord]) -> Self {
+        let mut pieces = Pieces::with_capacity(audit.len(), audit.len() * REASON_BYTES);
+        let mut raw = String::new();
+        for rec in audit {
+            raw.clear();
+            let _ = rec.write_reason(&mut raw);
+            pieces.push(|text| write_literal(text, &raw));
+        }
+        Reasons(pieces)
+    }
+
+    fn get(&self, i: usize) -> &str {
+        self.0.get(i as u32)
     }
 }
 

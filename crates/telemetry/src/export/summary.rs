@@ -138,14 +138,15 @@ pub fn render(snap: &TelemetrySnapshot) -> String {
         let shown = snap.audit.len().min(8);
         let _ = writeln!(out, "\nlast {shown} verdicts:");
         for rec in snap.audit.iter().rev().take(shown).rev() {
-            let _ = writeln!(
+            let _ = write!(
                 out,
-                "  t={:>10.6}s  {:<12} [{}]  {}",
+                "  t={:>10.6}s  {:<12} [{}]  ",
                 rec.time_s,
                 rec.verdict.label(),
                 rec.kernels.join("+"),
-                rec.reason
             );
+            let _ = rec.write_reason(&mut out);
+            out.push('\n');
         }
     }
 
@@ -155,7 +156,7 @@ pub fn render(snap: &TelemetrySnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::DecisionRecord;
+    use crate::audit::{AuditEvent, DecisionRecord};
     use crate::sink::TelemetrySink;
 
     #[test]
@@ -172,7 +173,13 @@ mod tests {
             consolidated: Some((2.0, 30.0)),
             serial: Some((1.8, 25.0)),
             cpu: None,
-            reason: "serial energy wins".into(),
+            event: AuditEvent::Decision {
+                compared_j: [30.6, 25.0, f64::INFINITY],
+                margin: 0.02,
+                policy: None,
+                forced: false,
+                closed: None,
+            },
         });
         let text = render(&sink.snapshot().unwrap());
         for section in ["counters", "histograms", "spans", "series", "decisions"] {

@@ -56,7 +56,7 @@ pub mod sink;
 pub mod span;
 pub mod store;
 
-pub use audit::{DecisionRecord, Verdict};
+pub use audit::{AuditEvent, DecisionRecord, GpuClosed, PolicyStates, Verdict};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use sink::{Recorder, TelemetrySink, TelemetrySnapshot};
 pub use span::{AttrValue, Span, SpanBuilder};

@@ -249,7 +249,7 @@ pub struct TelemetrySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::Verdict;
+    use crate::audit::{AuditEvent, Verdict};
     use crate::span::AttrValue;
 
     #[test]
@@ -449,7 +449,13 @@ mod tests {
             consolidated: Some((1.0, 10.0)),
             serial: Some((1.4, 16.0)),
             cpu: None,
-            reason: "consolidated energy wins".into(),
+            event: AuditEvent::Decision {
+                compared_j: [10.2, 16.0, f64::INFINITY],
+                margin: 0.02,
+                policy: None,
+                forced: false,
+                closed: None,
+            },
         });
         let snap = sink.snapshot().unwrap();
         assert_eq!(snap.series["power_w"].len(), 2);

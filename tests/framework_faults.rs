@@ -236,7 +236,7 @@ fn failed_launch_does_not_leave_stale_pending_state() {
     fe.configure_call(1, 1).unwrap();
     assert!(matches!(
         fe.launch("encryption").unwrap_err(),
-        CoreError::BadConfiguration(_)
+        CoreError::BadConfiguration { .. }
     ));
     // A correct launch from the same context then succeeds and the sync
     // completes without the rejected kernel haunting the queue.
@@ -272,7 +272,7 @@ fn rejected_launch_without_batching_drops_its_arguments() {
     }
     assert!(matches!(
         fe.launch("encryption").unwrap_err(),
-        CoreError::BadConfiguration(_)
+        CoreError::BadConfiguration { .. }
     ));
     let bufs = fe.submit("encryption", aes.as_ref(), 9).unwrap();
     fe.sync().unwrap();

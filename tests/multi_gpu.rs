@@ -146,7 +146,7 @@ use ewc_core::ResiliencePolicy;
 use ewc_exec::VirtualClock;
 use ewc_fleet::{FleetConfig, PlacementReason, PolicyKind};
 use ewc_load::{FaultConfig, SharedFaultPlan};
-use ewc_telemetry::TelemetrySink;
+use ewc_telemetry::{AuditEvent, GpuClosed, TelemetrySink};
 
 /// A collecting sink that lends the backend a fresh executor clock.
 fn virtual_sink() -> TelemetrySink {
@@ -335,7 +335,8 @@ fn drain_and_migrate_replays_byte_identically() {
 /// A drain moves a dispatching group's contexts together or not at all.
 /// Two contexts on sick gpu0 share a group whose drain target, gpu1,
 /// holds one of them but not both: nothing moves, the group runs on the
-/// CPU against gpu0's memory, and every output is right.
+/// CPU against gpu0's memory, every output is right, and the group's
+/// decision record says the drain was refused.
 #[test]
 fn a_drain_that_cannot_move_every_context_moves_none() {
     let aes = AesWorkload::fig7(&GpuConfig::tesla_c1060());
@@ -366,6 +367,7 @@ fn a_drain_that_cannot_move_every_context_moves_none() {
     .template(Template::homogeneous("encryption"))
     .device_faults(Arc::new(plan))
     .device_fault_targets(vec![0])
+    .telemetry(TelemetrySink::enabled())
     .build();
 
     // Round robin: A → gpu0, B → gpu1, C → gpu0.
@@ -386,9 +388,27 @@ fn a_drain_that_cannot_move_every_context_moves_none() {
         assert_eq!(got, aes.expected_output(seed), "seed {seed}");
     }
     drop((a, b, c));
-    let stats = rt.shutdown().stats;
+    let report = rt.shutdown();
+    let stats = report.stats;
     assert_eq!(stats.migrations, 0, "{stats:?}");
     assert_eq!(stats.migrated_bytes, 0, "{stats:?}");
     assert_eq!(stats.launches, 0, "no launch ever completed: {stats:?}");
     assert_eq!(stats.cpu_executions, 3, "{stats:?}");
+
+    // gpu1 is healthy and serves ctx B: what closed the GPU to the
+    // group was the refused drain, not a missing healthy device.
+    let audit = report.telemetry.expect("telemetry on").audit;
+    let group = audit
+        .iter()
+        .find(|r| r.consolidated.is_some() && r.kernels.len() == 2)
+        .expect("the A+C group's decision");
+    let refused = Some(GpuClosed::DrainRefused { from: 0, to: 1 });
+    assert!(
+        matches!(&group.event, AuditEvent::Decision { closed, .. } if *closed == refused),
+        "{group:?}"
+    );
+    let mut reason = String::new();
+    group.write_reason(&mut reason).unwrap();
+    assert!(reason.contains("drain to gpu1 refused"), "{reason}");
+    assert!(!reason.contains("no healthy device"), "{reason}");
 }

@@ -7,24 +7,27 @@
 use std::sync::Arc;
 
 use ewc_bench::{run_batch, Mix};
-use ewc_core::{Runtime, RuntimeConfig, Template};
+use ewc_core::{Choice, PowerStatesConfig, Runtime, RuntimeConfig, Template, CONSOLIDATION_MARGIN};
 use ewc_gpu::GpuConfig;
 use ewc_telemetry::export::{chrome, jsonl, summary};
-use ewc_telemetry::{json, TelemetrySink, TelemetrySnapshot};
-use ewc_workloads::MonteCarloWorkload;
+use ewc_telemetry::{json, AuditEvent, TelemetrySink, TelemetrySnapshot};
+use ewc_workloads::{AesWorkload, MonteCarloWorkload, SortWorkload};
 
 /// Run `n` GPU-friendly Monte Carlo requests through a runtime wired to
 /// `sink`, and return the shutdown report.
 fn run_requests(n: u32, sink: TelemetrySink) -> ewc_core::RuntimeReport {
     let mc = Arc::new(MonteCarloWorkload::tables78(&GpuConfig::tesla_c1060()));
-    let batch = run_batch(
-        RuntimeConfig {
-            threshold_factor: 2,
-            ..RuntimeConfig::default()
-        },
-        sink,
-        &Mix::new().add("montecarlo", mc, n),
-    );
+    let cfg = RuntimeConfig {
+        threshold_factor: 2,
+        ..RuntimeConfig::default()
+    };
+    run_mix(cfg, sink, &Mix::new().add("montecarlo", mc, n))
+}
+
+/// Run `mix` as one closed batch under `cfg`, and return the shutdown
+/// report.
+fn run_mix(cfg: RuntimeConfig, sink: TelemetrySink, mix: &Mix) -> ewc_core::RuntimeReport {
+    let batch = run_batch(cfg, sink, mix);
     assert!(batch.correct);
     batch.report
 }
@@ -207,32 +210,144 @@ fn metrics_and_audit_match_backend_stats() {
     assert!(snap.metrics.counter("staged_bytes") > 0.0);
     assert!(snap.metrics.gauge("elapsed_s").is_some());
 
-    // One audit record per decision, verdicts matching the stats records.
+    // No fleet, admission or policy: every audit record is a decision.
     assert_eq!(snap.audit.len(), report.stats.records.len());
-    for (a, r) in snap.audit.iter().zip(&report.stats.records) {
-        assert_eq!(
-            a.verdict.label(),
-            match r.choice {
-                ewc_core::Choice::Consolidate => "consolidate",
-                ewc_core::Choice::SerialGpu => "serial_gpu",
-                ewc_core::Choice::Cpu => "cpu",
-            }
-        );
-        assert_eq!(a.kernels.len(), r.kernels.len());
-        assert!(
-            !a.reason.is_empty(),
-            "every verdict carries a justification"
-        );
-        let (t, e) = a.chosen().expect("chosen alternative recorded");
-        assert!((t - r.predicted_time_s).abs() < 1e-9);
-        assert!((e - r.predicted_energy_j).abs() < 1e-9);
-    }
+    assert_decisions_match(&report, &snap);
 
     // Power series sampled for the device.
     let power = snap.series.get("power_w/gpu0").expect("power series");
     assert!(power.len() >= 2);
     for w in power.windows(2) {
         assert!(w[0].0 < w[1].0, "samples strictly ordered in time");
+    }
+}
+
+/// One decision record per group, in order, each matching its stats
+/// record: the verdict is the cheapest of the energies the record says
+/// were compared, and the chosen one is the group's predicted energy —
+/// over the policy horizon under a power policy, with the margin on it
+/// for consolidation. Without a policy the compared energies are the
+/// recorded predictions, consolidation's with the margin on it.
+fn assert_decisions_match(report: &ewc_core::RuntimeReport, snap: &TelemetrySnapshot) {
+    // State changes are audited too; they weigh no candidates.
+    let decisions: Vec<_> = snap
+        .audit
+        .iter()
+        .filter(|a| a.consolidated.is_some())
+        .collect();
+    assert_eq!(decisions.len(), report.stats.records.len());
+    assert!(!decisions.is_empty());
+    for (a, r) in decisions.into_iter().zip(&report.stats.records) {
+        let (chosen, label) = match r.choice {
+            Choice::Consolidate => (0, "consolidate"),
+            Choice::SerialGpu => (1, "serial_gpu"),
+            Choice::Cpu => (2, "cpu"),
+        };
+        assert_eq!(a.verdict.label(), label);
+        assert_eq!(a.kernels.len(), r.kernels.len());
+        let AuditEvent::Decision {
+            compared_j,
+            margin,
+            policy,
+            forced: false,
+            closed: None,
+        } = &a.event
+        else {
+            panic!("not a plain decision: {a:?}");
+        };
+        assert_eq!(*margin, CONSOLIDATION_MARGIN);
+        assert!(compared_j.iter().all(|e| compared_j[chosen] <= *e), "{a:?}");
+        let with_margin = |e: f64| e * (1.0 + margin);
+        let predicted = match r.choice {
+            Choice::Consolidate => with_margin(r.predicted_energy_j),
+            _ => r.predicted_energy_j,
+        };
+        assert_eq!(compared_j[chosen].to_bits(), predicted.to_bits(), "{a:?}");
+        if policy.is_none() {
+            let [c, s, cpu] = [a.consolidated, a.serial, a.cpu].map(|p| p.expect("evaluated").1);
+            assert_eq!(*compared_j, [with_margin(c), s, cpu]);
+            let (t, e) = a.chosen().expect("chosen alternative recorded");
+            assert!((t - r.predicted_time_s).abs() < 1e-9);
+            assert!((e - r.predicted_energy_j).abs() < 1e-9);
+        }
+        let mut reason = String::new();
+        a.write_reason(&mut reason).unwrap();
+        let [c, s, cpu] = compared_j;
+        for shown in [
+            format!("consolidated {c:.3} J"),
+            format!("serial {s:.3} J"),
+            format!("cpu {cpu:.3} J"),
+        ] {
+            assert!(reason.contains(&shown), "{shown:?} missing from {reason:?}");
+        }
+    }
+}
+
+#[test]
+fn a_flat_decision_record_shows_consolidation_with_its_margin() {
+    // Sorting beside scenario 1's pair predicts consolidation about
+    // 1.7 % below serial, inside the margin, so the verdict is serial —
+    // and the record's consolidated energy, margin included, is above
+    // serial's.
+    let cfg = GpuConfig::tesla_c1060();
+    let mix = Mix::new()
+        .add("sorting", Arc::new(SortWorkload::fig8(&cfg)), 1)
+        .add("encryption", Arc::new(AesWorkload::scenario1(&cfg)), 1)
+        .add(
+            "montecarlo",
+            Arc::new(MonteCarloWorkload::scenario1(&cfg)),
+            1,
+        );
+    let flat = RuntimeConfig {
+        threshold_factor: 1_000_000,
+        ..RuntimeConfig::default()
+    };
+    let report = run_mix(flat, TelemetrySink::enabled(), &mix);
+    let snap = report.telemetry.clone().expect("enabled sink");
+    assert_decisions_match(&report, &snap);
+    let [a] = &snap.audit[..] else {
+        panic!("one group: {:?}", snap.audit);
+    };
+    let (raw, serial) = (a.consolidated.unwrap().1, a.serial.unwrap().1);
+    assert!(raw < serial && serial < raw * 1.02, "{a:?}");
+    assert_eq!(report.stats.records[0].choice, Choice::SerialGpu);
+    let AuditEvent::Decision { compared_j, .. } = a.event else {
+        panic!("{a:?}");
+    };
+    assert_eq!(compared_j[0], raw * 1.02);
+    assert!(compared_j[0] > compared_j[1], "{a:?}");
+}
+
+#[test]
+fn a_policy_decision_record_shows_the_horizon_energies_it_compared() {
+    // Race-to-idle: the verdict compared the knob-chosen horizon
+    // energies, which the flat predictions beside them are not.
+    let cfg = GpuConfig::tesla_c1060();
+    let race = RuntimeConfig {
+        threshold_factor: 2,
+        power_states: Some(PowerStatesConfig::race()),
+        ..RuntimeConfig::default()
+    };
+    let mc = Arc::new(MonteCarloWorkload::tables78(&cfg));
+    let report = run_mix(
+        race,
+        TelemetrySink::enabled(),
+        &Mix::new().add("montecarlo", mc, 4),
+    );
+    let snap = report.telemetry.clone().expect("enabled sink");
+    assert_decisions_match(&report, &snap);
+    let decisions = snap.audit.iter().filter(|a| a.consolidated.is_some());
+    for a in decisions {
+        let AuditEvent::Decision {
+            compared_j,
+            policy: Some(p),
+            ..
+        } = a.event
+        else {
+            panic!("a decision under a policy: {a:?}");
+        };
+        assert_eq!(p.knob, "race");
+        assert_ne!(compared_j[1], a.serial.unwrap().1, "{a:?}");
     }
 }
 
@@ -468,34 +583,34 @@ fn dvfs_fleet_snapshot() -> TelemetrySnapshot {
 
 #[test]
 fn exports_match_the_digests_pinned_before_the_store_rewrite() {
-    // Recorded at the parent commit (String-per-field span records,
-    // char-wise escaper, per-event temporaries) and not since: the
-    // interned store and the single-pass renderers must produce the
-    // same bytes.
+    // Recorded before the interned store and the single-pass renderers,
+    // which had to produce the same bytes. Re-recorded once since, when
+    // decision reasons started printing the energies the verdict
+    // compared: every span, number and event record kept its bytes.
     assert_eq!(
         export_digests(&trace_replay_snapshot(virtual_sink())),
         [
-            (0xd5b4_3b52_f817_ef5d, 130_912),
-            (0xfa2d_7cc2_1f7c_bfe8, 121_189),
-            (0xf202_0339_c878_9366, 3_544),
+            (0xbfe7_3d8f_c3b6_ad03, 130_922),
+            (0xc52c_60fb_b4b4_e5cc, 121_199),
+            (0xab50_7d72_e4b8_a466, 3_554),
         ],
         "trace replay"
     );
     assert_eq!(
         export_digests(&bursty_openloop_snapshot()),
         [
-            (0x4c7c_796a_6dc9_4c86, 307_787),
-            (0xc7c7_546f_74f6_9c99, 339_137),
-            (0xcfc9_a8d1_c24a_4154, 10_046),
+            (0x1c45_cce1_1b96_1941, 308_615),
+            (0x7a05_72b8_ad3d_c0b2, 339_965),
+            (0x49be_86b1_65fb_9598, 10_089),
         ],
         "bursty open loop"
     );
     assert_eq!(
         export_digests(&dvfs_fleet_snapshot()),
         [
-            (0x5fdf_9d3f_b93f_0a6d, 64_296),
-            (0x7c03_87cb_b8c6_5a07, 60_937),
-            (0xc728_5b85_b7df_1d7e, 5_907),
+            (0x1f95_a184_c3e1_d5e8, 64_261),
+            (0xab43_130a_3bb3_59f8, 60_902),
+            (0x9862_2d45_bd02_b4cd, 5_872),
         ],
         "DVFS fleet"
     );
@@ -503,8 +618,9 @@ fn exports_match_the_digests_pinned_before_the_store_rewrite() {
 
 #[test]
 fn benchmark_scale_exports_match_the_digests_pinned_before_the_templates() {
-    // Recorded at the parent commit (fmt-printed floats, per-span
-    // skeleton, gathered snapshot rows) and not since: 107 904 spans,
+    // Recorded before the span templates (fmt-printed floats, per-span
+    // skeleton, gathered snapshot rows), and re-recorded only when
+    // decision reasons started printing the compared energies: 107 904 spans,
     // ids past 100 000, consolidated names of 31 kernels. Not re-parsed
     // (39 MB would double the test's time in a debug build): the small
     // sessions above parse the output of the same code.
@@ -518,9 +634,9 @@ fn benchmark_scale_exports_match_the_digests_pinned_before_the_templates() {
         ]
         .map(|t| digest(&t)),
         [
-            (0x1316_46c5_0d47_7450, 18_562_857),
-            (0x32e5_55f3_d2a8_1754, 20_599_005),
-            (0xb3d9_c0d3_a4f5_5e6c, 14_019),
+            (0x103f_b53d_a840_492a, 18_611_649),
+            (0xe57d_ad78_ab25_e0b8, 20_647_797),
+            (0x8ae9_5a3d_6c4e_e4bf, 14_063),
         ],
         "bursty open loop, benchmark scale"
     );
